@@ -1,7 +1,7 @@
 """E17 & E23 — the exploration service: cache, concurrency, saturation.
 
-E17 (pytest, below) established the two claims behind the threaded
-service frontend:
+E17 (pytest, below) established the two claims behind the service
+frontend:
 
 1. **Warm beats cold.**  A repeated query is answered from the LRU
    result cache in (sub-)millisecond time — at least 5x faster than
@@ -11,7 +11,7 @@ service frontend:
    server rejects overflow with fast 429s and the client's busy-retry
    absorbs them, instead of queueing without bound.
 
-E23 (CLI main, below) measures the asyncio frontend under saturation:
+E23 (CLI main, below) measures the same frontend under saturation:
 
 1. **Latency vs offered load.**  Fleets of 64 / 128 / 256 simulated
    clients — each an :class:`AsyncServiceClient` coroutine on one

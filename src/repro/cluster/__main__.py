@@ -8,6 +8,7 @@ port), and serves until terminated.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from repro.cluster.launch import URL_PREFIX
@@ -24,12 +25,16 @@ def main(argv: "list[str] | None" = None) -> int:
         "--port", type=int, default=0, help="0 picks an ephemeral port"
     )
     parser.add_argument(
-        "--verbose", action="store_true", help="log every request"
+        "--verbose",
+        action="store_true",
+        help="log every request (JSON lines on stderr)",
     )
     options = parser.parse_args(argv)
+    if options.verbose:
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
     server = ShardServer(
         host=options.host, port=options.port, quiet=not options.verbose
-    )
+    ).bind()
     print(f"{URL_PREFIX}{server.url}", flush=True)
     try:
         server.serve_forever()

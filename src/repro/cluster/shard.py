@@ -5,9 +5,10 @@ to this process (``POST /own``), scans them into
 :class:`~repro.engine.parallel.ShardStatistics` (``POST /scan``) with
 the *same* :func:`~repro.engine.parallel.scan_shard_values` core the
 local workers run, and extends them with routed appends
-(``POST /append``).  The :class:`ShardServer` HTTP frontend mirrors the
-PR-2 service server: ``ThreadingHTTPServer``, JSON bodies, typed error
-payloads.
+(``POST /append``).  :class:`ShardServer` mounts those routes (plus
+``GET /health|/shards|/metrics``) on the wire core the exploration
+service uses (:class:`~repro.service.httpd.JsonHttpServer`), so both
+servers frame requests and type errors identically.
 
 A shard server is deliberately dumb: it never sees queries, configs, or
 other shards — only raw column values and a scan recipe.  All layout
@@ -18,10 +19,8 @@ place.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -33,16 +32,8 @@ from repro.cluster.protocol import (
     numeric_from_wire,
 )
 from repro.engine.parallel import ShardStatistics, scan_shard_values
-from repro.service.protocol import (
-    ProtocolError,
-    ServiceError,
-    StaleShardError,
-    error_to_dict,
-)
-
-#: Shard payloads carry whole column slices; allow far more than the
-#: service's 1 MiB exploration bodies.
-_MAX_BODY_BYTES = 1 << 28
+from repro.service.httpd import Handler, JsonHttpServer
+from repro.service.protocol import ProtocolError, StaleShardError
 
 
 class _OwnedShard:
@@ -77,7 +68,7 @@ class _OwnedShard:
 class ShardStore:
     """Owned shards of one server process, keyed ``(table, shard)``.
 
-    Thread-safe: the HTTP frontend is a ``ThreadingHTTPServer``, so
+    Thread-safe: the HTTP handlers run on executor threads, so
     own/scan/append can race.  Scans copy the references they need out
     under the lock and run the (read-only) scan core outside it.
     """
@@ -87,7 +78,7 @@ class ShardStore:
         self._shards: dict[tuple[str, int], _OwnedShard] = {}  # guarded-by: _lock
         self._scans = 0  # guarded-by: _lock
         self._appends = 0  # guarded-by: _lock
-        self._scan_seconds: list[float] = []  # guarded-by: _lock
+        self._scan_seconds_total = 0.0  # guarded-by: _lock
 
     def own(self, request: OwnShardRequest) -> dict:
         """Take (or replace) ownership of one shard's values."""
@@ -141,7 +132,7 @@ class ShardStore:
         )
         with self._lock:
             self._scans += 1
-            self._scan_seconds.append(time.perf_counter() - started)
+            self._scan_seconds_total += time.perf_counter() - started
         return statistics
 
     def append(self, request: ShardAppendRequest) -> dict:
@@ -209,104 +200,34 @@ class ShardStore:
                 ),
                 "scans": self._scans,
                 "appends": self._appends,
-                "scan_seconds": list(self._scan_seconds),
+                "scan_seconds_total": self._scan_seconds_total,
             }
 
 
-class _ShardHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the store reference."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, store: ShardStore, quiet: bool):
-        super().__init__(address, _Handler)
-        self.store = store
-        self.quiet = quiet
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-shard/1"
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        store: ShardStore = self.server.store
-        try:
-            if self.path == "/health":
-                self._send(200, {
-                    "status": "ok",
-                    "protocol": CLUSTER_PROTOCOL_VERSION,
-                })
-            elif self.path == "/shards":
-                self._send(200, store.describe())
-            elif self.path == "/metrics":
-                self._send(200, store.metrics())
-            else:
-                raise ProtocolError(f"no route {self.path!r}")
-        except Exception as error:
-            self._send_error_payload(error)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        store: ShardStore = self.server.store
-        try:
-            payload = self._read_json()
-            if self.path == "/own":
-                self._send(200, store.own(OwnShardRequest.from_dict(payload)))
-            elif self.path == "/scan":
-                statistics = store.scan(ScanRequest.from_dict(payload))
-                self._send(200, {"statistics": statistics.to_dict()})
-            elif self.path == "/append":
-                self._send(
-                    200,
-                    store.append(ShardAppendRequest.from_dict(payload)),
-                )
-            else:
-                raise ProtocolError(f"no route {self.path!r}")
-        except Exception as error:
-            self._send_error_payload(error)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            raise ProtocolError("request body required")
-        if length > _MAX_BODY_BYTES:
-            self.close_connection = True
-            raise ProtocolError(
-                f"request body of {length} bytes exceeds the "
-                f"{_MAX_BODY_BYTES}-byte limit"
-            )
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(
-                f"request body is not valid JSON: {exc}"
-            ) from exc
-
-    def _send(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_payload(self, error: Exception) -> None:
-        payload = error_to_dict(error)
-        status = payload["error"]["status"]
-        if not self.server.quiet and not isinstance(error, ServiceError):
-            self.log_error("unhandled error: %r", error)
-        self._send(status, payload)
-
-    def log_message(self, format: str, *args: object) -> None:
-        if not self.server.quiet:  # pragma: no cover - manual servers only
-            super().log_message(format, *args)
+def _shard_routes(store: ShardStore) -> dict[tuple[str, str], Handler]:
+    """The six shard routes as ``(payload, query, headers)`` handlers."""
+    health = {"status": "ok", "protocol": CLUSTER_PROTOCOL_VERSION}
+    return {
+        ("GET", "/health"): lambda *_: (200, health),
+        ("GET", "/shards"): lambda *_: (200, store.describe()),
+        ("GET", "/metrics"): lambda *_: (200, store.metrics()),
+        ("POST", "/own"): lambda payload, *_: (
+            200,
+            store.own(OwnShardRequest.from_dict(payload)),
+        ),
+        ("POST", "/scan"): lambda payload, *_: (
+            200,
+            {"statistics": store.scan(ScanRequest.from_dict(payload)).to_dict()},
+        ),
+        ("POST", "/append"): lambda payload, *_: (
+            200,
+            store.append(ShardAppendRequest.from_dict(payload)),
+        ),
+    }
 
 
-class ShardServer:
-    """A running shard-server HTTP frontend.
+class ShardServer(JsonHttpServer):
+    """The HTTP frontend of one :class:`ShardStore`.
 
     Usually created through :func:`serve_shard` (in-process, for tests
     and the coordinator's local fallback) or ``python -m repro.cluster``
@@ -323,56 +244,25 @@ class ShardServer:
         port: int = 0,
         *,
         quiet: bool = True,
-    ):
+    ) -> None:
         self._store = store if store is not None else ShardStore()
-        self._http = _ShardHTTPServer((host, port), self._store, quiet)
-        self._thread: threading.Thread | None = None
+        super().__init__(
+            _shard_routes(self._store),
+            host,
+            port,
+            # ``/own`` bodies carry whole column slices.
+            max_body_bytes=1 << 28,
+            # Scans are CPU-bound numpy; a coordinator sends one server
+            # its shards one after another.
+            workers=8,
+            name="repro-shard",
+            quiet=quiet,
+        )
 
     @property
     def store(self) -> ShardStore:
         """The shard store being exposed."""
         return self._store
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (port 0 resolves here)."""
-        return self._http.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        """Base URL the coordinator should use."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ShardServer":
-        """Start serving on a daemon thread; returns self for chaining."""
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._http.serve_forever,
-            name="repro-shard-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the ``__main__`` entry point)."""
-        self._http.serve_forever()
-
-    def close(self) -> None:
-        """Stop the listener."""
-        if self._thread is not None:
-            self._http.shutdown()
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._http.server_close()
-
-    def __enter__(self) -> "ShardServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def serve_shard(

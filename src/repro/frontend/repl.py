@@ -18,7 +18,7 @@ Commands::
     tokens <column> top tokens of a text column (match/contains vocabulary)
     refresh         re-explore the breadcrumb against the latest version
     watch           toggle auto-refresh after every append
-    serve [async] [port]  expose this table through an exploration service
+    serve [port]    expose this table through an exploration service
     connect <url>   attach to a running exploration service
     remote          answer the current query through the service
     quit            leave the loop
@@ -65,8 +65,7 @@ HELP_TEXT = """commands:
                `column: match '...'` / `contains '...'` predicates hit
   refresh      re-explore the breadcrumb at the latest table version
   watch        toggle auto-refresh after appends
-  serve [async] [port] start an HTTP exploration service for this table
-               (`async` = the event-loop frontend for many clients)
+  serve [port] start an HTTP exploration service for this table
   connect <url> attach to a running exploration service
   remote       answer the current query via the connected service
   help         this text
@@ -401,46 +400,27 @@ class ExplorerRepl:
     # ------------------------------------------------------------------ #
 
     def _serve(self, argument: str) -> None:
-        """Expose this REPL's table through an exploration service.
-
-        ``serve [port]`` starts the threaded frontend; ``serve async
-        [port]`` starts the event-loop frontend (same routes, scales to
-        hundreds of clients).
-        """
-        from repro.service import (
-            ExplorationService,
-            ServiceError,
-            serve,
-            serve_async,
-        )
+        """Expose this REPL's table through an exploration service."""
+        from repro.service import ExplorationService, ServiceError, serve
 
         if self._server is not None:
             self._print(f"already serving at {self._server.url}")
             return
-        words = argument.split()
-        use_async = bool(words) and words[0] == "async"
-        if use_async:
-            words = words[1:]
-        if len(words) > 1 or (words and not words[0].isdigit()):
-            raise AtlasError(
-                f"serve takes [async] and a port number, got {argument!r}"
-            )
-        port = int(words[0]) if words else 0
+        word = argument.strip()
+        if word and not word.isdigit():
+            raise AtlasError(f"serve takes a port number, got {argument!r}")
+        port = int(word) if word else 0
         table = self._session.atlas.table
         # Share the session's configuration so `remote` answers match
         # what the local loop shows for the same query.
         service = ExplorationService(config=self._session.atlas.config)
         service.register(table)
-        start = serve_async if use_async else serve
         try:
-            self._server = start(service, port=port)
-        except (OSError, ServiceError) as error:
+            self._server = serve(service, port=port)
+        except ServiceError as error:
             service.close()
             raise AtlasError(f"cannot serve on port {port}: {error}") from error
-        frontend = "async" if use_async else "threaded"
-        self._print(
-            f"serving {table.name!r} at {self._server.url} ({frontend})"
-        )
+        self._print(f"serving {table.name!r} at {self._server.url}")
 
     def _connect(self, argument: str) -> None:
         """Attach a client to a running exploration service."""

@@ -31,11 +31,14 @@ Layers, bottom up:
 * :mod:`repro.service.history` — the persistent per-request journal
   behind ``/history``.
 * :mod:`repro.service.service` — the :class:`ExplorationService` core.
-* :mod:`repro.service.server` — the threaded ``http.server`` frontend
-  (the compatibility surface).
-* :mod:`repro.service.async_server` — the event-loop frontend
-  (:class:`AsyncServiceServer`) and :class:`AsyncServiceClient`.
-* :mod:`repro.service.client` — the blocking :class:`ServiceClient`.
+* :mod:`repro.service.httpd` — the one asyncio wire core
+  (:class:`~repro.service.httpd.JsonHttpServer`): parse, route, typed
+  errors, access log; the shard server mounts it too.
+* :mod:`repro.service.async_server` — the service's route table on
+  that core (:class:`AsyncServiceServer`, :func:`serve`) and the
+  coroutine :class:`AsyncServiceClient`.
+* :mod:`repro.service.transport` / :mod:`repro.service.client` — the
+  keep-alive transport and the blocking :class:`ServiceClient`.
 
 Quickstart::
 
@@ -53,6 +56,7 @@ Quickstart::
 from repro.service.async_server import (
     AsyncServiceClient,
     AsyncServiceServer,
+    serve,
     serve_async,
 )
 from repro.service.cache import ResultCache
@@ -75,7 +79,6 @@ from repro.service.protocol import (
     ServiceError,
     UnknownTableError,
 )
-from repro.service.server import ServiceServer, serve
 from repro.service.service import ExplorationService
 from repro.service.tenancy import Tenant, TenantRegistry, TokenBucket
 from repro.service.sources import (
@@ -110,7 +113,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceMetrics",
-    "ServiceServer",
     "StoreSource",
     "TABLE_GENERATORS",
     "TableSource",

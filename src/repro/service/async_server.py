@@ -1,25 +1,10 @@
-"""The asyncio frontend of the exploration service.
+"""The exploration service's HTTP mount, and the asyncio client.
 
-The PR-2 ``http.server`` frontend spends one OS thread per *connection*
-— fine for a handful of analysts, hopeless for the paper's "many
-analysts, quasi-real-time" deployment at hundreds of concurrent
-clients.  This frontend inverts the shape: **one event loop owns every
-socket; threads are spent only on admitted pipeline work.**
-
-* Accept, HTTP parsing, routing, rate-limit/admission rejections, and
-  response writing all run on the event loop — a shed 429 never
-  touches a thread, so saturation costs microseconds per excess
-  request no matter how many clients pile on.
-* Admitted work (the blocking pipeline/service call) is dispatched to
-  a bounded executor; in-flight concurrency is already capped by the
-  service's admission ledger, so the executor is sized to match and
-  waiting never happens on the loop.
-* Per-tenant API keys ride the ``X-Api-Key`` header; 429s carry
-  ``Retry-After`` (from the rejection's ``detail``); every request
-  emits one structured JSON access-log line.
-
-Routes are a superset of the threaded frontend (which remains, as the
-compatibility surface):
+:class:`AsyncServiceServer` is a route table over the one wire core
+(:class:`~repro.service.httpd.JsonHttpServer`): parsing, typed errors,
+``Retry-After`` and the access log live there, policy (tenants, rate
+limits, admission, deadlines) lives in :class:`ExplorationService`, and
+this module only says which service call answers which route.
 
 ====== =========== ====================================================
 Method Path        Meaning
@@ -33,7 +18,10 @@ GET    /metrics    counters, caches, per-stage latency percentiles
 GET    /history    recent request journal (``?limit=&tenant=&status=``)
 ====== =========== ====================================================
 
-:class:`AsyncServiceClient` is the matching client — a single-socket
+Per-tenant API keys ride the ``X-Api-Key`` header, and the access-log
+record of every request carries the tenant it resolved to.
+
+:class:`AsyncServiceClient` is the coroutine client — a single-socket
 keep-alive JSON client built on asyncio streams, cheap enough to run
 hundreds of instances on one loop (the E23 saturation benchmark drives
 64–256 of them from one process).
@@ -43,14 +31,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-import logging
-import threading
-import time
 import urllib.parse
-from typing import Awaitable, Callable
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
 from repro.service.client import retry_delay
+from repro.service.httpd import (
+    AccessLogger,
+    Handler,
+    JsonHttpServer,
+    read_head,
+)
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     AdmissionError,
@@ -61,8 +51,6 @@ from repro.service.protocol import (
     ProtocolError,
     RemoteServiceError,
     ServiceError,
-    error_from_payload,
-    error_to_dict,
 )
 from repro.service.requests import (
     build_append_request,
@@ -71,47 +59,76 @@ from repro.service.requests import (
     history_path,
 )
 from repro.service.service import ExplorationService
-from repro.service.tenancy import retry_after_header
-
-#: Largest accepted request head (request line + headers) and body.
-_MAX_HEAD_BYTES = 32 * 1024
-_MAX_BODY_BYTES = 1 << 20
-
-#: The structured access-log sink: one JSON-ready dict per request.
-AccessLogger = Callable[[dict], None]
-
-_access_logger = logging.getLogger("repro.service.access")
+from repro.service.transport import decode_response, parse_base_url
 
 
-def _default_access_log(record: dict) -> None:
-    _access_logger.info("%s", json.dumps(record, separators=(",", ":")))
+def _service_routes(
+    service: ExplorationService,
+) -> dict[tuple[str, str], Handler]:
+    """The seven service routes as ``(payload, query, headers)`` handlers."""
+
+    def health(payload, query, headers):
+        return 200, {"status": "ok", "protocol": PROTOCOL_VERSION}
+
+    def tables(payload, query, headers):
+        return 200, {"tables": service.describe_tables()}
+
+    def metrics(payload, query, headers):
+        return 200, service.metrics()
+
+    def history(payload, query, headers):
+        params = urllib.parse.parse_qs(query)
+        try:
+            limit = int(params.get("limit", ["50"])[0])
+        except ValueError as exc:
+            raise ProtocolError("'limit' must be an integer") from exc
+        entries = service.history_entries(
+            limit,
+            tenant=params.get("tenant", [None])[0],
+            status=params.get("status", [None])[0],
+        )
+        return 200, {"history": entries}
+
+    def explore(payload, query, headers):
+        request = ExploreRequest.from_dict(payload)
+        response = service.handle(request, api_key=headers.get("x-api-key"))
+        return 200, response.to_dict()
+
+    def append(payload, query, headers):
+        request = AppendRequest.from_dict(payload)
+        acknowledged = service.handle_append(
+            request, api_key=headers.get("x-api-key")
+        )
+        return 200, acknowledged.to_dict()
+
+    def register(payload, query, headers):
+        if not isinstance(payload, dict):
+            raise ProtocolError(
+                f"expected a table-spec object, got {type(payload).__name__}"
+            )
+        name = service.register(
+            payload, overwrite=bool(payload.pop("overwrite", False))
+        )
+        return 201, {"registered": name}
+
+    return {
+        ("GET", "/health"): health,
+        ("GET", "/tables"): tables,
+        ("GET", "/metrics"): metrics,
+        ("GET", "/history"): history,
+        ("POST", "/explore"): explore,
+        ("POST", "/append"): append,
+        ("POST", "/tables"): register,
+    }
 
 
-class _HttpError(Exception):
-    """Internal: a parse-level failure with a ready error payload."""
+class AsyncServiceServer(JsonHttpServer):
+    """The HTTP frontend bound to one :class:`ExplorationService`.
 
-    def __init__(self, status: int, payload: dict, *, close: bool = False):
-        super().__init__(payload["error"]["message"])
-        self.status = status
-        self.payload = payload
-        self.close = close
+    Usually created through :func:`serve`, which also starts it::
 
-
-def _error_response(error: Exception) -> tuple[int, dict]:
-    payload = error_to_dict(error)
-    return payload["error"]["status"], payload
-
-
-class AsyncServiceServer:
-    """An asyncio HTTP frontend bound to one :class:`ExplorationService`.
-
-    The event loop runs on a dedicated daemon thread, so synchronous
-    code (tests, the REPL, benchmarks) can start and stop the server
-    exactly like the threaded :class:`~repro.service.server.
-    ServiceServer`::
-
-        with serve_async(service) as server:
-            client = ServiceClient(server.url)   # blocking client works
+        with serve(service) as server:
+            client = ServiceClient(server.url)
             ...
 
     ``access_log`` is a callable receiving one dict per request
@@ -128,430 +145,46 @@ class AsyncServiceServer:
         *,
         quiet: bool = True,
         access_log: AccessLogger | None = None,
-        executor_threads: int | None = None,
     ):
         self._service = service
-        self._host = host
-        self._port = port
-        self._quiet = quiet
-        if access_log is not None:
-            self._access_log: AccessLogger | None = access_log
-        elif quiet:
-            self._access_log = None
-        else:
-            self._access_log = _default_access_log
-        # Sized to the admission ceiling: more threads could never run
-        # concurrently (the ledger sheds first), fewer would make
-        # admitted requests queue behind each other in the executor.
-        if executor_threads is None:
-            executor_threads = max(8, service.max_inflight + 4)
-        self._executor_threads = executor_threads
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._bound: tuple[str, int] | None = None
-        self._startup_error: BaseException | None = None
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
+        super().__init__(
+            _service_routes(service),
+            host,
+            port,
+            # Exploration payloads are tiny; anything bigger is a client
+            # bug or abuse.
+            max_body_bytes=1 << 20,
+            # Sized to the admission ceiling: more threads could never
+            # run concurrently (the ledger sheds first), fewer would
+            # make admitted requests queue behind each other.
+            workers=max(8, service.max_inflight + 4),
+            name="repro-service",
+            quiet=quiet,
+            access_log=access_log,
+            access_fields=self._tenant_field,
+        )
 
     @property
     def service(self) -> ExplorationService:
         """The service being exposed."""
         return self._service
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (port 0 resolves here)."""
-        if self._bound is None:
-            raise ServiceError("server is not running")
-        return self._bound
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should use."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "AsyncServiceServer":
-        """Start the event loop thread; returns self for chaining."""
-        if self._thread is not None:
-            return self
-        self._ready.clear()
-        self._startup_error = None
-        self._thread = threading.Thread(
-            target=self._thread_main,
-            name="repro-service-async",
-            daemon=True,
-        )
-        self._thread.start()
-        self._ready.wait(timeout=10)
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread.join(timeout=5)
-            self._thread = None
-            raise ServiceError(f"async frontend failed to start: {error}")
-        if self._bound is None:
-            raise ServiceError("async frontend did not come up in time")
-        return self
+    def _tenant_field(self, headers: dict[str, str]) -> dict:
+        """The access-log field this mount adds to the core's record."""
+        try:
+            tenant = self._service.resolve_tenant(api_key=headers.get("x-api-key"))
+        except ServiceError:
+            return {"tenant": "?"}
+        return {"tenant": tenant.name}
 
     def close(self, *, close_service: bool = False) -> None:
         """Stop the loop (and optionally the service behind it)."""
-        if self._thread is not None and self._loop is not None:
-            loop, stop = self._loop, self._stop
-            if stop is not None:
-                loop.call_soon_threadsafe(stop.set)
-            self._thread.join(timeout=10)
-            self._thread = None
-            self._loop = None
-            self._stop = None
-            self._bound = None
+        super().close()
         if close_service:
             self._service.close()
 
-    def __enter__(self) -> "AsyncServiceServer":
-        return self.start()
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._serve())
-        except BaseException as error:  # pragma: no cover - defensive
-            self._startup_error = error
-            self._ready.set()
-
-    async def _serve(self) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        loop = asyncio.get_running_loop()
-        executor = ThreadPoolExecutor(
-            max_workers=self._executor_threads,
-            thread_name_prefix="repro-async-worker",
-        )
-        loop.set_default_executor(executor)
-        self._loop = loop
-        self._stop = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection,
-                self._host,
-                self._port,
-                limit=_MAX_HEAD_BYTES,
-            )
-        except OSError as error:
-            self._startup_error = error
-            self._ready.set()
-            executor.shutdown(wait=False)
-            return
-        sockname = server.sockets[0].getsockname()
-        self._bound = (sockname[0], sockname[1])
-        self._ready.set()
-        try:
-            async with server:
-                await self._stop.wait()
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    # ------------------------------------------------------------------ #
-    # Connection handling
-    # ------------------------------------------------------------------ #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-            TimeoutError,
-        ):
-            pass  # client went away / oversized head: drop the connection
-        except asyncio.CancelledError:
-            pass  # server shutting down mid-connection: close quietly
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            except asyncio.CancelledError:
-                # asyncio.run's teardown cancels handler tasks while
-                # they await the close handshake; absorbing it lets the
-                # task end cleanly instead of logging a traceback.
-                pass
-
-    async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Serve one request; returns False when the connection closes."""
-        request_line = await reader.readline()
-        if not request_line:
-            return False
-        started = time.perf_counter()
-        status = 500
-        method, target, close_requested = "?", "?", False
-        api_key: str | None = None
-        body_bytes = 0
-        try:
-            method, target, http_version = _parse_request_line(request_line)
-            headers = await _read_headers(reader)
-            close_requested = (
-                headers.get("connection", "").lower() == "close"
-                or http_version == "HTTP/1.0"
-            )
-            api_key = headers.get("x-api-key")
-            body = await _read_body(reader, headers)
-            status, payload = await self._route(method, target, body, api_key)
-        except _HttpError as error:
-            status, payload = error.status, error.payload
-            close_requested = close_requested or error.close
-        except ServiceError as error:
-            status, payload = _error_response(error)
-        except Exception as error:  # noqa: BLE001 - boundary fence
-            status, payload = _error_response(error)
-            if not self._quiet:  # pragma: no cover - manual servers only
-                _access_logger.error("unhandled error: %r", error)
-        body_bytes = self._write_response(
-            writer, status, payload, close=close_requested
-        )
-        await writer.drain()
-        self._log_access(
-            method=method,
-            target=target,
-            status=status,
-            api_key=api_key,
-            elapsed=time.perf_counter() - started,
-            bytes_sent=body_bytes,
-        )
-        return not close_requested
-
-    def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        *,
-        close: bool,
-    ) -> int:
-        body = json.dumps(payload).encode("utf-8")
-        reason = {200: "OK", 201: "Created"}.get(status, "X")
-        head = [
-            f"HTTP/1.1 {status} {reason}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'close' if close else 'keep-alive'}",
-        ]
-        retry_after = _retry_after_of(status, payload)
-        if retry_after is not None:
-            head.append(f"Retry-After: {retry_after}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body)
-        return len(body)
-
-    def _log_access(
-        self,
-        *,
-        method: str,
-        target: str,
-        status: int,
-        api_key: str | None,
-        elapsed: float,
-        bytes_sent: int,
-    ) -> None:
-        if self._access_log is None:
-            return
-        try:
-            tenant = self._service.resolve_tenant(api_key=api_key).name
-        except ServiceError:
-            tenant = "?"
-        self._access_log(
-            {
-                "ts": time.time(),
-                "tenant": tenant,
-                "method": method,
-                "path": target,
-                "status": status,
-                "elapsed_ms": round(elapsed * 1000, 3),
-                "bytes": bytes_sent,
-            }
-        )
-
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
-
-    async def _route(
-        self, method: str, target: str, body: bytes, api_key: str | None
-    ) -> tuple[int, dict]:
-        path, _, raw_query = target.partition("?")
-        params = urllib.parse.parse_qs(raw_query)
-        if method == "GET":
-            if path == "/health":
-                return 200, {"status": "ok", "protocol": PROTOCOL_VERSION}
-            if path == "/tables":
-                tables = await self._call(self._service.describe_tables)
-                return 200, {"tables": tables}
-            if path == "/metrics":
-                return 200, await self._call(self._service.metrics)
-            if path == "/history":
-                entries = await self._call(
-                    self._service.history_entries,
-                    _int_param(params, "limit", 50),
-                    tenant=_str_param(params, "tenant"),
-                    status=_str_param(params, "status"),
-                )
-                return 200, {"history": entries}
-            # Parity with the threaded frontend: unknown GETs are 404s.
-            raise _HttpError(404, {"error": {
-                "status": 404, "code": "not_found",
-                "message": f"no route {path!r}",
-                "type": "ProtocolError",
-            }})
-        if method == "POST":
-            payload = _parse_json_body(body)
-            if path == "/explore":
-                request = ExploreRequest.from_dict(payload)
-                response = await self._call(
-                    self._service.handle, request, api_key=api_key
-                )
-                return 200, response.to_dict()
-            if path == "/append":
-                append = AppendRequest.from_dict(payload)
-                acknowledged = await self._call(
-                    self._service.handle_append, append, api_key=api_key
-                )
-                return 200, acknowledged.to_dict()
-            if path == "/tables":
-                if not isinstance(payload, dict):
-                    raise ProtocolError(
-                        "expected a table-spec object, got "
-                        f"{type(payload).__name__}"
-                    )
-                name = await self._call(
-                    self._service.register,
-                    payload,
-                    overwrite=bool(payload.pop("overwrite", False)),
-                )
-                return 201, {"registered": name}
-            raise ProtocolError(f"no route {path!r}")
-        raise ProtocolError(f"unsupported method {method!r}")
-
-    async def _call(self, fn, *args, **kwargs):
-        """Run blocking service code off the loop."""
-        loop = asyncio.get_running_loop()
-        if kwargs:
-            import functools
-
-            fn = functools.partial(fn, *args, **kwargs)
-            return await loop.run_in_executor(None, fn)
-        return await loop.run_in_executor(None, fn, *args)
-
-
-# ---------------------------------------------------------------------- #
-# HTTP plumbing (shared by server and client)
-# ---------------------------------------------------------------------- #
-
-
-def _parse_request_line(line: bytes) -> tuple[str, str, str]:
-    try:
-        text = line.decode("ascii").strip()
-        method, target, version = text.split(" ", 2)
-    except ValueError as exc:
-        raise _HttpError(
-            400,
-            error_to_dict(ProtocolError(f"malformed request line: {line!r}")),
-            close=True,
-        ) from exc
-    return method.upper(), target, version.strip()
-
-
-async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
-    headers: dict[str, str] = {}
-    total = 0
-    while True:
-        line = await reader.readline()
-        total += len(line)
-        if total > _MAX_HEAD_BYTES:
-            raise _HttpError(
-                431,
-                error_to_dict(ProtocolError("request head too large")),
-                close=True,
-            )
-        if line in (b"\r\n", b"\n", b""):
-            return headers
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-
-
-async def _read_body(
-    reader: asyncio.StreamReader, headers: dict[str, str]
-) -> bytes:
-    length = int(headers.get("content-length", 0) or 0)
-    if length <= 0:
-        return b""
-    if length > _MAX_BODY_BYTES:
-        # Drain modest overshoots so the client can finish writing and
-        # actually read the 413 (responding with the body unsent leaves
-        # the client stuck on a broken pipe); anything larger is abuse
-        # and the connection is simply dropped after the response.
-        if length <= 4 * _MAX_BODY_BYTES:
-            await reader.readexactly(length)
-        raise _HttpError(
-            413,
-            error_to_dict(
-                ProtocolError(
-                    f"request body of {length} bytes exceeds the "
-                    f"{_MAX_BODY_BYTES}-byte limit"
-                )
-            ),
-            close=True,
-        )
-    return await reader.readexactly(length)
-
-
-def _parse_json_body(body: bytes) -> dict:
-    if not body:
-        raise ProtocolError("request body required")
-    try:
-        return json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
-
-
-def _retry_after_of(status: int, payload: dict) -> str | None:
-    if status not in (429, 503):
-        return None
-    detail = payload.get("error", {}).get("detail", {})
-    try:
-        return retry_after_header(float(detail.get("retry_after", 0.0)))
-    except (TypeError, ValueError):  # pragma: no cover - defensive
-        return retry_after_header(0.0)
-
-
-def _int_param(params: dict, name: str, default: int) -> int:
-    values = params.get(name)
-    if not values:
-        return default
-    try:
-        return int(values[0])
-    except ValueError as exc:
-        raise ProtocolError(f"{name!r} must be an integer") from exc
-
-
-def _str_param(params: dict, name: str) -> str | None:
-    values = params.get(name)
-    return values[0] if values else None
-
-
-def serve_async(
+def serve(
     service: ExplorationService,
     host: str = "127.0.0.1",
     port: int = 0,
@@ -559,10 +192,14 @@ def serve_async(
     quiet: bool = True,
     access_log: AccessLogger | None = None,
 ) -> AsyncServiceServer:
-    """Start an asyncio frontend for ``service`` (port 0 = ephemeral)."""
+    """Start an HTTP frontend for ``service`` (port 0 = ephemeral)."""
     return AsyncServiceServer(
         service, host, port, quiet=quiet, access_log=access_log
     ).start()
+
+
+#: The same function: callers written against either name keep working.
+serve_async = serve
 
 
 # ---------------------------------------------------------------------- #
@@ -587,13 +224,7 @@ class AsyncServiceClient:
         api_key: str | None = None,
         timeout: float = 30.0,
     ):
-        parsed = urllib.parse.urlsplit(base_url.rstrip("/"))
-        if parsed.scheme not in ("http", ""):
-            raise ProtocolError(
-                f"unsupported URL scheme {parsed.scheme!r} in {base_url!r}"
-            )
-        self._host = parsed.hostname or parsed.path or "localhost"
-        self._port = parsed.port or 80
+        self._host, self._port = parse_base_url(base_url)
         self._api_key = api_key
         self._timeout = timeout
         self._reader: asyncio.StreamReader | None = None
@@ -676,46 +307,19 @@ class AsyncServiceClient:
         writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + body)
         await writer.drain()
 
-        status_line = await reader.readline()
-        if not status_line:
+        head = await read_head(reader)
+        if head is None:
             raise asyncio.IncompleteReadError(b"", None)
+        status_line, response_headers = head
         try:
-            status = int(status_line.split(b" ", 2)[1])
+            status = int(status_line.split(" ", 2)[1])
         except (IndexError, ValueError) as exc:
-            raise ProtocolError(
-                f"malformed status line {status_line!r}"
-            ) from exc
-        response_headers = await _read_headers(reader)
+            raise ProtocolError(f"malformed status line {status_line!r}") from exc
         length = int(response_headers.get("content-length", 0) or 0)
         raw = await reader.readexactly(length) if length else b""
         if response_headers.get("connection", "").lower() == "close":
             await self.aclose()
-        try:
-            parsed = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            if status < 400:
-                raise ProtocolError(
-                    f"server returned invalid JSON: {exc}"
-                ) from exc
-            parsed = {}
-        if status >= 400:
-            if not isinstance(parsed, dict) or "error" not in parsed:
-                parsed = {"error": {"status": status, "code": "internal",
-                                    "message": f"HTTP {status}"}}
-            error = error_from_payload(parsed, status)
-            retry_after = response_headers.get("retry-after")
-            if (
-                retry_after is not None
-                and isinstance(error, ServiceError)
-                and "retry_after_header" not in error.detail
-            ):
-                error.detail["retry_after_header"] = retry_after
-            raise error
-        if not isinstance(parsed, dict):
-            raise ProtocolError(
-                f"expected a JSON object body, got {type(parsed).__name__}"
-            )
-        return parsed
+        return decode_response(status, raw, response_headers.get("retry-after"))
 
     # ------------------------------------------------------------------ #
     # Endpoints
@@ -814,16 +418,3 @@ class AsyncServiceClient:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AsyncServiceClient {self.base_url}>"
-
-
-async def gather_limited(
-    limit: int, awaitables: "list[Awaitable]"
-) -> list:
-    """``asyncio.gather`` under a concurrency semaphore (benchmark aid)."""
-    gate = asyncio.Semaphore(limit)
-
-    async def run(awaitable: Awaitable):
-        async with gate:
-            return await awaitable
-
-    return list(await asyncio.gather(*(run(a) for a in awaitables)))

@@ -66,19 +66,58 @@ _STALE_ERRORS = (
 )
 
 
+def parse_base_url(base_url: str) -> tuple[str, int]:
+    """``(host, port)`` of an ``http://host[:port]`` base URL."""
+    parsed = urllib.parse.urlsplit(base_url.rstrip("/"))
+    if parsed.scheme not in ("http", ""):
+        raise ProtocolError(
+            f"unsupported URL scheme {parsed.scheme!r} in {base_url!r}"
+        )
+    return parsed.hostname or parsed.path or "localhost", parsed.port or 80
+
+
+def decode_response(status: int, raw: bytes, retry_after: str | None) -> dict:
+    """The JSON object of a response, or its typed error, raised.
+
+    The response half both clients share: error statuses resurrect the
+    server's typed :class:`~repro.service.protocol.ServiceError`, and a
+    ``Retry-After`` header surfaces as ``detail["retry_after_header"]``
+    unless the payload already carries one.
+    """
+    try:
+        parsed = json.loads(raw) if raw else {}
+    except json.JSONDecodeError as exc:
+        if status < 400:
+            raise ProtocolError(f"server returned invalid JSON: {exc}") from exc
+        # An error status with an unparsable body still maps to a typed
+        # failure.
+        parsed = {}
+    if status >= 400:
+        if not isinstance(parsed, dict) or "error" not in parsed:
+            parsed = {"error": {"status": status, "code": "internal",
+                                "message": f"HTTP {status}"}}
+        error = error_from_payload(parsed, status)
+        detail = getattr(error, "detail", None)
+        if (
+            retry_after is not None
+            and isinstance(detail, dict)
+            and "retry_after_header" not in detail
+        ):
+            detail["retry_after_header"] = retry_after
+        raise error
+    if not isinstance(parsed, dict):
+        raise ProtocolError(
+            f"expected a JSON object body, got {type(parsed).__name__}"
+        )
+    return parsed
+
+
 class HttpTransport:
     """Keep-alive JSON transport to one ``http://host:port`` base URL."""
 
     def __init__(self, base_url: str, timeout: float = 30.0):
-        parsed = urllib.parse.urlsplit(base_url.rstrip("/"))
-        if parsed.scheme not in ("http", ""):
-            raise ProtocolError(
-                f"unsupported URL scheme {parsed.scheme!r} in {base_url!r}"
-            )
-        host = parsed.hostname or parsed.path or "localhost"
-        self._host = host
-        self._port = parsed.port or 80
-        self._base_url = f"http://{host}:{self._port}"
+        self._host, self._port = parse_base_url(base_url)
+        self._base_url = f"http://{self._host}:{self._port}"
         self._timeout = timeout
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -208,35 +247,7 @@ class HttpTransport:
                 raise RemoteServiceError(
                     f"cannot reach service at {self._base_url}: {retry_exc}"
                 ) from retry_exc
-        try:
-            parsed = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            if status >= 400:
-                # An error status with an unparsable body still maps to
-                # a typed failure (matching the PR-2 client's behavior).
-                parsed = {}
-            else:
-                raise ProtocolError(
-                    f"server returned invalid JSON: {exc}"
-                ) from exc
-        if status >= 400:
-            if not isinstance(parsed, dict) or "error" not in parsed:
-                parsed = {"error": {"status": status, "code": "internal",
-                                    "message": f"HTTP {status}"}}
-            error = error_from_payload(parsed, status)
-            detail = getattr(error, "detail", None)
-            if (
-                retry_after is not None
-                and isinstance(detail, dict)
-                and "retry_after_header" not in detail
-            ):
-                detail["retry_after_header"] = retry_after
-            raise error from None
-        if not isinstance(parsed, dict):
-            raise ProtocolError(
-                f"expected a JSON object body, got {type(parsed).__name__}"
-            )
-        return parsed
+        return decode_response(status, raw, retry_after)
 
     @staticmethod
     def _round_trip(

@@ -122,6 +122,21 @@ class TestShardStore:
         with pytest.raises(ProtocolError, match="negative"):
             store.own(bad)
 
+    def test_metrics_do_not_grow_with_the_scan_count(self, table):
+        # One float per scan, kept forever and serialized whole on every
+        # GET /metrics, was a leak: the payload is scalars only.
+        store = ShardStore()
+        sharded = ShardedTable(table, 4)
+        store.own(own_request(table, sharded, 0))
+        for _ in range(5):
+            store.scan(scan_request(table, sharded, 0))
+        metrics = store.metrics()
+        assert metrics["scans"] == 5
+        assert metrics["scan_seconds_total"] > 0.0
+        assert all(
+            isinstance(value, (int, float)) for value in metrics.values()
+        )
+
 
 class TestShardStoreAppend:
     def append_request(self, table, sharded, **overrides):
@@ -231,6 +246,7 @@ class TestShardHTTP:
             metrics = transport.request("GET", "/metrics")
             assert metrics["shards_owned"] == 1
             assert metrics["scans"] == 2
+            assert metrics["scan_seconds_total"] > 0.0
             transport.close()
 
     def test_unknown_route_is_a_typed_error(self):
@@ -258,3 +274,80 @@ class TestShardHTTP:
                 )
             assert err.value.status == 409
             transport.close()
+
+    def test_access_log_has_the_core_fields_and_no_tenant(self, caplog):
+        import json
+        import logging
+
+        from repro.cluster import ShardServer
+
+        with caplog.at_level(logging.INFO, logger="repro.service.access"):
+            with ShardServer(quiet=False) as server:
+                transport = HttpTransport(server.url, timeout=10.0)
+                transport.request("GET", "/shards")
+                transport.close()
+        (record,) = [json.loads(r.getMessage()) for r in caplog.records]
+        assert sorted(record) == [
+            "bytes", "elapsed_ms", "method", "path", "status", "ts",
+        ]
+        assert (record["method"], record["path"]) == ("GET", "/shards")
+        assert record["status"] == 200
+
+
+class TestShardProcess:
+    """``python -m repro.cluster`` as a real subprocess."""
+
+    def test_prints_url_answers_health_and_exits_on_sigterm(self):
+        import signal
+        import time
+
+        from repro.cluster import spawn_shard_server
+
+        process = spawn_shard_server()
+        try:
+            transport = HttpTransport(process.url, timeout=10.0)
+            assert transport.request("GET", "/health")["status"] == "ok"
+            # Leave the keep-alive socket open: an idle connection must
+            # not hold the server past SIGTERM.
+            started = time.monotonic()
+            process.terminate(timeout=5.0)
+            assert time.monotonic() - started < 5.0
+            assert not process.alive()
+            # SIGTERM ended it; terminate() never escalated to SIGKILL.
+            assert process._process.returncode == -signal.SIGTERM
+            transport.close()
+        finally:
+            process.kill()
+
+    def test_verbose_logs_one_json_line_per_request(self):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        from repro.cluster.launch import URL_PREFIX, _repro_pythonpath
+
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cluster", "--port", "0", "--verbose"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _repro_pythonpath()},
+        )
+        try:
+            url = process.stdout.readline().strip()[len(URL_PREFIX):]
+            transport = HttpTransport(url, timeout=10.0)
+            transport.request("GET", "/health")
+            with pytest.raises(ProtocolError):
+                transport.request("GET", "/nope")
+            # A record is written after its response; one more round
+            # trip on the same connection orders it before SIGTERM.
+            transport.request("GET", "/health")
+            transport.close()
+        finally:
+            process.terminate()
+            _, stderr = process.communicate(timeout=10)
+        records = [json.loads(line) for line in stderr.splitlines()]
+        assert [(r["path"], r["status"]) for r in records[:2]] == [
+            ("/health", 200), ("/nope", 404),
+        ]

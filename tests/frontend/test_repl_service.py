@@ -47,7 +47,13 @@ class TestServe:
 
     def test_serve_rejects_bad_port(self, table):
         out = run_script(table, ["serve not-a-port", "quit"])
-        assert "error: serve takes [async] and a port number" in out
+        assert "error: serve takes a port number" in out
+
+    def test_serve_has_no_frontend_choice(self, table):
+        # One frontend: "async" is no longer a word `serve` knows.
+        out = run_script(table, ["serve async 0", "quit"])
+        assert "error: serve takes a port number" in out
+        assert "serving" not in out
 
     def test_serve_on_busy_port_reports_error_and_loop_survives(self, table):
         service = ExplorationService()

@@ -154,8 +154,8 @@ class TestServiceBitIdentical:
 
     @pytest.mark.slow
     def test_http_service_matches_fresh_pipeline(self):
+        from repro.service import serve
         from repro.service.client import ServiceClient
-        from repro.service.server import serve
 
         initial, batches = self.census_stream(6000, 4)
         with ExplorationService(max_workers=2) as service:

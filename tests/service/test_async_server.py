@@ -1,4 +1,6 @@
-"""The asyncio frontend: routes, tenancy, deadlines, access logs."""
+"""The service mount through the asyncio client: routes, tenancy,
+deadlines, access logs (``test_http_e2e.py`` drives the same server
+through the blocking client)."""
 
 import asyncio
 import threading
@@ -111,8 +113,8 @@ class TestRoutes:
         run(probe())
 
     def test_blocking_client_interoperates(self, server):
-        # The threaded-frontend client speaks to the async frontend
-        # unchanged — same routes, same wire shapes, same keep-alive.
+        # The blocking client and the asyncio client share one server:
+        # same routes, same wire shapes, same keep-alive.
         client = ServiceClient(server.url)
         try:
             assert client.health()["status"] == "ok"

@@ -8,13 +8,13 @@ import pytest
 
 from repro.engine.facade import explorer
 from repro.query.parser import parse_query
+from repro.service import serve
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
     AdmissionError,
     ProtocolError,
     UnknownTableError,
 )
-from repro.service.server import serve
 
 
 @pytest.fixture
@@ -181,7 +181,7 @@ class TestHttpErrors:
             connection.putheader("Content-Length", str(10 << 20))
             connection.endheaders()
             response = connection.getresponse()
-            assert response.status == 400
+            assert response.status == 413
             payload = json.loads(response.read())
             assert "exceeds" in payload["error"]["message"]
             assert response.getheader("Connection") == "close"

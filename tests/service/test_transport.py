@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import http.client
+import json
 import socket
 
 import pytest
 
 from repro.cluster import serve_shard
-from repro.service.protocol import ProtocolError, RemoteServiceError
-from repro.service.transport import HttpTransport
+from repro.service.protocol import (
+    ProtocolError,
+    RateLimitError,
+    RemoteServiceError,
+    error_to_dict,
+)
+from repro.service.transport import HttpTransport, decode_response
 
 
 @pytest.fixture
@@ -171,6 +177,59 @@ class TestTypedErrors:
         with pytest.raises(ProtocolError):
             transport.request("GET", "/nope")
         assert transport.request("GET", "/health")["status"] == "ok"
+
+
+class TestDecodeResponse:
+    """The response half both clients share, without a socket."""
+
+    def test_object_body_is_returned(self):
+        assert decode_response(200, b'{"a": 1}', None) == {"a": 1}
+        assert decode_response(200, b"", None) == {}
+
+    def test_unparsable_success_body_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="invalid JSON"):
+            decode_response(200, b"<html>", None)
+
+    def test_non_object_success_body_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="expected a JSON object"):
+            decode_response(200, b"[1, 2]", None)
+
+    @pytest.mark.parametrize("raw", [b"<html>oops</html>", b"[1, 2]", b"{}"])
+    def test_error_status_without_a_typed_payload_still_raises_typed(
+        self, raw
+    ):
+        with pytest.raises(RemoteServiceError, match="HTTP 502"):
+            decode_response(502, raw, None)
+
+    def test_retry_after_header_is_merged_when_detail_lacks_it(self):
+        raw = json.dumps(
+            error_to_dict(RateLimitError("slow", detail={"retry_after": 0.4}))
+        ).encode()
+        with pytest.raises(RateLimitError) as info:
+            decode_response(429, raw, "1")
+        assert info.value.detail == {
+            "retry_after": 0.4, "retry_after_header": "1",
+        }
+
+    def test_retry_after_in_the_payload_wins_over_the_header(self):
+        detail = {"retry_after": 0.4, "retry_after_header": "7"}
+        raw = json.dumps(
+            error_to_dict(RateLimitError("slow", detail=detail))
+        ).encode()
+        with pytest.raises(RateLimitError) as info:
+            decode_response(429, raw, "1")
+        assert info.value.detail["retry_after_header"] == "7"
+
+    def test_both_clients_parse_base_urls_alike(self):
+        from repro.service import AsyncServiceClient
+
+        for url in ("http://localhost:8801/", "http://example", "example"):
+            assert (
+                AsyncServiceClient(url).base_url
+                == HttpTransport(url).base_url
+            )
+        with pytest.raises(ProtocolError, match="scheme"):
+            AsyncServiceClient("https://localhost:8801")
 
 
 class TestRetryDelay:
