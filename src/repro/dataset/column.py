@@ -40,7 +40,7 @@ class Column(abc.ABC):
 
     __slots__ = ("_name",)
 
-    def __init__(self, name: str):
+    def __init__(self, name: str) -> None:
         if not name or not isinstance(name, str):
             raise DatasetError(f"column name must be a non-empty string, got {name!r}")
         self._name = name
@@ -140,7 +140,7 @@ class NumericColumn(Column):
 
     __slots__ = ("_data",)
 
-    def __init__(self, name: str, values: Iterable[float] | np.ndarray):
+    def __init__(self, name: str, values: Sequence[float] | np.ndarray) -> None:
         super().__init__(name)
         data = np.asarray(values, dtype=np.float64)
         if data.ndim != 1:
@@ -243,21 +243,40 @@ class CategoricalColumn(Column):
 
     __slots__ = ("_codes", "_categories")
 
-    def __init__(self, name: str, codes: np.ndarray, categories: Sequence[str]):
+    def __init__(
+        self, name: str, codes: np.ndarray, categories: Sequence[str]
+    ) -> None:
         super().__init__(name)
+        labels = tuple(map(str, categories))
+        if len(set(labels)) != len(labels):
+            raise DatasetError(f"categorical column {name!r} has duplicate categories")
+        self._categories = labels
+        self._codes = self._checked(codes)
+
+    def _checked(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` as a read-only int32 copy, range-checked against
+        the dictionary."""
         codes = np.asarray(codes, dtype=np.int32)
         if codes.ndim != 1:
             raise DatasetError(
-                f"categorical column {name!r} needs 1-D codes, got shape {codes.shape}"
+                f"categorical column {self.name!r} needs 1-D codes, got shape {codes.shape}"
             )
-        categories = tuple(str(c) for c in categories)
-        if len(set(categories)) != len(categories):
-            raise DatasetError(f"categorical column {name!r} has duplicate categories")
-        if codes.size and (codes.max(initial=MISSING_CODE) >= len(categories)
-                           or codes.min(initial=MISSING_CODE) < MISSING_CODE):
-            raise DatasetError(f"categorical column {name!r} has out-of-range codes")
-        self._codes = _as_readonly(codes)
-        self._categories = categories
+        if codes.size and (codes.max() >= len(self._categories)
+                           or codes.min() < MISSING_CODE):
+            raise DatasetError(f"categorical column {self.name!r} has out-of-range codes")
+        return _as_readonly(codes)
+
+    def with_codes(self, codes: np.ndarray) -> "CategoricalColumn":
+        """This column's name and dictionary over other ``codes``.
+
+        The dictionary is shared by identity, not re-validated (it was
+        when this column was built), so a derivation costs O(rows).
+        """
+        clone = CategoricalColumn.__new__(CategoricalColumn)
+        Column.__init__(clone, self._name)
+        clone._categories = self._categories
+        clone._codes = clone._checked(codes)
+        return clone
 
     @classmethod
     def from_values(cls, name: str, values: Iterable[object]) -> "CategoricalColumn":
@@ -300,14 +319,10 @@ class CategoricalColumn(Column):
         return int(self._codes.shape[0])
 
     def take(self, indices: np.ndarray) -> "CategoricalColumn":
-        return CategoricalColumn(
-            self.name, self._codes[np.asarray(indices)], self._categories
-        )
+        return self.with_codes(self._codes[np.asarray(indices)])
 
     def filter(self, mask: np.ndarray) -> "CategoricalColumn":
-        return CategoricalColumn(
-            self.name, self._codes[np.asarray(mask, dtype=bool)], self._categories
-        )
+        return self.with_codes(self._codes[np.asarray(mask, dtype=bool)])
 
     def rename(self, name: str) -> "CategoricalColumn":
         clone = CategoricalColumn.__new__(CategoricalColumn)
@@ -337,11 +352,10 @@ class CategoricalColumn(Column):
                 index[label] = mapped
                 categories.append(label)
             remap[code] = mapped
-        return CategoricalColumn(
-            self.name,
-            np.concatenate([self._codes, remap[other._codes]]),
-            categories,
-        )
+        codes = np.concatenate([self._codes, remap[other._codes]])
+        if len(categories) == len(self._categories):
+            return self.with_codes(codes)  # no new label: keep the dictionary
+        return CategoricalColumn(self.name, codes, categories)
 
     def missing_mask(self) -> np.ndarray:
         return self._codes == MISSING_CODE
@@ -373,16 +387,14 @@ def column_from_values(name: str, values: Iterable[object]) -> Column:
     treated as categorical, matching how CSV ingestion behaves.
     """
     materialized = list(values)
-    numeric = True
-    for v in materialized:
+    data = np.empty(len(materialized), dtype=np.float64)
+    for i, v in enumerate(materialized):
         if v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-            numeric = False
-            break
-    if numeric:
-        data = np.array(
-            [np.nan if v is None else float(v) for v in materialized], dtype=np.float64
-        )
-        return NumericColumn(name, data)
-    return CategoricalColumn.from_values(name, materialized)
+            data[i] = np.nan
+        elif isinstance(v, bool) or not isinstance(
+            v, (int, float, np.integer, np.floating)
+        ):
+            return CategoricalColumn.from_values(name, materialized)
+        else:
+            data[i] = float(v)
+    return NumericColumn(name, data)

@@ -375,7 +375,7 @@ class Catalog:
         key = summary_key(config)
         if backend.version != table.version:
             return False
-        if self._store.get_summary(name, table.version, key) is not None:
+        if self._store.has_summary(name, table.version, key):
             return False
         summary = extract_summary(backend, table_name=name, key=key)
         self._store.put_summary(name, summary.version, key, summary.to_dict())

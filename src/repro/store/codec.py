@@ -14,7 +14,9 @@ Two encodings share the per-column logic:
 * **JSON payloads** (:func:`encode_table_payload` /
   :func:`decode_table_payload`) — base64-wrapped blobs inside the
   summary documents, where the reservoir sample travels with its
-  sketches.
+  sketches.  A reservoir column whose dictionary equals its table's
+  is written as codes plus a ``"dictionary": "table"`` marker and
+  decoded against that table's labels: label text is stored once.
 """
 
 from __future__ import annotations
@@ -26,18 +28,21 @@ import numpy as np
 
 from repro.dataset.column import CategoricalColumn, Column, NumericColumn
 from repro.dataset.table import Table
-from repro.errors import StoreError
+from repro.errors import DatasetError, StoreError
 
 #: Column kinds the codec understands, by tag stored on disk.
 _NUMERIC = "numeric"
 _CATEGORICAL = "categorical"
 
 
-def column_blob(column: Column) -> tuple[str, bytes, str | None]:
+def column_blob(
+    column: Column, *, dictionary: bool = True
+) -> tuple[str, bytes, str | None]:
     """``(kind, raw buffer, aux JSON)`` for one column.
 
     ``aux`` carries the categorical dictionary (order matters — codes
-    index into it) and is ``None`` for numeric columns.
+    index into it) and is ``None`` for numeric columns, or when the
+    caller keeps the ``dictionary`` elsewhere.
     """
     if isinstance(column, NumericColumn):
         return _NUMERIC, np.ascontiguousarray(column.data).tobytes(), None
@@ -45,7 +50,7 @@ def column_blob(column: Column) -> tuple[str, bytes, str | None]:
         return (
             _CATEGORICAL,
             np.ascontiguousarray(column.codes).tobytes(),
-            json.dumps(list(column.categories)),
+            json.dumps(list(column.categories)) if dictionary else None,
         )
     raise StoreError(
         f"cannot persist column {column.name!r} of kind {column.kind!r}"
@@ -64,26 +69,39 @@ def column_from_blob(
             raise StoreError(
                 f"stored categorical column {name!r} has no dictionary"
             )
-        categories = json.loads(aux)
+        # The read-only view goes in as is; the constructor makes the
+        # one copy that detaches the column from the blob.
         return CategoricalColumn(
-            name, np.frombuffer(blob, dtype=np.int32).copy(), categories
+            name, np.frombuffer(blob, dtype=np.int32), json.loads(aux)
         )
     raise StoreError(f"unknown stored column kind {kind!r} for {name!r}")
 
 
-def encode_table_payload(table: Table) -> dict:
-    """The table as a JSON-ready document (blobs base64-wrapped)."""
+def encode_table_payload(table: Table, base: Table | None = None) -> dict:
+    """The table as a JSON-ready document (blobs base64-wrapped).
+
+    ``base`` is the table a reservoir was drawn from (same schema): a
+    column whose label dictionary equals its namesake's there is
+    written as codes only, marked ``"dictionary": "table"``, and
+    :func:`decode_table_payload` binds it back to ``base``'s labels.
+    """
     columns = []
     for column in table.columns:
-        kind, blob, aux = column_blob(column)
-        columns.append(
-            {
-                "name": column.name,
-                "kind": kind,
-                "data": base64.b64encode(blob).decode("ascii"),
-                "aux": aux,
-            }
+        borrowed = (
+            base is not None
+            and isinstance(column, CategoricalColumn)
+            and column.categories == base.categorical(column.name).categories
         )
+        kind, blob, aux = column_blob(column, dictionary=not borrowed)
+        entry = {
+            "name": column.name,
+            "kind": kind,
+            "data": base64.b64encode(blob).decode("ascii"),
+            "aux": aux,
+        }
+        if borrowed:
+            entry["dictionary"] = "table"
+        columns.append(entry)
     return {
         "name": table.name,
         "version": table.version,
@@ -92,10 +110,31 @@ def encode_table_payload(table: Table) -> dict:
     }
 
 
-def decode_table_payload(payload: dict) -> Table:
+def _borrowed_column(entry: dict, base: Table | None) -> Column:
+    """A codes-only column over ``base``'s dictionary of the same name
+    (shared by identity; the codes are range-checked against it)."""
+    name = entry["name"]
+    if base is None:
+        raise StoreError(
+            f"stored column {name!r} borrows its table's label dictionary; "
+            "restore_backend binds it"
+        )
+    codes = np.frombuffer(base64.b64decode(entry["data"]), dtype=np.int32)
+    try:
+        return base.categorical(name).with_codes(codes)
+    except DatasetError as exc:  # no such label column, or codes past it
+        raise StoreError(
+            f"stored column {name!r} cannot borrow its dictionary from table "
+            f"{base.name!r} at version {base.version}: {exc}"
+        ) from exc
+
+
+def decode_table_payload(payload: dict, base: Table | None = None) -> Table:
     """Inverse of :func:`encode_table_payload` (restores the version)."""
     columns = [
-        column_from_blob(
+        _borrowed_column(entry, base)
+        if entry.get("dictionary") == "table"
+        else column_from_blob(
             entry["name"],
             entry["kind"],
             base64.b64decode(entry["data"]),

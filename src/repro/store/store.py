@@ -381,10 +381,20 @@ class TableStore:
                 (name,),
             ).fetchall()
             versions = [base_version] + [r["to_version"] for r in log]
-            decoded = {
-                version: self._load_columns_locked(name, version)
+            stored = {
+                version: self._column_rows_locked(name, version)
                 for version in versions
             }
+        # Decoded with the lock released: parsing and validating the
+        # dictionaries dominates a load and never touches the connection.
+        # Each version's raw rows are dropped as soon as they are decoded.
+        decoded = {
+            version: [
+                column_from_blob(r["name"], r["kind"], r["data"], r["aux"])
+                for r in stored.pop(version)
+            ]
+            for version in versions
+        }
         table = Table(decoded[base_version], name=name)
         table._version = base_version
         if table.n_rows != int(row["base_rows"]):
@@ -402,7 +412,7 @@ class TableStore:
             table = table.append(delta)
         return table
 
-    def _load_columns_locked(  # holds-lock: _lock
+    def _column_rows_locked(  # holds-lock: _lock
         self, name: str, version: int
     ) -> list:
         rows = self._conn.execute(
@@ -415,10 +425,7 @@ class TableStore:
                 f"stored table {name!r} has no column buffers at "
                 f"version {version}"
             )
-        return [
-            column_from_blob(r["name"], r["kind"], r["data"], r["aux"])
-            for r in rows
-        ]
+        return rows
 
     # ------------------------------------------------------------------ #
     # Summaries
@@ -461,6 +468,17 @@ class TableStore:
         if row is None:
             return None
         return json.loads(row["payload"])
+
+    def has_summary(self, name: str, version: int, summary_key: str) -> bool:
+        """True when a summary is stored under the key (payload unread)."""
+        with self._lock:
+            self._check_open()
+            row = self._conn.execute(
+                "SELECT 1 FROM summaries WHERE table_name=? "
+                "AND version=? AND summary_key=?",
+                (name, version, summary_key),
+            ).fetchone()
+        return row is not None
 
     def summary_keys(self, name: str) -> list[tuple[int, str]]:
         """Every stored ``(version, summary_key)`` pair for a table."""

@@ -20,7 +20,6 @@ sample differently).
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
@@ -51,24 +50,55 @@ def summary_key(config: AtlasConfig) -> str:
     return f"{config.fidelity.spec()}|seed={config.seed}|{canonical.spec()}"
 
 
-@dataclasses.dataclass(frozen=True)
 class SketchSummary:
     """Serialized sketch-backend state for one ``(table, version, key)``.
 
     ``full_scan`` records whether the captured summaries observed every
     table row (a sharded build) rather than only the reservoir — the
     restored backend must keep merging appends at the same rate.
+
+    The document does not repeat label text: :meth:`to_dict` writes a
+    reservoir column whose dictionary equals ``base``'s (the summarized
+    table) as codes only, and a summary read from a document keeps its
+    reservoir encoded until :func:`restore_backend` binds it to the
+    live table's labels.
     """
 
-    table_name: str
-    version: int
-    key: str
-    fidelity: str
-    full_scan: bool
-    sample: Table
-    quantiles: dict[str, GKQuantileSketch]
-    frequencies: dict[str, MisraGriesSketch]
-    tokens: dict[str, MisraGriesSketch]
+    def __init__(
+        self,
+        table_name: str,
+        version: int,
+        key: str,
+        fidelity: str,
+        full_scan: bool,
+        sample: Table | dict,
+        quantiles: dict[str, GKQuantileSketch],
+        frequencies: dict[str, MisraGriesSketch],
+        tokens: dict[str, MisraGriesSketch],
+        base: Table | None = None,
+    ) -> None:
+        self.table_name = table_name
+        self.version = version
+        self.key = key
+        self.fidelity = fidelity
+        self.full_scan = full_scan
+        self._sample = sample
+        self.quantiles = quantiles
+        self.frequencies = frequencies
+        self.tokens = tokens
+        self._base = base
+
+    @property
+    def sample(self) -> Table:
+        """The reservoir (a :class:`StoreError` while it awaits the table
+        whose label dictionaries it borrows)."""
+        return self.bind(None)
+
+    def bind(self, table: Table | None) -> Table:
+        """The reservoir, borrowed dictionaries bound to ``table``'s."""
+        if isinstance(self._sample, dict):
+            return decode_table_payload(self._sample, base=table)
+        return self._sample
 
     def to_dict(self) -> dict:
         """JSON-ready document (inverse of :meth:`from_dict`)."""
@@ -79,7 +109,9 @@ class SketchSummary:
             "key": self.key,
             "fidelity": self.fidelity,
             "full_scan": self.full_scan,
-            "sample": encode_table_payload(self.sample),
+            "sample": self._sample
+            if isinstance(self._sample, dict)
+            else encode_table_payload(self._sample, self._base),
             "quantiles": {
                 attr: sketch.to_dict()
                 for attr, sketch in sorted(self.quantiles.items())
@@ -107,7 +139,7 @@ class SketchSummary:
             key=data["key"],
             fidelity=data["fidelity"],
             full_scan=bool(data["full_scan"]),
-            sample=decode_table_payload(data["sample"]),
+            sample=data["sample"],  # decoded by bind(), against the table
             quantiles={
                 attr: GKQuantileSketch.from_dict(payload)
                 for attr, payload in data["quantiles"].items()
@@ -128,6 +160,7 @@ def extract_summary(
 ) -> SketchSummary:
     """Capture a backend's built state as a persistable summary."""
     state = backend.export_state()
+    base = backend.table  # lends its labels unless an append raced the capture
     return SketchSummary(
         table_name=table_name,
         version=int(state["version"]),
@@ -138,6 +171,7 @@ def extract_summary(
         quantiles=dict(state["quantiles"]),  # type: ignore[arg-type]
         frequencies=dict(state["frequencies"]),  # type: ignore[arg-type]
         tokens=dict(state["tokens"]),  # type: ignore[arg-type]
+        base=base if base.version == state["version"] else None,
     )
 
 
@@ -214,13 +248,13 @@ def restore_backend(
             f"summary for {summary.table_name!r} was captured at version "
             f"{summary.version}, table is at {table.version}"
         )
-    if summary.sample.n_rows > table.n_rows:
+    sample = summary.bind(table)
+    if sample.n_rows > table.n_rows:
         raise StoreError(
-            f"summary reservoir has {summary.sample.n_rows} rows, more "
+            f"summary reservoir has {sample.n_rows} rows, more "
             f"than the table's {table.n_rows}"
         )
     fidelity = Fidelity.parse(summary.fidelity)
-    sample = summary.sample
     if sample.n_rows == table.n_rows:
         # The budget covered everything: the reservoir *is* the table.
         # Hand the live table over so identity-keyed memos line up.

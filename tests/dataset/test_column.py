@@ -163,3 +163,54 @@ class TestColumnFromValues:
     def test_bools_are_categorical(self):
         col = column_from_values("x", [True, False])
         assert isinstance(col, CategoricalColumn)
+
+
+class TestInheritedDictionary:
+    """Derived columns share the parent's dictionary instead of
+    re-validating it: the cost of a derivation is O(rows)."""
+
+    @pytest.fixture
+    def col(self):
+        return CategoricalColumn.from_values("c", ["a", "b", None, "c", "a"])
+
+    def test_take_shares_categories(self, col):
+        taken = col.take(np.array([4, 2, 0]))
+        assert taken.categories is col.categories
+        assert taken.name == "c"
+        assert taken.decode() == ["a", None, "a"]
+
+    def test_filter_shares_categories(self, col):
+        kept = col.filter(np.array([True, False, True, True, False]))
+        assert kept.categories is col.categories
+        assert kept.decode() == ["a", None, "c"]
+
+    def test_concat_without_new_labels_shares_categories(self, col):
+        delta = CategoricalColumn.from_values("c", ["c", None, "a"])
+        both = col.concat(delta)
+        assert both.categories is col.categories
+        assert both.decode() == col.decode() + ["c", None, "a"]
+
+    def test_concat_with_new_labels_extends_in_order(self, col):
+        both = col.concat(CategoricalColumn.from_values("c", ["z", "a"]))
+        assert both.categories == ("a", "b", "c", "z")
+        assert both.decode()[-2:] == ["z", "a"]
+
+    def test_derived_codes_are_fresh_and_readonly(self, col):
+        taken = col.take(np.arange(len(col)))
+        assert not np.shares_memory(taken.codes, col.codes)
+        with pytest.raises(ValueError):
+            taken.codes[0] = 1
+
+    def test_with_codes_still_checks_the_range(self, col):
+        with pytest.raises(DatasetError, match="out-of-range"):
+            col.with_codes(np.array([0, 3], dtype=np.int32))
+        with pytest.raises(DatasetError, match="out-of-range"):
+            col.with_codes(np.array([-2], dtype=np.int32))
+        with pytest.raises(DatasetError, match="1-D"):
+            col.with_codes(np.zeros((2, 2), dtype=np.int32))
+
+    def test_constructor_coerces_labels_to_str(self):
+        col = CategoricalColumn("c", np.array([0, 1], dtype=np.int32), [1, 2])
+        assert col.categories == ("1", "2")
+        with pytest.raises(DatasetError, match="duplicate"):
+            CategoricalColumn("c", np.array([0], dtype=np.int32), [1, "1"])

@@ -248,6 +248,43 @@ class TestServiceIntegration:
             assert again.metrics()["requests"]["warm_starts"] == 1
             assert warm.map_set.maps == cold.map_set.maps
 
+    def test_warm_start_reads_the_summary_payload_exactly_once(self, tmp_path):
+        path = str(tmp_path / "atlas.db")
+        config = {"fidelity": "sketch:4", "seed": 1}
+        with ExplorationService(max_workers=1, store=path) as service:
+            service.register(make_table(), persist=True)
+            service.explore("events", config=config)
+        statements: list[str] = []
+        with TableStore(path) as store:
+            store._conn.set_trace_callback(statements.append)
+            with ExplorationService(max_workers=1, store=store) as again:
+                again.explore("events", config=config)
+                assert again.metrics()["requests"]["warm_starts"] == 1
+                assert again.metrics()["requests"]["summaries_persisted"] == 0
+        payload_reads = [s for s in statements if "SELECT payload" in s]
+        assert len(payload_reads) == 1
+        assert "FROM summaries" in payload_reads[0]
+
+    def test_persist_summary_on_a_stored_key_reads_no_payload(self, tmp_path):
+        from repro.core.config import AtlasConfig
+        from repro.engine.context import ExecutionContext
+
+        config = AtlasConfig.from_dict({"fidelity": "sketch:4", "seed": 1})
+        with TableStore(str(tmp_path / "atlas.db")) as store:
+            catalog = Catalog(store=store)
+            catalog.register(make_table(), persist=True)
+            table = catalog.resolve("events")
+            backend = ExecutionContext(table, config).stats()
+            assert catalog.persist_summary("events", table, backend, config)
+            statements: list[str] = []
+            store._conn.set_trace_callback(statements.append)
+            assert not catalog.persist_summary(
+                "events", table, backend, config
+            )
+            assert statements and not any(
+                "payload" in statement for statement in statements
+            )
+
     def test_text_predicate_rides_every_region(self):
         with ExplorationService(max_workers=1) as service:
             service.register(make_table())

@@ -9,6 +9,8 @@ from repro.dataset.column import CategoricalColumn, NumericColumn
 from repro.dataset.table import Table
 from repro.errors import StoreError
 from repro.store import TableStore
+from repro.store import store as store_module
+from repro.store.codec import column_blob, column_from_blob
 
 
 def make_table(name: str = "events") -> Table:
@@ -82,6 +84,34 @@ class TestRegistration:
     def test_unknown_table_is_typed_error(self, store):
         with pytest.raises(StoreError, match="unknown"):
             store.describe("ghost")
+
+
+class TestDecode:
+    def test_decoded_arrays_are_readonly_and_detached_from_the_blob(self):
+        for column in make_table().columns:
+            kind, blob, aux = column_blob(column)
+            buffer = bytearray(blob)  # a blob we can scribble on afterwards
+            decoded = column_from_blob(column.name, kind, buffer, aux)
+            array = getattr(decoded, "data", None)
+            if array is None:
+                array = decoded.codes
+            assert not array.flags.writeable
+            assert array.flags.owndata
+            before = array.copy()
+            buffer[:] = bytes(len(buffer))
+            np.testing.assert_array_equal(array, before)
+
+    def test_load_table_decodes_outside_the_lock(self, store, monkeypatch):
+        store.register_table(make_table())
+        held = []
+
+        def spy(*args):
+            held.append(store._lock.locked())
+            return column_from_blob(*args)
+
+        monkeypatch.setattr(store_module, "column_from_blob", spy)
+        assert store.load_table("events").n_rows == 4
+        assert held == [False, False]
 
 
 class TestAppendLog:
@@ -168,6 +198,18 @@ class TestSummaries:
         assert store.get_summary("events", 0, "sketch:100|seed=0") == payload
         assert store.get_summary("events", 1, "sketch:100|seed=0") is None
         assert store.summary_keys("events") == [(0, "sketch:100|seed=0")]
+
+    def test_has_summary_answers_without_reading_the_payload(self, store):
+        store.register_table(make_table())
+        store.put_summary("events", 0, "k", {"generation": 1})
+        statements: list[str] = []
+        store._conn.set_trace_callback(statements.append)
+        assert store.has_summary("events", 0, "k")
+        assert not store.has_summary("events", 1, "k")
+        assert not store.has_summary("events", 0, "other")
+        store._conn.set_trace_callback(None)
+        assert len(statements) == 3
+        assert not any("payload" in statement for statement in statements)
 
     def test_summary_needs_registered_table(self, store):
         with pytest.raises(StoreError, match="unregistered"):

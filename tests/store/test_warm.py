@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
 from repro.datagen import census_table
+from repro.dataset.column import CategoricalColumn, NumericColumn
+from repro.dataset.table import Table
 from repro.engine.backends import SketchBackend
 from repro.errors import StoreError
+from repro.evaluation.metrics import map_set_fingerprint
+from repro.service.service import ExplorationService
+from repro.store import TableStore
+from repro.store.codec import column_blob
 from repro.store.warm import (
     SketchSummary,
     WarmSketchBackend,
@@ -66,7 +74,11 @@ class TestRoundTrip:
         again = SketchSummary.from_dict(payload)
         assert again.version == summary.version
         assert again.key == "k"
-        assert again.sample.n_rows == summary.sample.n_rows
+        # The label dictionaries live with the table: until
+        # restore_backend binds them, the reservoir is not readable.
+        with pytest.raises(StoreError, match="borrows its table"):
+            again.sample
+        assert again.bind(census).n_rows == summary.sample.n_rows
         assert set(again.quantiles) == {"Age"}
         assert set(again.frequencies) == {"Education"}
         assert set(again.tokens) == {"Education"}
@@ -157,3 +169,208 @@ class TestValidation:
         # The budget covered everything: the restored reservoir IS the
         # live table object, so identity-keyed memos line up.
         assert warm.effective_table is census
+
+
+def _borrowed_document(backend) -> dict:
+    summary = extract_summary(backend, table_name="census", key="k")
+    return json.loads(json.dumps(summary.to_dict()))
+
+
+def _entry(document: dict, name: str) -> dict:
+    (entry,) = [
+        column
+        for column in document["sample"]["columns"]
+        if column["name"] == name
+    ]
+    return entry
+
+
+class TestBorrowedDictionaries:
+    """Label text is stored once, with the table: a summary document
+    carries codes and borrows the dictionaries at restore."""
+
+    def test_document_marks_label_columns_instead_of_repeating_them(
+        self, built_backend, census
+    ):
+        document = _borrowed_document(built_backend)
+        for column in census.columns:
+            entry = _entry(document, column.name)
+            assert entry["aux"] is None
+            is_label = isinstance(column, CategoricalColumn)
+            assert (entry.get("dictionary") == "table") == is_label
+
+    def test_restore_shares_the_live_dictionaries_by_identity(
+        self, built_backend, census
+    ):
+        document = _borrowed_document(built_backend)
+        warm = restore_backend(SketchSummary.from_dict(document), census)
+        cold = built_backend.effective_table
+        for column in warm.effective_table.columns:
+            if isinstance(column, CategoricalColumn):
+                live = census.categorical(column.name)
+                assert column.categories is live.categories
+                np.testing.assert_array_equal(
+                    column.codes, cold.categorical(column.name).codes
+                )
+                assert not column.codes.flags.writeable
+
+    def test_a_differing_dictionary_stays_inline(self, built_backend, census):
+        summary = extract_summary(built_backend, table_name="census", key="k")
+        sex = summary.sample.categorical("Sex")
+        widened = CategoricalColumn(
+            "Sex", sex.codes, sex.categories + ("(unused)",)
+        )
+        columns = [
+            widened if column.name == "Sex" else column
+            for column in summary.sample.columns
+        ]
+        odd = SketchSummary(
+            table_name="census",
+            version=summary.version,
+            key="k",
+            fidelity=summary.fidelity,
+            full_scan=summary.full_scan,
+            sample=Table(columns, name=summary.sample.name),
+            quantiles={},
+            frequencies={},
+            tokens={},
+            base=census,
+        )
+        document = json.loads(json.dumps(odd.to_dict()))
+        assert "dictionary" not in _entry(document, "Sex")
+        assert json.loads(_entry(document, "Sex")["aux"])[-1] == "(unused)"
+        assert _entry(document, "Education")["dictionary"] == "table"
+        warm = restore_backend(SketchSummary.from_dict(document), census)
+        restored = warm.effective_table.categorical("Sex")
+        assert restored.categories == widened.categories
+        np.testing.assert_array_equal(restored.codes, widened.codes)
+
+    def test_summary_without_its_table_writes_inline(self, built_backend):
+        summary = extract_summary(built_backend, table_name="census", key="k")
+        alone = SketchSummary(
+            table_name="census",
+            version=summary.version,
+            key="k",
+            fidelity=summary.fidelity,
+            full_scan=summary.full_scan,
+            sample=summary.sample,
+            quantiles={},
+            frequencies={},
+            tokens={},
+        )
+        document = alone.to_dict()
+        assert all(
+            "dictionary" not in column
+            for column in document["sample"]["columns"]
+        )
+        assert SketchSummary.from_dict(document).sample.n_rows == 500
+
+    def test_unbound_summary_reserializes_unchanged(self, built_backend):
+        document = _borrowed_document(built_backend)
+        assert SketchSummary.from_dict(document).to_dict() == document
+
+    def test_document_size_is_bounded_by_the_reservoir_not_the_labels(self):
+        n_rows, budget = 6_000, 1_000
+        table = Table(
+            [
+                NumericColumn("hours", np.arange(n_rows, dtype=np.float64)),
+                CategoricalColumn.from_values(
+                    "title",
+                    [f"ticket {i:05d}: disk outage on rack" for i in range(n_rows)],
+                ),
+            ],
+            name="tickets",
+        )
+        backend = SketchBackend(table, Fidelity.parse(f"sketch:{budget}"), rng=1)
+        summary = extract_summary(backend, table_name="tickets", key="k")
+        assert len(summary.sample.categorical("title").categories) >= 5_000
+        buffers = sum(
+            len(base64.b64encode(column_blob(column)[1]))
+            for column in summary.sample.columns
+        )
+        size = len(json.dumps(summary.to_dict()))
+        assert size <= 2 * buffers + 4096
+
+
+class TestLegacyDocuments:
+    """Summaries written before dictionaries were borrowed carry them
+    inline on every label column; they must keep restoring, through the
+    same reader, to the same answers."""
+
+    def test_golden_legacy_summary_restores_bit_identically(self):
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "legacy_summary_census.json")
+            .read_text()
+        )
+        document = golden["document"]
+        assert all(
+            column["kind"] == "numeric" or column["aux"]
+            for column in document["sample"]["columns"]
+        )
+        spec = golden["table"]
+        table = census_table(n_rows=spec["n_rows"], seed=spec["seed"])
+        assert SketchSummary.from_dict(document).sample.n_rows == 100
+        with TableStore() as store:
+            store.register_table(table)
+            store.put_summary(
+                "census", document["version"], golden["summary_key"], document
+            )
+            with ExplorationService(max_workers=1, store=store) as service:
+                warm = service.explore(
+                    "census", golden["query"], config=golden["config"]
+                )
+                assert service.metrics()["requests"]["warm_starts"] == 1
+        assert map_set_fingerprint(warm.map_set) == golden["fingerprint"]
+        with ExplorationService(max_workers=1) as service:
+            service.register(table)
+            cold = service.explore(
+                "census", golden["query"], config=golden["config"]
+            )
+        assert map_set_fingerprint(cold.map_set) == golden["fingerprint"]
+
+
+def _rename_column(document, census):
+    _entry(document, "Sex")["name"] = "Gender"
+    return census, "Gender"
+
+
+def _mark_numeric(document, census):
+    _entry(document, "Age")["dictionary"] = "table"
+    return census, "Age"
+
+
+def _overflow_codes(document, census):
+    entry = _entry(document, "Education")
+    codes = np.full(500, len(census.categorical("Education").categories))
+    entry["data"] = base64.b64encode(codes.astype(np.int32).tobytes()).decode()
+    return census, "Education"
+
+
+class TestBorrowedDictionaryErrors:
+    @pytest.mark.parametrize(
+        "corrupt", [_rename_column, _mark_numeric, _overflow_codes]
+    )
+    def test_unbindable_column_is_a_store_error_naming_the_culprit(
+        self, built_backend, census, corrupt
+    ):
+        document = _borrowed_document(built_backend)
+        table, column = corrupt(document, census)
+        summary = SketchSummary.from_dict(document)
+        with pytest.raises(StoreError) as raised:
+            restore_backend(summary, table)
+        message = str(raised.value)
+        assert repr(column) in message
+        assert "'census'" in message and "version 0" in message
+
+    def test_table_at_another_version_keeps_the_version_error(
+        self, built_backend, census
+    ):
+        summary = SketchSummary.from_dict(_borrowed_document(built_backend))
+        moved = census.append(census.take(np.arange(3)))
+        with pytest.raises(StoreError, match="captured at version 0"):
+            restore_backend(summary, moved)
+
+    def test_reading_an_unbound_reservoir_is_a_store_error(self, built_backend):
+        summary = SketchSummary.from_dict(_borrowed_document(built_backend))
+        with pytest.raises(StoreError, match="restore_backend"):
+            summary.sample
