@@ -20,11 +20,7 @@ Quickstart (one machine, two server processes)::
 See docs/TUTORIAL.md chapter 12.
 """
 
-from repro.cluster.coordinator import (
-    ClusterCoordinator,
-    ClusterSketchBackend,
-    server_for_shard,
-)
+from repro.cluster.coordinator import ClusterCoordinator, server_for_shard
 from repro.cluster.launch import (
     ShardProcess,
     spawn_local_cluster,
@@ -46,7 +42,6 @@ from repro.cluster.shard import ShardServer, ShardStore, serve_shard
 __all__ = [
     "CLUSTER_PROTOCOL_VERSION",
     "ClusterCoordinator",
-    "ClusterSketchBackend",
     "OwnShardRequest",
     "ScanRequest",
     "ShardAppendRequest",

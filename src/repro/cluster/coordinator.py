@@ -1,14 +1,15 @@
 """The cluster coordinator: scatter/gather over shard servers.
 
 :class:`ClusterCoordinator` turns N running
-:class:`~repro.cluster.shard.ShardServer` processes into a drop-in
-statistics backend.  A build fans the shard scans out over HTTP —
-shards assigned to servers in contiguous blocks — then folds the
-per-shard results **in shard order** with exactly the local fold
-(:func:`repro.engine.parallel.fold_shard_statistics`), so a cluster
-answer is bit-identical to a serial or local-parallel answer over the
-same shard layout: "workers are wall-clock, shards are statistics"
-survives the network hop unchanged.
+:class:`~repro.cluster.shard.ShardServer` processes into a
+:class:`~repro.engine.parallel.ScanVenue`: handed to
+:func:`repro.engine.parallel.build_sharded_backend`, it fans the shard
+scans out over HTTP — shards assigned to servers in contiguous blocks —
+and the one build folds the per-shard results **in shard order**
+exactly as it folds local scans, so a cluster answer is bit-identical
+to a serial or local-parallel answer over the same shard layout:
+"workers are wall-clock, shards are statistics" survives the network
+hop unchanged.
 
 Data placement is lazy and versioned: the first scan of a shard a
 server does not own answers 409, the coordinator pushes the shard's
@@ -24,15 +25,17 @@ and server URL.  There is no cross-server failover — re-pushing a
 shard elsewhere mid-query would answer correctly (the statistics only
 depend on the shard layout) but hide the operational fact an operator
 needs to see.
+
+Streaming: a backend built here tells the coordinator about every
+advance (:meth:`ClusterCoordinator.append`), which pushes the delta
+rows to the server owning the table's tail, so a fresh cluster build at
+the new version scans current state.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from repro.cluster.protocol import (
     OwnShardRequest,
@@ -42,13 +45,17 @@ from repro.cluster.protocol import (
 )
 from repro.core.config import Fidelity, Parallelism
 from repro.dataset.table import Table
-from repro.engine.backends import CacheCounters, table_fingerprint
+from repro.engine.backends import (
+    CacheCounters,
+    SketchBackend,
+    table_fingerprint,
+)
 from repro.engine.parallel import (
-    ShardedSketchBackend,
+    ScanRecipe,
     ShardedTable,
     ShardStatistics,
     _sketch_attributes,
-    fold_shard_statistics,
+    build_sharded_backend,
     shard_column_values,
 )
 from repro.errors import MapError
@@ -89,6 +96,9 @@ class ClusterCoordinator:
         self._builds = 0  # guarded-by: _lock
         self._shard_retries = 0  # guarded-by: _lock
         self._append_route_failures = 0  # guarded-by: _lock
+        # Retries of the calling thread's last scan: a build reads its
+        # own count back in provenance() while other builds run.
+        self._last_scan = threading.local()
 
     @property
     def urls(self) -> tuple[str, ...]:
@@ -105,6 +115,16 @@ class ClusterCoordinator:
         if parallelism.workers == "auto":
             return self.n_servers
         return max(1, min(int(parallelism.workers), self.n_servers))
+
+    def _shard_servers(
+        self, layout: ShardedTable, parallelism: Parallelism
+    ) -> tuple[int, ...]:
+        """Server index per shard of ``layout``, in shard order."""
+        n_servers = self.resolved_servers(parallelism)
+        return tuple(
+            server_for_shard(index, layout.n_shards, n_servers)
+            for index in range(layout.n_shards)
+        )
 
     # ------------------------------------------------------------------ #
     # Health / metrics
@@ -139,7 +159,7 @@ class ClusterCoordinator:
             transport.close()
 
     # ------------------------------------------------------------------ #
-    # The scatter/gather build
+    # The scatter/gather scan
     # ------------------------------------------------------------------ #
 
     def build_backend(
@@ -152,42 +172,33 @@ class ClusterCoordinator:
         kernels: str = "auto",
         counters: CacheCounters | None = None,
         lock: threading.Lock | None = None,
-    ) -> "ClusterSketchBackend":
-        """Build sketch statistics for ``table`` over the cluster.
-
-        The distributed twin of
-        :func:`repro.engine.parallel.build_sharded_backend`: same shard
-        layout, same scan core (on the servers), same in-order fold —
-        different wall-clock.  ``kernels`` names the *local* kernel
-        path (delta maintenance, fallback scans); servers resolve
-        their own — kernel choice is bit-identical by contract, so it
-        never travels on the wire.
-        """
-        if not fidelity.is_sketch:
-            raise MapError(
-                "cluster statistics need a sketch fidelity, got "
-                f"{fidelity.spec()!r} (exact masks are row-backed and "
-                "cannot be shard-merged)"
-            )
-        started = time.perf_counter()
-        with self._lock:
-            retries_before = self._shard_retries
-        sharded = ShardedTable(table, parallelism.shards)
-        n_servers = self.resolved_servers(parallelism)
-        numeric, categorical = _sketch_attributes(table)
-        sample_rows = fidelity.budget_rows < table.n_rows
-        fingerprint = table_fingerprint(table)
-        assignment = tuple(
-            server_for_shard(index, sharded.n_shards, n_servers)
-            for index in range(sharded.n_shards)
+    ) -> SketchBackend:
+        """:func:`~repro.engine.parallel.build_sharded_backend` with
+        this cluster as the scan venue (for callers holding a
+        coordinator rather than a config)."""
+        return build_sharded_backend(
+            table, fidelity, parallelism,
+            seed=seed, kernels=kernels, counters=counters, lock=lock,
+            venue=self,
         )
 
-        def scan_block(server: int) -> list[ShardStatistics]:
+    def scan(
+        self, table: Table, layout: ShardedTable, recipe: ScanRecipe
+    ) -> list[ShardStatistics]:
+        """Scan every shard on its owning server; shard-ordered results.
+
+        Servers scan their contiguous shard blocks concurrently, one
+        ``/scan`` per shard.  ``recipe.kernels`` is not shipped:
+        servers resolve their own kernel path.
+        """
+        assignment = self._shard_servers(layout, recipe.parallelism)
+        fingerprint = table_fingerprint(table)
+
+        def scan_block(server: int) -> list[tuple[ShardStatistics, int]]:
             out = []
-            for index in range(sharded.n_shards):
+            for index, (low, high) in enumerate(layout.bounds):
                 if assignment[index] != server:
                     continue
-                low, high = sharded.bounds[index]
                 request = ScanRequest(
                     table=table.name,
                     shard=index,
@@ -195,13 +206,14 @@ class ClusterCoordinator:
                     high=high,
                     version=table.version,
                     fingerprint=fingerprint,
-                    seed=seed,
-                    budget_rows=fidelity.budget_rows,
-                    sample_rows=sample_rows,
-                    epsilon=fidelity.epsilon,
+                    seed=recipe.seed,
+                    budget_rows=recipe.budget_rows,
+                    sample_rows=recipe.sample_rows,
+                    epsilon=recipe.epsilon,
                 )
                 out.append(self._scan_shard(
-                    server, table, sharded, numeric, categorical, request
+                    server, table, layout,
+                    recipe.numeric, recipe.categorical, request,
                 ))
             return out
 
@@ -214,52 +226,27 @@ class ClusterCoordinator:
                 thread_name_prefix="repro-cluster-scan",
             ) as pool:
                 blocks = list(pool.map(scan_block, servers_used))
-        results = sorted(
-            (stat for block in blocks for stat in block),
-            key=lambda stat: stat.index,
+        scanned = sorted(
+            (pair for block in blocks for pair in block),
+            key=lambda pair: pair[0].index,
         )
-
-        sample, quantiles, frequencies = fold_shard_statistics(
-            results,
-            seed=seed,
-            fingerprint=fingerprint,
-            budget_rows=fidelity.budget_rows,
-            sample_rows=sample_rows,
-        )
-        if not sample_rows:
-            sample_table = table  # the budget covers everything
-        else:
-            sample_table = table.take(
-                np.sort(sample),
-                name=f"{table.name}_shardsketch{fidelity.budget_rows}",
-            )
         with self._lock:
             self._builds += 1
-            build_retries = self._shard_retries - retries_before
-        scan_kernel_nanos: dict[str, int] = {}
-        for stat in results:
-            for kernel, nanos in stat.kernel_nanos.items():
-                scan_kernel_nanos[kernel] = (
-                    scan_kernel_nanos.get(kernel, 0) + int(nanos)
-                )
-        return ClusterSketchBackend(
-            sharded,
-            fidelity,
-            parallelism,
-            sample=sample_table,
-            quantiles=quantiles,
-            frequencies=frequencies,
-            shard_seconds=tuple(stat.seconds for stat in results),
-            build_seconds=time.perf_counter() - started,
-            kernels=kernels,
-            kernel_nanos=scan_kernel_nanos,
-            counters=counters,
-            lock=lock,
-            coordinator=self,
-            shard_servers=assignment,
-            n_servers=n_servers,
-            build_retries=build_retries,
-        )
+        self._last_scan.retries = sum(retries for _, retries in scanned)
+        return [stat for stat, _ in scanned]
+
+    def provenance(
+        self, layout: ShardedTable, parallelism: Parallelism
+    ) -> dict[str, object]:
+        """Cluster keys of the ``parallel`` block:
+        :func:`repro.engine.parallel.merge_shard_info` folds them
+        through to the service ``/metrics``."""
+        return {
+            "servers": self.resolved_servers(parallelism),
+            "shard_servers": list(self._shard_servers(layout, parallelism)),
+            "cluster_builds": 1,
+            "shard_retries": getattr(self._last_scan, "retries", 0),
+        }
 
     # ------------------------------------------------------------------ #
     # Per-shard calls (push-on-409, retry-once, typed 503)
@@ -273,7 +260,8 @@ class ClusterCoordinator:
         numeric: tuple,
         categorical: tuple,
         request: ScanRequest,
-    ) -> ShardStatistics:
+    ) -> tuple[ShardStatistics, int]:
+        """One shard's statistics and the retries they cost."""
         transport = self._transports[server]
         attempts = 0
         while True:
@@ -293,7 +281,10 @@ class ClusterCoordinator:
                     payload = transport.request(
                         "POST", "/scan", request.to_dict()
                     )
-                return ShardStatistics.from_dict(payload["statistics"])
+                return (
+                    ShardStatistics.from_dict(payload["statistics"]),
+                    attempts,
+                )
             except RemoteServiceError as exc:
                 attempts += 1
                 if attempts > 1:
@@ -361,17 +352,15 @@ class ClusterCoordinator:
         a query's own push, is safe.
         """
         pushed: dict[str, int] = {}
-        n_servers = self.resolved_servers(parallelism)
         for name in catalog.names():
             if persisted_only and not catalog.is_persisted(name):
                 continue
             table = catalog.resolve(name)
             sharded = ShardedTable(table, parallelism.shards)
             numeric, categorical = _sketch_attributes(table)
-            for index in range(sharded.n_shards):
-                server = server_for_shard(
-                    index, sharded.n_shards, n_servers
-                )
+            for index, server in enumerate(
+                self._shard_servers(sharded, parallelism)
+            ):
                 self._push_shard(
                     server, table, sharded, index, numeric, categorical
                 )
@@ -382,12 +371,12 @@ class ClusterCoordinator:
     # Streaming (append routing)
     # ------------------------------------------------------------------ #
 
-    def route_append(
+    def append(
         self,
         new_table: Table,
         old_sharded: ShardedTable,
-        shard_servers: tuple[int, ...],
-    ) -> bool:
+        parallelism: Parallelism,
+    ) -> None:
         """Route appended rows to the server owning the table's tail.
 
         Appended rows live past every shard boundary, so they extend
@@ -396,12 +385,11 @@ class ClusterCoordinator:
         failures are tolerated (counted, not raised): server-side
         shard state is lazily versioned, so the next scan of a stale
         shard answers 409 and gets a fresh push — the cluster heals
-        without coupling local streaming to server liveness.  Returns
-        True when the delta was applied (or already present) remotely.
+        without coupling local streaming to server liveness.
         """
         old_table = old_sharded.table
         owning = old_sharded.owning_shard(old_table.n_rows)
-        server = shard_servers[owning]
+        server = self._shard_servers(old_sharded, parallelism)[owning]
         low = old_sharded.bounds[owning][0]
         numeric, categorical = _sketch_attributes(new_table)
         numeric_values, categorical_values = shard_column_values(
@@ -424,7 +412,6 @@ class ClusterCoordinator:
         try:
             try:
                 transport.request("POST", "/append", request.to_dict())
-                return True
             except StaleShardError:
                 # The server missed an earlier delta (or restarted):
                 # re-push the whole shard at the new version.
@@ -446,79 +433,9 @@ class ClusterCoordinator:
                     ],
                 )
                 transport.request("POST", "/own", push.to_dict())
-                return True
         except RemoteServiceError:
             with self._lock:
                 self._append_route_failures += 1
-            return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ClusterCoordinator servers={len(self._urls)}>"
-
-
-class ClusterSketchBackend(ShardedSketchBackend):
-    """A :class:`ShardedSketchBackend` whose scans ran on a cluster.
-
-    Statistically indistinguishable from its parent — same shard
-    layout, same fold — with two additions:
-
-    * streaming appends are **routed**: after the local incremental
-      maintenance, the delta rows are pushed to the shard server
-      owning the table's tail, so a fresh cluster build at the new
-      version scans current state;
-    * :meth:`snapshot`'s ``parallel`` block carries cluster provenance
-      (server count, per-shard server assignment, retries), which
-      :func:`repro.engine.parallel.merge_shard_info` folds through to
-      the service ``/metrics``.
-    """
-
-    def __init__(
-        self,
-        sharded: ShardedTable,
-        fidelity: Fidelity,
-        parallelism: Parallelism,
-        *,
-        coordinator: ClusterCoordinator,
-        shard_servers: tuple[int, ...],
-        n_servers: int,
-        build_retries: int = 0,
-        **kwargs: object,
-    ):
-        super().__init__(sharded, fidelity, parallelism, **kwargs)
-        self._coordinator = coordinator
-        self._shard_servers = tuple(shard_servers)
-        self._n_servers = int(n_servers)
-        self._build_retries = int(build_retries)
-
-    @property
-    def coordinator(self) -> ClusterCoordinator:
-        """The coordinator that built (and maintains) this backend."""
-        return self._coordinator
-
-    @property
-    def shard_servers(self) -> tuple[int, ...]:
-        """Server index per shard, in shard order."""
-        return self._shard_servers
-
-    def advance(
-        self,
-        new_table: Table,
-        rng: "np.random.Generator | int | None" = None,
-    ) -> None:
-        """Maintain locally, then route the delta to the owning server."""
-        old_sharded = self.sharded_table
-        super().advance(new_table, rng=rng)
-        self._coordinator.route_append(
-            new_table, old_sharded, self._shard_servers
-        )
-
-    def snapshot(self) -> dict:
-        """Parent provenance plus the cluster's."""
-        out = super().snapshot()
-        out["parallel"].update({
-            "servers": self._n_servers,
-            "shard_servers": list(self._shard_servers),
-            "cluster_builds": 1,
-            "shard_retries": self._build_retries,
-        })
-        return out

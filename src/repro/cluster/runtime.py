@@ -5,13 +5,13 @@ names *that* the scan should fan out, not *where*.  The where lives
 here: one module-global :class:`~repro.cluster.coordinator.ClusterCoordinator`
 the facade, REPL, and :class:`~repro.engine.context.ExecutionContext`
 dispatch consult (the same module-global precedent as the staged
-``_WORK`` recipe of :mod:`repro.engine.parallel`).
+``_WORK`` build of :mod:`repro.engine.parallel`).
 
 With no cluster attached, a ``cluster`` config **degrades to the local
 scan/merge split** — same shard layout, same answers, single machine —
 so configs can travel between clustered and unclustered deployments
-without changing results, and ``ParallelExecutor`` is literally the
-degenerate local case of the cluster path.
+without changing results: the coordinator and the local fork pool are
+two venues of one build.
 """
 
 from __future__ import annotations

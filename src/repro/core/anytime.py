@@ -23,11 +23,6 @@ the system could interrupt the exploration after a timeout."
   previous top map, measured on the rows the current tick scanned —
   quantifies result convergence, so callers can stop on stability, on
   timeout, or on escalation completing (whichever comes first).
-
-``progressive=False`` restores the legacy schedule (exact pipeline runs
-over materialized :class:`~repro.sketch.reservoir.GrowingSample`
-tables), now seeded through the context's deterministic per-query
-child RNG.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ from repro.engine.context import ExecutionContext
 from repro.engine.pipeline import MapSet, Pipeline
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
-from repro.sketch.reservoir import GrowingSample
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,10 +77,6 @@ class AnytimeExplorer:
         it (exact by default), earlier ticks at growing sketch budgets.
     initial_size, growth_factor:
         Budget schedule.
-    progressive:
-        True (default) escalates fidelity through sketch backends on
-        the full table; False restores the legacy exact-over-growing-
-        samples schedule.
     """
 
     def __init__(
@@ -97,7 +87,6 @@ class AnytimeExplorer:
         initial_size: int = 1000,
         growth_factor: float = 2.0,
         pipeline: Pipeline | None = None,
-        progressive: bool = True,
     ):
         if table.n_rows == 0:
             raise MapError("cannot explore an empty table")
@@ -111,7 +100,6 @@ class AnytimeExplorer:
         self._config = base.replace(sample_size=None)
         self._initial_size = int(initial_size)
         self._growth_factor = float(growth_factor)
-        self._progressive = bool(progressive)
         # One shared pipeline; each tick binds a fresh context because
         # the measured rows change (contexts key their statistics cache
         # by table and configuration).
@@ -120,59 +108,37 @@ class AnytimeExplorer:
     def _schedule(self) -> Iterator[tuple[Table, AtlasConfig, bool]]:
         """Yield ``(table, config, is_final)`` per tick.
 
-        Progressive mode grows a sketch budget geometrically on the
-        full table and finishes at the configured target fidelity;
-        nested reservoirs make consecutive answers comparable.  Legacy
-        mode materializes nested growing samples and runs the base
-        configuration on each.
+        Grows a sketch budget geometrically on the full table and
+        finishes at the configured target fidelity; nested reservoirs
+        make consecutive answers comparable.
         """
         # Snapshot the table up front: an advance() landing mid-run
         # must not switch versions between ticks — anytime snapshots
         # are only comparable against the same rows.
         table = self._table
         target = self._config.fidelity
-        if self._progressive:
-            if target.is_sketch:
-                final_budget = min(target.budget_rows, table.n_rows)
-                epsilon = target.epsilon
-            else:
-                final_budget = table.n_rows
-                epsilon = Fidelity().epsilon
-            budget = min(self._initial_size, final_budget)
-            while budget < final_budget:
-                yield (
-                    table,
-                    self._config.replace(
-                        fidelity=Fidelity.sketch(
-                            budget_rows=budget, epsilon=epsilon
-                        )
-                    ),
-                    False,
-                )
-                budget = min(
-                    max(budget + 1, int(budget * self._growth_factor)),
-                    final_budget,
-                )
-            yield table, self._config, True
-            return
-        # Legacy schedule: exact pipeline over nested growing samples,
-        # seeded through the deterministic per-query child generator.
-        # Fidelity is pinned to exact — the sample *is* the
-        # approximation here; a sketch backend on top would sample the
-        # sample, compounding error for no speedup.
-        config = self._config.replace(fidelity=Fidelity.exact())
-        rng = ExecutionContext(table, config).child_rng(self._query)
-        sample = GrowingSample(
-            table,
-            initial_size=self._initial_size,
-            growth_factor=self._growth_factor,
-            rng=rng,
-        )
-        while True:
-            yield sample.current(), config, sample.exhausted
-            if sample.exhausted:
-                return
-            sample.grow()
+        if target.is_sketch:
+            final_budget = min(target.budget_rows, table.n_rows)
+            epsilon = target.epsilon
+        else:
+            final_budget = table.n_rows
+            epsilon = Fidelity().epsilon
+        budget = min(self._initial_size, final_budget)
+        while budget < final_budget:
+            yield (
+                table,
+                self._config.replace(
+                    fidelity=Fidelity.sketch(
+                        budget_rows=budget, epsilon=epsilon
+                    )
+                ),
+                False,
+            )
+            budget = min(
+                max(budget + 1, int(budget * self._growth_factor)),
+                final_budget,
+            )
+        yield table, self._config, True
 
     def advance(self, new_table: Table) -> None:
         """Re-target the explorer at an appended version of its table.

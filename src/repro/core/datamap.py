@@ -27,7 +27,7 @@ def assign_regions(regions, n_rows, mask_of) -> np.ndarray:
     """Region index per row: first matching region wins, else ESCAPE.
 
     The single implementation behind :meth:`DataMap.assign` and the
-    engine's cached :meth:`~repro.engine.context.TableStats.assignment`
+    engine's cached :meth:`~repro.engine.backends.ExactBackend.assignment`
     — ``mask_of`` abstracts how a region's row mask is obtained.
     """
     assignment = np.full(n_rows, ESCAPE, dtype=np.int64)

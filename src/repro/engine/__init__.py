@@ -28,7 +28,6 @@ from repro.engine.backends import (
     ExactBackend,
     SketchBackend,
     StatsBackend,
-    TableStats,
     make_backend,
     query_fingerprint,
     table_fingerprint,
@@ -36,9 +35,6 @@ from repro.engine.backends import (
 from repro.engine.cancel import CancelToken, PipelineCancelled
 from repro.engine.context import ExecutionContext
 from repro.engine.parallel import (
-    ParallelExecutor,
-    SerialExecutor,
-    ShardedSketchBackend,
     ShardedTable,
     build_sharded_backend,
     fork_available,
@@ -83,21 +79,17 @@ __all__ = [
     "MapSet",
     "MergeStage",
     "NUMERIC_CUTS",
-    "ParallelExecutor",
     "Pipeline",
     "PipelineCancelled",
     "PipelineState",
     "RankingStage",
     "ScopeStage",
-    "SerialExecutor",
-    "ShardedSketchBackend",
     "ShardedTable",
     "SketchBackend",
     "Stage",
     "StageTimings",
     "StatsBackend",
     "StrategyRegistry",
-    "TableStats",
     "build_sharded_backend",
     "default_stages",
     "explorer",

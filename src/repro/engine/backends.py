@@ -6,8 +6,7 @@ implementing the :class:`StatsBackend` protocol.  Two implementations
 ship:
 
 * :class:`ExactBackend` — every statistic computed from full-table
-  masks with memoization (the historical ``TableStats`` behavior,
-  extracted verbatim; ``TableStats`` remains as an alias).
+  masks with memoization.
 * :class:`SketchBackend` — statistics answered from a bounded-size
   uniform reservoir of the table plus one-pass sketches from
   :mod:`repro.sketch`: per-attribute Greenwald–Khanna quantile
@@ -31,14 +30,15 @@ progressive escalation comparable across ticks.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import threading
 import zlib
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.config import AtlasConfig, Fidelity
+from repro.core.config import AtlasConfig, Fidelity, Parallelism
 from repro.core.contingency import joint_distribution_from_assignments
 from repro.core.datamap import DataMap, assign_regions, covers_from_assignment
 from repro.core.information import rajski_distance, variation_of_information
@@ -52,6 +52,9 @@ from repro.engine.kernels import (
 )
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
+
+if TYPE_CHECKING:
+    from repro.engine.parallel import ScanVenue, ShardedTable
 
 #: Bounds on cached scope tables / per-table stat blocks; interactive
 #: sessions revisit a handful of scopes, so a small FIFO is plenty.
@@ -661,11 +664,6 @@ class ExactBackend:
             }
 
 
-#: Backward-compatible alias: the memoized statistics block introduced
-#: by the engine refactor is exactly the exact backend.
-TableStats = ExactBackend
-
-
 class SketchBackend:
     """Approximate statistics from a bounded reservoir plus sketches.
 
@@ -690,6 +688,19 @@ class SketchBackend:
     The produced :class:`DataMap` shapes are identical to the exact
     backend's, so ranked answers are comparable across fidelities (the
     E18 agreement measurement relies on this).
+
+    Where the state came from is constructor *data*, not a subclass:
+    the sharded build (:func:`repro.engine.parallel.build_sharded_backend`)
+    and the warm restore (:func:`repro.store.warm.restore_backend`) hand
+    over a prebuilt ``sample`` and seed the summaries (``quantiles`` /
+    ``frequencies`` / ``tokens``).  ``full_scan`` says whether those
+    summaries observed every table row (a sharded build) or only the
+    reservoir; it is fixed here and decides the rate at which
+    :meth:`advance` thins appended rows.  ``layout`` and ``parallelism``
+    record the shard layout the statistics were built over, ``venue``
+    is where the scans ran (its ``append`` is told about every
+    advance), and ``provenance`` is merged into :meth:`snapshot` as is
+    (the ``"parallel"`` / ``"warm"`` blocks).
     """
 
     kind = "sketch"
@@ -703,6 +714,15 @@ class SketchBackend:
         lock: threading.Lock | None = None,
         sample: Table | None = None,
         kernels: str = "auto",
+        *,
+        quantiles: Mapping[str, object] | None = None,
+        frequencies: Mapping[str, object] | None = None,
+        tokens: Mapping[str, object] | None = None,
+        full_scan: bool = False,
+        layout: ShardedTable | None = None,
+        parallelism: Parallelism | None = None,
+        venue: ScanVenue | None = None,
+        provenance: Mapping[str, object] | None = None,
     ):
         if not fidelity.is_sketch:
             raise MapError(
@@ -737,15 +757,47 @@ class SketchBackend:
         self._lock = self._inner._lock
         self.counters = self._inner.counters
         self.usage = self._inner.usage
-        self._quantile_sketches: dict[str, object] = {}  # guarded-by: _lock
-        self._frequency_sketches: dict[str, object] = {}  # guarded-by: _lock
-        self._token_sketches: dict[str, object] = {}  # guarded-by: _lock
+        # Seeded before the backend is shared.
+        self._quantile_sketches: dict[str, object] = dict(  # guarded-by: _lock
+            quantiles or {}
+        )
+        self._frequency_sketches: dict[str, object] = dict(  # guarded-by: _lock
+            frequencies or {}
+        )
+        self._token_sketches: dict[str, object] = dict(  # guarded-by: _lock
+            tokens or {}
+        )
         self._root_cuts: dict[tuple, DataMap] = {}  # guarded-by: _lock
+        self._full_scan = bool(full_scan)
+        self._layout = layout  # guarded-by: _lock
+        self._parallelism = parallelism
+        self._venue = venue
+        self._provenance = dict(provenance or {})
 
     @property
     def table(self) -> Table:
         """The (full) table the statistics approximate."""
         return self._table
+
+    @property
+    def sharded_table(self) -> ShardedTable | None:
+        """The shard layout the statistics were built over, if any."""
+        with self._lock:
+            return self._layout
+
+    @property
+    def shard_seconds(self) -> tuple[float, ...]:
+        """Per-shard scan seconds of the build, in shard order."""
+        return tuple(self._parallel_provenance().get("shard_seconds", ()))
+
+    @property
+    def shard_servers(self) -> tuple[int, ...]:
+        """Server index per shard, in shard order (cluster builds)."""
+        return tuple(self._parallel_provenance().get("shard_servers", ()))
+
+    def _parallel_provenance(self) -> Mapping[str, object]:
+        """The build's ``"parallel"`` block (empty without a layout)."""
+        return self._provenance.get("parallel", {})
 
     @property
     def effective_table(self) -> Table:
@@ -804,8 +856,20 @@ class SketchBackend:
         the new reservoir.  Root-cut memos are version-stale and drop
         in the same critical section that bumps the version, so a
         reader can never pair a new version with pre-append cut points.
+
+        A sharded backend also routes the append to the owning (last)
+        shard: the layout extends its last range over the appended rows
+        (earlier boundaries, and therefore every shard's RNG stream,
+        are untouched), and once the local state has swapped the scan
+        venue is told, so a cluster can forward the delta rows.
         """
         old_table = self._table
+        with self._lock:
+            old_layout = self._layout
+        layout = (
+            None if old_layout is None
+            else old_layout.advanced(new_table)  # validates growth
+        )
         if new_table.version <= self.version:
             raise MapError(
                 f"cannot advance from version {self.version} to "
@@ -844,6 +908,9 @@ class SketchBackend:
             # a weighted merge and never observably different.
             self._token_sketches = {}
             self._root_cuts.clear()
+            self._layout = layout
+        if self._venue is not None and old_layout is not None:
+            self._venue.append(new_table, old_layout, self._parallelism)
 
     def _topped_up_reservoir(
         self, new_table: Table, delta: Table, rng: np.random.Generator
@@ -879,27 +946,17 @@ class SketchBackend:
         sample._version = new_table.version
         return sample
 
-    def _delta_sketch_rate(self) -> float:
-        """Fraction of delta rows a sketch merge observes (caller holds
-        the lock).
-
-        Reservoir-built summaries observed ``reservoir / table`` of the
-        existing rows, so the delta is thinned to the same rate.  The
-        sharded backend (:mod:`repro.engine.parallel`) overrides this
-        with ``1.0``: its summaries are full scans, so every appended
-        row must be observed too.
-        """
-        return self._inner.table.n_rows / max(1, self._table.n_rows)
-
     def _merged_sketches(
         self, delta: Table, delta_n: int, rng: np.random.Generator
     ) -> tuple[dict[str, object], dict[str, object]]:
         """Already-built summaries, each merged with a delta-built one.
 
         The delta is subsampled at the rate the existing summaries'
-        rows were kept (:meth:`_delta_sketch_rate`) before sketching,
-        so every observed row — old or new — carries the same weight in
-        the merged summary.  Without this, a summary of 20k reservoir
+        rows were kept before sketching, so every observed row — old
+        or new — carries the same weight in the merged summary:
+        reservoir-built summaries observed ``reservoir / table`` of the
+        existing rows, full-scan summaries observed (and must keep
+        observing) every row.  Without this, a summary of 20k reservoir
         rows standing in for 1M would be merged with raw delta counts,
         over-weighting appends by ``table/budget`` and skewing cut
         points under distribution drift.
@@ -907,10 +964,10 @@ class SketchBackend:
         with self._lock:
             quantiles = dict(self._quantile_sketches)
             frequencies = dict(self._frequency_sketches)
-            rate = self._delta_sketch_rate()
+            rate = self._inner.table.n_rows / max(1, self._table.n_rows)
         if not delta_n:
             return quantiles, frequencies
-        if rate >= 1.0:
+        if self._full_scan or rate >= 1.0:
             kept = np.arange(delta_n)
         else:
             kept = np.flatnonzero(rng.random(delta_n) < rate)
@@ -1119,7 +1176,7 @@ class SketchBackend:
                 "frequencies": dict(self._frequency_sketches),
                 "tokens": dict(self._token_sketches),
                 "version": self._inner.version,
-                "full_scan": self._delta_sketch_rate() >= 1.0,
+                "full_scan": self._full_scan,
             }
 
     def _root_cut_cached(self, key: tuple) -> tuple[DataMap | None, int]:
@@ -1213,7 +1270,8 @@ class SketchBackend:
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict:
-        """Usage/cache counters plus sketch provenance (JSON-ready)."""
+        """Usage/cache counters plus sketch and build provenance
+        (JSON-ready)."""
         with self._lock:
             return {
                 "kind": self.kind,
@@ -1230,6 +1288,7 @@ class SketchBackend:
                 "usage": dict(self.usage),
                 "hits": self.counters.hits,
                 "misses": self.counters.misses,
+                **copy.deepcopy(self._provenance),
             }
 
 

@@ -47,7 +47,6 @@ from repro.engine.backends import (  # noqa: F401 - re-exported for compat
     ExactBackend,
     SketchBackend,
     StatsBackend,
-    TableStats,
     make_backend,
     order_sensitive_key,
     query_fingerprint,
@@ -239,14 +238,13 @@ class ExecutionContext:
         fidelity, the *base* table's backend is built by the
         scan/merge split of :mod:`repro.engine.parallel` — per-shard
         statistics scanned concurrently and merged in shard order.  A
-        ``cluster`` parallelism fans the same scans out to the
-        process's attached shard servers
-        (:func:`repro.cluster.active_cluster`) instead of local
-        workers; with no cluster attached it degrades to the local
-        split — identical answers either way, since shard layout and
-        merge order (not the execution venue) determine the
-        statistics.  Scope samples (already bounded) and exact
-        fidelity keep the serial path.
+        ``cluster`` parallelism hands the build the process's attached
+        shard servers (:func:`repro.cluster.active_cluster`) as its
+        scan venue; with no cluster attached the build scans locally —
+        identical answers either way, since shard layout and merge
+        order (not the execution venue) determine the statistics.
+        Scope samples (already bounded) and exact fidelity keep the
+        serial path.
         """
         fidelity = self._config.fidelity
         parallelism = self._config.parallelism
@@ -255,22 +253,13 @@ class ExecutionContext:
             and parallelism.is_parallel
             and table is self._table
         ):
+            from repro.engine.parallel import build_sharded_backend
+
+            venue = None
             if parallelism.is_cluster:
                 from repro.cluster.runtime import active_cluster
 
-                coordinator = active_cluster()
-                if coordinator is not None:
-                    return coordinator.build_backend(
-                        table,
-                        fidelity,
-                        parallelism,
-                        seed=self._config.seed,
-                        kernels=self._config.kernels,
-                        counters=self._kind_counters["sketch"],
-                        lock=self._lock,
-                    )
-            from repro.engine.parallel import build_sharded_backend
-
+                venue = active_cluster()
             return build_sharded_backend(
                 table,
                 fidelity,
@@ -279,6 +268,7 @@ class ExecutionContext:
                 kernels=self._config.kernels,
                 counters=self._kind_counters["sketch"],
                 lock=self._lock,
+                venue=venue,
             )
         return make_backend(
             table,

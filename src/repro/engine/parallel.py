@@ -11,18 +11,24 @@ of parallel analytical engines:
 
 1. :class:`ShardedTable` partitions the table into contiguous
    **row-range shards** (machine-independent boundaries).
-2. An executor — :class:`ParallelExecutor` (a ``multiprocessing`` fork
-   pool) or the in-process :class:`SerialExecutor` fallback — builds
-   per-shard statistics concurrently: a uniform row sample of the shard
-   plus **full-scan** GK quantile / Misra–Gries frequency summaries
-   over every shard row (higher fidelity than the reservoir-built
-   summaries of the unsharded path, whose sampling error comes on top
-   of the sketch error).
-3. The per-shard results are folded **in shard order** with the PR-3
-   merge rules — hypergeometric reservoir merging for the row samples,
-   ``GKQuantileSketch.merge`` / ``MisraGriesSketch.merge`` for the
-   summaries — into one :class:`ShardedSketchBackend` the existing
-   pipeline consumes unchanged.
+2. A :class:`ScanVenue` — the in-process :class:`InlineVenue`, the
+   ``multiprocessing`` :class:`ForkVenue`, or a cluster's
+   :class:`~repro.cluster.coordinator.ClusterCoordinator` — builds the
+   per-shard statistics: a uniform row sample of the shard plus
+   **full-scan** GK quantile / Misra–Gries frequency summaries over
+   every shard row (higher fidelity than the reservoir-built summaries
+   of the unsharded path, whose sampling error comes on top of the
+   sketch error).
+3. :func:`build_sharded_backend` folds the per-shard results **in shard
+   order** with the PR-3 merge rules — hypergeometric reservoir merging
+   for the row samples, ``GKQuantileSketch.merge`` /
+   ``MisraGriesSketch.merge`` for the summaries — and seeds one
+   :class:`~repro.engine.backends.SketchBackend` with them, which the
+   existing pipeline consumes unchanged.
+
+The venue is never part of the statistical recipe: a new place to run
+the scans is one more :class:`ScanVenue`, never a second build function
+or a backend subclass.
 
 Determinism: every random draw comes from a generator derived exactly
 like :meth:`ExecutionContext.child_rng` from ``(config.seed, tag)``,
@@ -35,7 +41,7 @@ determinism property tests assert this).
 
 Streaming: appended rows land past the last shard boundary, so
 :meth:`ShardedTable.advanced` routes them to the owning (last) shard
-and :meth:`ShardedSketchBackend.advance` maintains the merged state
+and :meth:`SketchBackend.advance` maintains the merged state
 incrementally — the reservoir tops up hypergeometrically and delta
 sketches merge at rate 1.0 (full-scan summaries must observe every
 appended row).
@@ -47,7 +53,7 @@ import dataclasses
 import threading
 import time
 import zlib
-from typing import Callable
+from typing import Any, Mapping, Protocol
 
 import numpy as np
 
@@ -68,6 +74,8 @@ from repro.engine.kernels import (
     resolve_kernels,
 )
 from repro.errors import MapError
+from repro.sketch.frequency import MisraGriesSketch
+from repro.sketch.quantile import GKQuantileSketch
 
 
 def tag_rng(seed: int, tag: str) -> np.random.Generator:
@@ -90,13 +98,13 @@ def fork_available() -> bool:
     has no fork at all, and macOS advertises one that is unsafe with
     system frameworks (Accelerate-backed numpy can abort in the child
     with ``objc_initializeAfterForkError``), so both fall back to
-    :class:`SerialExecutor` — same answers, single core.
+    :class:`InlineVenue` — same answers, single core.
 
     Forking a *threaded* parent (the service's worker pool does) is
     the usual fork caveat: the children only touch the staged
-    :class:`_ShardWork` snapshot, numpy slicing, and pure-Python
-    sketch code — never the context lock — which is the same
-    discipline joblib-style fork pools rely on.
+    :data:`_WORK` snapshot, numpy slicing, and pure-Python sketch
+    code — never the context lock — which is the same discipline
+    joblib-style fork pools rely on.
     """
     import multiprocessing
     import sys
@@ -106,7 +114,7 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def new_shard_aggregate() -> dict:
+def new_shard_aggregate() -> dict[str, Any]:
     """An empty aggregate for folding backends' shard provenance."""
     return {
         "builds": 0,
@@ -116,23 +124,25 @@ def new_shard_aggregate() -> dict:
         #: Columnar-kernel nanoseconds summed across shard scans
         #: (:class:`repro.engine.kernels.KernelTimings`).
         "kernel_nanos": {},
-        # Cluster provenance (zero unless a ClusterSketchBackend built):
+        # Cluster provenance (zero unless a cluster venue scanned):
         "cluster_builds": 0,
         "servers": 0,
         "shard_retries": 0,
     }
 
 
-def merge_shard_info(target: dict, info: dict) -> dict:
+def merge_shard_info(
+    target: dict[str, Any], info: Mapping[str, Any]
+) -> dict[str, Any]:
     """Fold one ``parallel`` provenance block into an aggregate.
 
     ``info`` is either a backend's ``snapshot()["parallel"]`` (one
     build) or another aggregate; both
     :meth:`ExecutionContext.backend_snapshot` and the service
-    ``/metrics`` merge go through here, so a field added to
-    :meth:`ShardedSketchBackend.snapshot` propagates through every
-    layer by editing one function.  Cluster keys default to zero so
-    local-build blocks (which do not emit them) fold unchanged.
+    ``/metrics`` merge go through here, so a field added to the
+    block :func:`build_sharded_backend` writes propagates through
+    every layer by editing one function.  Cluster keys default to
+    zero so local-build blocks (which do not emit them) fold unchanged.
     """
     target["builds"] += info.get("builds", 1)
     target["shards"] += info["shards"]
@@ -172,7 +182,7 @@ class ShardedTable:
     fixture as on a 1M-row table.
     """
 
-    def __init__(self, table: Table, n_shards: int):
+    def __init__(self, table: Table, n_shards: int) -> None:
         if table.n_rows == 0:
             raise MapError("cannot shard an empty table")
         if n_shards < 1:
@@ -270,16 +280,16 @@ class ShardStatistics:
     #: Uniform sample of the shard's rows, as global row indices.
     sample: np.ndarray
     #: Attribute → :meth:`GKQuantileSketch.to_dict` payload.
-    quantiles: dict[str, dict]
+    quantiles: dict[str, dict[str, Any]]
     #: Attribute → :meth:`MisraGriesSketch.to_dict` payload.
-    frequencies: dict[str, dict]
+    frequencies: dict[str, dict[str, Any]]
     #: Wall-clock seconds the shard scan took (inside the worker).
     seconds: float
     #: Columnar-kernel nanoseconds inside this scan
     #: (:class:`repro.engine.kernels.KernelTimings` ``as_dict``).
-    kernel_nanos: dict = dataclasses.field(default_factory=dict)
+    kernel_nanos: dict[str, int] = dataclasses.field(default_factory=dict)
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         """Plain-JSON wire form (the cluster scan response payload).
 
         The sketches are already in their ``to_dict`` payloads; only
@@ -299,7 +309,7 @@ class ShardStatistics:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ShardStatistics":
+    def from_dict(cls, data: Mapping[str, Any]) -> "ShardStatistics":
         """Rebuild from :meth:`to_dict` output.
 
         ``kernel_nanos`` defaults to empty — a pre-kernels peer's scan
@@ -325,11 +335,9 @@ class ShardStatistics:
 
 
 @dataclasses.dataclass(frozen=True)
-class _ShardWork:
-    """The build recipe workers execute (inherited through fork)."""
+class ScanRecipe:
+    """What one build asks of every shard scan, whatever the venue."""
 
-    table: Table
-    bounds: tuple[tuple[int, int], ...]
     seed: int
     budget_rows: int
     #: False when the budget covers the whole table — the merged
@@ -342,17 +350,12 @@ class _ShardWork:
     #: once in the parent from the full dictionary, so every shard
     #: sketch has the same capacity and merging is well-defined).
     categorical: tuple[tuple[str, int], ...]
-    #: Columnar-kernel spec (:data:`repro.engine.kernels.KERNEL_MODES`).
+    #: The layout's setting; a venue reads its placement (worker or
+    #: server count) from it, never statistics.
+    parallelism: Parallelism
+    #: Columnar-kernel spec (:data:`repro.engine.kernels.KERNEL_MODES`)
+    #: for scans that run in this process; servers resolve their own.
     kernels: str = "auto"
-
-
-#: The active build recipe; set in the parent immediately before the
-#: executor forks, so workers read it from inherited memory instead of
-#: unpickling the table.  ``_WORK_LOCK`` serializes concurrent sharded
-#: builds in one process (two pools racing a module global would be
-#: worse than queueing; a build is short-lived).
-_WORK: _ShardWork | None = None
-_WORK_LOCK = threading.Lock()
 
 
 def scan_shard_values(
@@ -365,14 +368,14 @@ def scan_shard_values(
     budget_rows: int,
     sample_rows: bool,
     epsilon: float,
-    numeric: "dict[str, np.ndarray]",
-    categorical: "tuple[tuple[str, int, object], ...]",
+    numeric: dict[str, np.ndarray],
+    categorical: tuple[tuple[str, int, Any], ...],
     kernels: str = "auto",
 ) -> ShardStatistics:
     """Scan one shard's raw values: uniform row sample + full sketches.
 
     The array-level core of the shard scan, shared verbatim by the
-    local worker path (:func:`_build_shard`) and the cluster shard
+    local venues (:func:`_scan_shard`) and the cluster shard
     server (:mod:`repro.cluster.shard`) — one implementation is what
     makes "cluster answers are bit-identical to local" true by
     construction rather than by parallel maintenance.
@@ -407,12 +410,12 @@ def scan_shard_values(
         # across the process boundary would buy nothing.
         sample = np.empty(0, dtype=np.int64)
 
-    quantiles: dict[str, dict] = {}
+    quantiles: dict[str, dict[str, Any]] = {}
     for attribute, values in numeric.items():
         gk = quantile_summary(values, epsilon, kernels=mode, timings=timings)
         quantiles[attribute] = gk.to_dict()
 
-    frequencies: dict[str, dict] = {}
+    frequencies: dict[str, dict[str, Any]] = {}
     for attribute, capacity, payload in categorical:
         if isinstance(payload, tuple):
             codes, categories = payload
@@ -441,10 +444,10 @@ def shard_column_values(
     low: int,
     high: int,
     numeric: tuple[str, ...],
-    categorical: "tuple[tuple[str, int], ...]",
+    categorical: tuple[tuple[str, int], ...],
     *,
     decode_labels: bool = True,
-) -> "tuple[dict[str, np.ndarray], tuple[tuple[str, int, object], ...]]":
+) -> tuple[dict[str, np.ndarray], tuple[tuple[str, int, Any], ...]]:
     """Slice a table's dimension columns into scan-core inputs.
 
     Exactly the value streams :func:`scan_shard_values` consumes — raw
@@ -461,7 +464,7 @@ def shard_column_values(
         attribute: table.numeric(attribute).data[low:high]
         for attribute in numeric
     }
-    categorical_values: list[tuple[str, int, object]] = []
+    categorical_values: list[tuple[str, int, Any]] = []
     for attribute, capacity in categorical:
         column = table.categorical(attribute)
         categories = list(column.categories)
@@ -476,95 +479,158 @@ def shard_column_values(
     return numeric_values, tuple(categorical_values)
 
 
-def _build_shard(index: int) -> ShardStatistics:
-    """Scan one shard of the staged :data:`_WORK` recipe.
+def _scan_shard(
+    table: Table, layout: ShardedTable, recipe: ScanRecipe, index: int
+) -> ShardStatistics:
+    """Scan one shard in this process.
 
-    Runs inside a worker process (or inline under
-    :class:`SerialExecutor`); delegates to :func:`scan_shard_values`
-    on column slices, so a worker-built shard statistic is the same
-    object a shard server would produce.
+    Delegates to :func:`scan_shard_values` on column slices, so a
+    locally built shard statistic is the same object a shard server
+    would produce.
     """
-    work = _WORK
-    if work is None:  # pragma: no cover - defensive
-        raise MapError("no shard work is staged")
-    low, high = work.bounds[index]
+    low, high = layout.bounds[index]
     numeric, categorical = shard_column_values(
-        work.table, low, high, work.numeric, work.categorical,
+        table, low, high, recipe.numeric, recipe.categorical,
         decode_labels=False,
     )
     return scan_shard_values(
         index=index,
         low=low,
         n_rows=high - low,
-        seed=work.seed,
-        fingerprint=table_fingerprint(work.table),
-        budget_rows=work.budget_rows,
-        sample_rows=work.sample_rows,
-        epsilon=work.epsilon,
+        seed=recipe.seed,
+        fingerprint=table_fingerprint(table),
+        budget_rows=recipe.budget_rows,
+        sample_rows=recipe.sample_rows,
+        epsilon=recipe.epsilon,
         numeric=numeric,
         categorical=categorical,
-        kernels=work.kernels,
+        kernels=recipe.kernels,
     )
 
 
 # ---------------------------------------------------------------------- #
-# Executors
+# Scan venues
 # ---------------------------------------------------------------------- #
 
 
-class SerialExecutor:
-    """In-process executor: the ``workers=1`` / no-fork fallback.
+class ScanVenue(Protocol):
+    """Where a build's shard scans run.
 
-    Runs the same per-shard functions in shard order, so a serial run
-    is bit-identical to any parallel one — which is what makes it a
-    *fallback* rather than a different mode.
+    The one variation point of :func:`build_sharded_backend`: shard
+    layout, scan core, fold order and RNG tags are fixed, so venues are
+    interchangeable bit for bit and differ only in wall-clock and in
+    the provenance they report.  Consulted at build and at
+    :meth:`SketchBackend.advance`, never per query.
     """
 
-    workers = 1
+    def scan(
+        self, table: Table, layout: ShardedTable, recipe: ScanRecipe
+    ) -> list[ShardStatistics]:
+        """Statistics of every shard of ``layout``, in shard order."""
 
-    def map(self, fn: Callable, items: list) -> list:
-        """Apply ``fn`` to every item, in order."""
-        return [fn(item) for item in items]
+    def append(
+        self,
+        new_table: Table,
+        old_layout: ShardedTable,
+        parallelism: Parallelism,
+    ) -> None:
+        """Told after a backend built here advanced onto ``new_table``."""
+
+    def provenance(
+        self, layout: ShardedTable, parallelism: Parallelism
+    ) -> dict[str, Any]:
+        """Venue keys for the ``parallel`` block of the build the
+        calling thread just scanned."""
 
 
-class ParallelExecutor:
-    """A ``multiprocessing`` fork pool over the shard work list."""
+class InlineVenue:
+    """Scans in the calling process: the ``workers=1`` / no-fork venue.
 
-    def __init__(self, workers: int):
+    Runs the same per-shard function in shard order, so an inline build
+    is bit-identical to any other — which is what makes it a *fallback*
+    rather than a different mode.
+    """
+
+    def scan(
+        self, table: Table, layout: ShardedTable, recipe: ScanRecipe
+    ) -> list[ShardStatistics]:
+        """Scan every shard, in order."""
+        return [
+            _scan_shard(table, layout, recipe, index)
+            for index in range(layout.n_shards)
+        ]
+
+    def append(
+        self,
+        new_table: Table,
+        old_layout: ShardedTable,
+        parallelism: Parallelism,
+    ) -> None:
+        """Nothing to route: local shards are row ranges of the table."""
+
+    def provenance(
+        self, layout: ShardedTable, parallelism: Parallelism
+    ) -> dict[str, Any]:
+        """A local build has no venue keys to add."""
+        return {}
+
+
+#: The build a :class:`ForkVenue` is scanning; set in the parent
+#: immediately before the pool forks, so workers read it from inherited
+#: memory instead of unpickling the table.  ``_WORK_LOCK`` serializes
+#: concurrent fork-pool builds in one process (two pools racing a
+#: module global would be worse than queueing; a build is short-lived).
+_WORK: tuple[Table, ShardedTable, ScanRecipe] | None = None
+_WORK_LOCK = threading.Lock()
+
+
+def _scan_staged_shard(index: int) -> ShardStatistics:
+    """Scan one shard of the staged :data:`_WORK` (in a pool worker)."""
+    work = _WORK
+    if work is None:  # pragma: no cover - defensive
+        raise MapError("no shard work is staged")
+    return _scan_shard(*work, index)
+
+
+class ForkVenue(InlineVenue):
+    """Scans across a ``multiprocessing`` fork pool."""
+
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise MapError(f"workers must be >= 1, got {workers}")
-        self._workers = int(workers)
+        self.workers = int(workers)
 
-    @property
-    def workers(self) -> int:
-        """Worker processes the pool runs."""
-        return self._workers
-
-    def map(self, fn: Callable, items: list) -> list:
-        """Apply ``fn`` across the pool; results keep item order."""
+    def scan(
+        self, table: Table, layout: ShardedTable, recipe: ScanRecipe
+    ) -> list[ShardStatistics]:
+        """Scan the shards across the pool; results keep shard order."""
         import multiprocessing
 
-        if not items:
-            return []
+        global _WORK
         context = multiprocessing.get_context("fork")
-        processes = min(self._workers, len(items))
-        with context.Pool(processes=processes) as pool:
-            return pool.map(fn, items)
+        with _WORK_LOCK:
+            _WORK = (table, layout, recipe)
+            try:
+                with context.Pool(
+                    processes=min(self.workers, layout.n_shards)
+                ) as pool:
+                    return pool.map(
+                        _scan_staged_shard, range(layout.n_shards)
+                    )
+            finally:
+                _WORK = None
 
 
-def make_executor(
-    parallelism: Parallelism,
-) -> "SerialExecutor | ParallelExecutor":
-    """The executor a parallelism setting asks for on this platform.
+def local_venue(parallelism: Parallelism) -> InlineVenue:
+    """The local venue a parallelism setting asks for on this platform.
 
-    ``workers=1`` — and any platform that cannot fork — gets the
-    in-process :class:`SerialExecutor`; results are identical either
-    way, only wall-clock differs.
+    ``workers=1`` — and any platform that cannot fork — scans inline;
+    results are identical either way, only wall-clock differs.
     """
     workers = parallelism.resolved_workers
     if workers <= 1 or not fork_available():
-        return SerialExecutor()
-    return ParallelExecutor(workers)
+        return InlineVenue()
+    return ForkVenue(workers)
 
 
 # ---------------------------------------------------------------------- #
@@ -622,32 +688,29 @@ def _sketch_attributes(
 
 
 def fold_shard_statistics(
-    results: "list[ShardStatistics]",
+    results: list[ShardStatistics],
     *,
     seed: int,
     fingerprint: int,
     budget_rows: int,
     sample_rows: bool,
-) -> "tuple[np.ndarray, dict[str, object], dict[str, object]]":
+) -> tuple[
+    np.ndarray, dict[str, GKQuantileSketch], dict[str, MisraGriesSketch]
+]:
     """Fold per-shard statistics **in shard order** into merged state.
 
     Returns ``(sample_indices, quantile_sketches, frequency_sketches)``.
-    Shared by the local build (:func:`build_sharded_backend`) and the
-    cluster coordinator — the fold, like the scan, has exactly one
-    implementation, and its ``"shard-merge:<index>:<fingerprint>"``
-    RNG streams depend only on the shard layout, never on where the
-    scans ran.
+    The fold, like the scan, has exactly one implementation, and its
+    ``"shard-merge:<index>:<fingerprint>"`` RNG streams depend only on
+    the shard layout, never on where the scans ran.
     """
-    from repro.sketch.frequency import MisraGriesSketch
-    from repro.sketch.quantile import GKQuantileSketch
-
     first, rest = results[0], results[1:]
     sample, seen = first.sample, first.n_rows
-    quantiles: dict[str, object] = {
+    quantiles: dict[str, GKQuantileSketch] = {
         attribute: GKQuantileSketch.from_dict(payload)
         for attribute, payload in first.quantiles.items()
     }
-    frequencies: dict[str, object] = {
+    frequencies: dict[str, MisraGriesSketch] = {
         attribute: MisraGriesSketch.from_dict(payload)
         for attribute, payload in first.frequencies.items()
     }
@@ -678,16 +741,23 @@ def build_sharded_backend(
     kernels: str = "auto",
     counters: CacheCounters | None = None,
     lock: threading.Lock | None = None,
-) -> "ShardedSketchBackend":
+    venue: ScanVenue | None = None,
+) -> SketchBackend:
     """Build sketch statistics for ``table`` with the scan/merge split.
 
-    Shards are scanned by :func:`make_executor`'s pool (or inline),
-    then folded in shard order: row samples merge hypergeometrically
-    down to ``fidelity.budget_rows``, GK/Misra–Gries summaries merge
-    with their PR-3 rules.  The result is a drop-in
+    The one place that shards, scans, folds and constructs.  Shards are
+    scanned by ``venue`` (default: :func:`local_venue`'s pool or inline
+    scan), then folded in shard order: row samples merge
+    hypergeometrically down to ``fidelity.budget_rows``, GK/Misra–Gries
+    summaries merge with their PR-3 rules.  The result is a plain
     :class:`SketchBackend` — the pipeline stages cannot tell it from a
     serially built one, except that its cut summaries reflect *every*
-    row instead of a reservoir.
+    row instead of a reservoir (``full_scan``), and its
+    ``snapshot()["parallel"]`` block reports the layout, per-shard scan
+    seconds, scan-kernel nanoseconds and the venue's own keys.
+    ``kernels`` names the kernel path of scans and delta maintenance in
+    *this* process; kernel choice is bit-identical by contract, so it
+    never travels to another.
     """
     if not fidelity.is_sketch:
         raise MapError(
@@ -696,29 +766,25 @@ def build_sharded_backend(
             "cannot be shard-merged)"
         )
     started = time.perf_counter()
-    sharded = ShardedTable(table, parallelism.shards)
-    executor = make_executor(parallelism)
+    layout = ShardedTable(table, parallelism.shards)
+    if venue is None:
+        venue = local_venue(parallelism)
     numeric, categorical = _sketch_attributes(table)
     sample_rows = fidelity.budget_rows < table.n_rows
-    work = _ShardWork(
-        table=table,
-        bounds=sharded.bounds,
-        seed=seed,
-        budget_rows=fidelity.budget_rows,
-        sample_rows=sample_rows,
-        epsilon=fidelity.epsilon,
-        numeric=numeric,
-        categorical=categorical,
-        kernels=kernels,
+    results = venue.scan(
+        table,
+        layout,
+        ScanRecipe(
+            seed=seed,
+            budget_rows=fidelity.budget_rows,
+            sample_rows=sample_rows,
+            epsilon=fidelity.epsilon,
+            numeric=numeric,
+            categorical=categorical,
+            parallelism=parallelism,
+            kernels=kernels,
+        ),
     )
-    global _WORK
-    with _WORK_LOCK:
-        _WORK = work
-        try:
-            results = executor.map(_build_shard, list(range(sharded.n_shards)))
-        finally:
-            _WORK = None
-
     sample, quantiles, frequencies = fold_shard_statistics(
         results,
         seed=seed,
@@ -736,124 +802,30 @@ def build_sharded_backend(
     scan_timings = KernelTimings()
     for shard in results:
         scan_timings.merge(shard.kernel_nanos)
-    return ShardedSketchBackend(
-        sharded,
+    return SketchBackend(
+        table,
         fidelity,
-        parallelism,
-        sample=sample_table,
-        quantiles=quantiles,
-        frequencies=frequencies,
-        shard_seconds=tuple(shard.seconds for shard in results),
-        build_seconds=time.perf_counter() - started,
-        kernels=kernels,
-        kernel_nanos=scan_timings.as_dict(),
         counters=counters,
         lock=lock,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# The merged backend
-# ---------------------------------------------------------------------- #
-
-
-class ShardedSketchBackend(SketchBackend):
-    """A :class:`SketchBackend` assembled from merged shard statistics.
-
-    Behaves exactly like its parent — the stages read masks,
-    assignments, joints, and cuts through the same interface — with two
-    differences the provenance records:
-
-    * the per-attribute GK / Misra–Gries summaries are **full scans**
-      of the table (merged across shards), not reservoir builds, so
-      root-scope cut points carry no sampling error on top of the
-      sketch error;
-    * :meth:`snapshot` reports the shard layout and per-shard build
-      seconds, which the service surfaces through ``/metrics``.
-
-    Streaming: appends route to the owning shard
-    (:meth:`ShardedTable.advanced`) and delta sketches merge at rate
-    1.0 — a full-scan summary must observe every appended row to stay
-    one.
-    """
-
-    def __init__(
-        self,
-        sharded: ShardedTable,
-        fidelity: Fidelity,
-        parallelism: Parallelism,
-        *,
-        sample: Table,
-        quantiles: dict[str, object],
-        frequencies: dict[str, object],
-        shard_seconds: tuple[float, ...] = (),
-        build_seconds: float = 0.0,
-        kernels: str = "auto",
-        kernel_nanos: "dict[str, int] | None" = None,
-        counters: CacheCounters | None = None,
-        lock: threading.Lock | None = None,
-    ):
-        super().__init__(
-            sharded.table, fidelity,
-            counters=counters, lock=lock, sample=sample, kernels=kernels,
-        )
-        self._sharded = sharded
-        self._parallelism = parallelism
-        self._quantile_sketches = dict(quantiles)
-        self._frequency_sketches = dict(frequencies)
-        self._shard_seconds = tuple(float(s) for s in shard_seconds)
-        self._build_seconds = float(build_seconds)
-        #: Kernel nanoseconds summed across the build's shard scans
-        #: (distinct from the parent's post-build delta timings).
-        self._scan_kernel_nanos = dict(kernel_nanos or {})
-
-    @property
-    def sharded_table(self) -> ShardedTable:
-        """The shard layout the statistics were built over."""
-        return self._sharded
-
-    @property
-    def parallelism(self) -> Parallelism:
-        """The parallelism setting that built this backend."""
-        return self._parallelism
-
-    @property
-    def shard_seconds(self) -> tuple[float, ...]:
-        """Per-shard scan seconds, in shard order."""
-        return self._shard_seconds
-
-    def _delta_sketch_rate(self) -> float:
-        """Full-scan summaries observe every delta row (rate 1.0)."""
-        return 1.0
-
-    def advance(
-        self,
-        new_table: Table,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        """Route the append to the owning shard, then maintain.
-
-        The shard layout extends its last range over the appended rows
-        (earlier boundaries — and therefore every shard's RNG stream —
-        are untouched), the reservoir tops up hypergeometrically, and
-        the full-scan summaries merge delta sketches built over *all*
-        appended rows (:meth:`_delta_sketch_rate`).
-        """
-        advanced = self._sharded.advanced(new_table)  # validates growth
-        super().advance(new_table, rng=rng)
-        with self._lock:
-            self._sharded = advanced
-
-    def snapshot(self) -> dict:
-        """Parent counters plus shard layout and per-shard timing."""
-        out = super().snapshot()
-        with self._lock:
-            out["parallel"] = {
-                "spec": self._parallelism.spec(),
-                "workers": self._parallelism.resolved_workers,
-                "shards": self._sharded.n_shards,
-                "build_seconds": self._build_seconds,
-                "shard_seconds": list(self._shard_seconds),
-                "kernel_nanos": dict(self._scan_kernel_nanos),
+        sample=sample_table,
+        kernels=kernels,
+        quantiles=quantiles,
+        frequencies=frequencies,
+        full_scan=True,
+        layout=layout,
+        parallelism=parallelism,
+        venue=venue,
+        provenance={
+            "parallel": {
+                "spec": parallelism.spec(),
+                "workers": parallelism.resolved_workers,
+                "shards": layout.n_shards,
+                "build_seconds": time.perf_counter() - started,
+                "shard_seconds": [shard.seconds for shard in results],
+                # Kernel nanoseconds summed across the build's scans
+                # (distinct from the backend's post-build delta meters).
+                "kernel_nanos": scan_timings.as_dict(),
+                **venue.provenance(layout, parallelism),
             }
-        return out
+        },
+    )

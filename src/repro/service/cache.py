@@ -1,6 +1,6 @@
 """A thread-safe LRU cache for whole exploration answers.
 
-The engine's :class:`~repro.engine.context.TableStats` memoizes the
+The engine's :class:`~repro.engine.backends.ExactBackend` memoizes the
 *statistics* behind an answer; this cache sits one level up and
 memoizes the answer itself, keyed by the deterministic query
 fingerprint (plus table and configuration).  Interactive traffic

@@ -98,8 +98,8 @@ def result_cache_key(  # cache-key-of: ExploreRequest (exempt: use_cache, deadli
       inside the config key): an approximate and an exact answer for
       the same query fingerprint must never collide, even if a future
       config-key change drops or reorders fields.
-    * The config key canonicalizes worker counts out
-      (:meth:`ExplorationService._config_key`) — workers change
+    * The config key canonicalizes worker counts and the kernel knob
+      out (:meth:`ExplorationService._config_key`) — they change
       wall-clock, never answers.
     * The query appears both as its order-insensitive fingerprint and
       its order-*sensitive* key: ``user_order`` cutting makes two
@@ -382,13 +382,15 @@ class ExplorationService:
     def _config_key(config: AtlasConfig) -> tuple:  # cache-key-of: AtlasConfig
         """Identity of a configuration *for caching purposes*.
 
-        The worker count is canonicalized out of the parallelism spec:
-        answers are bit-identical at any worker count (only the shard
-        layout is statistical), so requests differing in workers alone
-        must share one execution context — one O(table) statistics
-        build — and one result-cache entry.
+        The worker count is canonicalized out of the parallelism spec
+        and the kernel knob is dropped: answers are bit-identical at
+        any worker count (only the shard layout is statistical) and on
+        either kernel path, so requests differing in those alone must
+        share one execution context — one O(table) statistics build —
+        and one result-cache entry.
         """
         key = config.to_dict()
+        del key["kernels"]
         parallelism = config.parallelism
         key["parallelism"] = Parallelism(
             workers=1, shards=parallelism.shards

@@ -2,10 +2,7 @@
 
 The paper's anytime variant "would continually take small samples of the
 data and update a set of approximate results".  :class:`ReservoirSampler`
-maintains a uniform fixed-size sample over a stream (Vitter's algorithm R),
-and :class:`GrowingSample` maintains a *nested* family of uniform samples
-of increasing size over a fixed table — each refinement step extends the
-previous sample, so anytime results are comparable across ticks.
+maintains a uniform fixed-size sample over a stream (Vitter's algorithm R).
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.dataset.table import Table
 from repro.errors import SketchError
 
 
@@ -141,58 +137,3 @@ class ReservoirSampler:
         sampler._items = items
         sampler._seen = seen
         return sampler
-
-
-class GrowingSample:
-    """Nested uniform samples of a fixed table, for anytime refinement.
-
-    A random permutation of the row indices is drawn once; the first ``k``
-    entries of the permutation are a uniform sample of size ``k``, and
-    samples for increasing ``k`` are nested.  ``grow()`` enlarges the
-    sample by the configured growth factor and returns the new sample
-    table; ``exhausted`` reports when the full table has been reached.
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        initial_size: int = 1000,
-        growth_factor: float = 2.0,
-        rng: np.random.Generator | int | None = None,
-    ):
-        if initial_size < 1:
-            raise SketchError(f"initial_size must be >= 1, got {initial_size}")
-        if growth_factor <= 1.0:
-            raise SketchError(
-                f"growth_factor must be > 1, got {growth_factor}"
-            )
-        self._table = table
-        self._rng = (
-            rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        )
-        self._permutation = self._rng.permutation(table.n_rows)
-        self._size = min(int(initial_size), table.n_rows)
-        self._growth_factor = float(growth_factor)
-
-    @property
-    def size(self) -> int:
-        """Current sample size."""
-        return self._size
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the sample covers the whole table."""
-        return self._size >= self._table.n_rows
-
-    def current(self) -> Table:
-        """The current sample as a table."""
-        rows = np.sort(self._permutation[: self._size])
-        return self._table.take(rows, name=f"{self._table.name}_sample{self._size}")
-
-    def grow(self) -> Table:
-        """Enlarge the sample by the growth factor and return it."""
-        if not self.exhausted:
-            self._size = min(
-                int(self._size * self._growth_factor), self._table.n_rows
-            )
-        return self.current()

@@ -18,7 +18,6 @@ from repro.store.codec import (
 from repro.store.store import TableStore
 from repro.store.warm import (
     SketchSummary,
-    WarmSketchBackend,
     extract_summary,
     restore_backend,
     summary_key,
@@ -27,7 +26,6 @@ from repro.store.warm import (
 __all__ = [
     "SketchSummary",
     "TableStore",
-    "WarmSketchBackend",
     "column_blob",
     "column_from_blob",
     "decode_table_payload",

@@ -5,11 +5,11 @@ two pieces of state — its reservoir sample and its per-attribute
 GK / Misra–Gries / token summaries.  Both serialize: the reservoir
 through :mod:`repro.store.codec`, the sketches through their own
 ``to_dict``/``from_dict``.  :func:`extract_summary` captures that state
-after a build, :func:`restore_backend` turns it back into a
-:class:`WarmSketchBackend` that answers *identically* to the backend it
-was captured from — every estimate flows through the reservoir rows or
-the seeded sketch dictionaries, and any sketch missing from the capture
-rebuilds lazily from the (bit-identical) restored reservoir.
+after a build, :func:`restore_backend` seeds a fresh backend with it
+that answers *identically* to the one it was captured from — every
+estimate flows through the reservoir rows or the seeded sketch
+dictionaries, and any sketch missing from the capture rebuilds lazily
+from the (bit-identical) restored reservoir.
 
 The :func:`summary_key` names the statistical identity of a summary:
 fidelity spec, seed, and shard count — with workers canonicalized out,
@@ -175,60 +175,6 @@ def extract_summary(
     )
 
 
-class WarmSketchBackend(SketchBackend):
-    """A sketch backend re-seeded from a persisted summary.
-
-    Construction costs a buffer decode instead of a table scan: the
-    reservoir arrives ready and the sketch dictionaries arrive built.
-    Everything else — restricted-scope cuts, masks, joints, streaming
-    :meth:`~repro.engine.backends.SketchBackend.advance` — is inherited
-    unchanged, because the parent reads all of it from exactly the
-    state being seeded.
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        fidelity: Fidelity,
-        *,
-        sample: Table,
-        quantiles: dict[str, GKQuantileSketch],
-        frequencies: dict[str, MisraGriesSketch],
-        tokens: dict[str, MisraGriesSketch],
-        full_scan: bool,
-        counters: CacheCounters | None = None,
-        lock: threading.Lock | None = None,
-        kernels: str = "auto",
-    ):
-        super().__init__(
-            table,
-            fidelity,
-            counters=counters,
-            lock=lock,
-            sample=sample,
-            kernels=kernels,
-        )
-        # Seeded before the backend is shared, so no lock is needed;
-        # afterwards the inherited paths guard them with _lock.
-        self._quantile_sketches = dict(quantiles)
-        self._frequency_sketches = dict(frequencies)
-        self._token_sketches = dict(tokens)
-        self._full_scan = bool(full_scan)
-
-    def _delta_sketch_rate(self) -> float:
-        """Full-scan summaries keep observing every appended row."""
-        if self._full_scan:
-            return 1.0
-        return super()._delta_sketch_rate()
-
-    def snapshot(self) -> dict:
-        """Parent counters plus warm provenance."""
-        out = super().snapshot()
-        out["warm"] = True
-        out["full_scan_summaries"] = self._full_scan
-        return out
-
-
 def restore_backend(
     summary: SketchSummary,
     table: Table,
@@ -236,12 +182,17 @@ def restore_backend(
     counters: CacheCounters | None = None,
     lock: threading.Lock | None = None,
     kernels: str = "auto",
-) -> WarmSketchBackend:
+) -> SketchBackend:
     """Turn a summary back into a ready backend over ``table``.
 
+    Construction costs a buffer decode instead of a table scan: the
+    reservoir arrives ready and the sketch dictionaries arrive built.
     ``table`` must be at exactly the version the summary was captured
     at (the caller looks summaries up by version, so a mismatch means
-    a corrupted store or a mixed-up key).
+    a corrupted store or a mixed-up key).  The summary carries no shard
+    layout, so the restored backend has none: its ``snapshot()`` has no
+    ``parallel`` block and its appends are not routed to a cluster
+    (stale shard servers heal through 409 → push at the next scan).
     """
     if table.version != summary.version:
         raise StoreError(
@@ -259,15 +210,19 @@ def restore_backend(
         # The budget covered everything: the reservoir *is* the table.
         # Hand the live table over so identity-keyed memos line up.
         sample = table
-    return WarmSketchBackend(
+    return SketchBackend(
         table,
         fidelity,
+        counters=counters,
+        lock=lock,
         sample=sample,
+        kernels=kernels,
         quantiles=summary.quantiles,
         frequencies=summary.frequencies,
         tokens=summary.tokens,
         full_scan=summary.full_scan,
-        counters=counters,
-        lock=lock,
-        kernels=kernels,
+        provenance={
+            "warm": True,
+            "full_scan_summaries": summary.full_scan,
+        },
     )

@@ -9,6 +9,7 @@ from repro.core.config import Fidelity, Parallelism
 from repro.engine.backends import table_fingerprint
 from repro.engine.parallel import build_sharded_backend
 from repro.errors import MapError
+from tests.engine.test_parallel import STAGES, assert_venue_invisible
 
 SKETCH = Fidelity.sketch(budget_rows=800)
 CLUSTER = Parallelism.cluster(servers="auto", shards=8)
@@ -74,6 +75,13 @@ class TestBuildBackend:
         assert parallel["cluster_builds"] == 1
         assert len(parallel["shard_servers"]) == 8
         assert sorted(set(parallel["shard_servers"])) == [0, 1]
+
+
+class TestVenueInvisibility:
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_cluster_matches_inline(self, table, coordinator, stage):
+        assert_venue_invisible(table, coordinator, stage, SKETCH, CLUSTER)
+        assert coordinator.metrics()["append_route_failures"] == 0
 
 
 class TestReattach:

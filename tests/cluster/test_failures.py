@@ -85,6 +85,9 @@ class TestAppendRouting:
         new_table = initial.append(batches[0])
         backend.advance(new_table)  # must not raise
         assert coordinator.metrics()["append_route_failures"] == 1
+        # The local backend advanced all the same.
+        assert backend.version == new_table.version
+        assert backend.sharded_table.bounds[-1][1] == new_table.n_rows
 
     def test_stale_server_state_self_heals_on_next_build(
         self, table, servers, coordinator

@@ -57,28 +57,3 @@ class TestProgressiveSchedule:
             return [tick.map_set.maps for tick in explorer.ticks()]
 
         assert run() == run()
-
-    def test_legacy_schedule_still_available(self, census_small):
-        explorer = AnytimeExplorer(
-            census_small,
-            figure2_query(),
-            initial_size=500,
-            progressive=False,
-        )
-        results = list(explorer.ticks())
-        # Legacy mode materializes growing samples at base fidelity.
-        assert all(tick.fidelity == "exact" for tick in results)
-        assert results[0].sample_size == 500
-        assert results[-1].sample_size == census_small.n_rows
-
-    def test_legacy_pins_exact_even_with_sketch_config(self, census_small):
-        # Legacy mode's approximation is the growing sample itself; a
-        # sketch backend on top would sample the sample.
-        explorer = AnytimeExplorer(
-            census_small,
-            figure2_query(),
-            config=AtlasConfig(fidelity="sketch:1000"),
-            initial_size=500,
-            progressive=False,
-        )
-        assert all(t.fidelity == "exact" for t in explorer.ticks())

@@ -17,7 +17,6 @@ from repro.engine.backends import (
     ExactBackend,
     SketchBackend,
     StatsBackend,
-    TableStats,
     make_backend,
 )
 from repro.engine.context import ExecutionContext
@@ -95,9 +94,6 @@ class TestBackendSelection:
             make_backend(census_small, Fidelity.sketch(budget_rows=10)),
             SketchBackend,
         )
-
-    def test_tablestats_alias_preserved(self):
-        assert TableStats is ExactBackend
 
     def test_budget_covering_table_keeps_all_rows(self, census_small):
         config = AtlasConfig(fidelity=f"sketch:{census_small.n_rows * 2}")

@@ -12,13 +12,14 @@ from repro.core.config import (
 from repro.datagen import census_table
 from repro.engine.context import ExecutionContext
 from repro.engine.parallel import (
-    ParallelExecutor,
-    SerialExecutor,
-    ShardedSketchBackend,
+    ForkVenue,
+    InlineVenue,
+    ScanRecipe,
     ShardedTable,
+    _sketch_attributes,
     build_sharded_backend,
     fork_available,
-    make_executor,
+    local_venue,
     merge_row_samples,
     tag_rng,
 )
@@ -199,7 +200,7 @@ class TestShardedTable:
 
 
 # ---------------------------------------------------------------------- #
-# Executors and RNG derivation
+# Scan venues and RNG derivation
 # ---------------------------------------------------------------------- #
 
 
@@ -213,32 +214,54 @@ class TestExecutors:
             context.child_rng(tag).integers(0, 1 << 30, 16),
         )
 
-    def test_serial_executor_preserves_order(self):
-        assert SerialExecutor().map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
+    def test_serial_executor_preserves_order(self, table):
+        results = InlineVenue().scan(*_scan_args(table))
+        assert [shard.index for shard in results] == [0, 1, 2, 3]
 
     @pytest.mark.skipif(not fork_available(), reason="platform cannot fork")
-    def test_parallel_executor_matches_serial(self):
-        items = list(range(10))
-        assert ParallelExecutor(2).map(_square, items) == [
-            x * x for x in items
+    def test_parallel_executor_matches_serial(self, table):
+        args = _scan_args(table)
+        forked = ForkVenue(2).scan(*args)
+        inline = InlineVenue().scan(*args)
+        assert [_statistics(shard) for shard in forked] == [
+            _statistics(shard) for shard in inline
         ]
 
-    def test_make_executor_fallbacks(self):
-        assert isinstance(
-            make_executor(Parallelism(workers=1, shards=4)), SerialExecutor
+    def test_local_venue_fallbacks(self):
+        assert type(local_venue(Parallelism(workers=1, shards=4))) is (
+            InlineVenue
         )
         if fork_available():
-            executor = make_executor(Parallelism(workers=3, shards=4))
-            assert isinstance(executor, ParallelExecutor)
-            assert executor.workers == 3
+            venue = local_venue(Parallelism(workers=3, shards=4))
+            assert isinstance(venue, ForkVenue)
+            assert venue.workers == 3
 
     def test_parallel_executor_rejects_bad_workers(self):
         with pytest.raises(MapError):
-            ParallelExecutor(0)
+            ForkVenue(0)
 
 
-def _square(x):
-    return x * x
+def _scan_args(table, shards=4):
+    """``(table, layout, recipe)`` as the build hands them to a venue."""
+    numeric, categorical = _sketch_attributes(table)
+    parallelism = Parallelism(workers=1, shards=shards)
+    recipe = ScanRecipe(
+        seed=0,
+        budget_rows=SKETCH.budget_rows,
+        sample_rows=True,
+        epsilon=SKETCH.epsilon,
+        numeric=numeric,
+        categorical=categorical,
+        parallelism=parallelism,
+    )
+    return table, ShardedTable(table, shards), recipe
+
+
+def _statistics(shard):
+    """A shard scan's wire form minus its wall-clock provenance."""
+    out = shard.to_dict()
+    del out["seconds"], out["kernel_nanos"]
+    return out
 
 
 # ---------------------------------------------------------------------- #
@@ -300,7 +323,7 @@ class TestShardedBackend:
         backend = build_sharded_backend(
             table, SKETCH, Parallelism(workers=1, shards=4), seed=0
         )
-        assert isinstance(backend, ShardedSketchBackend)
+        assert backend.snapshot()["parallel"]["shards"] == 4
         assert backend.kind == "sketch"
         assert backend.table is table
         assert backend.n_rows == SKETCH.budget_rows
@@ -374,7 +397,7 @@ class TestShardedBackend:
             fidelity=SKETCH, parallelism=Parallelism(workers=1, shards=4)
         )
         context = ExecutionContext(table, config)
-        assert isinstance(context.stats(), ShardedSketchBackend)
+        assert context.stats().snapshot()["parallel"]["shards"] == 4
 
     def test_context_dispatch_keeps_serial_paths(self, table):
         # Exact fidelity ignores parallelism.
@@ -382,7 +405,7 @@ class TestShardedBackend:
             table,
             AtlasConfig(parallelism=Parallelism(workers=1, shards=4)),
         )
-        assert not isinstance(exact.stats(), ShardedSketchBackend)
+        assert "parallel" not in exact.stats().snapshot()
         # Scope samples stay on the serial path.
         config = AtlasConfig(
             fidelity=SKETCH,
@@ -393,9 +416,7 @@ class TestShardedBackend:
         from repro.query.parser import parse_query
 
         scope = context.scoped(parse_query("Age: [17, 40]"))
-        assert not isinstance(
-            context.stats_for(scope), ShardedSketchBackend
-        )
+        assert "parallel" not in context.stats_for(scope).snapshot()
 
     def test_snapshot_reports_shard_layout(self, table):
         config = AtlasConfig(
@@ -481,3 +502,141 @@ class TestShardedStreaming:
         after = ex.explore()
         assert after.version == 1
         assert after.n_rows_used == SKETCH.budget_rows
+
+
+# ---------------------------------------------------------------------- #
+# Venue invisibility (one differential, every venue)
+# ---------------------------------------------------------------------- #
+
+STAGES = ("fresh", "appended", "restored")
+
+
+def staged_backend(table, venue, stage, fidelity, parallelism):
+    """A sharded build over the first two thirds of ``table`` scanned at
+    ``venue``, taken to ``stage``: as built, after two appends, or
+    after a summary round trip through JSON."""
+    import json
+
+    from repro.store.warm import (
+        SketchSummary,
+        extract_summary,
+        restore_backend,
+    )
+
+    third = table.n_rows // 3
+    current = table.take(np.arange(2 * third), name=table.name)
+    backend = build_sharded_backend(
+        current, fidelity, parallelism, seed=7, venue=venue
+    )
+    backend.token_sketch("Education")
+    if stage == "fresh":
+        return backend
+    for seed, low in enumerate((2 * third, 2 * third + third // 2)):
+        delta = table.take(np.arange(low, low + third // 2))
+        current = current.append(delta)
+        backend.advance(current, rng=seed)
+    if stage == "restored":
+        summary = extract_summary(backend, table_name=table.name, key="k")
+        document = json.loads(json.dumps(summary.to_dict()))
+        backend = restore_backend(SketchSummary.from_dict(document), current)
+    return backend
+
+
+def exported(backend):
+    """``export_state()`` as comparable plain data, field by field."""
+    from repro.store.codec import column_blob
+
+    state = backend.export_state()
+    return {
+        "reservoir": {
+            column.name: column_blob(column)
+            for column in state["sample"].columns
+        },
+        **{
+            family: {
+                attribute: sketch.to_dict()
+                for attribute, sketch in state[family].items()
+            }
+            for family in ("quantiles", "frequencies", "tokens")
+        },
+        "version": state["version"],
+        "full_scan": state["full_scan"],
+    }
+
+
+def assert_venue_invisible(
+    table, venue, stage, fidelity=SKETCH,
+    parallelism=Parallelism(workers=1, shards=4),
+):
+    """``venue`` leaves no trace in the statistics at ``stage``."""
+    shards = parallelism.shards
+    reference = staged_backend(
+        table, InlineVenue(), stage, fidelity, parallelism
+    )
+    backend = staged_backend(table, venue, stage, fidelity, parallelism)
+    state = exported(backend)
+    assert state == exported(reference)
+    assert state["full_scan"] is True
+    assert set(state["quantiles"]) == {"Age"}
+    assert len(state["frequencies"]) == 4
+    parallel = backend.snapshot().get("parallel")
+    if stage == "restored":
+        # A summary carries no layout; see DESIGN "what a warm-restored
+        # backend does not carry".
+        assert parallel is None and backend.sharded_table is None
+    else:
+        assert parallel["shards"] == shards
+        assert len(parallel["shard_seconds"]) == shards
+        assert len(backend.shard_seconds) == shards
+        assert backend.sharded_table.bounds[-1][1] == backend.table.n_rows
+
+
+class RecordingVenue(InlineVenue):
+    """An inline venue that notes what the build and the backend ask."""
+
+    def __init__(self):
+        self.calls = []
+        self.backend = None
+
+    def scan(self, table, layout, recipe):
+        self.calls.append(("scan", layout.n_shards, recipe.parallelism))
+        return super().scan(table, layout, recipe)
+
+    def append(self, new_table, old_layout, parallelism):
+        self.calls.append((
+            "append",
+            old_layout.table.n_rows,
+            self.backend.version,
+            self.backend.sharded_table.bounds[-1][1],
+            parallelism,
+        ))
+
+
+class TestVenueInvisibility:
+    @pytest.mark.skipif(not fork_available(), reason="platform cannot fork")
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_fork_pool_matches_inline(self, table, stage):
+        assert_venue_invisible(table, ForkVenue(2), stage)
+
+    def test_build_scans_once_and_advance_appends_once(self, table):
+        venue = RecordingVenue()
+        parallelism = Parallelism(workers=1, shards=4)
+        backend = build_sharded_backend(
+            table, SKETCH, parallelism, seed=0, venue=venue
+        )
+        assert venue.calls == [("scan", 4, parallelism)]
+        venue.backend = backend
+        appended = table.append(_append_rows(300))
+        backend.advance(appended, rng=0)
+        # Told once, about the old layout, after the local swap.
+        assert venue.calls[1:] == [
+            ("append", table.n_rows, 1, appended.n_rows, parallelism)
+        ]
+
+    def test_serial_backend_has_no_layout(self, table):
+        backend = ExecutionContext(
+            table, AtlasConfig(fidelity=SKETCH)
+        ).stats()
+        assert backend.sharded_table is None
+        assert backend.shard_seconds == () and backend.shard_servers == ()
+        assert backend.export_state()["full_scan"] is False

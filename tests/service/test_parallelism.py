@@ -100,6 +100,28 @@ class TestParallelExplores:
         finally:
             service.close()
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"config": {"kernels": "numpy"}}, {"config": {"kernels": "python"}}),
+            ({"parallelism": "parallel:1:4"}, {"parallelism": "parallel:2:4"}),
+        ],
+        ids=["kernels", "workers"],
+    )
+    def test_wall_clock_knobs_share_context_and_cache(
+        self, census_small, first, second
+    ):
+        """Neither the kernel path nor the worker count changes an
+        answer, so neither may split a context or a cache entry."""
+        with ExplorationService(max_workers=2, max_queue_depth=8) as service:
+            service.register("census", census_small)
+            cold = service.explore("census", fidelity="sketch:1000", **first)
+            again = service.explore("census", fidelity="sketch:1000", **second)
+            assert not cold.cached and again.cached
+            metrics = service.metrics()
+            assert metrics["service"]["contexts"] == 1
+            assert metrics["result_cache"]["size"] == 1
+
 
 class TestAdmissionWeighting:
     """A parallel request occupies one in-flight slot per worker, so a

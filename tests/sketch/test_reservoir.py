@@ -1,11 +1,10 @@
-"""Unit tests for reservoir sampling and the growing sample."""
+"""Unit tests for reservoir sampling."""
 
 import numpy as np
 import pytest
 
-from repro.dataset.table import Table
 from repro.errors import SketchError
-from repro.sketch.reservoir import GrowingSample, ReservoirSampler
+from repro.sketch.reservoir import ReservoirSampler
 
 
 class TestReservoirSampler:
@@ -31,45 +30,3 @@ class TestReservoirSampler:
                 hits[item] += 1
         expected = 400 * 5 / 20
         assert (np.abs(hits - expected) < expected * 0.5).all()
-
-
-class TestGrowingSample:
-    def _table(self, n=100) -> Table:
-        return Table.from_dict({"x": list(range(n))}, name="t")
-
-    def test_initial_size(self):
-        sample = GrowingSample(self._table(), initial_size=10, rng=0)
-        assert sample.current().n_rows == 10
-        assert not sample.exhausted
-
-    def test_growth_schedule(self):
-        sample = GrowingSample(
-            self._table(), initial_size=10, growth_factor=2.0, rng=0
-        )
-        assert sample.grow().n_rows == 20
-        assert sample.grow().n_rows == 40
-        assert sample.grow().n_rows == 80
-        assert sample.grow().n_rows == 100
-        assert sample.exhausted
-
-    def test_samples_are_nested(self):
-        sample = GrowingSample(self._table(), initial_size=10, rng=0)
-        small = set(sample.current().numeric("x").data.tolist())
-        big = set(sample.grow().numeric("x").data.tolist())
-        assert small <= big
-
-    def test_no_duplicate_rows(self):
-        sample = GrowingSample(self._table(), initial_size=50, rng=0)
-        values = sample.current().numeric("x").data.tolist()
-        assert len(values) == len(set(values))
-
-    def test_initial_larger_than_table_is_exhausted(self):
-        sample = GrowingSample(self._table(10), initial_size=99, rng=0)
-        assert sample.exhausted
-        assert sample.current().n_rows == 10
-
-    def test_bad_parameters(self):
-        with pytest.raises(SketchError):
-            GrowingSample(self._table(), initial_size=0)
-        with pytest.raises(SketchError):
-            GrowingSample(self._table(), growth_factor=1.0)

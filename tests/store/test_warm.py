@@ -14,6 +14,8 @@ from repro.datagen import census_table
 from repro.dataset.column import CategoricalColumn, NumericColumn
 from repro.dataset.table import Table
 from repro.engine.backends import SketchBackend
+from repro.engine.context import ExecutionContext
+from repro.engine.pipeline import Pipeline
 from repro.errors import StoreError
 from repro.evaluation.metrics import map_set_fingerprint
 from repro.service.service import ExplorationService
@@ -21,7 +23,6 @@ from repro.store import TableStore
 from repro.store.codec import column_blob
 from repro.store.warm import (
     SketchSummary,
-    WarmSketchBackend,
     extract_summary,
     restore_backend,
     summary_key,
@@ -93,7 +94,7 @@ class TestRoundTrip:
         warm = restore_backend(
             SketchSummary.from_dict(payload), census
         )
-        assert isinstance(warm, WarmSketchBackend)
+        assert warm.snapshot()["warm"] is True
         np.testing.assert_array_equal(
             warm.effective_table.numeric("Age").data,
             built_backend.effective_table.numeric("Age").data,
@@ -169,6 +170,64 @@ class TestValidation:
         # The budget covered everything: the restored reservoir IS the
         # live table object, so identity-keyed memos line up.
         assert warm.effective_table is census
+
+
+class TestWarmTracksColdAcrossAppends:
+    """A restarted service and a never-restarted one must keep cutting
+    the root scope identically, also once appends push the table past
+    the reservoir budget (where a reservoir build starts thinning
+    deltas and a full-scan build must not)."""
+
+    @pytest.mark.parametrize(
+        "parallelism, full_scan",
+        [("serial", False), ("parallel:1:4", True)],
+        ids=["serial", "sharded"],
+    )
+    def test_restored_backend_equals_the_cold_one_after_appends(
+        self, parallelism, full_scan
+    ):
+        rows = census_table(n_rows=3_000, seed=5)
+        table = rows.take(np.arange(1_000), name="census")
+        config = AtlasConfig(
+            fidelity="sketch:2000", parallelism=parallelism, seed=11
+        )
+        numeric = ("Age",)
+        categorical = ("Sex", "Salary", "Education", "Eye color")
+        cold = ExecutionContext(table, config)
+        for attribute in numeric:
+            cold.stats().quantile_sketch(attribute)
+        for attribute in categorical:
+            cold.stats().frequency_sketch(attribute)
+        summary = extract_summary(cold.stats(), table_name="census", key="k")
+        assert summary.full_scan is full_scan
+        document = json.loads(json.dumps(summary.to_dict()))
+        warm = ExecutionContext(table, config)
+        warm.adopt_stats(
+            lambda live, counters, lock, kernels: restore_backend(
+                SketchSummary.from_dict(document), live,
+                counters=counters, lock=lock, kernels=kernels,
+            )
+        )
+        assert warm.stats().snapshot()["warm"] is True
+        for low, high in ((1_000, 2_500), (2_500, 3_000)):
+            table = table.append(rows.take(np.arange(low, high)))
+            cold.advance(table)
+            warm.advance(table)
+        for attribute in numeric:
+            assert (
+                warm.stats().quantile_sketch(attribute).to_dict()
+                == cold.stats().quantile_sketch(attribute).to_dict()
+            )
+        if full_scan:
+            assert cold.stats().quantile_sketch("Age").count == 3_000
+        for attribute in categorical:
+            assert (
+                warm.stats().frequency_sketch(attribute).to_dict()
+                == cold.stats().frequency_sketch(attribute).to_dict()
+            )
+        assert map_set_fingerprint(
+            Pipeline.default().run(None, warm)
+        ) == map_set_fingerprint(Pipeline.default().run(None, cold))
 
 
 def _borrowed_document(backend) -> dict:
