@@ -103,7 +103,7 @@ def _mixed_workload(n: int) -> list:
 
 def _fresh_served_service(table):
     service = ExplorationService(max_workers=4, max_queue_depth=8)
-    service.register_table(table)
+    service.register(table)
     return service, serve(service)
 
 
@@ -281,7 +281,7 @@ def run_saturation(
     protocol_errors = 0
     for n_clients in loads:
         service = ExplorationService(max_workers=4, max_queue_depth=8)
-        service.register_table(table)
+        service.register(table)
         server = serve_async(service)
         try:
             started = time.perf_counter()
@@ -329,7 +329,7 @@ def _fairness_service(table) -> ExplorationService:
                    max_inflight=1),
         ),
     )
-    service.register_table(table)
+    service.register(table)
     return service
 
 
@@ -448,7 +448,7 @@ def run_fairness(
 def run_deadline(table) -> dict:
     """Boundary proof: an exceeded deadline stops *between* stages."""
     service = ExplorationService(max_workers=2)
-    service.register_table(table)
+    service.register(table)
     server = serve_async(service)
     try:
         client = ServiceClient(server.url)

@@ -171,10 +171,9 @@ def check(fresh: dict, committed: dict, ratio: float) -> list[str]:
     if smoke_floor is not None and fresh.get("n_rows") != committed.get(
         "n_rows"
     ):
-        # Experiments whose speedup grows with batch size (E22: the
-        # columnar kernels amortize per-call overhead over the batch)
-        # declare an absolute floor for off-scale smoke runs; a
-        # fraction of the full-scale figure would over-gate them.
+        # Experiments whose speedup grows with scale declare an
+        # absolute floor for off-scale smoke runs; a fraction of the
+        # full-scale figure would over-gate them.
         floor = float(smoke_floor)
         basis = f"declared smoke floor, committed {committed['speedup']:.2f}x"
     else:

@@ -20,7 +20,7 @@ from repro.service import ExplorationService, ServiceClient, serve
 # 1. Boot a service and register a table.
 # ---------------------------------------------------------------- #
 service = ExplorationService(max_workers=4, max_queue_depth=8)
-service.register_table(census_table(n_rows=20_000, seed=0))
+service.register(census_table(n_rows=20_000, seed=0))
 
 with serve(service) as server:
     print(f"service listening at {server.url}")

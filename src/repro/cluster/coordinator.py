@@ -169,7 +169,6 @@ class ClusterCoordinator:
         parallelism: Parallelism,
         *,
         seed: int = 0,
-        kernels: str = "auto",
         counters: CacheCounters | None = None,
         lock: threading.Lock | None = None,
     ) -> SketchBackend:
@@ -178,7 +177,7 @@ class ClusterCoordinator:
         coordinator rather than a config)."""
         return build_sharded_backend(
             table, fidelity, parallelism,
-            seed=seed, kernels=kernels, counters=counters, lock=lock,
+            seed=seed, counters=counters, lock=lock,
             venue=self,
         )
 
@@ -188,8 +187,7 @@ class ClusterCoordinator:
         """Scan every shard on its owning server; shard-ordered results.
 
         Servers scan their contiguous shard blocks concurrently, one
-        ``/scan`` per shard.  ``recipe.kernels`` is not shipped:
-        servers resolve their own kernel path.
+        ``/scan`` per shard.
         """
         assignment = self._shard_servers(layout, recipe.parallelism)
         fingerprint = table_fingerprint(table)

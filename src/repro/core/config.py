@@ -464,13 +464,6 @@ class AtlasConfig:
     #: Applies to sketch-fidelity statistics; exact execution ignores
     #: it (exact masks are row-backed and cannot be shard-merged).
     parallelism: Parallelism | str | int = Parallelism()
-    #: Columnar scan kernels (:mod:`repro.engine.kernels`): ``"auto"``
-    #: picks numpy when importable, ``"numpy"`` / ``"python"`` force a
-    #: path.  Both produce bit-identical sketch contents (the
-    #: differential suite pins them together), so — like ``workers`` —
-    #: this is a pure wall-clock knob and stays out of cache keys and
-    #: the cluster wire protocol.
-    kernels: str = "auto"
     #: Random seed for sampling and tie-breaking randomness.
     seed: int = 0
 
@@ -513,13 +506,6 @@ class AtlasConfig:
         if not 0.0 < self.sketch_epsilon < 0.5:
             raise ConfigError(
                 f"sketch_epsilon must be in (0, 0.5), got {self.sketch_epsilon}"
-            )
-        # Mirrors repro.engine.kernels.KERNEL_MODES; kept literal here
-        # because core.config sits below the engine layer.
-        if self.kernels not in ("auto", "numpy", "python"):
-            raise ConfigError(
-                "kernels must be 'auto', 'numpy', or 'python', "
-                f"got {self.kernels!r}"
             )
 
     def replace(self, **changes: object) -> "AtlasConfig":

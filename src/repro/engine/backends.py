@@ -48,7 +48,6 @@ from repro.engine.kernels import (
     KernelTimings,
     frequency_summary_from_codes,
     quantile_summary,
-    resolve_kernels,
 )
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
@@ -713,7 +712,6 @@ class SketchBackend:
         counters: CacheCounters | None = None,
         lock: threading.Lock | None = None,
         sample: Table | None = None,
-        kernels: str = "auto",
         *,
         quantiles: Mapping[str, object] | None = None,
         frequencies: Mapping[str, object] | None = None,
@@ -730,9 +728,6 @@ class SketchBackend:
             )
         self._table = table
         self._fidelity = fidelity
-        # Resolved once so the snapshot can state which path ran; a bad
-        # spec fails here, at construction, not mid-scan.
-        self._kernels = resolve_kernels(kernels)
         self._kernel_timings = KernelTimings()  # guarded-by: _lock
         if sample is not None:
             # A prebuilt reservoir (the sharded merge of
@@ -976,7 +971,6 @@ class SketchBackend:
             delta_sketch = quantile_summary(
                 delta.numeric(attribute).data[kept],
                 sketch.epsilon,
-                kernels=self._kernels,
                 timings=timings,
             )
             quantiles[attribute] = sketch.merge(delta_sketch)
@@ -986,7 +980,6 @@ class SketchBackend:
                 column.codes[kept],
                 list(column.categories),
                 sketch.capacity,
-                kernels=self._kernels,
                 timings=timings,
             )
             frequencies[attribute] = sketch.merge(delta_sketch)
@@ -1079,7 +1072,6 @@ class SketchBackend:
         sketch = quantile_summary(
             column.data,
             self._fidelity.epsilon,
-            kernels=self._kernels,
             timings=timings,
         )
         with self._lock:
@@ -1108,7 +1100,6 @@ class SketchBackend:
             column.codes,
             categories,
             max(1, min(_MG_CAPACITY, len(categories))),
-            kernels=self._kernels,
             timings=timings,
         )
         with self._lock:
@@ -1283,7 +1274,6 @@ class SketchBackend:
                 "quantile_sketches": len(self._quantile_sketches),
                 "frequency_sketches": len(self._frequency_sketches),
                 "token_sketches": len(self._token_sketches),
-                "kernels": self._kernels,
                 "kernel_nanos": self._kernel_timings.as_dict(),
                 "usage": dict(self.usage),
                 "hits": self.counters.hits,
@@ -1298,12 +1288,8 @@ def make_backend(
     rng: np.random.Generator | int | None = None,
     counters: CacheCounters | None = None,
     lock: threading.Lock | None = None,
-    kernels: str = "auto",
 ) -> "ExactBackend | SketchBackend":
     """Construct the backend a fidelity setting asks for."""
     if fidelity.is_sketch:
-        return SketchBackend(
-            table, fidelity, rng=rng, counters=counters, lock=lock,
-            kernels=kernels,
-        )
+        return SketchBackend(table, fidelity, rng=rng, counters=counters, lock=lock)
     return ExactBackend(table, counters=counters, lock=lock)

@@ -265,7 +265,6 @@ class ExecutionContext:
                 fidelity,
                 parallelism,
                 seed=self._config.seed,
-                kernels=self._config.kernels,
                 counters=self._kind_counters["sketch"],
                 lock=self._lock,
                 venue=venue,
@@ -278,7 +277,6 @@ class ExecutionContext:
                 "sketch" if fidelity.is_sketch else "exact"
             ],
             lock=self._lock,
-            kernels=self._config.kernels,
         )
 
     def stats_for(self, table: Table) -> StatsBackend:
@@ -333,7 +331,7 @@ class ExecutionContext:
     def adopt_stats(self, factory) -> StatsBackend:
         """Install an externally built backend for the *base* table.
 
-        ``factory(table, counters, lock, kernels)`` runs outside the
+        ``factory(table, counters, lock)`` runs outside the
         lock and must return a ready :class:`StatsBackend` over exactly
         ``table`` — the warm-start path of :mod:`repro.store.warm`
         passes a closure that decodes a persisted summary, so the first
@@ -352,7 +350,6 @@ class ExecutionContext:
             table,
             self._kind_counters["sketch" if fidelity.is_sketch else "exact"],
             self._lock,
-            self._config.kernels,
         )
         if backend.table is not table:
             raise MapError(
@@ -453,7 +450,7 @@ class ExecutionContext:
             instances = 0
             parallel = new_shard_aggregate()
             kernel_nanos: dict[str, int] = {}
-            kernel_mode = ""
+            metered = False
             for backend in backends:
                 if backend.kind != kind:
                     continue
@@ -473,14 +470,15 @@ class ExecutionContext:
                 # Sharded backends keep their build-scan nanoseconds in
                 # the shard provenance (disjoint from the post-build
                 # delta meters at top level), so fold both.
-                for name, nanos in snapshot.get("kernel_nanos", {}).items():
-                    kernel_nanos[name] = kernel_nanos.get(name, 0) + nanos
+                if "kernel_nanos" in snapshot:
+                    metered = True
+                    for name, nanos in snapshot["kernel_nanos"].items():
+                        kernel_nanos[name] = kernel_nanos.get(name, 0) + nanos
                 if shard_info:
                     for name, nanos in shard_info.get(
                         "kernel_nanos", {}
                     ).items():
                         kernel_nanos[name] = kernel_nanos.get(name, 0) + nanos
-                kernel_mode = snapshot.get("kernels", kernel_mode)
             with self._lock:
                 hits, misses = counters.hits, counters.misses
                 hit_rate = counters.hit_rate
@@ -491,8 +489,7 @@ class ExecutionContext:
                 "hit_rate": hit_rate,
                 "usage": usage,
             }
-            if kernel_mode:
-                out[kind]["kernels"] = kernel_mode
+            if metered:
                 out[kind]["kernel_nanos"] = kernel_nanos
             if parallel["builds"]:
                 out[kind]["parallel"] = parallel

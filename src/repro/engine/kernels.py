@@ -23,14 +23,11 @@ replaces those per-row loops with three columnar kernels:
   :meth:`~repro.sketch.frequency.MisraGriesSketch.extend_counts`,
   instead of per-item decrement rounds.
 
-Kernel selection is the :attr:`repro.core.config.AtlasConfig.kernels`
-knob (``"auto"`` / ``"numpy"`` / ``"python"``): the pure-Python path
-is the differential-test reference and the no-numpy fallback, and both
-implementations produce **bit-identical sketch contents** — the
-canonical builds are defined on the value multiset, not on the
-implementation — so the knob is pure wall-clock, exactly like the
-worker count (DESIGN decisions 6/9).  The hypothesis differential
-suite pins the two paths together.
+There is one kernel path.  The canonical builds are defined on the
+value multiset, not on the implementation, so the sketch contents are
+fixed by the rows alone (DESIGN decision 9); the hypothesis
+differential suite pins these kernels to a pure-Python oracle that
+lives with the tests.
 
 Contract: this module is **RNG-free** — kernels are deterministic
 functions of their input buffers; every random draw of a scan (the
@@ -46,49 +43,20 @@ provenance into ``backend_snapshot`` and the service ``/metrics``.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import cast
 
-from repro.errors import ConfigError
+import numpy as np
+
 from repro.sketch.frequency import MisraGriesSketch
 from repro.sketch.quantile import GKQuantileSketch
-
-try:  # numpy is the repo's normal substrate, but the kernels keep an
-    # explicit import gate so ``kernels="auto"`` states a checkable
-    # fact and the pure-Python path stays a real fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the repo
-    _np = None  # type: ignore[assignment]
-
-#: The accepted :attr:`AtlasConfig.kernels` spellings.
-KERNEL_MODES = ("auto", "numpy", "python")
 
 #: Kernel names, as they appear in timing blocks and ``/metrics``.
 SORT_CLEAN = "sort_clean"
 GK_BUILD = "gk_build"
 MG_BUILD = "mg_build"
-
-
-def resolve_kernels(spec: str) -> str:
-    """Resolve a kernel spec to the concrete implementation name.
-
-    ``"auto"`` picks ``"numpy"`` when numpy imported, else
-    ``"python"``; explicit requests are honored verbatim (asking for
-    ``"numpy"`` without numpy installed is a configuration error, not
-    a silent downgrade).
-    """
-    if spec not in KERNEL_MODES:
-        raise ConfigError(
-            f"kernels must be one of {', '.join(KERNEL_MODES)}, got {spec!r}"
-        )
-    if spec == "auto":
-        return "numpy" if _np is not None else "python"
-    if spec == "numpy" and _np is None:  # pragma: no cover - numpy present
-        raise ConfigError("kernels='numpy' requested but numpy is unavailable")
-    return spec
 
 
 class KernelTimings:
@@ -136,34 +104,24 @@ class KernelTimings:
 
 def sorted_clean_values(
     values: "Sequence[float]",
-    kernels: str = "auto",
     timings: KernelTimings | None = None,
 ) -> "Sequence[float]":
     """Fused missing-mask + value extraction + sort over one column.
 
     Returns the column's non-NaN values in ascending order (a numpy
-    array or a list — both are the indexable sequence
-    :meth:`GKQuantileSketch.from_sorted` documents).  The numpy path
-    exploits IEEE ordering — ``np.sort`` places NaN last — so a single
-    sort produces both the "selected" values (the clean prefix) and
-    their order; the NaN count (one vectorized reduction) is the
-    missing-value mask folded to the only number the scan needs.  The
-    python path is the order-for-order equivalent comprehension.
+    array — the indexable sequence :meth:`GKQuantileSketch.from_sorted`
+    documents).  IEEE ordering does the masking — ``np.sort`` places
+    NaN last — so a single sort produces both the "selected" values
+    (the clean prefix) and their order; the NaN count (one vectorized
+    reduction) is the missing-value mask folded to the only number the
+    scan needs.
     """
-    mode = resolve_kernels(kernels)
     started = time.perf_counter_ns()
-    clean: "Sequence[float]"
-    if mode == "numpy":
-        data = _np.asarray(values, dtype=_np.float64)
-        ordered = _np.sort(data)
-        n_missing = int(_np.count_nonzero(_np.isnan(data)))
-        sliced = ordered[: data.size - n_missing] if n_missing else ordered
-        clean = cast("Sequence[float]", sliced)
-    else:
-        clean = sorted(
-            value for value in (float(v) for v in values)
-            if not math.isnan(value)
-        )
+    data = np.asarray(values, dtype=np.float64)
+    ordered = np.sort(data)
+    n_missing = int(np.count_nonzero(np.isnan(data)))
+    sliced = ordered[: data.size - n_missing] if n_missing else ordered
+    clean = cast("Sequence[float]", sliced)
     if timings is not None:
         timings.add(SORT_CLEAN, time.perf_counter_ns() - started)
     return clean
@@ -172,17 +130,15 @@ def sorted_clean_values(
 def quantile_summary(
     values: "Sequence[float]",
     epsilon: float,
-    kernels: str = "auto",
     timings: KernelTimings | None = None,
 ) -> GKQuantileSketch:
     """Batch-build the canonical GK summary of one numeric column.
 
     Sort once (:func:`sorted_clean_values`, NaN dropped as missing),
-    then one :meth:`GKQuantileSketch.from_sorted` pass.  Both kernel
-    modes produce bit-identical tuples: the canonical build depends
-    only on the sorted multiset.
+    then one :meth:`GKQuantileSketch.from_sorted` pass.  The canonical
+    build depends only on the sorted multiset.
     """
-    ordered = sorted_clean_values(values, kernels, timings)
+    ordered = sorted_clean_values(values, timings)
     started = time.perf_counter_ns()
     sketch = GKQuantileSketch.from_sorted(ordered, epsilon=epsilon)
     if timings is not None:
@@ -194,39 +150,30 @@ def frequency_summary_from_codes(
     codes: "Iterable[int]",
     categories: Sequence[str],
     capacity: int,
-    kernels: str = "auto",
     timings: KernelTimings | None = None,
 ) -> MisraGriesSketch:
     """Batch-build a Misra–Gries summary from dictionary-encoded codes.
 
     ``codes`` is the raw ``int32`` buffer of a
     :class:`~repro.dataset.column.CategoricalColumn` slice (``-1`` =
-    missing).  The numpy path histograms the block in one
-    ``np.bincount`` and folds the per-category totals into the counter
-    state; no label is ever decoded for rows that only need counting.
-    The python path counts decoded labels — identical totals, so
-    identical counters.
+    missing).  The block is histogrammed in one ``np.bincount`` and
+    the per-category totals fold into the counter state; no label is
+    ever decoded for rows that only need counting.
     """
-    mode = resolve_kernels(kernels)
     started = time.perf_counter_ns()
     sketch = MisraGriesSketch(capacity=capacity)
-    if mode == "numpy":
-        data = _np.asarray(codes)
-        if data.dtype.kind not in "iu":
-            # An empty Python list arrives as float64; bincount needs
-            # an integer buffer.  Real code buffers are int32 already.
-            data = data.astype(_np.int64)
-        present = data[data >= 0]
-        totals = _np.bincount(present, minlength=len(categories))
-        counts = {
-            categories[code]: int(total)
-            for code, total in enumerate(totals.tolist())
-            if total
-        }
-    else:
-        counts = Counter(
-            categories[code] for code in codes if code >= 0
-        )
+    data = np.asarray(codes)
+    if data.dtype.kind not in "iu":
+        # An empty Python list arrives as float64; bincount needs
+        # an integer buffer.  Real code buffers are int32 already.
+        data = data.astype(np.int64)
+    present = data[data >= 0]
+    totals = np.bincount(present, minlength=len(categories))
+    counts = {
+        categories[code]: int(total)
+        for code, total in enumerate(totals.tolist())
+        if total
+    }
     sketch.extend_counts(counts)
     if timings is not None:
         timings.add(MG_BUILD, time.perf_counter_ns() - started)
@@ -236,7 +183,6 @@ def frequency_summary_from_codes(
 def frequency_summary_from_labels(
     labels: Iterable[str],
     capacity: int,
-    kernels: str = "auto",
     timings: KernelTimings | None = None,
 ) -> MisraGriesSketch:
     """Batch-build a Misra–Gries summary from decoded labels.
@@ -248,7 +194,6 @@ def frequency_summary_from_labels(
     content-identical to a codes-built one over the same rows — which
     is what keeps cluster scans bit-identical to local scans.
     """
-    resolve_kernels(kernels)  # validate the spec; counting is shared
     started = time.perf_counter_ns()
     sketch = MisraGriesSketch(capacity=capacity)
     sketch.extend_counts(Counter(labels))

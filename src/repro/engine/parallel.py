@@ -71,7 +71,6 @@ from repro.engine.kernels import (
     frequency_summary_from_codes,
     frequency_summary_from_labels,
     quantile_summary,
-    resolve_kernels,
 )
 from repro.errors import MapError
 from repro.sketch.frequency import MisraGriesSketch
@@ -353,9 +352,6 @@ class ScanRecipe:
     #: The layout's setting; a venue reads its placement (worker or
     #: server count) from it, never statistics.
     parallelism: Parallelism
-    #: Columnar-kernel spec (:data:`repro.engine.kernels.KERNEL_MODES`)
-    #: for scans that run in this process; servers resolve their own.
-    kernels: str = "auto"
 
 
 def scan_shard_values(
@@ -370,7 +366,6 @@ def scan_shard_values(
     epsilon: float,
     numeric: dict[str, np.ndarray],
     categorical: tuple[tuple[str, int, Any], ...],
-    kernels: str = "auto",
 ) -> ShardStatistics:
     """Scan one shard's raw values: uniform row sample + full sketches.
 
@@ -391,14 +386,11 @@ def scan_shard_values(
     worker or server ran it.
 
     The sketch builds run as columnar kernels
-    (:mod:`repro.engine.kernels`) under the ``kernels`` spec — a pure
-    wall-clock knob (``"numpy"`` and ``"python"`` are bit-identical by
-    contract), resolved locally and never shipped over the wire; the
-    per-kernel nanoseconds ride back in ``kernel_nanos``.
+    (:mod:`repro.engine.kernels`); the per-kernel nanoseconds ride back
+    in ``kernel_nanos``.
     """
     started = time.perf_counter()
     timings = KernelTimings()
-    mode = resolve_kernels(kernels)
     rng = tag_rng(seed, f"shard:{index}:{fingerprint}")
     if sample_rows:
         keep = min(budget_rows, n_rows)
@@ -412,7 +404,7 @@ def scan_shard_values(
 
     quantiles: dict[str, dict[str, Any]] = {}
     for attribute, values in numeric.items():
-        gk = quantile_summary(values, epsilon, kernels=mode, timings=timings)
+        gk = quantile_summary(values, epsilon, timings=timings)
         quantiles[attribute] = gk.to_dict()
 
     frequencies: dict[str, dict[str, Any]] = {}
@@ -420,12 +412,10 @@ def scan_shard_values(
         if isinstance(payload, tuple):
             codes, categories = payload
             mg = frequency_summary_from_codes(
-                codes, categories, capacity, kernels=mode, timings=timings
+                codes, categories, capacity, timings=timings
             )
         else:
-            mg = frequency_summary_from_labels(
-                payload, capacity, kernels=mode, timings=timings
-            )
+            mg = frequency_summary_from_labels(payload, capacity, timings=timings)
         frequencies[attribute] = mg.to_dict()
 
     return ShardStatistics(
@@ -504,7 +494,6 @@ def _scan_shard(
         epsilon=recipe.epsilon,
         numeric=numeric,
         categorical=categorical,
-        kernels=recipe.kernels,
     )
 
 
@@ -738,7 +727,6 @@ def build_sharded_backend(
     parallelism: Parallelism,
     *,
     seed: int = 0,
-    kernels: str = "auto",
     counters: CacheCounters | None = None,
     lock: threading.Lock | None = None,
     venue: ScanVenue | None = None,
@@ -755,9 +743,6 @@ def build_sharded_backend(
     row instead of a reservoir (``full_scan``), and its
     ``snapshot()["parallel"]`` block reports the layout, per-shard scan
     seconds, scan-kernel nanoseconds and the venue's own keys.
-    ``kernels`` names the kernel path of scans and delta maintenance in
-    *this* process; kernel choice is bit-identical by contract, so it
-    never travels to another.
     """
     if not fidelity.is_sketch:
         raise MapError(
@@ -782,7 +767,6 @@ def build_sharded_backend(
             numeric=numeric,
             categorical=categorical,
             parallelism=parallelism,
-            kernels=kernels,
         ),
     )
     sample, quantiles, frequencies = fold_shard_statistics(
@@ -808,7 +792,6 @@ def build_sharded_backend(
         counters=counters,
         lock=lock,
         sample=sample_table,
-        kernels=kernels,
         quantiles=quantiles,
         frequencies=frequencies,
         full_scan=True,

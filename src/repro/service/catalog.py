@@ -351,10 +351,8 @@ class Catalog:
             return None
         summary = SketchSummary.from_dict(document)
 
-        def factory(target, counters, lock, kernels):
-            return restore_backend(
-                summary, target, counters=counters, lock=lock, kernels=kernels
-            )
+        def factory(target, counters, lock):
+            return restore_backend(summary, target, counters=counters, lock=lock)
 
         return factory
 

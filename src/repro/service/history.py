@@ -23,9 +23,10 @@ Statuses walk a small per-request machine::
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 import time
+
+from repro.store.store import open_sqlite
 
 #: Every status a history row can carry.
 STATUSES = (
@@ -78,18 +79,9 @@ class QueryHistory:
         self._max_rows = max_rows
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
-        # One shared connection: every statement runs under _lock, so
-        # cross-thread use is safe despite check_same_thread=False.
-        self._conn = sqlite3.connect(  # guarded-by: _lock
-            self._path, check_same_thread=False
-        )
-        self._conn.row_factory = sqlite3.Row
+        self._conn = open_sqlite(self._path)  # guarded-by: _lock
         with self._lock:
             cursor = self._conn.cursor()
-            if self._path != ":memory:":
-                cursor.execute("PRAGMA journal_mode=WAL")
-                cursor.execute("PRAGMA synchronous=NORMAL")
-            cursor.execute("PRAGMA busy_timeout=30000")
             version = cursor.execute("PRAGMA user_version").fetchone()[0]
             if version == 0:
                 cursor.executescript(_CREATE)

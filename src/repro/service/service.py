@@ -36,14 +36,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from threading import Lock
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
 from repro.dataset.table import Table
-from repro.db.connection import Connection
 from repro.engine.cancel import CancelToken, PipelineCancelled
 from repro.engine.context import (
     ExecutionContext,
@@ -98,8 +96,8 @@ def result_cache_key(  # cache-key-of: ExploreRequest (exempt: use_cache, deadli
       inside the config key): an approximate and an exact answer for
       the same query fingerprint must never collide, even if a future
       config-key change drops or reorders fields.
-    * The config key canonicalizes worker counts and the kernel knob
-      out (:meth:`ExplorationService._config_key`) — they change
+    * The config key canonicalizes worker counts out
+      (:meth:`ExplorationService._config_key`) — they change
       wall-clock, never answers.
     * The query appears both as its order-insensitive fingerprint and
       its order-*sensitive* key: ``user_order`` cutting makes two
@@ -286,46 +284,6 @@ class ExplorationService:
                 del self._contexts[key]
         return result
 
-    def register_table(
-        self, table: Table, name: str | None = None, *, overwrite: bool = False
-    ) -> str:
-        """Deprecated: use :meth:`register`\\ ``(name, table)``."""
-        warnings.warn(
-            "ExplorationService.register_table is deprecated; "
-            "use register(name, table)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.register(name, table, overwrite=overwrite)
-        assert isinstance(result, str)
-        return result
-
-    def register_spec(self, spec: dict, *, overwrite: bool = False) -> str:
-        """Deprecated: use :meth:`register`\\ ``(spec)``."""
-        warnings.warn(
-            "ExplorationService.register_spec is deprecated; "
-            "use register(spec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.register(None, spec, overwrite=overwrite)
-        assert isinstance(result, str)
-        return result
-
-    def register_connection(
-        self, connection: Connection, *, overwrite: bool = False
-    ) -> tuple[str, ...]:
-        """Deprecated: use :meth:`register`\\ ``(connection)``."""
-        warnings.warn(
-            "ExplorationService.register_connection is deprecated; "
-            "use register(connection)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.register(None, connection, overwrite=overwrite)
-        assert isinstance(result, tuple)
-        return result
-
     def table_names(self) -> tuple[str, ...]:
         """Registered table names, registration order."""
         return self._catalog.names()
@@ -382,15 +340,13 @@ class ExplorationService:
     def _config_key(config: AtlasConfig) -> tuple:  # cache-key-of: AtlasConfig
         """Identity of a configuration *for caching purposes*.
 
-        The worker count is canonicalized out of the parallelism spec
-        and the kernel knob is dropped: answers are bit-identical at
-        any worker count (only the shard layout is statistical) and on
-        either kernel path, so requests differing in those alone must
+        The worker count is canonicalized out of the parallelism spec:
+        answers are bit-identical at any worker count (only the shard
+        layout is statistical), so requests differing in it alone must
         share one execution context — one O(table) statistics build —
         and one result-cache entry.
         """
         key = config.to_dict()
-        del key["kernels"]
         parallelism = config.parallelism
         key["parallelism"] = Parallelism(
             workers=1, shards=parallelism.shards
@@ -812,6 +768,10 @@ class ExplorationService:
                     merged["usage"][name] = (
                         merged["usage"].get(name, 0) + count
                     )
+                if "kernel_nanos" in stats:
+                    nanos = merged.setdefault("kernel_nanos", {})
+                    for name, value in stats["kernel_nanos"].items():
+                        nanos[name] = nanos.get(name, 0) + value
                 # Sharded builds report per-shard scan seconds; surface
                 # them so operators can see the scan/merge split work.
                 shard_info = stats.get("parallel")

@@ -41,6 +41,24 @@ from repro.store.codec import column_blob, column_from_blob, table_schema
 
 _SCHEMA_VERSION = 1
 
+
+def open_sqlite(path: str) -> sqlite3.Connection:
+    """One shared connection with the repo's SQLite conventions.
+
+    ``check_same_thread=False`` because the owner serializes every
+    statement under its own lock; ``sqlite3.Row`` rows; WAL journal and
+    ``synchronous=NORMAL`` for file paths; a 30 s ``busy_timeout``.
+    Schema checks stay with the caller.
+    """
+    conn = sqlite3.connect(path, check_same_thread=False)
+    conn.row_factory = sqlite3.Row
+    if path != ":memory:":
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+    conn.execute("PRAGMA busy_timeout=30000")
+    return conn
+
+
 _CREATE = """
 CREATE TABLE IF NOT EXISTS tables (
     name TEXT PRIMARY KEY,
@@ -108,18 +126,9 @@ class TableStore:
         self._path = str(path)
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
-        # One shared connection: every statement runs under _lock, so
-        # cross-thread use is safe despite check_same_thread=False.
-        self._conn = sqlite3.connect(  # guarded-by: _lock
-            self._path, check_same_thread=False
-        )
-        self._conn.row_factory = sqlite3.Row
+        self._conn = open_sqlite(self._path)  # guarded-by: _lock
         with self._lock:
             cursor = self._conn.cursor()
-            if self._path != ":memory:":
-                cursor.execute("PRAGMA journal_mode=WAL")
-                cursor.execute("PRAGMA synchronous=NORMAL")
-            cursor.execute("PRAGMA busy_timeout=30000")
             self._fts = _fts5_available(self._conn)
             version = cursor.execute("PRAGMA user_version").fetchone()[0]
             if version == 0:

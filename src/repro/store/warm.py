@@ -181,7 +181,6 @@ def restore_backend(
     *,
     counters: CacheCounters | None = None,
     lock: threading.Lock | None = None,
-    kernels: str = "auto",
 ) -> SketchBackend:
     """Turn a summary back into a ready backend over ``table``.
 
@@ -216,7 +215,6 @@ def restore_backend(
         counters=counters,
         lock=lock,
         sample=sample,
-        kernels=kernels,
         quantiles=summary.quantiles,
         frequencies=summary.frequencies,
         tokens=summary.tokens,

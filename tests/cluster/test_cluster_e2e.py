@@ -98,41 +98,6 @@ class TestInProcessCluster:
         assert map_set_fingerprint(fresh) == map_set_fingerprint(local)
 
 
-class TestKernelModes:
-    """The kernel knob never travels on the wire — and never needs to.
-
-    Kernel choice is bit-identical by contract (DESIGN decision 9), so
-    a coordinator whose *local* kernels differ from what its servers
-    resolve must still gather the same statistics, and every venue ×
-    kernel combination lands on one fingerprint.
-    """
-
-    def test_kernel_choice_invisible_across_venues(self, table,
-                                                   coordinator):
-        attach_cluster(coordinator)
-        prints = set()
-        for kernels in ("numpy", "python"):
-            local = (
-                explorer(table).approximate(BUDGET).seed(4)
-                .configure(
-                    parallelism=Parallelism(workers=1, shards=8),
-                    kernels=kernels,
-                )
-            )
-            # The cluster coordinator uses `kernels` locally (delta
-            # maintenance, fallback scans); the servers resolve their
-            # own mode independently.
-            clustered = (
-                explorer(table).approximate(BUDGET).seed(4).cluster()
-                .configure(kernels=kernels)
-            )
-            prints.add(map_set_fingerprint(local.explore(FIGURE2_QUERY_TEXT)))
-            prints.add(
-                map_set_fingerprint(clustered.explore(FIGURE2_QUERY_TEXT))
-            )
-        assert len(prints) == 1
-
-
 class TestSubprocessCluster:
     def test_real_server_processes_are_bit_identical(self, table):
         """The deployment shape: ``python -m repro.cluster`` per server."""

@@ -118,9 +118,7 @@ class TestSketchPushdown:
 
     def test_quantile_summary_bit_identical_to_kernel(self, setup):
         table, connection = setup
-        local = quantile_summary(
-            table.numeric("Age").data, 0.005, kernels="auto"
-        )
+        local = quantile_summary(table.numeric("Age").data, 0.005)
         remote = sql_quantile_summary(
             connection, "Age", table.name, epsilon=0.005
         )
@@ -130,9 +128,7 @@ class TestSketchPushdown:
         table, connection = setup
         region = parse_query("Age: [30, 50]")
         mask = region.mask(table)
-        local = quantile_summary(
-            table.numeric("Age").data[mask], 0.01, kernels="auto"
-        )
+        local = quantile_summary(table.numeric("Age").data[mask], 0.01)
         remote = sql_quantile_summary(
             connection, "Age", table.name, region=region, epsilon=0.01
         )
@@ -158,7 +154,7 @@ class TestSketchPushdown:
         table, connection = setup
         column = table.categorical("Education")
         local = frequency_summary_from_codes(
-            column.codes, list(column.categories), 256, kernels="auto"
+            column.codes, list(column.categories), 256
         )
         remote = sql_frequency_summary(
             connection, "Education", table.name, capacity=256
@@ -172,7 +168,7 @@ class TestSketchPushdown:
         column = table.categorical("Eye color")
         capacity = max(1, len(column.categories) - 2)
         local = frequency_summary_from_codes(
-            column.codes, list(column.categories), capacity, kernels="auto"
+            column.codes, list(column.categories), capacity
         )
         remote = sql_frequency_summary(
             connection, "Eye color", table.name, capacity=capacity
@@ -185,7 +181,7 @@ class TestSketchPushdown:
         mask = region.mask(table)
         column = table.categorical("Education")
         local = frequency_summary_from_codes(
-            column.codes[mask], list(column.categories), 256, kernels="auto"
+            column.codes[mask], list(column.categories), 256
         )
         remote = sql_frequency_summary(
             connection, "Education", table.name, region=region, capacity=256

@@ -1,22 +1,19 @@
-"""The columnar kernel layer: resolution, timing, degenerate shapes,
-and kernel-mode invisibility across execution venues."""
+"""The columnar kernel layer: timing, degenerate shapes, agreement with
+the pure-Python oracle, and the removed ``kernels`` knob."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
 from repro.datagen import census_table
 from repro.engine.context import ExecutionContext
+from repro.engine.facade import explorer
 from repro.engine.kernels import (
     KernelTimings,
     frequency_summary_from_codes,
     frequency_summary_from_labels,
     quantile_summary,
-    resolve_kernels,
     sorted_clean_values,
 )
 from repro.engine.parallel import (
@@ -28,27 +25,47 @@ from repro.engine.parallel import (
 from repro.engine.pipeline import Pipeline
 from repro.errors import ConfigError
 from repro.evaluation import map_set_fingerprint
+from tests.properties.test_kernel_props import (
+    oracle_frequency_summary_from_codes,
+    oracle_quantile_summary,
+    oracle_sorted_clean_values,
+)
+
+#: The kernels and the pure-Python oracle they are checked against.
+BUILDS = {
+    "numpy": (
+        sorted_clean_values, quantile_summary, frequency_summary_from_codes
+    ),
+    "python": (
+        oracle_sorted_clean_values,
+        oracle_quantile_summary,
+        oracle_frequency_summary_from_codes,
+    ),
+}
 
 
-class TestResolve:
-    def test_auto_prefers_numpy(self):
-        assert resolve_kernels("auto") == "numpy"
+class TestKnobRemoved:
+    """One kernel path: the old ``kernels`` selector is an unknown field
+    on every configuration surface."""
 
-    def test_explicit_modes_honored(self):
-        assert resolve_kernels("numpy") == "numpy"
-        assert resolve_kernels("python") == "python"
+    def test_constructor_rejects_the_knob(self):
+        with pytest.raises(TypeError, match="kernels"):
+            AtlasConfig(kernels="numpy")  # type: ignore[call-arg]
 
-    def test_bad_spec_is_a_config_error(self):
+    def test_replace_rejects_the_knob(self):
         with pytest.raises(ConfigError, match="kernels"):
-            resolve_kernels("cython")
+            AtlasConfig().replace(kernels="numpy")
 
-    def test_config_validates_the_knob(self):
+    def test_from_dict_rejects_the_knob(self):
         with pytest.raises(ConfigError, match="kernels"):
-            AtlasConfig(kernels="bogus")
+            AtlasConfig.from_dict({**AtlasConfig().to_dict(), "kernels": "auto"})
 
-    def test_config_serde_round_trips_the_knob(self):
-        config = AtlasConfig(kernels="python")
-        assert AtlasConfig.from_dict(config.to_dict()).kernels == "python"
+    def test_configure_rejects_the_knob(self):
+        with pytest.raises(ConfigError, match="kernels"):
+            explorer(census_table(n_rows=50, seed=0)).configure(kernels="python")
+
+    def test_config_dict_has_no_knob(self):
+        assert "kernels" not in AtlasConfig().to_dict()
 
 
 class TestTimings:
@@ -77,136 +94,132 @@ class TestTimings:
 
 
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("mode", ["numpy", "python"])
+    """Kernels and oracle agree on the shapes the property suite
+    reaches only by chance."""
+
+    @pytest.mark.parametrize("mode", list(BUILDS))
     def test_all_nan_column(self, mode):
+        sort_clean, quantiles, _ = BUILDS[mode]
         values = [float("nan")] * 10
-        assert len(sorted_clean_values(values, kernels=mode)) == 0
-        assert quantile_summary(values, 0.01, kernels=mode).count == 0
+        assert len(sort_clean(values)) == 0
+        assert quantiles(values, 0.01).count == 0
 
-    @pytest.mark.parametrize("mode", ["numpy", "python"])
+    @pytest.mark.parametrize("mode", list(BUILDS))
     def test_empty_column(self, mode):
-        assert len(sorted_clean_values([], kernels=mode)) == 0
-        assert quantile_summary([], 0.01, kernels=mode).count == 0
-        sketch = frequency_summary_from_codes([], ["a"], 4, kernels=mode)
-        assert sketch.count == 0
+        sort_clean, quantiles, frequencies = BUILDS[mode]
+        assert len(sort_clean([])) == 0
+        assert quantiles([], 0.01).count == 0
+        assert frequencies([], ["a"], 4).count == 0
 
-    @pytest.mark.parametrize("mode", ["numpy", "python"])
+    @pytest.mark.parametrize("mode", list(BUILDS))
     def test_single_row(self, mode):
-        sketch = quantile_summary([42.0], 0.01, kernels=mode)
+        _, quantiles, _ = BUILDS[mode]
+        sketch = quantiles([42.0], 0.01)
         assert sketch.count == 1
         assert sketch.median() == 42.0
 
-    @pytest.mark.parametrize("mode", ["numpy", "python"])
+    @pytest.mark.parametrize("mode", list(BUILDS))
     def test_all_missing_codes(self, mode):
-        sketch = frequency_summary_from_codes(
-            [-1, -1, -1], ["a", "b"], 4, kernels=mode
-        )
+        _, _, frequencies = BUILDS[mode]
+        sketch = frequencies([-1, -1, -1], ["a", "b"], 4)
         assert sketch.count == 0 and sketch.heavy_hitters() == {}
 
     def test_empty_labels(self):
         assert frequency_summary_from_labels([], 4).count == 0
 
 
+def oracle_sketches(numeric_values, categorical_values, epsilon=0.01):
+    """The serialized sketches the oracle builds over one shard."""
+    quantiles = {
+        attribute: oracle_quantile_summary(values, epsilon).to_dict()
+        for attribute, values in numeric_values.items()
+    }
+    frequencies = {
+        attribute: oracle_frequency_summary_from_codes(
+            codes, categories, capacity
+        ).to_dict()
+        for attribute, capacity, (codes, categories) in categorical_values
+    }
+    return quantiles, frequencies
+
+
 class TestShardScanDifferential:
-    """scan_shard_values with numpy vs python kernels, via the real
-    shard slicing (raw code buffers on the local path)."""
+    """scan_shard_values against the oracle, via the real shard slicing
+    (raw code buffers on the local path)."""
 
     @pytest.fixture(scope="class")
     def table(self):
         return census_table(n_rows=900, seed=11)
 
-    def scan(self, table, shard, kernels, n_shards=3):
-        sharded = ShardedTable(table, n_shards)
+    def inputs(self, table, low, high):
         numeric, categorical = _sketch_attributes(table)
-        low, high = sharded.bounds[shard]
-        numeric_values, categorical_values = shard_column_values(
+        return shard_column_values(
             table, low, high, numeric, categorical, decode_labels=False
         )
+
+    def scan(self, shard, low, high, numeric_values, categorical_values):
         return scan_shard_values(
             index=shard, low=low, n_rows=high - low,
             seed=5, fingerprint=b"test", budget_rows=300, sample_rows=True,
             epsilon=0.01, numeric=numeric_values,
-            categorical=categorical_values, kernels=kernels,
+            categorical=categorical_values,
         )
 
-    def comparable(self, statistics) -> dict:
-        out = statistics.to_dict()
-        out.pop("seconds")
-        out.pop("kernel_nanos")
-        return out
+    def assert_matches_oracle(self, table, shard, low, high):
+        numeric_values, categorical_values = self.inputs(table, low, high)
+        statistics = self.scan(
+            shard, low, high, numeric_values, categorical_values
+        )
+        quantiles, frequencies = oracle_sketches(
+            numeric_values, categorical_values
+        )
+        assert statistics.quantiles == quantiles
+        assert statistics.frequencies == frequencies
 
     def test_scan_statistics_identical_across_kernels(self, table):
-        for shard in range(3):
-            by_numpy = self.scan(table, shard, "numpy")
-            by_python = self.scan(table, shard, "python")
-            assert self.comparable(by_numpy) == self.comparable(by_python)
+        for shard, (low, high) in enumerate(ShardedTable(table, 3).bounds):
+            self.assert_matches_oracle(table, shard, low, high)
 
     def test_scan_meters_kernels(self, table):
-        statistics = self.scan(table, 0, "numpy")
+        numeric_values, categorical_values = self.inputs(table, 0, 300)
+        statistics = self.scan(0, 0, 300, numeric_values, categorical_values)
         assert set(statistics.kernel_nanos) >= {"sort_clean", "gk_build"}
 
     def test_empty_shard(self, table):
-        numeric, categorical = _sketch_attributes(table)
-        numeric_values, categorical_values = shard_column_values(
-            table, 0, 0, numeric, categorical, decode_labels=False
-        )
-        for mode in ("numpy", "python"):
-            statistics = scan_shard_values(
-                index=0, low=0, n_rows=0, seed=5, fingerprint=b"t",
-                budget_rows=100, sample_rows=True, epsilon=0.01,
-                numeric=numeric_values, categorical=categorical_values,
-                kernels=mode,
-            )
-            assert statistics.sample.size == 0
+        numeric_values, categorical_values = self.inputs(table, 0, 0)
+        statistics = self.scan(0, 0, 0, numeric_values, categorical_values)
+        assert statistics.sample.size == 0
 
     def test_single_row_table(self):
-        table = census_table(n_rows=1, seed=2)
-        numeric, categorical = _sketch_attributes(table)
-        numeric_values, categorical_values = shard_column_values(
-            table, 0, 1, numeric, categorical, decode_labels=False
-        )
-        scans = [
-            scan_shard_values(
-                index=0, low=0, n_rows=1, seed=5, fingerprint=b"t",
-                budget_rows=100, sample_rows=True, epsilon=0.01,
-                numeric=numeric_values, categorical=categorical_values,
-                kernels=mode,
-            )
-            for mode in ("numpy", "python")
-        ]
-        assert self.comparable(scans[0]) == self.comparable(scans[1])
+        self.assert_matches_oracle(census_table(n_rows=1, seed=2), 0, 0, 1)
 
 
 class TestVenueInvisibility:
-    """Kernel mode never shows in answers — serial or parallel."""
+    """Worker count never shows in answers; sketch snapshots carry the
+    kernel meters and no mode."""
 
     @pytest.fixture(scope="class")
     def table(self):
         return census_table(n_rows=1500, seed=7)
 
-    def answer(self, table, kernels, workers):
+    def answer(self, table, workers):
         config = AtlasConfig(
             fidelity=Fidelity.sketch(budget_rows=600),
             parallelism=Parallelism(workers=workers, shards=4),
-            kernels=kernels,
             seed=3,
         )
         context = ExecutionContext(table, config)
         answer = Pipeline.default().run(None, context)
         return map_set_fingerprint(answer), context
 
-    def test_fingerprints_identical_across_modes_and_workers(self, table):
-        prints = set()
-        for kernels in ("numpy", "python"):
-            for workers in (1, 2):
-                fingerprint, _ = self.answer(table, kernels, workers)
-                prints.add(fingerprint)
+    def test_fingerprints_identical_across_workers(self, table):
+        prints = {self.answer(table, workers)[0] for workers in (1, 2)}
         assert len(prints) == 1
 
-    def test_snapshot_names_mode_and_meters(self, table):
-        _, context = self.answer(table, "numpy", 1)
+    def test_snapshot_carries_meters_and_no_mode(self, table):
+        _, context = self.answer(table, 1)
         snapshot = context.backend_snapshot()["sketch"]
-        assert snapshot["kernels"] == "numpy"
+        assert "kernels" not in snapshot
         assert snapshot["kernel_nanos"]
         assert all(
             isinstance(nanos, int) and nanos >= 0
@@ -215,11 +228,8 @@ class TestVenueInvisibility:
 
     def test_exact_backend_stays_kernel_free(self, table):
         # The exact backend computes full-table statistics directly —
-        # no sketches, so no kernel layer.  Its snapshot must not claim
-        # a kernel mode; that provenance belongs to sketch scans only.
-        config = AtlasConfig(kernels="numpy", seed=3)
-        context = ExecutionContext(table, config)
+        # no sketches, so no kernel layer and no kernel meters.
+        context = ExecutionContext(table, AtlasConfig(seed=3))
         Pipeline.default().run(None, context)
         snapshot = context.backend_snapshot()["exact"]
-        assert "kernels" not in snapshot
         assert "kernel_nanos" not in snapshot

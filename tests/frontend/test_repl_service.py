@@ -57,7 +57,7 @@ class TestServe:
 
     def test_serve_on_busy_port_reports_error_and_loop_survives(self, table):
         service = ExplorationService()
-        service.register_table(table)
+        service.register(table)
         with serve(service) as server:
             _, port = server.address
             out = run_script(table, [f"serve {port}", "maps", "quit"])
@@ -91,7 +91,7 @@ class TestServe:
 class TestConnectAndRemote:
     def test_connect_then_remote_round_trip(self, table):
         service = ExplorationService()
-        service.register_table(table)
+        service.register(table)
         with serve(service) as server:
             out = run_script(
                 table,

@@ -147,7 +147,7 @@ class TestServiceBitIdentical:
     def test_in_process_service_matches_fresh_pipeline(self):
         initial, batches = self.census_stream(3000, 3)
         with ExplorationService(max_workers=2) as service:
-            service.register_table(initial, name="census")
+            service.register("census", initial)
             self.assert_identical_at_every_version(
                 service, initial, batches
             )
@@ -159,7 +159,7 @@ class TestServiceBitIdentical:
 
         initial, batches = self.census_stream(6000, 4)
         with ExplorationService(max_workers=2) as service:
-            service.register_table(initial, name="census")
+            service.register("census", initial)
             with serve(service) as server:
                 client = ServiceClient(server.url)
                 current = initial

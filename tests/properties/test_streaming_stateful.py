@@ -95,7 +95,7 @@ class StreamingMachine(RuleBasedStateMachine):
             self.table, Fidelity.sketch(budget_rows=SMALL_BUDGET), rng=0
         )
         self.service = ExplorationService(max_workers=1)
-        self.service.register_table(self.table, name="stream")
+        self.service.register("stream", self.table)
         self.version = 0
         self.served_queries: set[str | None] = set()
 

@@ -44,6 +44,6 @@ def gated():
 def census_service(census_small):
     """A small ready-to-serve service over the shared census table."""
     service = ExplorationService(max_workers=2, max_queue_depth=8)
-    service.register_table(census_small)
+    service.register(census_small)
     yield service
     service.close()

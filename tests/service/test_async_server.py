@@ -25,7 +25,7 @@ from repro.service import (
 @pytest.fixture
 def service(census_small):
     built = ExplorationService(max_workers=2, max_queue_depth=8)
-    built.register_table(census_small)
+    built.register(census_small)
     yield built
     built.close()
 
@@ -149,7 +149,7 @@ class TestTenancy:
             ),
             require_api_key=True,
         )
-        service.register_table(census_small)
+        service.register(census_small)
         with serve_async(service) as running:
             yield running
         service.close()

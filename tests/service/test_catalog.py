@@ -200,38 +200,27 @@ class TestPersistence:
 
 
 class TestServiceIntegration:
-    def test_register_shims_are_equivalent_and_deprecated(self):
-        table = make_table()
-        with ExplorationService(max_workers=1) as via_new:
-            via_new.register(table)
-            expected = via_new.describe_tables()
-        with ExplorationService(max_workers=1) as via_old:
-            with pytest.deprecated_call():
-                assert via_old.register_table(table) == "events"
-            assert via_old.describe_tables() == expected
+    def test_register_shims_are_removed(self):
+        with ExplorationService(max_workers=1) as service:
+            for verb in ("register_table", "register_spec",
+                         "register_connection"):
+                assert not hasattr(service, verb)
+            assert service.register(make_table()) == "events"
 
     def test_register_spec_shim(self):
         spec = {"generator": "census", "n_rows": 30, "name": "c30"}
-        with ExplorationService(max_workers=1) as via_new:
-            via_new.register(spec)
-            expected = via_new.describe_tables()
-        with ExplorationService(max_workers=1) as via_old:
-            with pytest.deprecated_call():
-                assert via_old.register_spec(spec) == "c30"
-            assert via_old.describe_tables() == expected
+        with ExplorationService(max_workers=1) as service:
+            assert not hasattr(service, "register_spec")
+            assert service.register(spec) == "c30"
+            assert service.explore("c30").map_set.n_rows_used == 30
 
     def test_register_connection_shim(self):
         connection = SqlConnection(
             {"a": make_table("a"), "b": make_table("b")}
         )
-        with ExplorationService(max_workers=1) as via_new:
-            via_new.register(connection)
-            expected = via_new.describe_tables()
-        with ExplorationService(max_workers=1) as via_old:
-            with pytest.deprecated_call():
-                names = via_old.register_connection(connection)
-            assert sorted(names) == ["a", "b"]
-            assert via_old.describe_tables() == expected
+        with ExplorationService(max_workers=1) as service:
+            assert not hasattr(service, "register_connection")
+            assert sorted(service.register(connection)) == ["a", "b"]
 
     def test_service_warm_restart_counts_and_answers(self, tmp_path):
         path = str(tmp_path / "atlas.db")

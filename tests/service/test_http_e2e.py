@@ -12,6 +12,7 @@ from repro.service import serve
 from repro.service.client import ServiceClient
 from repro.service.protocol import (
     AdmissionError,
+    ExploreRequest,
     ProtocolError,
     UnknownTableError,
 )
@@ -192,7 +193,7 @@ class TestHttpErrors:
         self, gated, census_small
     ):
         service, gate = gated
-        service.register_table(census_small)
+        service.register(census_small)
         with serve(service) as server:
             client = ServiceClient(server.url)
             pool = ThreadPoolExecutor(max_workers=4)
@@ -230,6 +231,41 @@ class TestHttpErrors:
             finally:
                 gate.release.set()
                 pool.shutdown(wait=True)
+
+
+class TestNoKernelKnob:
+    """There is one scan-kernel path: a ``kernels`` override is an
+    unknown config key on the wire, and ``/metrics`` carries the kernel
+    meters without naming a mode."""
+
+    def test_kernels_override_is_a_typed_400(self, served):
+        _, server = served
+        request = urllib.request.Request(
+            server.url + "/explore",
+            data=json.dumps(
+                {"table": "census", "config": {"kernels": "numpy"}}
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10)
+        assert info.value.code == 400
+        error = json.loads(info.value.read())["error"]
+        assert error["code"] == "bad_request"
+        assert "unknown config overrides: kernels" in error["message"]
+
+    def test_kernels_override_rejected_in_process(self, census_service):
+        request = ExploreRequest(table="census", config={"kernels": "numpy"})
+        with pytest.raises(ProtocolError, match="kernels"):
+            census_service.handle(request)
+
+    def test_metrics_carry_kernel_meters_without_a_mode(self, served):
+        client, _ = served
+        client.explore("census", fidelity="sketch:200", use_cache=False)
+        backends = client.metrics()["statistics_cache"]["backends"]
+        assert backends["sketch"]["kernel_nanos"]
+        assert "kernels" not in backends["sketch"]
 
 
 class TestHttpAppend:

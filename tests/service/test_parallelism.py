@@ -41,7 +41,7 @@ class TestRequestWire:
 class TestParallelExplores:
     def test_parallel_request_answers_and_reports_shards(self, census_small):
         service = ExplorationService(max_workers=2, max_queue_depth=8)
-        service.register_table(census_small, "census")
+        service.register("census", census_small)
         try:
             response = service.explore(
                 "census", fidelity="sketch:1000",
@@ -61,7 +61,7 @@ class TestParallelExplores:
         self, census_small
     ):
         service = ExplorationService(max_workers=2, max_queue_depth=8)
-        service.register_table(census_small, "census")
+        service.register("census", census_small)
         try:
             serial = service.explore("census", fidelity="sketch:1000")
             parallel = service.explore(
@@ -82,7 +82,7 @@ class TestParallelExplores:
         """Workers never change answers, so requests differing only in
         workers must share one statistics build and one cache entry."""
         service = ExplorationService(max_workers=2, max_queue_depth=8)
-        service.register_table(census_small, "census")
+        service.register("census", census_small)
         try:
             first = service.explore(
                 "census", fidelity="sketch:1000",
@@ -102,17 +102,14 @@ class TestParallelExplores:
 
     @pytest.mark.parametrize(
         "first, second",
-        [
-            ({"config": {"kernels": "numpy"}}, {"config": {"kernels": "python"}}),
-            ({"parallelism": "parallel:1:4"}, {"parallelism": "parallel:2:4"}),
-        ],
-        ids=["kernels", "workers"],
+        [({"parallelism": "parallel:1:4"}, {"parallelism": "parallel:2:4"})],
+        ids=["workers"],
     )
     def test_wall_clock_knobs_share_context_and_cache(
         self, census_small, first, second
     ):
-        """Neither the kernel path nor the worker count changes an
-        answer, so neither may split a context or a cache entry."""
+        """The worker count never changes an answer, so it may not
+        split a context or a cache entry."""
         with ExplorationService(max_workers=2, max_queue_depth=8) as service:
             service.register("census", census_small)
             cold = service.explore("census", fidelity="sketch:1000", **first)
@@ -161,7 +158,7 @@ class TestAdmissionWeighting:
         """Contexts are shared across worker counts, so the charge is
         what the serving context would fork — not what was asked."""
         service = ExplorationService(max_workers=4, max_queue_depth=4)
-        service.register_table(census_small, "census")
+        service.register("census", census_small)
         try:
             # First request creates the shared context with workers=1.
             service.explore(
@@ -184,7 +181,7 @@ class TestAdmissionWeighting:
 
     def test_parallel_request_consumes_queue_capacity(self, census_small):
         service, gate = self._gated_service(max_workers=2, max_queue_depth=2)
-        service.register_table(census_small, "census")
+        service.register("census", census_small)
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -214,7 +211,7 @@ class TestAdmissionWeighting:
         # weight is clamped to max_inflight, so one huge request on an
         # idle service runs instead of being unschedulable forever.
         service = ExplorationService(max_workers=1, max_queue_depth=0)
-        service.register_table(census_small, "census")
+        service.register("census", census_small)
         try:
             response = service.explore(
                 "census", fidelity="sketch:1000",

@@ -24,11 +24,11 @@ class TestRegistration:
         self, census_service, census_small
     ):
         with pytest.raises(ProtocolError, match="already registered"):
-            census_service.register_table(census_small)
-        census_service.register_table(census_small, overwrite=True)
+            census_service.register(census_small)
+        census_service.register(census_small, overwrite=True)
 
     def test_register_spec_builds_and_names(self, census_service):
-        name = census_service.register_spec(
+        name = census_service.register(
             {"generator": "census", "n_rows": 500, "seed": 3, "name": "c2"}
         )
         assert name == "c2"
@@ -38,14 +38,14 @@ class TestRegistration:
 
     def test_register_spec_unknown_generator(self, census_service):
         with pytest.raises(ProtocolError, match="unknown table generator"):
-            census_service.register_spec({"generator": "mystery"})
+            census_service.register({"generator": "mystery"})
 
     def test_register_connection_serves_sql_tables(self, census_small):
         # The SqlAtlas deployment shape: tables behind a SQL-text-only
         # connection, served through the same explore endpoint.
         connection = SqlConnection({"census": census_small})
         with ExplorationService() as service:
-            names = service.register_connection(connection)
+            names = service.register(connection)
             assert names == ("census",)
             assert "SqlConnection" in service.describe_tables()["census"]
             response = service.explore("census", "Age: [17, 90]")
@@ -140,7 +140,7 @@ class TestSharedContexts:
 
     def test_context_count_is_bounded(self, census_small):
         with ExplorationService(max_contexts=2) as service:
-            service.register_table(census_small)
+            service.register(census_small)
             for seed in range(5):
                 service.explore("census", config={"seed": seed})
             assert service.metrics()["service"]["contexts"] <= 2
@@ -149,7 +149,7 @@ class TestSharedContexts:
 class TestAdmissionControl:
     def test_saturated_queue_rejects_fast(self, gated, census_small):
         service, gate = gated
-        service.register_table(census_small)
+        service.register(census_small)
         pool = ThreadPoolExecutor(max_workers=4)
         try:
             # Fill both workers and both queue slots (4 = max inflight).
@@ -185,7 +185,7 @@ class TestAdmissionControl:
 
     def test_cache_hits_bypass_admission(self, gated, census_small):
         service, gate = gated
-        service.register_table(census_small)
+        service.register(census_small)
         gate.release.set()  # let the first run through
         service.explore("census", "Age: [17, 45]")
         gate.release.clear()
@@ -196,7 +196,7 @@ class TestAdmissionControl:
 
     def test_closed_service_refuses_work(self, census_small):
         service = ExplorationService()
-        service.register_table(census_small)
+        service.register(census_small)
         service.close()
         with pytest.raises(Exception, match="shut down"):
             service.explore("census")
@@ -384,7 +384,7 @@ class TestTenancyIntegration:
         from repro.service.tenancy import Tenant
 
         with ExplorationService(tenants=(Tenant("alice"),)) as service:
-            service.register_table(census_small)
+            service.register(census_small)
             service.explore("census", tenant="alice")
             (entry,) = service.history_entries(1)
             assert entry["tenant"] == "alice"
@@ -396,7 +396,7 @@ class TestTenancyIntegration:
 
         limited = Tenant("burst", rate=0.0001, burst=1)
         with ExplorationService(tenants=(limited,)) as service:
-            service.register_table(census_small)
+            service.register(census_small)
             service.explore("census", tenant="burst")
             with pytest.raises(RateLimitError):
                 service.explore("census", tenant="burst", use_cache=False)
@@ -412,7 +412,7 @@ class TestTenancyIntegration:
         from repro.service.tenancy import Tenant
 
         service, gate = gated  # 2 workers + 2 queue slots
-        service.register_table(census_small)
+        service.register(census_small)
         service.register_tenant(Tenant("greedy", max_inflight=2))
         pool = ThreadPoolExecutor(max_workers=4)
         try:
@@ -450,7 +450,7 @@ class TestTenancyIntegration:
     ):
         path = str(tmp_path / "journal.db")
         with ExplorationService(history=path) as service:
-            service.register_table(census_small)
+            service.register(census_small)
             service.explore("census")
         with ExplorationService(history=path) as reborn:
             (entry,) = reborn.history_entries(1)

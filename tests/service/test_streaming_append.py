@@ -49,7 +49,7 @@ def comparable(map_set) -> dict:
 @pytest.fixture
 def service():
     with ExplorationService(max_workers=2) as svc:
-        svc.register_table(stream_table())
+        svc.register(stream_table())
         yield svc
 
 
@@ -108,7 +108,7 @@ class TestResultCacheStaleness:
         before = service.explore("stream", "x: [0, 1000]")
         replacement = stream_table(n=120, low=500.0)
         assert replacement.version == 0  # same (name, version) pair!
-        service.register_table(replacement, overwrite=True)
+        service.register(replacement, overwrite=True)
         after = service.explore("stream", "x: [0, 1000]")
         assert not after.cached
         assert comparable(after.map_set) != comparable(before.map_set)
@@ -124,7 +124,7 @@ class TestResultCacheStaleness:
 
     def test_lazy_sources_materialize_before_append(self):
         with ExplorationService() as svc:
-            svc.register_spec(
+            svc.register(
                 {"generator": "census", "n_rows": 300, "name": "c"}
             )
             response = svc.append(

@@ -203,9 +203,9 @@ class TestWarmTracksColdAcrossAppends:
         document = json.loads(json.dumps(summary.to_dict()))
         warm = ExecutionContext(table, config)
         warm.adopt_stats(
-            lambda live, counters, lock, kernels: restore_backend(
+            lambda live, counters, lock: restore_backend(
                 SketchSummary.from_dict(document), live,
-                counters=counters, lock=lock, kernels=kernels,
+                counters=counters, lock=lock,
             )
         )
         assert warm.stats().snapshot()["warm"] is True
