@@ -8,7 +8,7 @@ shard layout:
 
 1. **Bit-identical answers** — every answer of the session (cold
    build, root + survey + drill-downs, and re-answers after streamed
-   appends routed to the owning shard server) compared by
+   appends) compared by
    :func:`map_set_fingerprint` at 1, 2, and 4 shard servers.  E21
    requires equality unconditionally: the server count is a pure
    wall-clock knob, exactly like E20's worker count.

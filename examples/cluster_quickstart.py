@@ -4,7 +4,9 @@ Spawns two shard-server processes (the same ``python -m repro.cluster``
 entry point a real deployment runs per machine), attaches them as the
 process's active cluster, and explores the census table three ways —
 serial, local scan/merge, and scattered over the cluster — asserting
-the answers are bit-identical before and after a streamed append.
+the answers are bit-identical before and after streamed appends, and
+that a fresh cluster build at the final version matches a fresh serial
+one.
 
 This is also the CI smoke test for the cluster subsystem.
 
@@ -53,8 +55,8 @@ try:
     print("all three venues bit-identical ✓")
 
     # ------------------------------------------------------------ #
-    # 3. Stream appends.  The cluster session routes each delta to
-    #    the shard server owning the table's tail; answers stay
+    # 3. Stream appends.  Every session maintains its statistics
+    #    locally (no shard server is contacted); answers stay
     #    identical at every version.
     # ------------------------------------------------------------ #
     for batch in batches:
@@ -69,15 +71,33 @@ try:
         print(f"  appended -> {rows} rows, still identical ✓")
 
     # ------------------------------------------------------------ #
-    # 4. What the cluster did.
+    # 4. A fresh cluster build at the final version.  The grown table
+    #    shards anew, so every server answers 409 once and receives
+    #    its shards again; the answer matches a fresh serial build.
+    # ------------------------------------------------------------ #
+    final = venues["serial "].table
+    fresh = {
+        "serial ": explorer(final).approximate(10_000).seed(0)
+        .configure(parallelism=Parallelism(workers=1, shards=8)),
+        "cluster": explorer(final).approximate(10_000).seed(0).cluster(),
+    }
+    fresh_prints = {
+        name: map_set_fingerprint(session.explore(QUERY))
+        for name, session in fresh.items()
+    }
+    assert len(set(fresh_prints.values())) == 1, fresh_prints
+    assert coordinator.metrics()["shard_retries"] == 0
+    print(f"  fresh build at {final.n_rows} rows: cluster == serial ✓")
+
+    # ------------------------------------------------------------ #
+    # 5. What the cluster did.
     # ------------------------------------------------------------ #
     metrics = coordinator.metrics()
     print(f"cluster builds: {metrics['builds']}, "
           f"shard retries: {metrics['shard_retries']}")
     for entry in metrics["shard_servers"]:
         print(f"  {entry['url']}: {entry['scans']} scan(s), "
-              f"{entry['rows_owned']} row(s) owned, "
-              f"{entry['appends']} append(s)")
+              f"{entry['rows_owned']} row(s) owned")
 finally:
     detach_cluster()
     for server in servers:

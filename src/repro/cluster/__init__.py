@@ -30,7 +30,6 @@ from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
     OwnShardRequest,
     ScanRequest,
-    ShardAppendRequest,
 )
 from repro.cluster.runtime import (
     active_cluster,
@@ -44,7 +43,6 @@ __all__ = [
     "ClusterCoordinator",
     "OwnShardRequest",
     "ScanRequest",
-    "ShardAppendRequest",
     "ShardProcess",
     "ShardServer",
     "ShardStore",

@@ -15,7 +15,10 @@ Data placement is lazy and versioned: the first scan of a shard a
 server does not own answers 409, the coordinator pushes the shard's
 column values (``POST /own``) and retries.  A coordinator restart
 therefore *re-attaches* to running servers without a handshake — its
-first scan simply succeeds against previously pushed state.
+first scan simply succeeds against previously pushed state.  Appends
+never reach the servers: a backend built here maintains itself
+locally, and the next build over the grown table finds every shard's
+range and version stale, so it pushes each shard once.
 
 Failure handling: each shard call runs under the transport's
 per-request timeout; a failed scan is retried once, and a second
@@ -25,11 +28,6 @@ and server URL.  There is no cross-server failover — re-pushing a
 shard elsewhere mid-query would answer correctly (the statistics only
 depend on the shard layout) but hide the operational fact an operator
 needs to see.
-
-Streaming: a backend built here tells the coordinator about every
-advance (:meth:`ClusterCoordinator.append`), which pushes the delta
-rows to the server owning the table's tail, so a fresh cluster build at
-the new version scans current state.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cluster.protocol import (
     OwnShardRequest,
     ScanRequest,
-    ShardAppendRequest,
     numeric_to_wire,
 )
 from repro.core.config import Fidelity, Parallelism
@@ -54,7 +51,6 @@ from repro.engine.parallel import (
     ScanRecipe,
     ShardedTable,
     ShardStatistics,
-    _sketch_attributes,
     build_sharded_backend,
     shard_column_values,
 )
@@ -95,7 +91,6 @@ class ClusterCoordinator:
         self._lock = threading.Lock()
         self._builds = 0  # guarded-by: _lock
         self._shard_retries = 0  # guarded-by: _lock
-        self._append_route_failures = 0  # guarded-by: _lock
         # Retries of the calling thread's last scan: a build reads its
         # own count back in provenance() while other builds run.
         self._last_scan = threading.local()
@@ -141,7 +136,6 @@ class ClusterCoordinator:
                 "servers": self.n_servers,
                 "builds": self._builds,
                 "shard_retries": self._shard_retries,
-                "append_route_failures": self._append_route_failures,
             }
         per_server = []
         for url, transport in zip(self._urls, self._transports):
@@ -154,7 +148,7 @@ class ClusterCoordinator:
         return out
 
     def close(self) -> None:
-        """Close the calling thread's server connections."""
+        """Close every server connection, on every thread."""
         for transport in self._transports:
             transport.close()
 
@@ -270,8 +264,8 @@ class ClusterCoordinator:
                     )
                 except StaleShardError:
                     # The server does not own this shard state (fresh
-                    # server, or a version behind after a missed
-                    # append): push the columns and rescan.
+                    # server, or the table grew since the last push):
+                    # push the columns and rescan.
                     self._push_shard(
                         server, table, sharded, request.shard,
                         numeric, categorical,
@@ -322,118 +316,6 @@ class ClusterCoordinator:
             ],
         )
         self._transports[server].request("POST", "/own", request.to_dict())
-
-    # ------------------------------------------------------------------ #
-    # Catalog prewarm
-    # ------------------------------------------------------------------ #
-
-    def prewarm(
-        self,
-        catalog,
-        parallelism: Parallelism,
-        *,
-        persisted_only: bool = True,
-    ) -> dict[str, int]:
-        """Push a catalog's tables to their owning servers up front.
-
-        The lazy push-on-409 protocol means a restarted coordinator's
-        first build of each table pays one full data push inside the
-        query's critical path.  ``prewarm`` moves that cost to attach
-        time: every (by default persisted) table in the
-        :class:`~repro.service.catalog.Catalog` is resolved — a
-        store-backed catalog replays it from disk — sharded with the
-        given ``parallelism`` layout, and pushed shard by shard to the
-        server the layout assigns.  Returns shards pushed per table.
-
-        The push is idempotent server-side (``/own`` replaces shard
-        state at the table's version), so prewarming twice, or racing
-        a query's own push, is safe.
-        """
-        pushed: dict[str, int] = {}
-        for name in catalog.names():
-            if persisted_only and not catalog.is_persisted(name):
-                continue
-            table = catalog.resolve(name)
-            sharded = ShardedTable(table, parallelism.shards)
-            numeric, categorical = _sketch_attributes(table)
-            for index, server in enumerate(
-                self._shard_servers(sharded, parallelism)
-            ):
-                self._push_shard(
-                    server, table, sharded, index, numeric, categorical
-                )
-            pushed[name] = sharded.n_shards
-        return pushed
-
-    # ------------------------------------------------------------------ #
-    # Streaming (append routing)
-    # ------------------------------------------------------------------ #
-
-    def append(
-        self,
-        new_table: Table,
-        old_sharded: ShardedTable,
-        parallelism: Parallelism,
-    ) -> None:
-        """Route appended rows to the server owning the table's tail.
-
-        Appended rows live past every shard boundary, so they extend
-        the owning (last) shard — the same routing
-        :meth:`ShardedTable.advanced` applies locally.  Connection
-        failures are tolerated (counted, not raised): server-side
-        shard state is lazily versioned, so the next scan of a stale
-        shard answers 409 and gets a fresh push — the cluster heals
-        without coupling local streaming to server liveness.
-        """
-        old_table = old_sharded.table
-        owning = old_sharded.owning_shard(old_table.n_rows)
-        server = self._shard_servers(old_sharded, parallelism)[owning]
-        low = old_sharded.bounds[owning][0]
-        numeric, categorical = _sketch_attributes(new_table)
-        numeric_values, categorical_values = shard_column_values(
-            new_table, old_table.n_rows, new_table.n_rows,
-            numeric, categorical,
-        )
-        request = ShardAppendRequest(
-            table=new_table.name,
-            shard=owning,
-            from_version=old_table.version,
-            to_version=new_table.version,
-            high=new_table.n_rows,
-            numeric=numeric_to_wire(numeric_values),
-            categorical={
-                name: labels for name, _, labels in categorical_values
-            },
-            capacities={name: capacity for name, capacity in categorical},
-        )
-        transport = self._transports[server]
-        try:
-            try:
-                transport.request("POST", "/append", request.to_dict())
-            except StaleShardError:
-                # The server missed an earlier delta (or restarted):
-                # re-push the whole shard at the new version.
-                advanced = old_sharded.advanced(new_table)
-                new_high = advanced.bounds[owning][1]
-                numeric_full, categorical_full = shard_column_values(
-                    new_table, low, new_high, numeric, categorical
-                )
-                push = OwnShardRequest(
-                    table=new_table.name,
-                    shard=owning,
-                    low=low,
-                    high=new_high,
-                    version=new_table.version,
-                    numeric=numeric_to_wire(numeric_full),
-                    categorical=[
-                        (name, capacity, labels)
-                        for name, capacity, labels in categorical_full
-                    ],
-                )
-                transport.request("POST", "/own", push.to_dict())
-        except RemoteServiceError:
-            with self._lock:
-                self._append_route_failures += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ClusterCoordinator servers={len(self._urls)}>"

@@ -1,8 +1,8 @@
-"""The shard-server wire protocol: JSON shapes for own/scan/append.
+"""The shard-server wire protocol: JSON shapes for own/scan.
 
 The cluster speaks the same dialect as the PR-2 service protocol —
 symmetric ``to_dict``/``from_dict`` dataclasses, typed errors with an
-HTTP face — over three POST routes a :class:`~repro.cluster.shard.ShardServer`
+HTTP face — over two POST routes a :class:`~repro.cluster.shard.ShardServer`
 exposes:
 
 ====== ========== =====================================================
@@ -10,21 +10,20 @@ Method Path       Meaning
 ====== ========== =====================================================
 POST   /own       take ownership of one shard's column values
 POST   /scan      scan an owned shard (sample + full-scan sketches)
-POST   /append    extend an owned shard with appended rows
 GET    /health    liveness + protocol version
 GET    /shards    owned shards (table, shard, row range, version)
-GET    /metrics   scans/appends served, rows owned, per-scan seconds
+GET    /metrics   scans served, rows owned, per-scan seconds
 ====== ========== =====================================================
 
-Ownership is **lazy and versioned**: a scan or append naming shard
-state the server does not hold answers a typed 409
+Ownership is **lazy and versioned**: a scan naming shard state the
+server does not hold answers a typed 409
 (:class:`~repro.service.protocol.StaleShardError`), and the
-coordinator re-pushes ``/own`` and retries.  Two things fall out for
-free: a freshly started coordinator *re-attaches* to running servers
-(its first scan simply succeeds against state a previous coordinator
-pushed), and repeated appends are idempotent (a delta the server has
-already applied — ``to_version`` matching the stored version — is a
-no-op).
+coordinator re-pushes ``/own`` and retries.  A freshly started
+coordinator therefore *re-attaches* to running servers (its first scan
+simply succeeds against state a previous coordinator pushed), and a
+build over an appended table heals the same way: its shard ranges and
+version differ from what the servers hold, so each shard is pushed
+once at the new version.
 
 Column values travel raw: numeric attributes as float lists with
 ``NaN`` for missing (the Python ``json`` module round-trips the token
@@ -44,7 +43,7 @@ import numpy as np
 from repro.service.protocol import ProtocolError
 
 #: Bumped on incompatible shard-wire changes; ``/health`` reports it.
-CLUSTER_PROTOCOL_VERSION = 1
+CLUSTER_PROTOCOL_VERSION = 2
 
 
 def _require(data: dict, key: str) -> object:
@@ -154,72 +153,6 @@ class ScanRequest:
             budget_rows=int(_require(data, "budget_rows")),
             sample_rows=bool(_require(data, "sample_rows")),
             epsilon=float(_require(data, "epsilon")),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardAppendRequest:
-    """Extend an owned shard with appended rows (streaming).
-
-    Appended rows land past every shard boundary, so they always route
-    to the shard owning the table's tail
-    (:meth:`repro.engine.parallel.ShardedTable.owning_shard`).  The
-    version pair makes the route idempotent: a server already at
-    ``to_version`` answers OK without re-applying, any other mismatch
-    is a 409 and the coordinator re-pushes the whole shard.
-    """
-
-    table: str
-    shard: int
-    from_version: int
-    to_version: int
-    #: New global ``high`` bound after the append.
-    high: int
-    #: Attribute → appended numeric values (``NaN`` for missing).
-    numeric: dict[str, list[float]]
-    #: Attribute → appended present-value labels, in row order.
-    categorical: dict[str, list[str]]
-    #: Attribute → Misra–Gries capacity at ``to_version``.  Appends can
-    #: grow a categorical dictionary, and the capacity is derived from
-    #: the full dictionary — the server must sketch future scans with
-    #: the post-append capacity or its sketches would diverge from a
-    #: local build at the same version.
-    capacities: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "shard": self.shard,
-            "from_version": self.from_version,
-            "to_version": self.to_version,
-            "high": self.high,
-            "numeric": self.numeric,
-            "categorical": self.categorical,
-            "capacities": self.capacities,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardAppendRequest":
-        return cls(
-            table=str(_require(data, "table")),
-            shard=int(_require(data, "shard")),
-            from_version=int(_require(data, "from_version")),
-            to_version=int(_require(data, "to_version")),
-            high=int(_require(data, "high")),
-            numeric={
-                str(name): [float(v) for v in values]
-                for name, values in dict(_require(data, "numeric")).items()
-            },
-            categorical={
-                str(name): [str(v) for v in labels]
-                for name, labels in dict(_require(data, "categorical")).items()
-            },
-            capacities={
-                str(name): int(capacity)
-                for name, capacity in dict(
-                    _require(data, "capacities")
-                ).items()
-            },
         )
 
 

@@ -4,8 +4,7 @@ One :class:`ShardStore` holds the column values of every shard pushed
 to this process (``POST /own``), scans them into
 :class:`~repro.engine.parallel.ShardStatistics` (``POST /scan``) with
 the *same* :func:`~repro.engine.parallel.scan_shard_values` core the
-local workers run, and extends them with routed appends
-(``POST /append``).  :class:`ShardServer` mounts those routes (plus
+local workers run.  :class:`ShardServer` mounts those routes (plus
 ``GET /health|/shards|/metrics``) on the wire core the exploration
 service uses (:class:`~repro.service.httpd.JsonHttpServer`), so both
 servers frame requests and type errors identically.
@@ -22,13 +21,10 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
-
 from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
     OwnShardRequest,
     ScanRequest,
-    ShardAppendRequest,
     numeric_from_wire,
 )
 from repro.engine.parallel import ShardStatistics, scan_shard_values
@@ -37,18 +33,16 @@ from repro.service.protocol import ProtocolError, StaleShardError
 
 
 class _OwnedShard:
-    """One shard's mutable state (columns grow under routed appends)."""
+    """One shard's values at one ``(low, high, version)``; never
+    mutated — ``/own`` replaces it whole."""
 
     def __init__(self, request: OwnShardRequest):
         self.low = request.low
         self.high = request.high
         self.version = request.version
         self.numeric = numeric_from_wire(request.numeric)
-        #: ``(attribute, capacity, labels)`` — labels grow on append.
-        self.categorical = [
-            (name, capacity, list(labels))
-            for name, capacity, labels in request.categorical
-        ]
+        #: ``(attribute, capacity, labels)`` triples.
+        self.categorical = tuple(request.categorical)
 
     def matches(self, low: int, high: int, version: int) -> bool:
         """True when a request names exactly this owned state."""
@@ -68,16 +62,15 @@ class _OwnedShard:
 class ShardStore:
     """Owned shards of one server process, keyed ``(table, shard)``.
 
-    Thread-safe: the HTTP handlers run on executor threads, so
-    own/scan/append can race.  Scans copy the references they need out
-    under the lock and run the (read-only) scan core outside it.
+    Thread-safe: the HTTP handlers run on executor threads, so own and
+    scan can race.  A scan takes the owned shard out under the lock and
+    runs the (read-only) scan core on it outside.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._shards: dict[tuple[str, int], _OwnedShard] = {}  # guarded-by: _lock
         self._scans = 0  # guarded-by: _lock
-        self._appends = 0  # guarded-by: _lock
         self._scan_seconds_total = 0.0  # guarded-by: _lock
 
     def own(self, request: OwnShardRequest) -> dict:
@@ -113,11 +106,6 @@ class ShardStore:
                     f"[{request.low}, {request.high}) version "
                     f"{request.version}; re-push /own"
                 )
-            numeric = dict(owned.numeric)
-            categorical = tuple(
-                (name, capacity, list(labels))
-                for name, capacity, labels in owned.categorical
-            )
         statistics = scan_shard_values(
             index=request.shard,
             low=request.low,
@@ -127,57 +115,13 @@ class ShardStore:
             budget_rows=request.budget_rows,
             sample_rows=request.sample_rows,
             epsilon=request.epsilon,
-            numeric=numeric,
-            categorical=categorical,
+            numeric=owned.numeric,
+            categorical=owned.categorical,
         )
         with self._lock:
             self._scans += 1
             self._scan_seconds_total += time.perf_counter() - started
         return statistics
-
-    def append(self, request: ShardAppendRequest) -> dict:
-        """Extend an owned shard with appended rows (idempotently)."""
-        with self._lock:
-            owned = self._owned(request.table, request.shard)
-            if owned.version == request.to_version:
-                # Another context already routed this delta.
-                return {"owned": owned.describe(), "applied": False}
-            if owned.version != request.from_version:
-                raise StaleShardError(
-                    f"shard {request.shard} of table {request.table!r} is "
-                    f"at version {owned.version}, but the append moves "
-                    f"{request.from_version} -> {request.to_version}; "
-                    "re-push /own"
-                )
-            for name, values in request.numeric.items():
-                if name not in owned.numeric:
-                    raise ProtocolError(
-                        f"append names unknown numeric attribute {name!r}"
-                    )
-                owned.numeric[name] = np.concatenate(
-                    [owned.numeric[name], np.asarray(values, dtype=np.float64)]
-                )
-            labelled = {
-                name: index
-                for index, (name, _, _) in enumerate(owned.categorical)
-            }
-            for name, labels in request.categorical.items():
-                if name not in labelled:
-                    raise ProtocolError(
-                        f"append names unknown categorical attribute {name!r}"
-                    )
-                index = labelled[name]
-                stored_name, capacity, stored = owned.categorical[index]
-                stored.extend(labels)
-                # A grown dictionary can raise the MG capacity; future
-                # scans must sketch at the post-append capacity to stay
-                # bit-identical with a local build at this version.
-                capacity = request.capacities.get(name, capacity)
-                owned.categorical[index] = (stored_name, capacity, stored)
-            owned.high = request.high
-            owned.version = request.to_version
-            self._appends += 1
-            return {"owned": owned.describe(), "applied": True}
 
     def describe(self) -> dict:
         """Owned shards, for ``GET /shards`` and re-attach checks."""
@@ -199,13 +143,12 @@ class ShardStore:
                     for owned in self._shards.values()
                 ),
                 "scans": self._scans,
-                "appends": self._appends,
                 "scan_seconds_total": self._scan_seconds_total,
             }
 
 
 def _shard_routes(store: ShardStore) -> dict[tuple[str, str], Handler]:
-    """The six shard routes as ``(payload, query, headers)`` handlers."""
+    """The five shard routes as ``(payload, query, headers)`` handlers."""
     health = {"status": "ok", "protocol": CLUSTER_PROTOCOL_VERSION}
     return {
         ("GET", "/health"): lambda *_: (200, health),
@@ -218,10 +161,6 @@ def _shard_routes(store: ShardStore) -> dict[tuple[str, str], Handler]:
         ("POST", "/scan"): lambda payload, *_: (
             200,
             {"statistics": store.scan(ScanRequest.from_dict(payload)).to_dict()},
-        ),
-        ("POST", "/append"): lambda payload, *_: (
-            200,
-            store.append(ShardAppendRequest.from_dict(payload)),
         ),
     }
 

@@ -84,7 +84,8 @@ class Fidelity:
     mode: str = "exact"
     #: Reservoir sample budget (rows) for the sketch backend.
     budget_rows: int = 20_000
-    #: Rank-error fraction for the one-pass quantile sketches.
+    #: Rank-error fraction for the one-pass quantile sketches, and for
+    #: the ``"sketch"`` numeric cut strategy at every fidelity.
     epsilon: float = 0.005
 
     def __post_init__(self) -> None:
@@ -450,8 +451,6 @@ class AtlasConfig:
     #: When set, the pipeline runs on a uniform sample of this many rows
     #: (the Section-5.1 "sampling and refinement" speed lever).
     sample_size: int | None = None
-    #: ε for the sketch cutting strategy.
-    sketch_epsilon: float = 0.005
     #: Execution fidelity: ``exact`` full-table statistics, or a
     #: ``sketch`` row/epsilon budget answered by the sketch backend.
     #: Accepts a :class:`Fidelity` or a spec string (``"sketch:20000"``).
@@ -502,10 +501,6 @@ class AtlasConfig:
         if self.sample_size is not None and self.sample_size < 1:
             raise ConfigError(
                 f"sample_size must be >= 1 or None, got {self.sample_size}"
-            )
-        if not 0.0 < self.sketch_epsilon < 0.5:
-            raise ConfigError(
-                f"sketch_epsilon must be in (0, 0.5), got {self.sketch_epsilon}"
             )
 
     def replace(self, **changes: object) -> "AtlasConfig":

@@ -373,8 +373,9 @@ def _twomeans_strategy(values, splits, config):
 
 @register_numeric_cut("sketch")
 def _sketch_strategy(values, splits, config):
-    """One-pass GK approximate quantile splits (§5.1)."""
-    return numeric_cut_points_sketch(values, splits, config.sketch_epsilon)
+    """One-pass GK approximate quantile splits (§5.1), at
+    ``fidelity.epsilon`` rank error."""
+    return numeric_cut_points_sketch(values, splits, config.fidelity.epsilon)
 
 
 @register_categorical_cut("frequency")

@@ -34,11 +34,11 @@ import copy
 import dataclasses
 import threading
 import zlib
-from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.config import AtlasConfig, Fidelity, Parallelism
+from repro.core.config import AtlasConfig, Fidelity
 from repro.core.contingency import joint_distribution_from_assignments
 from repro.core.datamap import DataMap, assign_regions, covers_from_assignment
 from repro.core.information import rajski_distance, variation_of_information
@@ -51,9 +51,6 @@ from repro.engine.kernels import (
 )
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
-
-if TYPE_CHECKING:
-    from repro.engine.parallel import ScanVenue, ShardedTable
 
 #: Bounds on cached scope tables / per-table stat blocks; interactive
 #: sessions revisit a handful of scopes, so a small FIFO is plenty.
@@ -624,7 +621,7 @@ class ExactBackend:
             config.n_splits,
             NUMERIC_CUTS.get(config.numeric_strategy),
             CATEGORICAL_ORDERS.get(config.categorical_strategy),
-            config.sketch_epsilon,
+            config.fidelity.epsilon,
         )
         with self._lock:
             self._use("cut_map")
@@ -695,11 +692,8 @@ class SketchBackend:
     ``frequencies`` / ``tokens``).  ``full_scan`` says whether those
     summaries observed every table row (a sharded build) or only the
     reservoir; it is fixed here and decides the rate at which
-    :meth:`advance` thins appended rows.  ``layout`` and ``parallelism``
-    record the shard layout the statistics were built over, ``venue``
-    is where the scans ran (its ``append`` is told about every
-    advance), and ``provenance`` is merged into :meth:`snapshot` as is
-    (the ``"parallel"`` / ``"warm"`` blocks).
+    :meth:`advance` thins appended rows.  ``provenance`` is merged into
+    :meth:`snapshot` as is (the ``"parallel"`` / ``"warm"`` blocks).
     """
 
     kind = "sketch"
@@ -717,9 +711,6 @@ class SketchBackend:
         frequencies: Mapping[str, object] | None = None,
         tokens: Mapping[str, object] | None = None,
         full_scan: bool = False,
-        layout: ShardedTable | None = None,
-        parallelism: Parallelism | None = None,
-        venue: ScanVenue | None = None,
         provenance: Mapping[str, object] | None = None,
     ):
         if not fidelity.is_sketch:
@@ -764,21 +755,12 @@ class SketchBackend:
         )
         self._root_cuts: dict[tuple, DataMap] = {}  # guarded-by: _lock
         self._full_scan = bool(full_scan)
-        self._layout = layout  # guarded-by: _lock
-        self._parallelism = parallelism
-        self._venue = venue
         self._provenance = dict(provenance or {})
 
     @property
     def table(self) -> Table:
         """The (full) table the statistics approximate."""
         return self._table
-
-    @property
-    def sharded_table(self) -> ShardedTable | None:
-        """The shard layout the statistics were built over, if any."""
-        with self._lock:
-            return self._layout
 
     @property
     def shard_seconds(self) -> tuple[float, ...]:
@@ -791,7 +773,7 @@ class SketchBackend:
         return tuple(self._parallel_provenance().get("shard_servers", ()))
 
     def _parallel_provenance(self) -> Mapping[str, object]:
-        """The build's ``"parallel"`` block (empty without a layout)."""
+        """The build's ``"parallel"`` block (empty unless sharded)."""
         return self._provenance.get("parallel", {})
 
     @property
@@ -851,20 +833,9 @@ class SketchBackend:
         the new reservoir.  Root-cut memos are version-stale and drop
         in the same critical section that bumps the version, so a
         reader can never pair a new version with pre-append cut points.
-
-        A sharded backend also routes the append to the owning (last)
-        shard: the layout extends its last range over the appended rows
-        (earlier boundaries, and therefore every shard's RNG stream,
-        are untouched), and once the local state has swapped the scan
-        venue is told, so a cluster can forward the delta rows.
+        Maintenance is local: no scan venue is consulted.
         """
         old_table = self._table
-        with self._lock:
-            old_layout = self._layout
-        layout = (
-            None if old_layout is None
-            else old_layout.advanced(new_table)  # validates growth
-        )
         if new_table.version <= self.version:
             raise MapError(
                 f"cannot advance from version {self.version} to "
@@ -903,9 +874,6 @@ class SketchBackend:
             # a weighted merge and never observably different.
             self._token_sketches = {}
             self._root_cuts.clear()
-            self._layout = layout
-        if self._venue is not None and old_layout is not None:
-            self._venue.append(new_table, old_layout, self._parallelism)
 
     def _topped_up_reservoir(
         self, new_table: Table, delta: Table, rng: np.random.Generator
@@ -1038,10 +1006,7 @@ class SketchBackend:
         Root-scope requests (no predicates — the first query of every
         session, and the most repeated one) come from the memoized
         per-attribute sketches; restricted scopes are cut over the
-        reservoir rows with the configured strategy.  ``fidelity.epsilon``
-        is *the* rank-error knob at sketch fidelity: it also overrides
-        ``config.sketch_epsilon`` for delegated sketch-strategy cuts, so
-        the same attribute is cut at one precision at every scope depth.
+        reservoir rows with the configured strategy.
         """
         from repro.engine.registry import strategy_key
 
@@ -1056,8 +1021,6 @@ class SketchBackend:
                 return self._root_numeric_cut(query, attribute, config)
             if isinstance(column, CategoricalColumn):
                 return self._root_categorical_cut(query, attribute, config)
-        if config.sketch_epsilon != self._fidelity.epsilon:
-            config = config.replace(sketch_epsilon=self._fidelity.epsilon)
         return self._inner.cut_map(query, attribute, config)
 
     def quantile_sketch(self, attribute: str):

@@ -39,12 +39,11 @@ only on ``(table, shards)``, never on the worker count — so serial,
 worker count is a pure wall-clock knob (the E20 benchmark and the
 determinism property tests assert this).
 
-Streaming: appended rows land past the last shard boundary, so
-:meth:`ShardedTable.advanced` routes them to the owning (last) shard
-and :meth:`SketchBackend.advance` maintains the merged state
-incrementally — the reservoir tops up hypergeometrically and delta
-sketches merge at rate 1.0 (full-scan summaries must observe every
-appended row).
+Streaming: venues are consulted only at build time.  After an append
+:meth:`SketchBackend.advance` maintains the merged state locally — the
+reservoir tops up hypergeometrically and delta sketches merge at rate
+1.0 (full-scan summaries must observe every appended row) — and a
+fresh build over the grown table shards it anew.
 """
 
 from __future__ import annotations
@@ -198,11 +197,6 @@ class ShardedTable:
         self._bounds = tuple(bounds)
 
     @property
-    def table(self) -> Table:
-        """The table being sharded."""
-        return self._table
-
-    @property
     def n_shards(self) -> int:
         """Number of row-range shards."""
         return len(self._bounds)
@@ -219,39 +213,6 @@ class ShardedTable:
         return self._table.take(
             np.arange(low, high), name=f"{self._table.name}_shard{index}"
         )
-
-    def owning_shard(self, row_index: int) -> int:
-        """The shard whose row range contains ``row_index``.
-
-        Rows at or past the current end belong to the last shard —
-        that is where :meth:`advanced` routes appended rows.
-        """
-        if row_index < 0:
-            raise MapError(f"row index must be >= 0, got {row_index}")
-        for index, (low, high) in enumerate(self._bounds):
-            if low <= row_index < high:
-                return index
-        return len(self._bounds) - 1
-
-    def advanced(self, new_table: Table) -> "ShardedTable":
-        """This sharding routed onto an appended version of the table.
-
-        Appended rows live in ``[old_n_rows, new_n_rows)`` — past every
-        boundary — so they extend the owning (last) shard's range;
-        earlier shard boundaries are untouched, which is what keeps
-        per-shard RNG streams and merge order stable across appends.
-        """
-        if new_table.n_rows < self._table.n_rows:
-            raise MapError(
-                "streaming tables are append-only: cannot advance a "
-                f"sharding from {self._table.n_rows} to "
-                f"{new_table.n_rows} rows"
-            )
-        out = ShardedTable.__new__(ShardedTable)
-        out._table = new_table
-        last_low = self._bounds[-1][0]
-        out._bounds = self._bounds[:-1] + ((last_low, new_table.n_rows),)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -508,22 +469,14 @@ class ScanVenue(Protocol):
     The one variation point of :func:`build_sharded_backend`: shard
     layout, scan core, fold order and RNG tags are fixed, so venues are
     interchangeable bit for bit and differ only in wall-clock and in
-    the provenance they report.  Consulted at build and at
-    :meth:`SketchBackend.advance`, never per query.
+    the provenance they report.  Consulted only at build time, never
+    per query or on an append.
     """
 
     def scan(
         self, table: Table, layout: ShardedTable, recipe: ScanRecipe
     ) -> list[ShardStatistics]:
         """Statistics of every shard of ``layout``, in shard order."""
-
-    def append(
-        self,
-        new_table: Table,
-        old_layout: ShardedTable,
-        parallelism: Parallelism,
-    ) -> None:
-        """Told after a backend built here advanced onto ``new_table``."""
 
     def provenance(
         self, layout: ShardedTable, parallelism: Parallelism
@@ -548,14 +501,6 @@ class InlineVenue:
             _scan_shard(table, layout, recipe, index)
             for index in range(layout.n_shards)
         ]
-
-    def append(
-        self,
-        new_table: Table,
-        old_layout: ShardedTable,
-        parallelism: Parallelism,
-    ) -> None:
-        """Nothing to route: local shards are row ranges of the table."""
 
     def provenance(
         self, layout: ShardedTable, parallelism: Parallelism
@@ -795,9 +740,6 @@ def build_sharded_backend(
         quantiles=quantiles,
         frequencies=frequencies,
         full_scan=True,
-        layout=layout,
-        parallelism=parallelism,
-        venue=venue,
         provenance={
             "parallel": {
                 "spec": parallelism.spec(),

@@ -188,10 +188,9 @@ def restore_backend(
     reservoir arrives ready and the sketch dictionaries arrive built.
     ``table`` must be at exactly the version the summary was captured
     at (the caller looks summaries up by version, so a mismatch means
-    a corrupted store or a mixed-up key).  The summary carries no shard
-    layout, so the restored backend has none: its ``snapshot()`` has no
-    ``parallel`` block and its appends are not routed to a cluster
-    (stale shard servers heal through 409 → push at the next scan).
+    a corrupted store or a mixed-up key).  The summary carries no build
+    provenance, so the restored backend's ``snapshot()`` has no
+    ``parallel`` block.
     """
     if table.version != summary.version:
         raise StoreError(

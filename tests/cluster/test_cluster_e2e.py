@@ -75,21 +75,34 @@ class TestInProcessCluster:
                 local.explore(FIGURE2_QUERY_TEXT)
             ) == map_set_fingerprint(clustered.explore(FIGURE2_QUERY_TEXT))
 
-    def test_fresh_build_after_routed_appends(self, table, servers,
-                                              coordinator):
-        """Routed appends leave servers scannable at the new version."""
+    def test_fresh_build_after_appends_pushes_each_shard_once(
+        self, table, servers, coordinator, monkeypatch
+    ):
+        """A build over a grown table heals stale servers by 409 → /own."""
         attach_cluster(coordinator)
         initial, batches = split_for_streaming(table, 2)
         clustered = explorer(initial).approximate(BUDGET).seed(4).cluster()
         clustered.explore(FIGURE2_QUERY_TEXT)
         clustered.append(batches[0])
         grown = clustered.table
-        # A brand-new exploration at the appended version: its scans
-        # must succeed against the routed server state with no 409s.
+        pushed = []
+        for server in servers:
+            own = server.store.own
+
+            def counted(request, own=own):
+                pushed.append(request.shard)
+                return own(request)
+
+            monkeypatch.setattr(server.store, "own", counted)
+        # A brand-new exploration at the appended version: every shard's
+        # range and version moved, so each scan answers 409 and the
+        # coordinator pushes that shard once.
         fresh = (
             explorer(grown).approximate(BUDGET).seed(4).cluster()
             .explore(FIGURE2_QUERY_TEXT)
         )
+        assert sorted(pushed) == list(range(8))
+        assert coordinator.metrics()["shard_retries"] == 0
         local = (
             explorer(grown).approximate(BUDGET).seed(4)
             .configure(parallelism=Parallelism(workers=1, shards=8))

@@ -12,7 +12,6 @@ from repro.cluster import (
     CLUSTER_PROTOCOL_VERSION,
     OwnShardRequest,
     ScanRequest,
-    ShardAppendRequest,
     server_for_shard,
 )
 from repro.cluster.protocol import numeric_from_wire, numeric_to_wire
@@ -55,19 +54,6 @@ class TestRequestSerde:
         restored = ScanRequest.from_dict(wire_round_trip(request.to_dict()))
         assert restored == request
 
-    def test_append_round_trip(self):
-        request = ShardAppendRequest(
-            table="census", shard=7, from_version=1, to_version=2,
-            high=3500,
-            numeric={"age": [44.0]},
-            categorical={"sex": ["F"]},
-            capacities={"sex": 2},
-        )
-        restored = ShardAppendRequest.from_dict(
-            wire_round_trip(request.to_dict())
-        )
-        assert restored == request
-
     def test_missing_key_is_a_protocol_error(self):
         payload = ScanRequest(
             table="t", shard=0, low=0, high=1, version=1, fingerprint=0,
@@ -86,7 +72,8 @@ class TestRequestSerde:
         assert np.isnan(back["x"][1])
 
     def test_protocol_version_is_declared(self):
-        assert CLUSTER_PROTOCOL_VERSION == 1
+        # 2: the /append route and its request message were removed.
+        assert CLUSTER_PROTOCOL_VERSION == 2
 
 
 class TestServerForShard:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import (
+    CLUSTER_PROTOCOL_VERSION,
     OwnShardRequest,
     ScanRequest,
-    ShardAppendRequest,
     ShardStore,
     serve_shard,
 )
@@ -138,93 +138,14 @@ class TestShardStore:
         )
 
 
-class TestShardStoreAppend:
-    def append_request(self, table, sharded, **overrides):
-        owning = sharded.owning_shard(table.n_rows)
-        numeric_names, categorical = _sketch_attributes(table)
-        fields = dict(
-            table=table.name, shard=owning,
-            from_version=table.version, to_version=table.version + 1,
-            high=table.n_rows + 2,
-            numeric={name: [30.0, 41.0] for name in numeric_names},
-            categorical={
-                name: [table.categorical(name).categories[0]] * 2
-                for name, _ in categorical
-            },
-            capacities={name: capacity for name, capacity in categorical},
-        )
-        fields.update(overrides)
-        return ShardAppendRequest(**fields)
-
-    def test_append_extends_owned_shard(self, table):
-        store = ShardStore()
-        sharded = ShardedTable(table, 4)
-        owning = sharded.owning_shard(table.n_rows)
-        store.own(own_request(table, sharded, owning))
-        response = store.append(self.append_request(table, sharded))
-        assert response["applied"] is True
-        assert response["owned"]["high"] == table.n_rows + 2
-        assert response["owned"]["version"] == table.version + 1
-
-    def test_append_is_idempotent(self, table):
-        store = ShardStore()
-        sharded = ShardedTable(table, 4)
-        owning = sharded.owning_shard(table.n_rows)
-        store.own(own_request(table, sharded, owning))
-        request = self.append_request(table, sharded)
-        assert store.append(request)["applied"] is True
-        # The same delta again: already at to_version, not re-applied.
-        replay = store.append(request)
-        assert replay["applied"] is False
-        assert replay["owned"]["high"] == table.n_rows + 2
-
-    def test_append_from_other_version_is_stale(self, table):
-        store = ShardStore()
-        sharded = ShardedTable(table, 4)
-        owning = sharded.owning_shard(table.n_rows)
-        store.own(own_request(table, sharded, owning))
-        skipped = self.append_request(
-            table, sharded,
-            from_version=table.version + 5,
-            to_version=table.version + 6,
-        )
-        with pytest.raises(StaleShardError, match="re-push"):
-            store.append(skipped)
-
-    def test_append_naming_unknown_attribute_rejected(self, table):
-        store = ShardStore()
-        sharded = ShardedTable(table, 4)
-        owning = sharded.owning_shard(table.n_rows)
-        store.own(own_request(table, sharded, owning))
-        bad = self.append_request(
-            table, sharded, numeric={"no_such_column": [1.0]}
-        )
-        with pytest.raises(ProtocolError, match="no_such_column"):
-            store.append(bad)
-
-    def test_append_updates_mg_capacity(self, table):
-        store = ShardStore()
-        sharded = ShardedTable(table, 4)
-        owning = sharded.owning_shard(table.n_rows)
-        store.own(own_request(table, sharded, owning))
-        categorical_names = [
-            name for name, _ in _sketch_attributes(table)[1]
-        ]
-        grown = {name: 99 for name in categorical_names}
-        store.append(self.append_request(table, sharded, capacities=grown))
-        with store._lock:
-            owned = store._shards[(table.name, owning)]
-            assert all(
-                capacity == 99 for _, capacity, _ in owned.categorical
-            )
-
-
 class TestShardHTTP:
     def test_health_reports_protocol_version(self):
         with serve_shard() as server:
             transport = HttpTransport(server.url, timeout=10.0)
             payload = transport.request("GET", "/health")
-            assert payload == {"status": "ok", "protocol": 1}
+            assert payload == {
+                "status": "ok", "protocol": CLUSTER_PROTOCOL_VERSION,
+            }
             transport.close()
 
     def test_own_scan_and_metrics_over_http(self, table):
@@ -254,6 +175,19 @@ class TestShardHTTP:
             transport = HttpTransport(server.url, timeout=10.0)
             with pytest.raises(ProtocolError, match="no route"):
                 transport.request("GET", "/nope")
+            transport.close()
+
+    def test_append_is_not_a_shard_route(self, table):
+        # Appends never reach a shard server: the next build over the
+        # grown table re-pushes stale shards through /own instead.
+        with serve_shard() as server:
+            transport = HttpTransport(server.url, timeout=10.0)
+            with pytest.raises(ProtocolError, match="no route") as err:
+                transport.request(
+                    "POST", "/append",
+                    {"table": table.name, "shard": 0},
+                )
+            assert err.value.status == 400
             transport.close()
 
     def test_missing_body_is_a_typed_error(self):

@@ -41,8 +41,6 @@ class TestValidation:
             ("dependence_threshold", -0.1),
             ("min_region_cover", 1.0),
             ("sample_size", 0),
-            ("sketch_epsilon", 0.0),
-            ("sketch_epsilon", 0.9),
         ],
     )
     def test_out_of_domain_rejected(self, field, value):
@@ -64,6 +62,22 @@ class TestValidation:
     def test_replace_validates(self):
         with pytest.raises(ConfigError):
             AtlasConfig().replace(max_regions=0)
+
+    def test_sketch_epsilon_is_not_a_field(self):
+        # fidelity.epsilon is the one rank-error knob at every fidelity.
+        with pytest.raises(ConfigError, match="sketch_epsilon"):
+            AtlasConfig.from_dict({"sketch_epsilon": 0.01})
+        with pytest.raises(ConfigError, match="sketch_epsilon"):
+            AtlasConfig().replace(sketch_epsilon=0.01)
+        assert "sketch_epsilon" not in AtlasConfig().to_dict()
+
+        from repro.datagen import census_table
+        from repro.engine.facade import explorer
+
+        with pytest.raises(ConfigError, match="sketch_epsilon"):
+            explorer(census_table(n_rows=10, seed=0)).configure(
+                sketch_epsilon=0.01
+            )
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -185,6 +185,23 @@ class TestSketchStrategy:
         approx_point = approx.regions[0].predicate_on("x").high
         assert abs(exact_point - approx_point) < 5.0  # 5% of the range
 
+    def test_exact_fidelity_sketch_explore_is_pinned(self):
+        # The sketch strategy cuts at fidelity.epsilon; the exact
+        # fidelity's default (0.005) keeps this answer bit-identical.
+        from repro.datagen import census_table
+        from repro.engine.facade import explorer
+        from repro.evaluation import map_set_fingerprint
+
+        answer = (
+            explorer(census_table(n_rows=4000, seed=42))
+            .configure(numeric_strategy="sketch")
+            .explore("Age: [17, 90]")
+        )
+        assert answer.fidelity == "exact"
+        assert map_set_fingerprint(answer) == (
+            "5e7f84f2bdc7a789363f72b02720f670f8b9b7951938faf9b72ef7d5b27276b1"
+        )
+
 
 class TestCategoricalStrategies:
     def test_frequency_groups_by_mass(self, labelled):

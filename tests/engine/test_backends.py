@@ -155,12 +155,10 @@ class TestSketchAnswers:
         )
 
     def test_fidelity_epsilon_governs_all_scope_depths(self, census_small):
-        # One precision knob at sketch fidelity: a delegated (restricted
-        # scope) sketch-strategy cut uses fidelity.epsilon, not the
-        # legacy config.sketch_epsilon.
+        # One precision knob: a delegated (restricted scope)
+        # sketch-strategy cut uses fidelity.epsilon, like the root cut.
         config = AtlasConfig(
             fidelity="sketch:2000:0.02",
-            sketch_epsilon=0.005,
             numeric_strategy="sketch",
         )
         backend = ExecutionContext(census_small, config).stats()

@@ -15,6 +15,7 @@ from repro.engine.parallel import (
     ForkVenue,
     InlineVenue,
     ScanRecipe,
+    ScanVenue,
     ShardedTable,
     _sketch_attributes,
     build_sharded_backend,
@@ -147,15 +148,6 @@ class TestShardedTable:
         # Empty shards materialize as empty tables.
         assert sharded.shard(7).n_rows == 0
 
-    def test_appends_route_to_empty_trailing_shard(self):
-        tiny = census_table(n_rows=3, seed=0)
-        sharded = ShardedTable(tiny, 5)
-        grown = census_table(n_rows=6, seed=0)
-        advanced = sharded.advanced(grown)
-        assert advanced.bounds[:-1] == sharded.bounds[:-1]
-        assert advanced.bounds[-1] == (3, 6)
-        assert advanced.owning_shard(5) == 4
-
     def test_shard_materialization_matches_bounds(self, table):
         sharded = ShardedTable(table, 4)
         low, high = sharded.bounds[1]
@@ -164,31 +156,6 @@ class TestShardedTable:
         np.testing.assert_array_equal(
             shard.numeric("Age").data, table.numeric("Age").data[low:high]
         )
-
-    def test_owning_shard(self, table):
-        sharded = ShardedTable(table, 4)
-        assert sharded.owning_shard(0) == 0
-        assert sharded.owning_shard(table.n_rows - 1) == 3
-        # Appended rows (past the end) belong to the last shard.
-        assert sharded.owning_shard(table.n_rows + 100) == 3
-        with pytest.raises(MapError):
-            sharded.owning_shard(-1)
-
-    def test_advanced_extends_last_shard_only(self, table):
-        sharded = ShardedTable(table, 4)
-        appended = table.append({
-            "Age": [30.0], "Sex": ["Female"], "Salary": ["<50k"],
-            "Education": ["BSc"], "Eye color": ["Blue"],
-        })
-        advanced = sharded.advanced(appended)
-        assert advanced.bounds[:-1] == sharded.bounds[:-1]
-        assert advanced.bounds[-1] == (sharded.bounds[-1][0],
-                                       appended.n_rows)
-
-    def test_advanced_rejects_shrinking(self, table):
-        sharded = ShardedTable(table, 4)
-        with pytest.raises(MapError):
-            sharded.advanced(census_table(n_rows=10, seed=0))
 
     def test_rejects_empty_table_and_bad_counts(self, table):
         from repro.dataset.table import Table
@@ -327,7 +294,6 @@ class TestShardedBackend:
         assert backend.kind == "sketch"
         assert backend.table is table
         assert backend.n_rows == SKETCH.budget_rows
-        assert backend.sharded_table.n_shards == 4
         assert len(backend.shard_seconds) == 4
 
     def test_full_scan_sketches_cover_every_row(self, table):
@@ -370,7 +336,7 @@ class TestShardedBackend:
             tiny, Fidelity.sketch(budget_rows=3),
             Parallelism(workers=1, shards=8), seed=0,
         )
-        assert backend.sharded_table.n_shards == 8
+        assert backend.snapshot()["parallel"]["shards"] == 8
         assert backend.n_rows == 3
         assert backend.quantile_sketch("Age").count == tiny.n_rows
         assert backend.frequency_sketch("Sex").count == tiny.n_rows
@@ -443,7 +409,7 @@ class TestShardedBackend:
 
 
 # ---------------------------------------------------------------------- #
-# Streaming maintenance (advance routing)
+# Streaming maintenance
 # ---------------------------------------------------------------------- #
 
 
@@ -459,21 +425,22 @@ def _append_rows(n, seed=123):
 
 
 class TestShardedStreaming:
-    def test_advance_routes_append_to_owning_shard(self, table):
+    def test_advance_maintains_the_sharded_backend_in_place(self, table):
         config = AtlasConfig(
             fidelity=SKETCH, parallelism=Parallelism(workers=1, shards=4)
         )
         context = ExecutionContext(table, config)
         backend = context.stats()
         backend.quantile_sketch("Age")
-        old_bounds = backend.sharded_table.bounds
+        built = backend.snapshot()["parallel"]
         appended = table.append(_append_rows(500))
         context.advance(appended)
         maintained = context.stats()
         assert maintained is backend
         assert maintained.version == 1
-        assert maintained.sharded_table.bounds[:-1] == old_bounds[:-1]
-        assert maintained.sharded_table.bounds[-1][1] == appended.n_rows
+        # The build's provenance describes the build, not the table now.
+        assert maintained.snapshot()["parallel"] == built
+        assert maintained.snapshot()["parallel"]["shards"] == 4
 
     def test_advance_merges_delta_at_full_rate(self, table):
         """Full-scan summaries must observe every appended row."""
@@ -581,35 +548,38 @@ def assert_venue_invisible(
     assert len(state["frequencies"]) == 4
     parallel = backend.snapshot().get("parallel")
     if stage == "restored":
-        # A summary carries no layout; see DESIGN "what a warm-restored
-        # backend does not carry".
-        assert parallel is None and backend.sharded_table is None
+        # A summary carries no build provenance.
+        assert parallel is None
     else:
         assert parallel["shards"] == shards
         assert len(parallel["shard_seconds"]) == shards
         assert len(backend.shard_seconds) == shards
-        assert backend.sharded_table.bounds[-1][1] == backend.table.n_rows
 
 
-class RecordingVenue(InlineVenue):
-    """An inline venue that notes what the build and the backend ask."""
+class RecordingVenue:
+    """Wraps an inline venue and notes what the build and the backend ask.
+
+    Scans are recorded and run inline; any venue method beyond
+    ``scan`` / ``provenance`` is recorded too, so a call the
+    :class:`ScanVenue` protocol does not declare shows up in ``calls``.
+    """
 
     def __init__(self):
         self.calls = []
-        self.backend = None
+        self._inline = InlineVenue()
 
     def scan(self, table, layout, recipe):
         self.calls.append(("scan", layout.n_shards, recipe.parallelism))
-        return super().scan(table, layout, recipe)
+        return self._inline.scan(table, layout, recipe)
 
-    def append(self, new_table, old_layout, parallelism):
-        self.calls.append((
-            "append",
-            old_layout.table.n_rows,
-            self.backend.version,
-            self.backend.sharded_table.bounds[-1][1],
-            parallelism,
-        ))
+    def provenance(self, layout, parallelism):
+        return self._inline.provenance(layout, parallelism)
+
+    def __getattr__(self, name):
+        def recorded(*args):
+            self.calls.append((name, *args))
+
+        return recorded
 
 
 class TestVenueInvisibility:
@@ -618,25 +588,27 @@ class TestVenueInvisibility:
     def test_fork_pool_matches_inline(self, table, stage):
         assert_venue_invisible(table, ForkVenue(2), stage)
 
-    def test_build_scans_once_and_advance_appends_once(self, table):
+    def test_build_scans_once_and_advance_never_asks_the_venue(self, table):
         venue = RecordingVenue()
         parallelism = Parallelism(workers=1, shards=4)
         backend = build_sharded_backend(
             table, SKETCH, parallelism, seed=0, venue=venue
         )
+        current = table
+        for seed in range(3):
+            current = current.append(_append_rows(300, seed=seed))
+            backend.advance(current, rng=seed)
+        assert backend.version == 3
         assert venue.calls == [("scan", 4, parallelism)]
-        venue.backend = backend
-        appended = table.append(_append_rows(300))
-        backend.advance(appended, rng=0)
-        # Told once, about the old layout, after the local swap.
-        assert venue.calls[1:] == [
-            ("append", table.n_rows, 1, appended.n_rows, parallelism)
-        ]
+
+    def test_venue_protocol_is_scan_and_provenance(self):
+        declared = {name for name in vars(ScanVenue) if not name.startswith("_")}
+        assert declared == {"scan", "provenance"}
 
     def test_serial_backend_has_no_layout(self, table):
         backend = ExecutionContext(
             table, AtlasConfig(fidelity=SKETCH)
         ).stats()
-        assert backend.sharded_table is None
+        assert "parallel" not in backend.snapshot()
         assert backend.shard_seconds == () and backend.shard_servers == ()
         assert backend.export_state()["full_scan"] is False

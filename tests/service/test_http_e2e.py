@@ -268,6 +268,35 @@ class TestNoKernelKnob:
         assert "kernels" not in backends["sketch"]
 
 
+class TestNoSketchEpsilonKnob:
+    """``fidelity.epsilon`` is the one rank-error knob: a
+    ``sketch_epsilon`` override is an unknown config key."""
+
+    def test_sketch_epsilon_override_is_a_typed_400(self, served):
+        _, server = served
+        request = urllib.request.Request(
+            server.url + "/explore",
+            data=json.dumps(
+                {"table": "census", "config": {"sketch_epsilon": 0.01}}
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10)
+        assert info.value.code == 400
+        error = json.loads(info.value.read())["error"]
+        assert error["code"] == "bad_request"
+        assert "unknown config overrides: sketch_epsilon" in error["message"]
+
+    def test_sketch_epsilon_override_rejected_in_process(self, census_service):
+        request = ExploreRequest(
+            table="census", config={"sketch_epsilon": 0.01}
+        )
+        with pytest.raises(ProtocolError, match="sketch_epsilon"):
+            census_service.handle(request)
+
+
 class TestHttpAppend:
     """Streaming appends over real sockets (`POST /append`)."""
 
