@@ -21,8 +21,9 @@ locally, and the next build over the grown table finds every shard's
 range and version stale, so it pushes each shard once.
 
 Failure handling: each shard call runs under the transport's
-per-request timeout; a failed scan is retried once, and a second
-failure raises :class:`~repro.service.protocol.ShardUnavailableError`
+per-request timeout; a failed scan — no answer, or an answer whose
+statistics do not decode — is retried once, and a second failure
+raises :class:`~repro.service.protocol.ShardUnavailableError`
 (HTTP 503 through the service) naming the shard's index, row range,
 and server URL.  There is no cross-server failover — re-pushing a
 shard elsewhere mid-query would answer correctly (the statistics only
@@ -54,7 +55,7 @@ from repro.engine.parallel import (
     build_sharded_backend,
     shard_column_values,
 )
-from repro.errors import MapError
+from repro.errors import MapError, SketchError
 from repro.service.protocol import (
     RemoteServiceError,
     ShardUnavailableError,
@@ -273,11 +274,13 @@ class ClusterCoordinator:
                     payload = transport.request(
                         "POST", "/scan", request.to_dict()
                     )
+                # A malformed answer is the server's failure, not the
+                # client's: it decodes here, inside the retry.
                 return (
-                    ShardStatistics.from_dict(payload["statistics"]),
+                    ShardStatistics.from_dict(payload.get("statistics", {})),
                     attempts,
                 )
-            except RemoteServiceError as exc:
+            except (RemoteServiceError, SketchError) as exc:
                 attempts += 1
                 if attempts > 1:
                     low, high = sharded.bounds[request.shard]

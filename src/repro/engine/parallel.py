@@ -24,7 +24,9 @@ of parallel analytical engines:
    for the row samples, ``GKQuantileSketch.merge`` /
    ``MisraGriesSketch.merge`` for the summaries — and seeds one
    :class:`~repro.engine.backends.SketchBackend` with them, which the
-   existing pipeline consumes unchanged.
+   existing pipeline consumes unchanged.  Summaries stay sketch
+   objects from scan to fold (a GK merge is numpy array work); only a
+   cluster ``/scan`` answer carries them in their ``to_dict`` form.
 
 The venue is never part of the statistical recipe: a new place to run
 the scans is one more :class:`ScanVenue`, never a second build function
@@ -71,7 +73,7 @@ from repro.engine.kernels import (
     frequency_summary_from_labels,
     quantile_summary,
 )
-from repro.errors import MapError
+from repro.errors import MapError, SketchError
 from repro.sketch.frequency import MisraGriesSketch
 from repro.sketch.quantile import GKQuantileSketch
 
@@ -230,19 +232,21 @@ class ShardedTable:
 class ShardStatistics:
     """What one shard scan produces (cheap to pickle back to the parent).
 
-    Sketches travel in their ``to_dict`` wire form — a few hundred
-    tuples/counters — and the row sample as *global* row indices, so a
-    worker never ships row data.
+    Summaries are built sketch objects (a GK summary is three small
+    arrays), so the inline and fork venues hand them to the fold as
+    they are; only the cluster's ``/scan`` answer converts them
+    (:meth:`to_dict` / :meth:`from_dict`).  The row sample is *global*
+    row indices, so a worker never ships row data.
     """
 
     index: int
     n_rows: int
     #: Uniform sample of the shard's rows, as global row indices.
     sample: np.ndarray
-    #: Attribute → :meth:`GKQuantileSketch.to_dict` payload.
-    quantiles: dict[str, dict[str, Any]]
-    #: Attribute → :meth:`MisraGriesSketch.to_dict` payload.
-    frequencies: dict[str, dict[str, Any]]
+    #: Attribute → full-scan GK summary of the shard.
+    quantiles: dict[str, GKQuantileSketch]
+    #: Attribute → full-scan Misra–Gries summary of the shard.
+    frequencies: dict[str, MisraGriesSketch]
     #: Wall-clock seconds the shard scan took (inside the worker).
     seconds: float
     #: Columnar-kernel nanoseconds inside this scan
@@ -252,8 +256,8 @@ class ShardStatistics:
     def to_dict(self) -> dict[str, Any]:
         """Plain-JSON wire form (the cluster scan response payload).
 
-        The sketches are already in their ``to_dict`` payloads; only
-        the index array needs coercion.  Global row indices are exact
+        Sketches serialize through their ``to_dict`` (floats, ints
+        and labels, exact under JSON) and global row indices are exact
         integers, so the JSON round trip is lossless and a shard
         statistic built on a server folds bit-identically to one built
         by a local worker.
@@ -262,8 +266,14 @@ class ShardStatistics:
             "index": self.index,
             "n_rows": self.n_rows,
             "sample": [int(i) for i in self.sample.tolist()],
-            "quantiles": self.quantiles,
-            "frequencies": self.frequencies,
+            "quantiles": {
+                attribute: sketch.to_dict()
+                for attribute, sketch in self.quantiles.items()
+            },
+            "frequencies": {
+                attribute: sketch.to_dict()
+                for attribute, sketch in self.frequencies.items()
+            },
             "seconds": self.seconds,
             "kernel_nanos": dict(self.kernel_nanos),
         }
@@ -272,26 +282,33 @@ class ShardStatistics:
     def from_dict(cls, data: Mapping[str, Any]) -> "ShardStatistics":
         """Rebuild from :meth:`to_dict` output.
 
-        ``kernel_nanos`` defaults to empty — a pre-kernels peer's scan
-        payload (no timing block) still folds; timing is provenance,
-        not statistics.
+        The sketches are decoded and validated here, so a malformed
+        answer fails as a :class:`SketchError` at the boundary that
+        received it.  ``kernel_nanos`` defaults to empty — a
+        pre-kernels peer's scan payload (no timing block) still folds;
+        timing is provenance, not statistics.
         """
-        return cls(
-            index=int(data["index"]),
-            n_rows=int(data["n_rows"]),
-            sample=np.asarray(data["sample"], dtype=np.int64),
-            quantiles={
-                str(k): dict(v) for k, v in data["quantiles"].items()
-            },
-            frequencies={
-                str(k): dict(v) for k, v in data["frequencies"].items()
-            },
-            seconds=float(data["seconds"]),
-            kernel_nanos={
-                str(k): int(v)
-                for k, v in dict(data.get("kernel_nanos", {})).items()
-            },
-        )
+        try:
+            return cls(
+                index=int(data["index"]),
+                n_rows=int(data["n_rows"]),
+                sample=np.asarray(data["sample"], dtype=np.int64),
+                quantiles={
+                    str(k): GKQuantileSketch.from_dict(v)
+                    for k, v in data["quantiles"].items()
+                },
+                frequencies={
+                    str(k): MisraGriesSketch.from_dict(v)
+                    for k, v in data["frequencies"].items()
+                },
+                seconds=float(data["seconds"]),
+                kernel_nanos={
+                    str(k): int(v)
+                    for k, v in dict(data.get("kernel_nanos", {})).items()
+                },
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SketchError(f"malformed shard statistics: {exc!r}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -363,21 +380,22 @@ def scan_shard_values(
         # across the process boundary would buy nothing.
         sample = np.empty(0, dtype=np.int64)
 
-    quantiles: dict[str, dict[str, Any]] = {}
-    for attribute, values in numeric.items():
-        gk = quantile_summary(values, epsilon, timings=timings)
-        quantiles[attribute] = gk.to_dict()
+    quantiles = {
+        attribute: quantile_summary(values, epsilon, timings=timings)
+        for attribute, values in numeric.items()
+    }
 
-    frequencies: dict[str, dict[str, Any]] = {}
+    frequencies: dict[str, MisraGriesSketch] = {}
     for attribute, capacity, payload in categorical:
         if isinstance(payload, tuple):
             codes, categories = payload
-            mg = frequency_summary_from_codes(
+            frequencies[attribute] = frequency_summary_from_codes(
                 codes, categories, capacity, timings=timings
             )
         else:
-            mg = frequency_summary_from_labels(payload, capacity, timings=timings)
-        frequencies[attribute] = mg.to_dict()
+            frequencies[attribute] = frequency_summary_from_labels(
+                payload, capacity, timings=timings
+            )
 
     return ShardStatistics(
         index=index,
@@ -640,14 +658,8 @@ def fold_shard_statistics(
     """
     first, rest = results[0], results[1:]
     sample, seen = first.sample, first.n_rows
-    quantiles: dict[str, GKQuantileSketch] = {
-        attribute: GKQuantileSketch.from_dict(payload)
-        for attribute, payload in first.quantiles.items()
-    }
-    frequencies: dict[str, MisraGriesSketch] = {
-        attribute: MisraGriesSketch.from_dict(payload)
-        for attribute, payload in first.frequencies.items()
-    }
+    quantiles = dict(first.quantiles)
+    frequencies = dict(first.frequencies)
     for shard in rest:
         if sample_rows:
             sample, seen = merge_row_samples(
@@ -655,14 +667,10 @@ def fold_shard_statistics(
                 budget_rows,
                 tag_rng(seed, f"shard-merge:{shard.index}:{fingerprint}"),
             )
-        for attribute, payload in shard.quantiles.items():
-            quantiles[attribute] = quantiles[attribute].merge(
-                GKQuantileSketch.from_dict(payload)
-            )
-        for attribute, payload in shard.frequencies.items():
-            frequencies[attribute] = frequencies[attribute].merge(
-                MisraGriesSketch.from_dict(payload)
-            )
+        for attribute, sketch in shard.quantiles.items():
+            quantiles[attribute] = quantiles[attribute].merge(sketch)
+        for attribute, mg in shard.frequencies.items():
+            frequencies[attribute] = frequencies[attribute].merge(mg)
     return sample, quantiles, frequencies
 
 

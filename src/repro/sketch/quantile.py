@@ -28,24 +28,12 @@ canonical rather than interchangeable.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import SketchError
-
-
-@dataclasses.dataclass
-class _Tuple:
-    """One GK summary tuple ``(value, g, delta)``.
-
-    ``g`` is the gap in minimum rank to the previous tuple; ``delta`` is
-    the uncertainty of the tuple's own rank.
-    """
-
-    value: float
-    g: int
-    delta: int
 
 
 class GKQuantileSketch:
@@ -63,7 +51,12 @@ class GKQuantileSketch:
         if not 0.0 < epsilon < 1.0:
             raise SketchError(f"epsilon must be in (0, 1), got {epsilon}")
         self._epsilon = float(epsilon)
-        self._tuples: list[_Tuple] = []
+        # Summary tuple i is (value, g, delta): ``g`` is the gap in
+        # minimum rank to tuple i-1, ``delta`` the uncertainty of its
+        # own rank.  Values are ascending.
+        self._values = np.empty(0, dtype=np.float64)
+        self._g = np.empty(0, dtype=np.int64)
+        self._delta = np.empty(0, dtype=np.int64)
         self._count = 0
         # Compress every 1/(2ε) inserts, as in the original paper.
         self._compress_period = max(1, int(math.floor(1.0 / (2.0 * epsilon))))
@@ -82,7 +75,7 @@ class GKQuantileSketch:
     @property
     def space(self) -> int:
         """Current number of summary tuples held."""
-        return len(self._tuples)
+        return len(self._values)
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -124,7 +117,9 @@ class GKQuantileSketch:
             merged = built
         else:
             merged = self.merge(built)
-        self._tuples = merged._tuples
+        self._values, self._g, self._delta = (
+            merged._values, merged._g, merged._delta
+        )
         self._count = merged._count
         self._since_compress = 0
 
@@ -152,53 +147,60 @@ class GKQuantileSketch:
         positions = list(range(0, n, step))
         if positions[-1] != n - 1:
             positions.append(n - 1)
-        tuples: list[_Tuple] = []
-        previous = -1
-        for position in positions:
-            tuples.append(_Tuple(float(ordered[position]), position - previous, 0))
-            previous = position
-        sketch._tuples = tuples
+        sketch._values = np.array(
+            [ordered[position] for position in positions], dtype=np.float64
+        )
+        sketch._g = np.diff(np.array(positions, dtype=np.int64), prepend=-1)
+        sketch._delta = np.zeros(len(positions), dtype=np.int64)
         sketch._count = n
         return sketch
 
     def _insert(self, value: float) -> None:
-        tuples = self._tuples
         self._count += 1
-        # Find insertion position (first tuple with larger value).
-        lo, hi = 0, len(tuples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tuples[mid].value < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        position = lo
-        if position == 0 or position == len(tuples):
+        # Insertion position: the first tuple with value >= ``value``.
+        position = int(np.searchsorted(self._values, value, side="left"))
+        if position == 0 or position == len(self._values):
             # New minimum or maximum: exact rank (delta = 0).
-            tuples.insert(position, _Tuple(value, 1, 0))
-            return
-        threshold = int(math.floor(2.0 * self._epsilon * self._count))
-        neighbour = tuples[position]
-        tuples.insert(
-            position, _Tuple(value, 1, max(0, neighbour.g + neighbour.delta - 1))
-        )
-        if tuples[position].delta > threshold:
-            # Degenerate at tiny counts; clamp to keep the invariant.
-            tuples[position].delta = max(0, threshold - 1)
+            delta = 0
+        else:
+            threshold = int(math.floor(2.0 * self._epsilon * self._count))
+            delta = max(
+                0, int(self._g[position]) + int(self._delta[position]) - 1
+            )
+            if delta > threshold:
+                # Degenerate at tiny counts; clamp to keep the invariant.
+                delta = max(0, threshold - 1)
+        self._values = np.insert(self._values, position, value)
+        self._g = np.insert(self._g, position, 1)
+        self._delta = np.insert(self._delta, position, delta)
 
     def _compress(self) -> None:
-        tuples = self._tuples
-        if len(tuples) < 3:
+        """Right-to-left greedy compress: tuple ``i`` merges into the
+        tuple to its right when ``g[i] + g[right] + delta[right]`` fits
+        the threshold (the first and last tuples are never removed)."""
+        n = len(self._values)
+        if n < 3:
             return
         threshold = int(math.floor(2.0 * self._epsilon * self._count))
-        # Walk from the tail, merging tuple i into i+1 when allowed.
-        i = len(tuples) - 2
-        while i >= 1:
-            current, nxt = tuples[i], tuples[i + 1]
-            if current.g + nxt.g + nxt.delta <= threshold:
-                nxt.g += current.g
-                del tuples[i]
-            i -= 1
+        g, delta = self._g, self._delta
+        # A merge only grows the absorbing tuple's ``g``, so a pair that
+        # does not fit as-is never fits: only these tuples can merge.
+        fits = np.flatnonzero(g[1:-1] + g[2:] + delta[2:] <= threshold) + 1
+        if not len(fits):
+            return
+        g_list, delta_list = g.tolist(), delta.tolist()
+        removed: list[int] = []
+        for i in reversed(fits.tolist()):
+            if not removed or removed[-1] != i + 1:
+                right = i + 1  # else i + 1 was absorbed: keep its absorber
+            if g_list[i] + g_list[right] + delta_list[right] <= threshold:
+                g_list[right] += g_list[i]
+                removed.append(i)
+        kept = np.ones(n, dtype=bool)
+        kept[removed] = False
+        self._values = self._values[kept]
+        self._g = np.array(g_list, dtype=np.int64)[kept]
+        self._delta = delta[kept]
 
     # ------------------------------------------------------------------ #
     # Merging and serde
@@ -220,27 +222,26 @@ class GKQuantileSketch:
             epsilon=max(self._epsilon, other._epsilon)
         )
         merged._count = self._count + other._count
-        a, b = self._tuples, other._tuples
-        combined: list[_Tuple] = []
-        i = j = 0
-        while i < len(a) or j < len(b):
-            take_a = j >= len(b) or (
-                i < len(a) and a[i].value <= b[j].value
-            )
-            current, others, position = (
-                (a[i], b, j) if take_a else (b[j], a, i)
-            )
-            if position < len(others):
-                nxt = others[position]
-                delta = current.delta + nxt.g + nxt.delta - 1
-            else:
-                delta = current.delta
-            combined.append(_Tuple(current.value, current.g, max(0, delta)))
-            if take_a:
-                i += 1
-            else:
-                j += 1
-        merged._tuples = combined
+        size = len(self._values) + len(other._values)
+        merged._values = np.empty(size, dtype=np.float64)
+        merged._g = np.empty(size, dtype=np.int64)
+        merged._delta = np.empty(size, dtype=np.int64)
+        # A tuple's merged slot is its own index plus the number of
+        # other-side tuples placed before it; ties place ``self`` first.
+        # That count is also the index of the other side's next tuple,
+        # whose ``g + delta - 1`` the tuple's delta absorbs.
+        for side, rest, side_rule in (
+            (self, other, "left"), (other, self, "right")
+        ):
+            following = np.searchsorted(rest._values, side._values, side_rule)
+            delta = side._delta.copy()
+            inside = following < len(rest._values)
+            nxt = following[inside]
+            delta[inside] += rest._g[nxt] + rest._delta[nxt] - 1
+            slots = np.arange(len(side._values)) + following
+            merged._values[slots] = side._values
+            merged._g[slots] = side._g
+            merged._delta[slots] = np.maximum(delta, 0)
         merged._compress()
         return merged
 
@@ -250,7 +251,7 @@ class GKQuantileSketch:
             "kind": "gk_quantile",
             "epsilon": self._epsilon,
             "count": self._count,
-            "tuples": [[t.value, t.g, t.delta] for t in self._tuples],
+            "tuples": [list(t) for t in self.merge_summary()],
         }
 
     @classmethod
@@ -258,25 +259,33 @@ class GKQuantileSketch:
         """Rebuild a summary from :meth:`to_dict` output."""
         try:
             sketch = cls(epsilon=float(data["epsilon"]))
-            tuples = [
-                _Tuple(float(value), int(g), int(delta))
+            rows = [
+                (float(value), int(g), int(delta))
                 for value, g, delta in data["tuples"]
             ]
+            values = np.array([row[0] for row in rows], dtype=np.float64)
+            g = np.array([row[1] for row in rows], dtype=np.int64)
+            delta = np.array([row[2] for row in rows], dtype=np.int64)
             count = int(data["count"])
-        except (KeyError, TypeError, ValueError) as exc:
+            g_total = sum(row[1] for row in rows)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SketchError(f"malformed quantile payload: {exc}") from exc
-        if sum(t.g for t in tuples) != count:
+        if np.isnan(values).any():
+            raise SketchError("inconsistent quantile payload: NaN value")
+        if (g < 1).any() or (delta < 0).any():
+            raise SketchError(
+                "inconsistent quantile payload: g must be >= 1 and "
+                "delta >= 0"
+            )
+        if g_total != count:
             raise SketchError(
                 "inconsistent quantile payload: g values do not sum to count"
             )
-        if any(
-            earlier.value > later.value
-            for earlier, later in zip(tuples, tuples[1:])
-        ):
+        if (values[1:] < values[:-1]).any():
             raise SketchError(
                 "inconsistent quantile payload: tuples out of order"
             )
-        sketch._tuples = tuples
+        sketch._values, sketch._g, sketch._delta = values, g, delta
         sketch._count = count
         return sketch
 
@@ -297,19 +306,17 @@ class GKQuantileSketch:
             raise SketchError("cannot query an empty quantile sketch")
         # The extremes are tracked exactly (delta 0 on first/last insert).
         if quantile == 0.0:
-            return self._tuples[0].value
+            return float(self._values[0])
         if quantile == 1.0:
-            return self._tuples[-1].value
+            return float(self._values[-1])
         target = max(1.0, math.ceil(quantile * self._count))
         margin = max(self._epsilon * self._count, 1.0)
-        min_rank = 0
-        answer = self._tuples[0].value
-        for entry in self._tuples:
-            min_rank += entry.g
-            if min_rank + entry.delta > target + margin:
-                break
-            answer = entry.value
-        return answer
+        # The answer is the tuple before the first one whose maximum
+        # possible rank overshoots ``target + margin`` (tuple 0 if the
+        # very first does; the last tuple if none does).
+        overshoots = np.cumsum(self._g) + self._delta > target + margin
+        first = int(np.argmax(overshoots)) if overshoots.any() else self.space
+        return float(self._values[max(first - 1, 0)])
 
     def median(self) -> float:
         """Approximate median (the CUT default of Section 5.1)."""
@@ -317,4 +324,6 @@ class GKQuantileSketch:
 
     def merge_summary(self) -> list[tuple[float, int, int]]:
         """Expose the summary tuples (value, g, delta) for inspection."""
-        return [(t.value, t.g, t.delta) for t in self._tuples]
+        return list(
+            zip(self._values.tolist(), self._g.tolist(), self._delta.tolist())
+        )

@@ -50,6 +50,58 @@ class TestKilledShard:
         assert coordinator.metrics()["shard_retries"] >= 1
 
 
+class TestMalformedAnswer:
+    """A /scan answer whose statistics do not decode is the shard's
+    failure (retry once, then 503), never the client's 400."""
+
+    def corrupt_scans(self, monkeypatch, coordinator, server, times):
+        transport = coordinator._transports[server]
+        real = transport.request
+        corrupted = []
+
+        def request(method, path, payload=None, **kwargs):
+            answer = real(method, path, payload, **kwargs)
+            if path == "/scan" and len(corrupted) < times:
+                corrupted.append(answer["statistics"]["index"])
+                gk = answer["statistics"]["quantiles"]["Age"]
+                gk["tuples"][0][0] = float("nan")
+            return answer
+
+        monkeypatch.setattr(transport, "request", request)
+        return corrupted
+
+    def test_bad_payload_twice_raises_typed_503_naming_the_shard(
+        self, table, coordinator, monkeypatch
+    ):
+        corrupted = self.corrupt_scans(
+            monkeypatch, coordinator, server=1, times=2
+        )
+        with pytest.raises(ShardUnavailableError) as err:
+            coordinator.build_backend(table, SKETCH, CLUSTER, seed=7)
+        assert err.value.status == 503
+        assert error_to_dict(err.value)["error"]["code"] == (
+            "shard_unavailable"
+        )
+        assert corrupted == [4, 4]  # shard 4 opens server 1's block
+        message = str(err.value)
+        assert "shard 4 of table" in message
+        assert "(rows [1500, 1875))" in message
+        assert coordinator.urls[1] in message
+        assert "failed twice" in message
+        assert "NaN" in message
+
+    def test_one_bad_payload_is_retried_to_the_same_answer(
+        self, table, coordinator, monkeypatch
+    ):
+        clean = coordinator.build_backend(table, SKETCH, CLUSTER, seed=7)
+        self.corrupt_scans(monkeypatch, coordinator, server=0, times=1)
+        retried = coordinator.build_backend(table, SKETCH, CLUSTER, seed=7)
+        assert retried.snapshot()["parallel"]["shard_retries"] == 1
+        assert retried.export_state()["quantiles"]["Age"].to_dict() == (
+            clean.export_state()["quantiles"]["Age"].to_dict()
+        )
+
+
 class TestSlowShard:
     def test_unresponsive_server_times_out_per_shard(self, table):
         # A listener that accepts connections but never answers — the

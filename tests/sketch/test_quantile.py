@@ -36,6 +36,40 @@ class TestValidation:
             GKQuantileSketch().insert(float("nan"))
 
 
+class TestFromDictRejectsImpossibleSummaries:
+    def payload(self, tuples):
+        return {
+            "kind": "gk_quantile",
+            "epsilon": 0.1,
+            "count": sum(g for _, g, _ in tuples),
+            "tuples": tuples,
+        }
+
+    def test_nan_value(self):
+        with pytest.raises(SketchError, match="NaN"):
+            GKQuantileSketch.from_dict(
+                self.payload([[1.0, 1, 0], [float("nan"), 2, 0]])
+            )
+
+    def test_negative_g(self):
+        with pytest.raises(SketchError, match="g must be >= 1"):
+            GKQuantileSketch.from_dict(
+                self.payload([[1.0, 3, 0], [2.0, -1, 0]])
+            )
+
+    def test_zero_g(self):
+        with pytest.raises(SketchError, match="g must be >= 1"):
+            GKQuantileSketch.from_dict(
+                self.payload([[1.0, 2, 0], [2.0, 0, 0]])
+            )
+
+    def test_negative_delta(self):
+        with pytest.raises(SketchError, match="delta >= 0"):
+            GKQuantileSketch.from_dict(
+                self.payload([[1.0, 1, 0], [2.0, 2, -5]])
+            )
+
+
 class TestAccuracy:
     @pytest.mark.parametrize("quantile", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_uniform_stream(self, quantile):
