@@ -6,7 +6,7 @@ process's active cluster, and explores the census table three ways —
 serial, local scan/merge, and scattered over the cluster — asserting
 the answers are bit-identical before and after streamed appends, and
 that a fresh cluster build at the final version matches a fresh serial
-one.
+one.  A last, steady-state build must cost one ``/scan`` per server.
 
 This is also the CI smoke test for the cluster subsystem.
 
@@ -90,13 +90,28 @@ try:
     print(f"  fresh build at {final.n_rows} rows: cluster == serial ✓")
 
     # ------------------------------------------------------------ #
-    # 5. What the cluster did.
+    # 5. A steady-state build: every shard is already placed, so each
+    #    server gets exactly one /scan listing all of its shards.
+    # ------------------------------------------------------------ #
+    def scan_requests():
+        return [entry["scan_requests"]
+                for entry in coordinator.metrics()["shard_servers"]]
+
+    before = scan_requests()
+    explorer(final).approximate(10_000).seed(1).cluster().explore(QUERY)
+    hops = [after - old for after, old in zip(scan_requests(), before)]
+    assert hops == [1] * len(servers), hops
+    print(f"  steady-state build: {hops} /scan request(s) per server ✓")
+
+    # ------------------------------------------------------------ #
+    # 6. What the cluster did.
     # ------------------------------------------------------------ #
     metrics = coordinator.metrics()
     print(f"cluster builds: {metrics['builds']}, "
           f"shard retries: {metrics['shard_retries']}")
     for entry in metrics["shard_servers"]:
-        print(f"  {entry['url']}: {entry['scans']} scan(s), "
+        print(f"  {entry['url']}: {entry['scan_requests']} /scan "
+              f"request(s), {entry['scans']} shard scan(s), "
               f"{entry['rows_owned']} row(s) owned")
 finally:
     detach_cluster()

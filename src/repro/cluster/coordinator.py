@@ -11,21 +11,24 @@ to a serial or local-parallel answer over the same shard layout:
 "workers are wall-clock, shards are statistics" survives the network
 hop unchanged.
 
-Data placement is lazy and versioned: the first scan of a shard a
-server does not own answers 409, the coordinator pushes the shard's
-column values (``POST /own``) and retries.  A coordinator restart
+Each server gets **one** ``/scan`` per build, listing all of its
+shards; the servers are scanned concurrently.  Data placement is lazy
+and versioned: a scan listing shards a server does not own answers one
+409 naming them, the coordinator pushes exactly those shards' column
+values (``POST /own``) and sends the scan again.  A coordinator restart
 therefore *re-attaches* to running servers without a handshake — its
 first scan simply succeeds against previously pushed state.  Appends
 never reach the servers: a backend built here maintains itself
 locally, and the next build over the grown table finds every shard's
 range and version stale, so it pushes each shard once.
 
-Failure handling: each shard call runs under the transport's
-per-request timeout; a failed scan — no answer, or an answer whose
-statistics do not decode — is retried once, and a second failure
-raises :class:`~repro.service.protocol.ShardUnavailableError`
-(HTTP 503 through the service) naming the shard's index, row range,
-and server URL.  There is no cross-server failover — re-pushing a
+Failure handling: each server call runs under the transport's
+per-request timeout; a failed batch — no answer, an error answer, or
+an answer whose statistics do not decode or name the wrong shards —
+is retried once, and a second failure raises
+:class:`~repro.service.protocol.ShardUnavailableError` (HTTP 503
+through the service) naming the server URL and each shard's index and
+row range.  There is no cross-server failover — re-pushing a
 shard elsewhere mid-query would answer correctly (the statistics only
 depend on the shard layout) but hide the operational fact an operator
 needs to see.
@@ -39,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cluster.protocol import (
     OwnShardRequest,
     ScanRequest,
-    numeric_to_wire,
+    decode_scan_answer,
 )
 from repro.core.config import Fidelity, Parallelism
 from repro.dataset.table import Table
@@ -58,6 +61,7 @@ from repro.engine.parallel import (
 from repro.errors import MapError, SketchError
 from repro.service.protocol import (
     RemoteServiceError,
+    ServiceError,
     ShardUnavailableError,
     StaleShardError,
 )
@@ -181,52 +185,46 @@ class ClusterCoordinator:
     ) -> list[ShardStatistics]:
         """Scan every shard on its owning server; shard-ordered results.
 
-        Servers scan their contiguous shard blocks concurrently, one
-        ``/scan`` per shard.
+        One ``/scan`` per server lists that server's contiguous shard
+        block; the servers scan concurrently.
         """
         assignment = self._shard_servers(layout, recipe.parallelism)
         fingerprint = table_fingerprint(table)
+        blocks: dict[int, list[tuple[int, int, int]]] = {}
+        for index, (low, high) in enumerate(layout.bounds):
+            blocks.setdefault(assignment[index], []).append(
+                (index, low, high)
+            )
 
-        def scan_block(server: int) -> list[tuple[ShardStatistics, int]]:
-            out = []
-            for index, (low, high) in enumerate(layout.bounds):
-                if assignment[index] != server:
-                    continue
-                request = ScanRequest(
-                    table=table.name,
-                    shard=index,
-                    low=low,
-                    high=high,
-                    version=table.version,
-                    fingerprint=fingerprint,
-                    seed=recipe.seed,
-                    budget_rows=recipe.budget_rows,
-                    sample_rows=recipe.sample_rows,
-                    epsilon=recipe.epsilon,
-                )
-                out.append(self._scan_shard(
-                    server, table, layout,
-                    recipe.numeric, recipe.categorical, request,
-                ))
-            return out
+        def scan_block(server: int) -> tuple[list[ShardStatistics], int]:
+            request = ScanRequest(
+                table=table.name,
+                version=table.version,
+                fingerprint=fingerprint,
+                seed=recipe.seed,
+                budget_rows=recipe.budget_rows,
+                sample_rows=recipe.sample_rows,
+                epsilon=recipe.epsilon,
+                shards=tuple(blocks[server]),
+            )
+            return self._scan_server(server, table, recipe, request)
 
-        servers_used = sorted(set(assignment))
+        servers_used = sorted(blocks)
         if len(servers_used) == 1:
-            blocks = [scan_block(servers_used[0])]
+            scanned = [scan_block(servers_used[0])]
         else:
             with ThreadPoolExecutor(
                 max_workers=len(servers_used),
                 thread_name_prefix="repro-cluster-scan",
             ) as pool:
-                blocks = list(pool.map(scan_block, servers_used))
-        scanned = sorted(
-            (pair for block in blocks for pair in block),
-            key=lambda pair: pair[0].index,
-        )
+                scanned = list(pool.map(scan_block, servers_used))
         with self._lock:
             self._builds += 1
         self._last_scan.retries = sum(retries for _, retries in scanned)
-        return [stat for stat, _ in scanned]
+        return sorted(
+            (stat for block, _ in scanned for stat in block),
+            key=lambda stat: stat.index,
+        )
 
     def provenance(
         self, layout: ShardedTable, parallelism: Parallelism
@@ -242,53 +240,46 @@ class ClusterCoordinator:
         }
 
     # ------------------------------------------------------------------ #
-    # Per-shard calls (push-on-409, retry-once, typed 503)
+    # Per-server calls (push-on-409, retry-once, typed 503)
     # ------------------------------------------------------------------ #
 
-    def _scan_shard(
+    def _scan_server(
         self,
         server: int,
         table: Table,
-        sharded: ShardedTable,
-        numeric: tuple,
-        categorical: tuple,
+        recipe: ScanRecipe,
         request: ScanRequest,
-    ) -> tuple[ShardStatistics, int]:
-        """One shard's statistics and the retries they cost."""
+    ) -> tuple[list[ShardStatistics], int]:
+        """One server's shard statistics and the retries they cost."""
         transport = self._transports[server]
+        body = request.to_dict()
         attempts = 0
         while True:
             try:
                 try:
-                    payload = transport.request(
-                        "POST", "/scan", request.to_dict()
-                    )
-                except StaleShardError:
-                    # The server does not own this shard state (fresh
-                    # server, or the table grew since the last push):
-                    # push the columns and rescan.
-                    self._push_shard(
-                        server, table, sharded, request.shard,
-                        numeric, categorical,
-                    )
-                    payload = transport.request(
-                        "POST", "/scan", request.to_dict()
-                    )
+                    payload = transport.request("POST", "/scan", body)
+                except StaleShardError as exc:
+                    # The server does not own some listed shard state
+                    # (fresh server, or the table grew since the last
+                    # push): push exactly those shards and rescan.
+                    for index, low, high in _stale_shards(exc, request):
+                        self._push_shard(
+                            server, table, recipe, index, low, high
+                        )
+                    payload = transport.request("POST", "/scan", body)
                 # A malformed answer is the server's failure, not the
                 # client's: it decodes here, inside the retry.
-                return (
-                    ShardStatistics.from_dict(payload.get("statistics", {})),
-                    attempts,
-                )
-            except (RemoteServiceError, SketchError) as exc:
+                return decode_scan_answer(payload, request.shards), attempts
+            except (ServiceError, SketchError) as exc:
                 attempts += 1
                 if attempts > 1:
-                    low, high = sharded.bounds[request.shard]
+                    shards = ", ".join(
+                        f"shard {index} (rows [{low}, {high}))"
+                        for index, low, high in request.shards
+                    )
                     raise ShardUnavailableError(
-                        f"shard {request.shard} of table "
-                        f"{table.name!r} (rows [{low}, {high})) is "
-                        f"unavailable: server {self._urls[server]} "
-                        f"failed twice ({exc})"
+                        f"{shards} of table {table.name!r} unavailable: "
+                        f"server {self._urls[server]} failed twice ({exc})"
                     ) from exc
                 with self._lock:
                     self._shard_retries += 1
@@ -297,28 +288,43 @@ class ClusterCoordinator:
         self,
         server: int,
         table: Table,
-        sharded: ShardedTable,
-        shard: int,
-        numeric: tuple,
-        categorical: tuple,
+        recipe: ScanRecipe,
+        index: int,
+        low: int,
+        high: int,
     ) -> None:
-        low, high = sharded.bounds[shard]
-        numeric_values, categorical_values = shard_column_values(
-            table, low, high, numeric, categorical
+        numeric, categorical = shard_column_values(
+            table, low, high, recipe.numeric, recipe.categorical
         )
         request = OwnShardRequest(
             table=table.name,
-            shard=shard,
+            shard=index,
             low=low,
             high=high,
             version=table.version,
-            numeric=numeric_to_wire(numeric_values),
-            categorical=[
-                (name, capacity, labels)
-                for name, capacity, labels in categorical_values
-            ],
+            numeric=numeric,
+            categorical=categorical,
         )
         self._transports[server].request("POST", "/own", request.to_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ClusterCoordinator servers={len(self._urls)}>"
+
+
+def _stale_shards(
+    error: StaleShardError, request: ScanRequest
+) -> list[tuple[int, int, int]]:
+    """The listed shards a 409's ``detail["stale"]`` names.
+
+    A 409 that names none of them is a malformed answer.
+    """
+    named = error.detail.get("stale")
+    stale = [
+        shard for shard in request.shards
+        if isinstance(named, list) and shard[0] in named
+    ]
+    if not stale:
+        raise SketchError(
+            f"409 names no listed shard as stale: {named!r} ({error})"
+        )
+    return stale

@@ -9,47 +9,149 @@ exposes:
 Method Path       Meaning
 ====== ========== =====================================================
 POST   /own       take ownership of one shard's column values
-POST   /scan      scan an owned shard (sample + full-scan sketches)
+POST   /scan      scan a list of owned shards (one request per server)
 GET    /health    liveness + protocol version
 GET    /shards    owned shards (table, shard, row range, version)
-GET    /metrics   scans served, rows owned, per-scan seconds
+GET    /metrics   scan requests, shards scanned, rows owned, seconds
 ====== ========== =====================================================
 
-Ownership is **lazy and versioned**: a scan naming shard state the
-server does not hold answers a typed 409
-(:class:`~repro.service.protocol.StaleShardError`), and the
-coordinator re-pushes ``/own`` and retries.  A freshly started
-coordinator therefore *re-attaches* to running servers (its first scan
-simply succeeds against state a previous coordinator pushed), and a
-build over an appended table heals the same way: its shard ranges and
-version differ from what the servers hold, so each shard is pushed
-once at the new version.
+Ownership is **lazy and versioned**: a scan listing shard state the
+server does not hold answers one typed 409
+(:class:`~repro.service.protocol.StaleShardError`) whose
+``detail["stale"]`` lists the stale shard indices; the coordinator
+pushes exactly those through ``/own`` and sends the scan again.  A
+freshly started coordinator therefore *re-attaches* to running
+servers (its first scan simply succeeds against state a previous
+coordinator pushed), and a build over an appended table heals the same
+way: its shard ranges and version differ from what the servers hold,
+so each shard is pushed once at the new version.
 
-Column values travel raw: numeric attributes as float lists with
-``NaN`` for missing (the Python ``json`` module round-trips the token
-losslessly), categoricals as present-value label lists in row order
-with the Misra–Gries capacity computed once by the coordinator from
-the full dictionary.  These are exactly the streams
-:func:`repro.engine.parallel.scan_shard_values` consumes, so a scan on
-a server is bit-identical to one in a local worker.
+Arrays travel as **raw little-endian numpy buffers, base64 in the JSON
+body**; each buffer's dtype is fixed by the field that carries it,
+never declared on the wire:
+
+* ``/own`` — a numeric attribute is its shard's float64 values
+  (``NaN`` for missing); a categorical is its int32 code slice (``-1``
+  for missing) plus the column's whole dictionary and the Misra–Gries
+  capacity computed once by the coordinator.  That is exactly the
+  ``(codes, categories)`` payload the local venues scan
+  (:func:`repro.engine.parallel.shard_column_values`), so a scan on a
+  server runs the same kernels on the same buffers as a local worker.
+* ``/scan`` answer — per shard, each GK summary as float64 ``values``
+  and int64 ``g`` / ``delta`` buffers, the row sample as an
+  ``np.packbits`` bitmap over the shard's rows ``[low, high)`` (the
+  sample is a sorted set of distinct rows in that range, so the bitmap
+  is exact), and each Misra–Gries summary in its small ``to_dict``
+  form.
+
+Both directions are validated at decode: a malformed request is a
+typed 400 :class:`~repro.service.protocol.ProtocolError` naming the
+table, shard and column; a malformed answer is a
+:class:`~repro.errors.SketchError` the coordinator treats as the
+server's failure (retry once, then 503).
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+from collections.abc import Iterable
+from typing import Any
 
 import numpy as np
 
+from repro.engine.parallel import ShardStatistics
+from repro.errors import SketchError
 from repro.service.protocol import ProtocolError
+from repro.sketch.frequency import MisraGriesSketch
+from repro.sketch.quantile import GKQuantileSketch
 
 #: Bumped on incompatible shard-wire changes; ``/health`` reports it.
-CLUSTER_PROTOCOL_VERSION = 2
+CLUSTER_PROTOCOL_VERSION = 3
+
+_FLOAT64 = np.dtype("<f8")
+_INT64 = np.dtype("<i8")
+_INT32 = np.dtype("<i4")
+_UINT8 = np.dtype("u1")
 
 
-def _require(data: dict, key: str) -> object:
+def encode_buffer(array: np.ndarray, dtype: np.dtype) -> str:
+    """An array as base64 of its raw little-endian ``dtype`` bytes."""
+    raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_buffer(text: object, dtype: np.dtype, what: str) -> np.ndarray:
+    """The read-only array a :func:`encode_buffer` string holds.
+
+    Raises :class:`ValueError` naming ``what`` for a non-string, bad
+    base64, or a byte count that is not a whole number of items.
+    """
+    if not isinstance(text, str):
+        raise ValueError(
+            f"{what} must be a base64 string, got {type(text).__name__}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{what} is not valid base64 ({exc})") from exc
+    if len(raw) % dtype.itemsize:
+        raise ValueError(
+            f"{what} holds {len(raw)} bytes, not a whole number of "
+            f"{dtype.itemsize}-byte items"
+        )
+    return np.frombuffer(raw, dtype=dtype)
+
+
+# ---------------------------------------------------------------------- #
+# Request decoding (server side: every failure is a typed 400)
+# ---------------------------------------------------------------------- #
+
+
+def _object(data: object, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ProtocolError(
+            f"{what} must be a JSON object, got {type(data).__name__}"
+        )
+    return data
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(data: dict, key: str, kind: type) -> Any:
+    """``data[key]``, required and of JSON type ``kind``.
+
+    ``bool`` is never an ``int`` here, and an ``int`` is accepted where
+    a ``float`` is asked for.
+    """
     if key not in data:
         raise ProtocolError(f"shard payload is missing {key!r}")
-    return data[key]
+    value = data[key]
+    accepted: tuple[type, ...] = (int, float) if kind is float else (kind,)
+    if not isinstance(value, accepted) or (
+        kind is not bool and isinstance(value, bool)
+    ):
+        raise ProtocolError(
+            f"shard payload field {key!r} must be {kind.__name__}, got "
+            f"{type(value).__name__}"
+        )
+    return float(value) if kind is float else value
+
+
+#: Row indices are int64 on both sides of the wire.
+_MAX_ROW = 2**63 - 1
+
+
+def _check_shard(index: int, low: int, high: int, where: str) -> None:
+    if index < 0:
+        raise ProtocolError(f"{where}: shard index must be >= 0")
+    if not 0 <= low <= high <= _MAX_ROW:
+        raise ProtocolError(
+            f"{where}: row range [{low}, {high}) is negative or "
+            "overflows int64"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,11 +165,11 @@ class OwnShardRequest:
     high: int
     #: The table's streaming version these values reflect.
     version: int
-    #: Attribute → raw numeric values (``NaN`` for missing).
-    numeric: dict[str, list[float]]
-    #: ``(attribute, mg_capacity, labels)`` triples; labels are the
-    #: present values in row order (missing dropped).
-    categorical: list[tuple[str, int, list[str]]]
+    #: Attribute → the shard's float64 values (``NaN`` for missing).
+    numeric: dict[str, np.ndarray]
+    #: ``(attribute, mg_capacity, (codes, dictionary))``: the shard's
+    #: int32 code slice (``-1`` = missing) and the column's dictionary.
+    categorical: tuple[tuple[str, int, tuple[np.ndarray, list[str]]], ...]
 
     def to_dict(self) -> dict:
         return {
@@ -76,47 +178,100 @@ class OwnShardRequest:
             "low": self.low,
             "high": self.high,
             "version": self.version,
-            "numeric": self.numeric,
+            "numeric": {
+                name: encode_buffer(values, _FLOAT64)
+                for name, values in self.numeric.items()
+            },
             "categorical": [
-                [name, capacity, labels]
-                for name, capacity, labels in self.categorical
+                [name, capacity, encode_buffer(codes, _INT32),
+                 list(dictionary)]
+                for name, capacity, (codes, dictionary) in self.categorical
             ],
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "OwnShardRequest":
+    def from_dict(cls, data: object) -> "OwnShardRequest":
+        """Decode and validate a push: every buffer must cover exactly
+        the shard's ``high - low`` rows."""
+        data = _object(data, "an /own body")
+        table = _field(data, "table", str)
+        shard = _field(data, "shard", int)
+        where = f"shard {shard} of table {table!r}"
+        low, high = _field(data, "low", int), _field(data, "high", int)
+        _check_shard(shard, low, high, where)
+        rows = high - low
+
+        def column(name: object, text: object, dtype: np.dtype) -> np.ndarray:
+            if not isinstance(name, str):
+                raise ProtocolError(f"{where}: column names must be strings")
+            try:
+                values = decode_buffer(text, dtype, f"column {name!r}")
+            except ValueError as exc:
+                raise ProtocolError(f"{where}: {exc}") from exc
+            if len(values) != rows:
+                raise ProtocolError(
+                    f"{where}: column {name!r} has {len(values)} values "
+                    f"for {rows} rows"
+                )
+            return values
+
+        numeric = {
+            name: column(name, text, _FLOAT64)
+            for name, text in _field(data, "numeric", dict).items()
+        }
+        categorical = []
+        for entry in _field(data, "categorical", list):
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise ProtocolError(
+                    f"{where}: a categorical entry must be "
+                    "[name, capacity, codes, dictionary]"
+                )
+            name, capacity, text, dictionary = entry
+            codes = column(name, text, _INT32)
+            if not _is_int(capacity) or capacity < 1:
+                raise ProtocolError(
+                    f"{where}: column {name!r} needs a counter capacity "
+                    f">= 1, got {capacity!r}"
+                )
+            if not isinstance(dictionary, list) or not all(
+                isinstance(label, str) for label in dictionary
+            ) or len(set(dictionary)) != len(dictionary):
+                raise ProtocolError(
+                    f"{where}: column {name!r} needs a dictionary of "
+                    "distinct string labels"
+                )
+            if len(codes) and (
+                codes.min() < -1 or codes.max() >= len(dictionary)
+            ):
+                raise ProtocolError(
+                    f"{where}: column {name!r} has codes outside "
+                    f"[-1, {len(dictionary)})"
+                )
+            categorical.append((name, capacity, (codes, dictionary)))
         return cls(
-            table=str(_require(data, "table")),
-            shard=int(_require(data, "shard")),
-            low=int(_require(data, "low")),
-            high=int(_require(data, "high")),
-            version=int(_require(data, "version")),
-            numeric={
-                str(name): [float(v) for v in values]
-                for name, values in dict(_require(data, "numeric")).items()
-            },
-            categorical=[
-                (str(name), int(capacity), [str(v) for v in labels])
-                for name, capacity, labels in _require(data, "categorical")
-            ],
+            table=table,
+            shard=shard,
+            low=low,
+            high=high,
+            version=_field(data, "version", int),
+            numeric=numeric,
+            categorical=tuple(categorical),
         )
 
 
 @dataclasses.dataclass(frozen=True)
 class ScanRequest:
-    """Scan one owned shard into per-shard statistics.
+    """Scan a list of one server's owned shards, in one hop.
 
     Carries everything :func:`repro.engine.parallel.scan_shard_values`
     needs beyond the owned values: the deterministic RNG inputs
-    (``seed``, ``fingerprint``) and the sketch recipe.  ``low``,
-    ``high``, and ``version`` double as the ownership check — a
-    mismatch is a stale shard, not a different answer.
+    (``seed``, ``fingerprint``) and the sketch recipe, shared by every
+    listed shard.  Each ``(index, low, high)`` plus ``version`` doubles
+    as the ownership check — a mismatch is a stale shard, not a
+    different answer.
     """
 
     table: str
-    shard: int
-    low: int
-    high: int
     version: int
     #: ``table_fingerprint`` of the coordinator's table; keys the
     #: ``"shard:<i>:<fingerprint>"`` RNG stream.
@@ -125,48 +280,191 @@ class ScanRequest:
     budget_rows: int
     sample_rows: bool
     epsilon: float
+    #: ``(index, low, high)`` per shard, strictly ascending by index.
+    shards: tuple[tuple[int, int, int], ...]
 
     def to_dict(self) -> dict:
         return {
             "table": self.table,
-            "shard": self.shard,
-            "low": self.low,
-            "high": self.high,
             "version": self.version,
             "fingerprint": self.fingerprint,
             "seed": self.seed,
             "budget_rows": self.budget_rows,
             "sample_rows": self.sample_rows,
             "epsilon": self.epsilon,
+            "shards": [list(shard) for shard in self.shards],
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScanRequest":
+    def from_dict(cls, data: object) -> "ScanRequest":
+        """Decode and validate a scan: the recipe must be one a build
+        could send, and the shard list non-empty and ascending."""
+        data = _object(data, "a /scan body")
+        table = _field(data, "table", str)
+        seed = _field(data, "seed", int)
+        budget_rows = _field(data, "budget_rows", int)
+        epsilon = _field(data, "epsilon", float)
+        if seed < 0:
+            raise ProtocolError(f"scan seed must be >= 0, got {seed}")
+        if budget_rows < 1:
+            raise ProtocolError(
+                f"scan budget_rows must be >= 1, got {budget_rows}"
+            )
+        if not 0.0 < epsilon < 1.0:
+            raise ProtocolError(
+                f"scan epsilon must be in (0, 1), got {epsilon}"
+            )
+        shards = []
+        for entry in _field(data, "shards", list):
+            if not (
+                isinstance(entry, list) and len(entry) == 3
+                and all(_is_int(value) for value in entry)
+            ):
+                raise ProtocolError(
+                    "a scanned shard must be [index, low, high] integers"
+                )
+            index, low, high = entry
+            _check_shard(index, low, high, f"shard {index} of table {table!r}")
+            shards.append((index, low, high))
+        indices = [index for index, _, _ in shards]
+        if not indices or any(b <= a for a, b in zip(indices, indices[1:])):
+            raise ProtocolError(
+                "a scan must list one or more shards in strictly "
+                f"ascending index order, got {indices}"
+            )
         return cls(
-            table=str(_require(data, "table")),
-            shard=int(_require(data, "shard")),
-            low=int(_require(data, "low")),
-            high=int(_require(data, "high")),
-            version=int(_require(data, "version")),
-            fingerprint=int(_require(data, "fingerprint")),
-            seed=int(_require(data, "seed")),
-            budget_rows=int(_require(data, "budget_rows")),
-            sample_rows=bool(_require(data, "sample_rows")),
-            epsilon=float(_require(data, "epsilon")),
+            table=table,
+            version=_field(data, "version", int),
+            fingerprint=_field(data, "fingerprint", int),
+            seed=seed,
+            budget_rows=budget_rows,
+            sample_rows=_field(data, "sample_rows", bool),
+            epsilon=epsilon,
+            shards=tuple(shards),
         )
 
 
-def numeric_to_wire(values: "dict[str, np.ndarray]") -> dict[str, list[float]]:
-    """Numpy numeric slices → wire lists (``NaN`` kept, exact floats)."""
+# ---------------------------------------------------------------------- #
+# The /scan answer (coordinator side: every failure is a SketchError)
+# ---------------------------------------------------------------------- #
+
+
+def _encode_statistics(statistics: ShardStatistics, low: int) -> dict:
+    bitmap = np.zeros(statistics.n_rows, dtype=bool)
+    bitmap[statistics.sample - low] = True
+    quantiles = {}
+    for attribute, sketch in statistics.quantiles.items():
+        values, g, delta = sketch.arrays()
+        quantiles[attribute] = {
+            "epsilon": sketch.epsilon,
+            "count": sketch.count,
+            "values": encode_buffer(values, _FLOAT64),
+            "g": encode_buffer(g, _INT64),
+            "delta": encode_buffer(delta, _INT64),
+        }
     return {
-        name: [float(v) for v in array.tolist()]
-        for name, array in values.items()
+        "index": statistics.index,
+        "n_rows": statistics.n_rows,
+        "sample": {
+            "size": len(statistics.sample),
+            "bitmap": encode_buffer(np.packbits(bitmap), _UINT8),
+        },
+        "quantiles": quantiles,
+        "frequencies": {
+            attribute: sketch.to_dict()
+            for attribute, sketch in statistics.frequencies.items()
+        },
+        "seconds": statistics.seconds,
+        "kernel_nanos": dict(statistics.kernel_nanos),
     }
 
 
-def numeric_from_wire(values: dict[str, list[float]]) -> "dict[str, np.ndarray]":
-    """Wire lists → the float64 arrays the scan core consumes."""
+def encode_scan_answer(
+    request: ScanRequest, statistics: Iterable[ShardStatistics]
+) -> dict:
+    """The ``/scan`` answer: one encoded statistic per listed shard,
+    in request order."""
     return {
-        name: np.asarray(raw, dtype=np.float64)
-        for name, raw in values.items()
+        "statistics": [
+            _encode_statistics(shard, low)
+            for shard, (_, low, _) in zip(statistics, request.shards)
+        ]
     }
+
+
+def _decode_sample(data: dict, low: int, high: int) -> np.ndarray:
+    n_rows = high - low
+    packed = decode_buffer(data["bitmap"], _UINT8, "sample bitmap")
+    if len(packed) != (n_rows + 7) // 8:
+        raise ValueError(
+            f"sample bitmap has {len(packed)} bytes for {n_rows} rows"
+        )
+    bits = np.unpackbits(packed)
+    if bits[n_rows:].any():
+        raise ValueError("sample bitmap sets padding bits")
+    rows = np.flatnonzero(bits[:n_rows])
+    if len(rows) != int(data["size"]):
+        raise ValueError(
+            f"sample bitmap holds {len(rows)} rows, not {data['size']}"
+        )
+    return rows.astype(np.int64, copy=False) + low
+
+
+def _decode_statistics(
+    data: dict, index: int, low: int, high: int
+) -> ShardStatistics:
+    if int(data["index"]) != index or int(data["n_rows"]) != high - low:
+        raise ValueError(
+            f"answer for shard {data['index']} ({data['n_rows']} rows) "
+            f"where shard {index} ({high - low} rows) was asked"
+        )
+    quantiles = {}
+    for attribute, gk in data["quantiles"].items():
+        what = f"quantiles {attribute!r}"
+        quantiles[str(attribute)] = GKQuantileSketch.from_arrays(
+            gk["epsilon"],
+            gk["count"],
+            decode_buffer(gk["values"], _FLOAT64, f"{what} values"),
+            decode_buffer(gk["g"], _INT64, f"{what} g"),
+            decode_buffer(gk["delta"], _INT64, f"{what} delta"),
+        )
+    return ShardStatistics(
+        index=index,
+        n_rows=high - low,
+        sample=_decode_sample(data["sample"], low, high),
+        quantiles=quantiles,
+        frequencies={
+            str(attribute): MisraGriesSketch.from_dict(mg)
+            for attribute, mg in data["frequencies"].items()
+        },
+        seconds=float(data["seconds"]),
+        kernel_nanos={
+            str(k): int(v) for k, v in dict(data["kernel_nanos"]).items()
+        },
+    )
+
+
+def decode_scan_answer(
+    payload: dict, shards: tuple[tuple[int, int, int], ...]
+) -> list[ShardStatistics]:
+    """The statistics of a ``/scan`` answer, validated against the
+    ``(index, low, high)`` shards the request listed.
+
+    Raises :class:`SketchError` for any malformed answer — a missing or
+    extra shard, a wrong index, a bad buffer, an inconsistent sketch.
+    """
+    try:
+        entries = payload["statistics"]
+        if not isinstance(entries, list) or len(entries) != len(shards):
+            raise ValueError(
+                f"answer carries {len(entries)} statistics for "
+                f"{len(shards)} shards"
+            )
+        return [
+            _decode_statistics(entry, index, low, high)
+            for entry, (index, low, high) in zip(entries, shards)
+        ]
+    except (
+        KeyError, TypeError, ValueError, AttributeError, OverflowError
+    ) as exc:
+        raise SketchError(f"malformed shard statistics: {exc!r}") from exc

@@ -2,9 +2,10 @@
 
 One :class:`ShardStore` holds the column values of every shard pushed
 to this process (``POST /own``), scans them into
-:class:`~repro.engine.parallel.ShardStatistics` (``POST /scan``) with
-the *same* :func:`~repro.engine.parallel.scan_shard_values` core the
-local workers run.  :class:`ShardServer` mounts those routes (plus
+:class:`~repro.engine.parallel.ShardStatistics` (``POST /scan``, one
+request per coordinator build listing this server's shards) with the
+*same* :func:`~repro.engine.parallel.scan_shard_values` core the local
+workers run.  :class:`ShardServer` mounts those routes (plus
 ``GET /health|/shards|/metrics``) on the wire core the exploration
 service uses (:class:`~repro.service.httpd.JsonHttpServer`), so both
 servers frame requests and type errors identically.
@@ -25,7 +26,7 @@ from repro.cluster.protocol import (
     CLUSTER_PROTOCOL_VERSION,
     OwnShardRequest,
     ScanRequest,
-    numeric_from_wire,
+    encode_scan_answer,
 )
 from repro.engine.parallel import ShardStatistics, scan_shard_values
 from repro.service.httpd import Handler, JsonHttpServer
@@ -40,9 +41,9 @@ class _OwnedShard:
         self.low = request.low
         self.high = request.high
         self.version = request.version
-        self.numeric = numeric_from_wire(request.numeric)
-        #: ``(attribute, capacity, labels)`` triples.
-        self.categorical = tuple(request.categorical)
+        self.numeric = request.numeric
+        #: ``(attribute, capacity, (codes, dictionary))`` triples.
+        self.categorical = request.categorical
 
     def matches(self, low: int, high: int, version: int) -> bool:
         """True when a request names exactly this owned state."""
@@ -63,13 +64,14 @@ class ShardStore:
     """Owned shards of one server process, keyed ``(table, shard)``.
 
     Thread-safe: the HTTP handlers run on executor threads, so own and
-    scan can race.  A scan takes the owned shard out under the lock and
-    runs the (read-only) scan core on it outside.
+    scan can race.  A scan takes its owned shards out under the lock and
+    runs the (read-only) scan core on them outside.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._shards: dict[tuple[str, int], _OwnedShard] = {}  # guarded-by: _lock
+        self._scan_requests = 0  # guarded-by: _lock
         self._scans = 0  # guarded-by: _lock
         self._scan_seconds_total = 0.0  # guarded-by: _lock
 
@@ -84,42 +86,56 @@ class ShardStore:
             self._shards[(request.table, request.shard)] = owned
         return {"owned": owned.describe()}
 
-    def _owned(self, table: str, shard: int) -> _OwnedShard:  # holds-lock: _lock
-        owned = self._shards.get((table, shard))
-        if owned is None:
-            raise StaleShardError(
-                f"shard {shard} of table {table!r} is not owned by this "
-                "server; push /own first"
-            )
-        return owned
+    def scan(self, request: ScanRequest) -> list[ShardStatistics]:
+        """Scan every listed shard with the shared deterministic core.
 
-    def scan(self, request: ScanRequest) -> ShardStatistics:
-        """Scan one owned shard with the shared deterministic core."""
+        Ownership of every listed shard is checked before any scan
+        runs: if any is stale, one :class:`StaleShardError` names them
+        all in ``detail["stale"]``, so the coordinator pushes exactly
+        those and sends the scan again.  Statistics come back in
+        request order.
+        """
         started = time.perf_counter()
+        owned = []
+        stale: dict[int, str] = {}  # index -> why
         with self._lock:
-            owned = self._owned(request.table, request.shard)
-            if not owned.matches(request.low, request.high, request.version):
-                raise StaleShardError(
-                    f"shard {request.shard} of table {request.table!r} is "
-                    f"owned at rows [{owned.low}, {owned.high}) version "
-                    f"{owned.version}, but the scan names "
-                    f"[{request.low}, {request.high}) version "
-                    f"{request.version}; re-push /own"
-                )
-        statistics = scan_shard_values(
-            index=request.shard,
-            low=request.low,
-            n_rows=request.high - request.low,
-            seed=request.seed,
-            fingerprint=request.fingerprint,
-            budget_rows=request.budget_rows,
-            sample_rows=request.sample_rows,
-            epsilon=request.epsilon,
-            numeric=owned.numeric,
-            categorical=owned.categorical,
-        )
+            self._scan_requests += 1
+            for index, low, high in request.shards:
+                shard = self._shards.get((request.table, index))
+                owned.append(shard)
+                if shard is None:
+                    stale[index] = "not owned"
+                elif not shard.matches(low, high, request.version):
+                    stale[index] = (
+                        f"owned at rows [{shard.low}, {shard.high}) "
+                        f"version {shard.version}, but the scan names "
+                        f"[{low}, {high}) version {request.version}"
+                    )
+        if stale:
+            why = "; ".join(
+                f"shard {index} is {reason}" for index, reason in stale.items()
+            )
+            raise StaleShardError(
+                f"table {request.table!r}: {why}; re-push /own",
+                detail={"stale": list(stale)},
+            )
+        statistics = [
+            scan_shard_values(
+                index=index,
+                low=low,
+                n_rows=high - low,
+                seed=request.seed,
+                fingerprint=request.fingerprint,
+                budget_rows=request.budget_rows,
+                sample_rows=request.sample_rows,
+                epsilon=request.epsilon,
+                numeric=shard.numeric,
+                categorical=shard.categorical,
+            )
+            for (index, low, high), shard in zip(request.shards, owned)
+        ]
         with self._lock:
-            self._scans += 1
+            self._scans += len(statistics)
             self._scan_seconds_total += time.perf_counter() - started
         return statistics
 
@@ -142,6 +158,7 @@ class ShardStore:
                     owned.high - owned.low
                     for owned in self._shards.values()
                 ),
+                "scan_requests": self._scan_requests,
                 "scans": self._scans,
                 "scan_seconds_total": self._scan_seconds_total,
             }
@@ -158,11 +175,13 @@ def _shard_routes(store: ShardStore) -> dict[tuple[str, str], Handler]:
             200,
             store.own(OwnShardRequest.from_dict(payload)),
         ),
-        ("POST", "/scan"): lambda payload, *_: (
-            200,
-            {"statistics": store.scan(ScanRequest.from_dict(payload)).to_dict()},
-        ),
+        ("POST", "/scan"): lambda payload, *_: (200, _scan(store, payload)),
     }
+
+
+def _scan(store: ShardStore, payload: object) -> dict:
+    request = ScanRequest.from_dict(payload)
+    return encode_scan_answer(request, store.scan(request))
 
 
 class ShardServer(JsonHttpServer):
@@ -191,8 +210,8 @@ class ShardServer(JsonHttpServer):
             port,
             # ``/own`` bodies carry whole column slices.
             max_body_bytes=1 << 28,
-            # Scans are CPU-bound numpy; a coordinator sends one server
-            # its shards one after another.
+            # Scans are CPU-bound numpy; a coordinator build sends each
+            # server one /scan listing all of its shards.
             workers=8,
             name="repro-shard",
             quiet=quiet,

@@ -16,8 +16,7 @@ replaces those per-row loops with three columnar kernels:
 * :func:`quantile_summary` — **batch GK build**: the sorted column
   becomes the canonical ε-valid summary in one
   :meth:`~repro.sketch.quantile.GKQuantileSketch.from_sorted` pass;
-* :func:`frequency_summary_from_codes` (and its wire-path twin
-  :func:`frequency_summary_from_labels`) — **batch Misra–Gries**:
+* :func:`frequency_summary_from_codes` — **batch Misra–Gries**:
   per-block ``np.bincount`` category totals folded into the counter
   state through
   :meth:`~repro.sketch.frequency.MisraGriesSketch.extend_counts`,
@@ -44,7 +43,6 @@ provenance into ``backend_snapshot`` and the service ``/metrics``.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import cast
 
@@ -175,28 +173,6 @@ def frequency_summary_from_codes(
         if total
     }
     sketch.extend_counts(counts)
-    if timings is not None:
-        timings.add(MG_BUILD, time.perf_counter_ns() - started)
-    return sketch
-
-
-def frequency_summary_from_labels(
-    labels: Iterable[str],
-    capacity: int,
-    timings: KernelTimings | None = None,
-) -> MisraGriesSketch:
-    """Batch-build a Misra–Gries summary from decoded labels.
-
-    The wire-path twin of :func:`frequency_summary_from_codes` (a
-    cluster shard server owns labels, not codes): one C-speed
-    ``Counter`` pass folded into the counter state.  Label counts are
-    representation-independent, so a labels-built summary is
-    content-identical to a codes-built one over the same rows — which
-    is what keeps cluster scans bit-identical to local scans.
-    """
-    started = time.perf_counter_ns()
-    sketch = MisraGriesSketch(capacity=capacity)
-    sketch.extend_counts(Counter(labels))
     if timings is not None:
         timings.add(MG_BUILD, time.perf_counter_ns() - started)
     return sketch

@@ -26,7 +26,8 @@ of parallel analytical engines:
    :class:`~repro.engine.backends.SketchBackend` with them, which the
    existing pipeline consumes unchanged.  Summaries stay sketch
    objects from scan to fold (a GK merge is numpy array work); only a
-   cluster ``/scan`` answer carries them in their ``to_dict`` form.
+   cluster ``/scan`` answer serializes them, as the numpy buffers of
+   :mod:`repro.cluster.protocol`.
 
 The venue is never part of the statistical recipe: a new place to run
 the scans is one more :class:`ScanVenue`, never a second build function
@@ -70,10 +71,9 @@ from repro.engine.backends import (
 from repro.engine.kernels import (
     KernelTimings,
     frequency_summary_from_codes,
-    frequency_summary_from_labels,
     quantile_summary,
 )
-from repro.errors import MapError, SketchError
+from repro.errors import MapError
 from repro.sketch.frequency import MisraGriesSketch
 from repro.sketch.quantile import GKQuantileSketch
 
@@ -234,9 +234,9 @@ class ShardStatistics:
 
     Summaries are built sketch objects (a GK summary is three small
     arrays), so the inline and fork venues hand them to the fold as
-    they are; only the cluster's ``/scan`` answer converts them
-    (:meth:`to_dict` / :meth:`from_dict`).  The row sample is *global*
-    row indices, so a worker never ships row data.
+    they are; only the cluster's ``/scan`` answer encodes them
+    (:mod:`repro.cluster.protocol`).  The row sample is *global* row
+    indices, sorted and distinct, so a worker never ships row data.
     """
 
     index: int
@@ -252,63 +252,6 @@ class ShardStatistics:
     #: Columnar-kernel nanoseconds inside this scan
     #: (:class:`repro.engine.kernels.KernelTimings` ``as_dict``).
     kernel_nanos: dict[str, int] = dataclasses.field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON wire form (the cluster scan response payload).
-
-        Sketches serialize through their ``to_dict`` (floats, ints
-        and labels, exact under JSON) and global row indices are exact
-        integers, so the JSON round trip is lossless and a shard
-        statistic built on a server folds bit-identically to one built
-        by a local worker.
-        """
-        return {
-            "index": self.index,
-            "n_rows": self.n_rows,
-            "sample": [int(i) for i in self.sample.tolist()],
-            "quantiles": {
-                attribute: sketch.to_dict()
-                for attribute, sketch in self.quantiles.items()
-            },
-            "frequencies": {
-                attribute: sketch.to_dict()
-                for attribute, sketch in self.frequencies.items()
-            },
-            "seconds": self.seconds,
-            "kernel_nanos": dict(self.kernel_nanos),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardStatistics":
-        """Rebuild from :meth:`to_dict` output.
-
-        The sketches are decoded and validated here, so a malformed
-        answer fails as a :class:`SketchError` at the boundary that
-        received it.  ``kernel_nanos`` defaults to empty — a
-        pre-kernels peer's scan payload (no timing block) still folds;
-        timing is provenance, not statistics.
-        """
-        try:
-            return cls(
-                index=int(data["index"]),
-                n_rows=int(data["n_rows"]),
-                sample=np.asarray(data["sample"], dtype=np.int64),
-                quantiles={
-                    str(k): GKQuantileSketch.from_dict(v)
-                    for k, v in data["quantiles"].items()
-                },
-                frequencies={
-                    str(k): MisraGriesSketch.from_dict(v)
-                    for k, v in data["frequencies"].items()
-                },
-                seconds=float(data["seconds"]),
-                kernel_nanos={
-                    str(k): int(v)
-                    for k, v in dict(data.get("kernel_nanos", {})).items()
-                },
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise SketchError(f"malformed shard statistics: {exc!r}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -354,11 +297,10 @@ def scan_shard_values(
     construction rather than by parallel maintenance.
 
     ``numeric`` maps attribute → the shard's raw values (``NaN`` for
-    missing); ``categorical`` carries ``(attribute, capacity, payload)``
-    where the payload is either a decoded label list (missing dropped,
-    row order — the cluster wire form) or a ``(codes, categories)``
-    pair of raw buffers (the local fast path; no label is decoded).
-    Both payloads build content-identical summaries.  Every draw comes
+    missing); ``categorical`` carries ``(attribute, capacity, (codes,
+    categories))``: the shard's raw code buffer and the column's
+    dictionary, on a local worker and a shard server alike (no label
+    is decoded just to be counted).  Every draw comes
     from the shard's own ``(seed, "shard:<index>:<fingerprint>")``
     stream, so the result depends only on the shard — not on which
     worker or server ran it.
@@ -385,17 +327,12 @@ def scan_shard_values(
         for attribute, values in numeric.items()
     }
 
-    frequencies: dict[str, MisraGriesSketch] = {}
-    for attribute, capacity, payload in categorical:
-        if isinstance(payload, tuple):
-            codes, categories = payload
-            frequencies[attribute] = frequency_summary_from_codes(
-                codes, categories, capacity, timings=timings
-            )
-        else:
-            frequencies[attribute] = frequency_summary_from_labels(
-                payload, capacity, timings=timings
-            )
+    frequencies = {
+        attribute: frequency_summary_from_codes(
+            codes, categories, capacity, timings=timings
+        )
+        for attribute, capacity, (codes, categories) in categorical
+    }
 
     return ShardStatistics(
         index=index,
@@ -415,36 +352,29 @@ def shard_column_values(
     numeric: tuple[str, ...],
     categorical: tuple[tuple[str, int], ...],
     *,
-    decode_labels: bool = True,
+    decode_labels: bool = False,
 ) -> tuple[dict[str, np.ndarray], tuple[tuple[str, int, Any], ...]]:
     """Slice a table's dimension columns into scan-core inputs.
 
     Exactly the value streams :func:`scan_shard_values` consumes — raw
-    numeric values with ``NaN`` kept, plus categorical payloads.  With
-    ``decode_labels`` (the default, and the only JSON-serializable
-    form — the coordinator ships this to shard servers) the payload is
-    the decoded label list with missing dropped, in row order; without
-    it the payload is the raw ``(codes, categories)`` buffer pair, so
-    the local worker path never decodes a label the
-    :func:`repro.engine.kernels.frequency_summary_from_codes` kernel
-    will only count.
+    numeric values with ``NaN`` kept, plus each categorical's raw
+    ``(codes, categories)`` buffer pair, which is also what the
+    coordinator pushes to a shard server.  Labels are never decoded:
+    ``decode_labels`` is accepted only as ``False``.
     """
+    if decode_labels:
+        raise MapError("shard scans count dictionary codes, not labels")
     numeric_values = {
         attribute: table.numeric(attribute).data[low:high]
         for attribute in numeric
     }
-    categorical_values: list[tuple[str, int, Any]] = []
+    categorical_values = []
     for attribute, capacity in categorical:
         column = table.categorical(attribute)
-        categories = list(column.categories)
-        codes = column.codes[low:high]
-        if decode_labels:
-            labels = [categories[code] for code in codes[codes >= 0].tolist()]
-            categorical_values.append((attribute, capacity, labels))
-        else:
-            categorical_values.append(
-                (attribute, capacity, (codes, categories))
-            )
+        categorical_values.append(
+            (attribute, capacity,
+             (column.codes[low:high], list(column.categories)))
+        )
     return numeric_values, tuple(categorical_values)
 
 
@@ -459,8 +389,7 @@ def _scan_shard(
     """
     low, high = layout.bounds[index]
     numeric, categorical = shard_column_values(
-        table, low, high, recipe.numeric, recipe.categorical,
-        decode_labels=False,
+        table, low, high, recipe.numeric, recipe.categorical
     )
     return scan_shard_values(
         index=index,

@@ -59,7 +59,10 @@ class GKQuantileSketch:
         self._delta = np.empty(0, dtype=np.int64)
         self._count = 0
         # Compress every 1/(2ε) inserts, as in the original paper.
-        self._compress_period = max(1, int(math.floor(1.0 / (2.0 * epsilon))))
+        # (capped: a subnormal epsilon's period overflows a float).
+        self._compress_period = max(
+            1, math.floor(min(1.0 / (2.0 * epsilon), 2.0**62))
+        )
         self._since_compress = 0
 
     @property
@@ -258,7 +261,6 @@ class GKQuantileSketch:
     def from_dict(cls, data: dict) -> "GKQuantileSketch":
         """Rebuild a summary from :meth:`to_dict` output."""
         try:
-            sketch = cls(epsilon=float(data["epsilon"]))
             rows = [
                 (float(value), int(g), int(delta))
                 for value, g, delta in data["tuples"]
@@ -266,10 +268,44 @@ class GKQuantileSketch:
             values = np.array([row[0] for row in rows], dtype=np.float64)
             g = np.array([row[1] for row in rows], dtype=np.int64)
             delta = np.array([row[2] for row in rows], dtype=np.int64)
-            count = int(data["count"])
-            g_total = sum(row[1] for row in rows)
+            epsilon, count = data["epsilon"], data["count"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SketchError(f"malformed quantile payload: {exc}") from exc
+        return cls.from_arrays(epsilon, count, values, g, delta)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        epsilon: float,
+        count: int,
+        values: np.ndarray,
+        g: np.ndarray,
+        delta: np.ndarray,
+    ) -> "GKQuantileSketch":
+        """Rebuild a summary from its three arrays, validated.
+
+        The one decoder every serialized form goes through
+        (:meth:`from_dict` and the cluster wire's numpy buffers):
+        ``values`` must be ascending and NaN-free, ``g >= 1``,
+        ``delta >= 0``, the three arrays one length, and ``sum(g)``
+        equal to ``count``.  The arrays are kept as given (no copy when
+        they already have the summary's dtypes).
+        """
+        try:
+            sketch = cls(epsilon=float(epsilon))
+            count = int(count)
+            values = np.asarray(values, dtype=np.float64)
+            g = np.asarray(g, dtype=np.int64)
+            delta = np.asarray(delta, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SketchError(f"malformed quantile payload: {exc}") from exc
+        if not values.ndim == g.ndim == delta.ndim == 1 or not (
+            len(values) == len(g) == len(delta)
+        ):
+            raise SketchError(
+                "inconsistent quantile payload: values, g and delta "
+                "differ in shape"
+            )
         if np.isnan(values).any():
             raise SketchError("inconsistent quantile payload: NaN value")
         if (g < 1).any() or (delta < 0).any():
@@ -277,7 +313,11 @@ class GKQuantileSketch:
                 "inconsistent quantile payload: g must be >= 1 and "
                 "delta >= 0"
             )
-        if g_total != count:
+        # Every g is positive, so an int64 overflow shows as a
+        # non-positive running total.
+        totals = np.cumsum(g)
+        g_total = int(totals[-1]) if len(totals) else 0
+        if g_total != count or (len(totals) and totals.min() < 1):
             raise SketchError(
                 "inconsistent quantile payload: g values do not sum to count"
             )
@@ -288,6 +328,11 @@ class GKQuantileSketch:
         sketch._values, sketch._g, sketch._delta = values, g, delta
         sketch._count = count
         return sketch
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The summary as ``(values, g, delta)`` arrays (inverse of
+        :meth:`from_arrays`; callers must not write to them)."""
+        return self._values, self._g, self._delta
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -163,3 +163,92 @@ class TestMetrics:
     def test_health_in_server_order(self, coordinator):
         payloads = coordinator.health()
         assert [p["status"] for p in payloads] == ["ok", "ok"]
+
+
+class TestHops:
+    """One ``/scan`` per server per build, pinned by counting the
+    coordinator's calls and the servers' own metrics."""
+
+    @pytest.fixture
+    def hops(self, coordinator, monkeypatch):
+        """Every (server, path, outcome) the coordinator sends."""
+        from repro.service.protocol import StaleShardError
+
+        calls: list[tuple[int, str, str]] = []
+        for server, transport in enumerate(coordinator._transports):
+            real = transport.request
+
+            def request(method, path, payload=None, server=server,
+                        real=real, **kwargs):
+                try:
+                    answer = real(method, path, payload, **kwargs)
+                except StaleShardError:
+                    calls.append((server, path, "409"))
+                    raise
+                calls.append((server, path, "ok"))
+                return answer
+
+            monkeypatch.setattr(transport, "request", request)
+        return calls
+
+    def test_first_build_is_one_409_one_push_per_shard_one_rescan(
+        self, table, coordinator, hops
+    ):
+        coordinator.build_backend(table, SKETCH, CLUSTER, seed=7)
+        for server in (0, 1):
+            assert [
+                (path, outcome) for s, path, outcome in hops if s == server
+            ] == [
+                ("/scan", "409"),
+                *[("/own", "ok")] * 4,
+                ("/scan", "ok"),
+            ]
+        assert coordinator.metrics()["shard_retries"] == 0
+
+    def test_steady_state_build_is_one_scan_per_server(
+        self, table, servers, coordinator, hops
+    ):
+        coordinator.build_backend(table, SKETCH, CLUSTER, seed=7)
+        before = [s.store.metrics() for s in servers]
+        hops.clear()
+        coordinator.build_backend(table, SKETCH, CLUSTER, seed=8)
+        assert sorted(hops) == [(0, "/scan", "ok"), (1, "/scan", "ok")]
+        for server, old in zip(servers, before):
+            new = server.store.metrics()
+            assert new["scan_requests"] - old["scan_requests"] == 1
+            assert new["scans"] - old["scans"] == 4
+
+    def test_build_after_append_pushes_each_shard_once(
+        self, table, coordinator, hops
+    ):
+        initial, batches = split_for_streaming(table, 2)
+        coordinator.build_backend(initial, SKETCH, CLUSTER, seed=7)
+        hops.clear()
+        coordinator.build_backend(
+            initial.append(batches[0]), SKETCH, CLUSTER, seed=7
+        )
+        for server in (0, 1):
+            paths = [path for s, path, _ in hops if s == server]
+            assert paths == ["/scan", "/own", "/own", "/own", "/own", "/scan"]
+        assert coordinator.metrics()["shard_retries"] == 0
+
+    def test_partly_stale_batch_pushes_only_the_stale_shard(
+        self, table, servers, coordinator, hops
+    ):
+        reference = coordinator.build_backend(table, SKETCH, CLUSTER, seed=7)
+        with servers[0].store._lock:
+            del servers[0].store._shards[(table.name, 1)]
+        hops.clear()
+        rebuilt = coordinator.build_backend(table, SKETCH, CLUSTER, seed=7)
+        per_server = {
+            server: [(path, outcome) for s, path, outcome in hops
+                     if s == server]
+            for server in (0, 1)
+        }
+        assert per_server == {
+            0: [("/scan", "409"), ("/own", "ok"), ("/scan", "ok")],
+            1: [("/scan", "ok")],
+        }
+        owned = [s["shard"] for s in servers[0].store.describe()["shards"]]
+        assert owned == [0, 1, 2, 3]
+        assert sketch_state(rebuilt) == sketch_state(reference)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import socket
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, serve_shard
@@ -62,9 +64,14 @@ class TestMalformedAnswer:
         def request(method, path, payload=None, **kwargs):
             answer = real(method, path, payload, **kwargs)
             if path == "/scan" and len(corrupted) < times:
-                corrupted.append(answer["statistics"]["index"])
-                gk = answer["statistics"]["quantiles"]["Age"]
-                gk["tuples"][0][0] = float("nan")
+                first = answer["statistics"][0]
+                corrupted.append(first["index"])
+                gk = first["quantiles"]["Age"]
+                values = np.frombuffer(
+                    base64.b64decode(gk["values"]), dtype="<f8"
+                ).copy()
+                values[0] = np.nan
+                gk["values"] = base64.b64encode(values.tobytes()).decode()
             return answer
 
         monkeypatch.setattr(transport, "request", request)
@@ -84,8 +91,13 @@ class TestMalformedAnswer:
         )
         assert corrupted == [4, 4]  # shard 4 opens server 1's block
         message = str(err.value)
-        assert "shard 4 of table" in message
-        assert "(rows [1500, 1875))" in message
+        # The failed batch names every shard it carried.
+        for shard, (low, high) in zip(
+            range(4, 8), [(1500, 1875), (1875, 2250), (2250, 2625),
+                          (2625, 3000)]
+        ):
+            assert f"shard {shard} (rows [{low}, {high}))" in message
+        assert f"of table {table.name!r}" in message
         assert coordinator.urls[1] in message
         assert "failed twice" in message
         assert "NaN" in message

@@ -12,7 +12,6 @@ from repro.engine.facade import explorer
 from repro.engine.kernels import (
     KernelTimings,
     frequency_summary_from_codes,
-    frequency_summary_from_labels,
     quantile_summary,
     sorted_clean_values,
 )
@@ -124,9 +123,6 @@ class TestDegenerateShapes:
         sketch = frequencies([-1, -1, -1], ["a", "b"], 4)
         assert sketch.count == 0 and sketch.heavy_hitters() == {}
 
-    def test_empty_labels(self):
-        assert frequency_summary_from_labels([], 4).count == 0
-
 
 def oracle_sketches(numeric_values, categorical_values, epsilon=0.01):
     """The serialized sketches the oracle builds over one shard."""
@@ -173,9 +169,14 @@ class TestShardScanDifferential:
         quantiles, frequencies = oracle_sketches(
             numeric_values, categorical_values
         )
-        wire = statistics.to_dict()
-        assert wire["quantiles"] == quantiles
-        assert wire["frequencies"] == frequencies
+        assert {
+            name: sketch.to_dict()
+            for name, sketch in statistics.quantiles.items()
+        } == quantiles
+        assert {
+            name: sketch.to_dict()
+            for name, sketch in statistics.frequencies.items()
+        } == frequencies
 
     def test_scan_statistics_identical_across_kernels(self, table):
         for shard, (low, high) in enumerate(ShardedTable(table, 3).bounds):

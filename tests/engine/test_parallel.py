@@ -225,10 +225,19 @@ def _scan_args(table, shards=4):
 
 
 def _statistics(shard):
-    """A shard scan's wire form minus its wall-clock provenance."""
-    out = shard.to_dict()
-    del out["seconds"], out["kernel_nanos"]
-    return out
+    """Everything deterministic about a shard scan (timing dropped)."""
+    return {
+        "index": shard.index,
+        "n_rows": shard.n_rows,
+        "sample": shard.sample.tolist(),
+        "quantiles": {
+            name: sketch.to_dict() for name, sketch in shard.quantiles.items()
+        },
+        "frequencies": {
+            name: sketch.to_dict()
+            for name, sketch in shard.frequencies.items()
+        },
+    }
 
 
 # ---------------------------------------------------------------------- #

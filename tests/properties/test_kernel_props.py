@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.engine.kernels import (
     frequency_summary_from_codes,
-    frequency_summary_from_labels,
     quantile_summary,
     sorted_clean_values,
 )
@@ -124,12 +123,12 @@ class TestFrequencyDifferential:
     @given(codes=code_blocks, capacity=st.integers(1, 8))
     @settings(max_examples=80, deadline=None)
     def test_codes_and_labels_paths_content_identical(self, codes, capacity):
-        # The wire path (a shard server owns decoded labels) must build
-        # the same summary as the local raw-buffer path — this is what
-        # keeps cluster scans bit-identical to local scans.
+        # Label counts are representation-independent: the code-buffer
+        # kernel builds the same summary as a batch extend over the
+        # decoded labels (missing dropped, row order).
         from_codes = frequency_summary_from_codes(codes, CATEGORIES, capacity)
-        labels = [CATEGORIES[code] for code in codes if code >= 0]
-        from_labels = frequency_summary_from_labels(labels, capacity)
+        from_labels = MisraGriesSketch(capacity=capacity)
+        from_labels.extend(CATEGORIES[code] for code in codes if code >= 0)
         assert from_codes.to_dict() == from_labels.to_dict()
 
     @given(codes=code_blocks, capacity=st.integers(1, 8))
