@@ -2,9 +2,9 @@
 
 A generic Atlas cannot use a native driver: "only SQL may be used".
 This example runs the exploration loop's data accesses through the
-SQL-text-only connection — every request is emitted as SQL, parsed, and
-executed — and prints the statement log, i.e. exactly what would cross
-an ODBC/JDBC wire.
+SQL-text-only connection — every request is emitted as SQL text and run
+by an in-memory SQLite database — and prints the statement log, i.e.
+exactly what would cross an ODBC/JDBC wire.
 
 Run:  python examples/sql_gateway.py
 """

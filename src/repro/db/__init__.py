@@ -1,65 +1,35 @@
 """Generic DBMS access layer (paper Section 4).
 
-A restricted SQL dialect (tokenizer, recursive-descent parser, executor
-over the columnar substrate) plus the two connection shapes the paper
-names: native typed access (MAPI analogue) and SQL-text-only access
-(ODBC/JDBC analogue).
+The two connection shapes the paper names — native typed access (MAPI
+analogue) and SQL-text-only access (ODBC/JDBC analogue, run by the
+standard library's SQLite) — plus the COUNT(*) pushdowns and
+:class:`SqlAtlas`, the pipeline driven through SQL text alone.
 """
 
-from repro.db.ast import (
-    Aggregate,
-    Between,
-    BooleanLiteral,
-    Comparison,
-    InList,
-    IsNull,
-    SelectStatement,
-    WindowFunction,
+from repro.db.connection import (
+    Connection,
+    NativeConnection,
+    SqlConnection,
+    SqlExecutionError,
 )
-from repro.db.connection import Connection, NativeConnection, SqlConnection
-from repro.db.executor import SqlExecutionError, execute
-from repro.db.parser import parse_sql
 from repro.db.pushdown import (
     sql_category_histogram,
     sql_count,
-    sql_cover,
-    sql_frequency_summary,
     sql_joint_distribution,
-    sql_median,
     sql_numeric_range,
-    sql_quantile_summary,
     sql_region_counts,
 )
 from repro.db.sql_atlas import SqlAtlas
-from repro.db.tokens import SqlSyntaxError, Token, TokenType, tokenize
 
 __all__ = [
-    "Aggregate",
-    "Between",
-    "BooleanLiteral",
-    "Comparison",
     "Connection",
-    "InList",
-    "IsNull",
     "NativeConnection",
-    "SelectStatement",
     "SqlAtlas",
     "SqlConnection",
     "SqlExecutionError",
-    "SqlSyntaxError",
-    "Token",
-    "TokenType",
-    "WindowFunction",
-    "execute",
-    "parse_sql",
     "sql_category_histogram",
     "sql_count",
-    "sql_cover",
-    "sql_frequency_summary",
     "sql_joint_distribution",
-    "sql_median",
     "sql_numeric_range",
-    "sql_quantile_summary",
     "sql_region_counts",
-    "tokenize",
 ]

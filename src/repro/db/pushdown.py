@@ -4,20 +4,12 @@ Section 4: a generic Atlas reaches the database through ODBC/JDBC, so
 "only SQL may be used" — no pulling raw columns into memory.  These
 functions compute the pipeline's measurements through that surface:
 
-* :func:`sql_count` / :func:`sql_cover` — region sizes (one statement);
+* :func:`sql_count` — region sizes (one statement);
 * :func:`sql_numeric_range` — MIN/MAX of an attribute inside a region;
-* :func:`sql_median` — approximate median by COUNT(*) binary search
-  (``log2(range/precision)`` statements — the pushdown analogue of the
-  §5.1 sketch);
 * :func:`sql_category_histogram` — label counts via GROUP BY;
+* :func:`sql_region_counts` — one COUNT per region of a map;
 * :func:`sql_joint_distribution` — the Definition-2 joint table, one
-  COUNT per region pair plus marginals for the escape row/column;
-* :func:`sql_quantile_summary` / :func:`sql_frequency_summary` — the
-  §5.1 sketches themselves, built server-side with window functions:
-  ``ROW_NUMBER() OVER (ORDER BY ...)`` plus QUALIFY selects exactly the
-  ``O(1/ε)`` order statistics (or ``capacity + 1`` top groups) the
-  summary needs, so the sketch a remote DBMS ships is *bit-identical*
-  to the one the columnar kernels build from a local scan.
+  COUNT per region pair plus marginals for the escape row/column.
 
 Every function takes the :class:`~repro.db.connection.SqlConnection`
 whose statement log records exactly what crossed the wire.
@@ -25,18 +17,14 @@ whose statement log records exactly what crossed the wire.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.datamap import DataMap
+from repro.dataset.column import CategoricalColumn
 from repro.db.connection import SqlConnection
 from repro.errors import QueryError
-from repro.query.predicate import RangePredicate
 from repro.query.query import ConjunctiveQuery
-from repro.query.sql import predicate_to_sql, quote_identifier
-from repro.sketch.frequency import MisraGriesSketch
-from repro.sketch.quantile import GKQuantileSketch
+from repro.query.sql import quote_identifier, where_to_sql
 
 
 def sql_count(
@@ -44,20 +32,6 @@ def sql_count(
 ) -> int:
     """COUNT(*) of a conjunctive query."""
     return connection.count(query, table_name)
-
-
-def sql_cover(
-    connection: SqlConnection,
-    query: ConjunctiveQuery,
-    table_name: str,
-    total: int | None = None,
-) -> float:
-    """``C(Q)`` through SQL; ``total`` avoids re-counting the table."""
-    if total is None:
-        total = sql_count(connection, ConjunctiveQuery(), table_name)
-    if total == 0:
-        return 0.0
-    return sql_count(connection, query, table_name) / total
 
 
 def sql_numeric_range(
@@ -68,54 +42,17 @@ def sql_numeric_range(
 ) -> tuple[float, float]:
     """MIN/MAX of ``attribute`` inside a region, one statement."""
     ident = quote_identifier(attribute)
-    where = _where_clause(region)
+    params: list[float] = []
+    where = where_to_sql(region, params)
     result = connection.query(
         f"SELECT MIN({ident}) AS lo, MAX({ident}) AS hi "
-        f"FROM {quote_identifier(table_name)}{where}"
+        f"FROM {quote_identifier(table_name)}{where}",
+        params,
     )
     return (
         float(result.numeric("lo").data[0]),
         float(result.numeric("hi").data[0]),
     )
-
-
-def sql_median(
-    connection: SqlConnection,
-    attribute: str,
-    table_name: str,
-    region: ConjunctiveQuery | None = None,
-    max_statements: int = 24,
-) -> float:
-    """Approximate median by binary search over COUNT(*) statements.
-
-    Classic pushdown trick: the server only needs to count rows below a
-    pivot, so ``max_statements`` probes bracket the median to
-    ``range / 2^probes`` precision without shipping a single tuple.
-    """
-    region = region or ConjunctiveQuery()
-    low, high = sql_numeric_range(connection, attribute, table_name, region)
-    if math.isnan(low) or math.isnan(high):
-        raise QueryError(f"region holds no values of {attribute!r}")
-    if low == high:
-        return low
-    total = sql_count(connection, region, table_name)
-    target = total / 2.0
-    for __ in range(max_statements):
-        pivot = (low + high) / 2.0
-        below = sql_count(
-            connection,
-            region.conjoin(
-                ConjunctiveQuery([RangePredicate(attribute, float("-inf"), pivot)])
-            ),
-            table_name,
-        )
-        if below < target:
-            low = pivot
-        else:
-            high = pivot
-        if high - low <= 1e-9 * max(1.0, abs(high)):
-            break
-    return (low + high) / 2.0
 
 
 def sql_category_histogram(
@@ -126,18 +63,23 @@ def sql_category_histogram(
 ) -> dict[str, int]:
     """Label counts of a categorical attribute inside a region."""
     ident = quote_identifier(attribute)
-    where = _where_clause(region)
+    params: list[float] = []
+    where = where_to_sql(region, params)
     result = connection.query(
         f"SELECT {ident}, COUNT(*) AS n "
-        f"FROM {quote_identifier(table_name)}{where} GROUP BY {ident}"
+        f"FROM {quote_identifier(table_name)}{where} "
+        f"GROUP BY {ident} ORDER BY {ident}",
+        params,
     )
-    histogram: dict[str, int] = {}
-    for row in result.head(result.n_rows):
-        label = row[attribute]
-        if label is None:
-            continue  # missing labels do not form a category
-        histogram[str(label)] = int(row["n"])
-    return histogram
+    labels = result.column(attribute)
+    if not isinstance(labels, CategoricalColumn):
+        return {}  # no rows, or only the NULL group: no label at all
+    # Missing labels form a NULL group, which is not a category.
+    return {
+        label: int(n)
+        for label, n in zip(labels.decode(), result.numeric("n").data)
+        if label is not None
+    }
 
 
 def sql_region_counts(
@@ -206,140 +148,3 @@ def sql_joint_distribution(
         joint[k, j] = max(0.0, col_counts[j] - joint[:k, j].sum())
     joint[k, l] = max(0.0, total - joint.sum())
     return joint / total
-
-
-def sql_quantile_summary(
-    connection: SqlConnection,
-    attribute: str,
-    table_name: str,
-    region: ConjunctiveQuery | None = None,
-    epsilon: float = 0.005,
-) -> GKQuantileSketch:
-    """Build the canonical GK summary of an attribute through SQL.
-
-    Two statements: a COUNT to learn ``n``, then one window query that
-    ranks the non-null values and QUALIFYs down to the ``step =
-    max(1, floor(2εn))``-spaced ranks (plus the maximum) that
-    :meth:`~repro.sketch.quantile.GKQuantileSketch.from_sorted` would
-    keep.  Rank ``r`` is sorted position ``r - 1``, so the rebuilt
-    tuples — value, ``g`` = rank gap, ``delta = 0`` — are bit-identical
-    to a local kernel build over the same rows; ties cannot perturb
-    this because only *values at ranks* (order statistics) are read.
-    Only ``~1/(2ε)`` rows ever leave the server.
-    """
-    ident = quote_identifier(attribute)
-    table = quote_identifier(table_name)
-    counted = connection.query(
-        f"SELECT COUNT({ident}) AS n FROM {table}{_where_clause(region)}"
-    )
-    n = int(counted.numeric("n").data[0])
-    if n == 0:
-        return GKQuantileSketch(epsilon=epsilon)
-
-    step = max(1, int(math.floor(2.0 * epsilon * n)))
-    ranks = list(range(1, n + 1, step))
-    if ranks[-1] != n:
-        ranks.append(n)
-    rank_list = ", ".join(str(rank) for rank in ranks)
-    result = connection.query(
-        f"SELECT {ident}, ROW_NUMBER() OVER (ORDER BY {ident}) AS rn "
-        f"FROM {table}{_not_null_where(attribute, region)} "
-        f"QUALIFY rn IN ({rank_list})"
-    )
-    by_rank = sorted(
-        (int(row["rn"]), float(row[attribute]))
-        for row in result.head(result.n_rows)
-    )
-    tuples = []
-    previous = 0
-    for rank, value in by_rank:
-        tuples.append([value, rank - previous, 0])
-        previous = rank
-    return GKQuantileSketch.from_dict(
-        {
-            "kind": "gk_quantile",
-            "epsilon": epsilon,
-            "count": n,
-            "tuples": tuples,
-        }
-    )
-
-
-def sql_frequency_summary(
-    connection: SqlConnection,
-    attribute: str,
-    table_name: str,
-    region: ConjunctiveQuery | None = None,
-    capacity: int = 256,
-) -> MisraGriesSketch:
-    """Build the Misra–Gries summary of an attribute through SQL.
-
-    Two statements: a COUNT for the stream length, then GROUP BY with
-    ``ROW_NUMBER() OVER (ORDER BY n DESC)`` QUALIFYed to the top
-    ``capacity + 1`` groups.  Client side, the ``(capacity + 1)``-th
-    count is the reduction offset of
-    :meth:`~repro.sketch.frequency.MisraGriesSketch.extend_counts`
-    (0 when fewer groups exist); subtracting it and dropping
-    non-positive remainders rebuilds that fold bit-identically.  Tie
-    order between equal counts is irrelevant: the offset is a multiset
-    order statistic, and any group ranked past ``capacity + 1`` has a
-    count at most the offset, so it could only have contributed a
-    dropped counter.
-    """
-    ident = quote_identifier(attribute)
-    table = quote_identifier(table_name)
-    counted = connection.query(
-        f"SELECT COUNT({ident}) AS n FROM {table}{_where_clause(region)}"
-    )
-    total = int(counted.numeric("n").data[0])
-    if total == 0:
-        return MisraGriesSketch(capacity=capacity)
-
-    result = connection.query(
-        f"SELECT {ident}, COUNT(*) AS n, "
-        f"ROW_NUMBER() OVER (ORDER BY n DESC) AS rank "
-        f"FROM {table}{_not_null_where(attribute, region)} "
-        f"GROUP BY {ident} QUALIFY rank <= {capacity + 1}"
-    )
-    groups = [
-        (int(row["rank"]), str(row[attribute]), int(row["n"]))
-        for row in result.head(result.n_rows)
-    ]
-    offset = 0
-    for rank, __, count in groups:
-        if rank == capacity + 1:
-            offset = count
-    counters = {
-        label: count - offset
-        for __, label, count in groups
-        if count - offset > 0
-    }
-    return MisraGriesSketch.from_dict(
-        {
-            "kind": "misra_gries",
-            "capacity": capacity,
-            "count": total,
-            "counters": dict(sorted(counters.items())),
-        }
-    )
-
-
-def _not_null_where(attribute: str, region: ConjunctiveQuery | None) -> str:
-    """WHERE clause keeping non-null ``attribute`` rows inside a region."""
-    parts = [f"{quote_identifier(attribute)} IS NOT NULL"]
-    if region is not None:
-        parts.extend(
-            predicate_to_sql(p) for p in region.predicates if p.is_restrictive
-        )
-    return " WHERE " + " AND ".join(parts)
-
-
-def _where_clause(region: ConjunctiveQuery | None) -> str:
-    if region is None:
-        return ""
-    parts = [
-        predicate_to_sql(p) for p in region.predicates if p.is_restrictive
-    ]
-    if not parts:
-        return ""
-    return " WHERE " + " AND ".join(parts)

@@ -2,7 +2,8 @@
 
 The paper notes that a generic Atlas would talk standard SQL to any DBMS.
 This module renders conjunctive queries as SQL so the engine's decisions
-remain executable against a real database, and so tests can assert the
+remain executable against a real database (SQLite, through
+:class:`repro.db.connection.SqlConnection`), and so tests can assert the
 exact text a driver would receive.
 """
 
@@ -32,68 +33,89 @@ def quote_literal(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-def _number(value: float) -> str:
-    if math.isinf(value):
-        raise QueryError("SQL cannot express an infinite range bound; drop it")
-    if float(value).is_integer():
+def _number(value: float, params: list[float] | None) -> str:
+    """A finite bound: an integer inline, any other as a ``?`` slot.
+
+    SQLite's decimal parser can land one ulp off a ``repr`` literal, so
+    a row sitting on a cut point would change sides; a bound parameter
+    reaches the engine bit for bit.  Without ``params`` the literal is
+    inlined, which is for display only.
+    """
+    value = float(value)
+    if value.is_integer() and abs(value) < 2.0**53:
         return str(int(value))
-    return repr(float(value))
+    if params is None:
+        return repr(value)
+    params.append(value)
+    return "?"
 
 
-def predicate_to_sql(predicate: Predicate) -> str:
-    """Render one predicate as a SQL boolean expression."""
+def predicate_to_sql(
+    predicate: Predicate, params: list[float] | None = None
+) -> str:
+    """Render one predicate as a SQL boolean expression.
+
+    Non-integer range bounds are appended to ``params`` and rendered as
+    ``?`` slots, in the order they appear in the text.
+    """
     ident = quote_identifier(predicate.attribute)
     if isinstance(predicate, AnyPredicate):
         return "TRUE"
     if isinstance(predicate, RangePredicate):
-        clauses = []
-        if not math.isinf(predicate.low):
-            op = ">=" if predicate.closed_low else ">"
-            clauses.append(f"{ident} {op} {_number(predicate.low)}")
-        if not math.isinf(predicate.high):
-            op = "<=" if predicate.closed_high else "<"
-            clauses.append(f"{ident} {op} {_number(predicate.high)}")
-        if not clauses:
-            return "TRUE"
+        low = None if math.isinf(predicate.low) else _number(predicate.low, params)
+        high = None if math.isinf(predicate.high) else _number(predicate.high, params)
         if (
-            predicate.closed_low
+            low is not None
+            and high is not None
+            and predicate.closed_low
             and predicate.closed_high
-            and not math.isinf(predicate.low)
-            and not math.isinf(predicate.high)
         ):
-            return (
-                f"{ident} BETWEEN {_number(predicate.low)} "
-                f"AND {_number(predicate.high)}"
-            )
-        return " AND ".join(clauses)
+            return f"{ident} BETWEEN {low} AND {high}"
+        clauses = []
+        if low is not None:
+            clauses.append(f"{ident} {'>=' if predicate.closed_low else '>'} {low}")
+        if high is not None:
+            clauses.append(f"{ident} {'<=' if predicate.closed_high else '<'} {high}")
+        return " AND ".join(clauses) or "TRUE"
     if isinstance(predicate, SetPredicate):
         values = ", ".join(quote_literal(v) for v in sorted(predicate.values))
         return f"{ident} IN ({values})"
     if isinstance(predicate, ContainsPredicate):
-        # CONTAINS / MATCH are the dialect's FTS conditions (like
-        # QUALIFY, a DuckDB/Snowflake-style extension): parsed by
-        # repro.db and executed with exactly the mask semantics of the
-        # corresponding predicates, so pushdown counts agree with
-        # in-memory evaluation bit for bit.
-        return f"{ident} CONTAINS {quote_literal(predicate.needle)}"
+        # Text tests are SQL functions registered by the connection over
+        # the predicates' own label tests, so pushdown counts agree with
+        # in-memory evaluation bit for bit.  SQLite runs ``x MATCH y`` as
+        # ``match(y, x)``; CONTAINS has no operator, so it is a call.
+        return f"contains({ident}, {quote_literal(predicate.needle)})"
     if isinstance(predicate, MatchPredicate):
         return f"{ident} MATCH {quote_literal(' '.join(predicate.terms))}"
     raise QueryError(f"cannot render predicate type {type(predicate).__name__}")
 
 
-def query_to_sql(query: ConjunctiveQuery, table_name: str) -> str:
+def where_to_sql(
+    query: ConjunctiveQuery | None, params: list[float] | None = None
+) -> str:
+    """`` WHERE ...`` over the restrictive predicates, or ``""``."""
+    if query is None:
+        return ""
+    where = " AND ".join(
+        predicate_to_sql(p, params) for p in query.predicates if p.is_restrictive
+    )
+    return f" WHERE {where}" if where else ""
+
+
+def query_to_sql(
+    query: ConjunctiveQuery, table_name: str, params: list[float] | None = None
+) -> str:
     """Render ``SELECT * FROM table WHERE ...`` for a conjunctive query."""
-    where = " AND ".join(
-        predicate_to_sql(p) for p in query.predicates if p.is_restrictive
+    return f"SELECT * FROM {quote_identifier(table_name)}" + where_to_sql(
+        query, params
     )
-    base = f"SELECT * FROM {quote_identifier(table_name)}"
-    return f"{base} WHERE {where}" if where else base
 
 
-def count_to_sql(query: ConjunctiveQuery, table_name: str) -> str:
+def count_to_sql(
+    query: ConjunctiveQuery, table_name: str, params: list[float] | None = None
+) -> str:
     """Render the COUNT(*) query the engine uses to measure covers."""
-    where = " AND ".join(
-        predicate_to_sql(p) for p in query.predicates if p.is_restrictive
+    return f"SELECT COUNT(*) FROM {quote_identifier(table_name)}" + where_to_sql(
+        query, params
     )
-    base = f"SELECT COUNT(*) FROM {quote_identifier(table_name)}"
-    return f"{base} WHERE {where}" if where else base

@@ -1,12 +1,20 @@
 """Tests for the SQL-only Atlas engine (Section 4's generic path)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.atlas import Atlas
 from repro.datagen import census_table
 from repro.db.connection import SqlConnection
 from repro.db.sql_atlas import SqlAtlas
+from repro.evaluation.metrics import map_set_fingerprint
 from repro.evaluation.workloads import figure2_query
+
+#: Fingerprints and statement counts the hand-written SQL engine gave
+#: before SQLite replaced it; the answers and the cost must not move.
+GOLDEN = Path(__file__).parent / "data" / "sql_atlas_census.json"
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +78,22 @@ class TestSqlAtlas:
         for entry in result.ranked:
             assert entry.map.n_regions <= 8
             assert len(entry.map.attributes) <= 3
+
+    def test_answers_and_statement_counts_match_the_golden_file(self):
+        golden = json.loads(GOLDEN.read_text())
+        table = census_table(n_rows=5000, seed=0)
+        connection = SqlConnection({table.name: table})
+        engine = SqlAtlas(connection, table.name)
+        figure2 = engine.explore(figure2_query())
+        after_figure2 = engine.statement_count
+        whole = engine.explore()
+        assert {
+            "figure2": {
+                "fingerprint": map_set_fingerprint(figure2),
+                "statements": after_figure2,
+            },
+            "whole_table": {
+                "fingerprint": map_set_fingerprint(whole),
+                "statements": engine.statement_count - after_figure2,
+            },
+        } == golden

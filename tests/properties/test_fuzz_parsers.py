@@ -1,18 +1,21 @@
-"""Fuzz tests: the parsers never hang, never crash with foreign errors.
+"""Fuzz tests: the text surfaces never hang, never fail with foreign errors.
 
 Failure-injection discipline for the two text surfaces (the paper's
-query syntax and the SQL dialect): arbitrary input must either parse or
-raise the dedicated syntax error — never an IndexError, never a numpy
-warning-turned-exception, never an infinite loop.
+query syntax and SQL through :class:`SqlConnection`): arbitrary input
+must either succeed or raise the dedicated typed error — never an
+IndexError, never a bare ``sqlite3.Error``, never an infinite loop —
+and SQL text can never change the registered data.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.parser import parse_sql
-from repro.db.tokens import SqlSyntaxError
-from repro.errors import ParseError, PredicateError
+from repro.dataset.table import Table
+from repro.db.connection import SqlConnection, SqlExecutionError
+from repro.errors import ParseError, PredicateError, QueryError
 from repro.query.parser import parse_query
+from repro.query.query import ConjunctiveQuery
 
 arbitrary_text = st.text(max_size=200)
 
@@ -58,19 +61,51 @@ class TestQueryParserFuzz:
             pass
 
 
+TABLE = Table.from_dict({"x": [1.0, 2.0, None], "id": ["a", "b", None]}, name="t")
+
+
+def _rows(connection: SqlConnection) -> int:
+    return connection.count(ConjunctiveQuery(), "t")
+
+
 class TestSqlParserFuzz:
+    """Every outcome of ``SqlConnection.query`` is a Table or a QueryError."""
+
+    @staticmethod
+    def _run(text: str) -> None:
+        connection = SqlConnection({"t": TABLE})
+        try:
+            assert isinstance(connection.query(text), Table)
+        except QueryError:
+            pass
+        assert _rows(connection) == TABLE.n_rows
+
     @given(arbitrary_text)
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_text(self, text):
-        try:
-            parse_sql(text)
-        except SqlSyntaxError:
-            pass
+        self._run(text)
 
     @given(sql_like)
     @settings(max_examples=150, deadline=None)
     def test_sql_like_text(self, text):
-        try:
-            parse_sql(text)
-        except SqlSyntaxError:
-            pass
+        self._run(text)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            'DROP TABLE "t"',
+            "INSERT INTO t VALUES (3.0, 'c')",
+            "UPDATE t SET x = 0",
+            "DELETE FROM t",
+            "ATTACH ':memory:' AS other",
+            "PRAGMA writable_schema = ON",
+            "CREATE TABLE u (y REAL)",
+            "SELECT * FROM t; DELETE FROM t",
+        ],
+    )
+    def test_writes_are_refused_as_typed_errors(self, sql):
+        connection = SqlConnection({"t": TABLE})
+        with pytest.raises(SqlExecutionError):
+            connection.query(sql)
+        assert _rows(connection) == TABLE.n_rows
+        assert connection.fetch("t").n_rows == TABLE.n_rows

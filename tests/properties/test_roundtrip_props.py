@@ -9,7 +9,6 @@ from repro.dataset.table import Table
 from repro.db.connection import SqlConnection
 from repro.query.predicate import RangePredicate, SetPredicate
 from repro.query.query import ConjunctiveQuery
-from repro.query.sql import query_to_sql
 
 # ------------------------------------------------------------------ #
 # CSV round trip
@@ -66,7 +65,7 @@ class TestCsvRoundTrip:
 
 
 # ------------------------------------------------------------------ #
-# Query -> SQL -> executor round trip
+# Query -> SQL -> SQLite round trip
 # ------------------------------------------------------------------ #
 
 TABLE = Table.from_dict(
@@ -77,15 +76,19 @@ TABLE = Table.from_dict(
     name="t",
 )
 CONNECTION = SqlConnection({"t": TABLE})
+X_VALUES = TABLE.numeric("x").data.tolist()
 
 
 @st.composite
 def conjunctive_queries(draw):
     predicates = []
     if draw(st.booleans()):
-        a = draw(st.floats(-60, 60, allow_nan=False))
-        b = draw(st.floats(-60, 60, allow_nan=False))
-        low, high = sorted((a, b))
+        # Half the bounds sit exactly on a stored value, so the rows on
+        # a cut point show whether the bound reached SQLite exactly.
+        bound = st.one_of(
+            st.floats(-60, 60, allow_nan=False), st.sampled_from(X_VALUES)
+        )
+        low, high = sorted((draw(bound), draw(bound)))
         predicates.append(
             RangePredicate(
                 "x", low, high,
@@ -109,5 +112,5 @@ class TestQuerySqlRoundTrip:
     @settings(max_examples=100, deadline=None)
     def test_sql_path_matches_mask(self, query):
         native = int(query.mask(TABLE).sum())
-        via_sql = CONNECTION.query(query_to_sql(query, "t")).n_rows
+        via_sql = CONNECTION.run_query(query, "t").n_rows
         assert native == via_sql

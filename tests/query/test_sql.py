@@ -47,6 +47,10 @@ class TestPredicateToSql:
     def test_float_bounds(self):
         sql = predicate_to_sql(RangePredicate("x", 1.5, 2.5))
         assert "1.5" in sql and "2.5" in sql
+        params: list[float] = []
+        sql = predicate_to_sql(RangePredicate("x", 1.5, 7, closed_low=False), params)
+        assert sql == '"x" > ? AND "x" <= 7'
+        assert params == [1.5]
 
     def test_set_predicate(self):
         sql = predicate_to_sql(SetPredicate("Sex", ["Male", "Female"]))

@@ -168,7 +168,7 @@ class TestAlgebra:
 class TestSqlPushdown:
     def test_contains_renders_and_quotes(self):
         sql = predicate_to_sql(ContainsPredicate("title", "o'clock"))
-        assert sql == "\"title\" CONTAINS 'o''clock'"
+        assert sql == "contains(\"title\", 'o''clock')"
 
     def test_match_renders_joined_terms(self):
         sql = predicate_to_sql(MatchPredicate("title", "Error Timeout"))
@@ -178,16 +178,16 @@ class TestSqlPushdown:
         query = parse_query("hours: [1, 4]\ntitle: contains 'disk'")
         sql = query_to_sql(query, "docs")
         assert '"hours" BETWEEN 1 AND 4' in sql
-        assert "\"title\" CONTAINS 'disk'" in sql
+        assert "contains(\"title\", 'disk')" in sql
 
     def test_sql_agrees_with_mask(self, docs_table):
         from repro.db.connection import SqlConnection
 
         connection = SqlConnection({"docs": docs_table})
-        query = parse_query("title: match 'disk timeout'")
-        result = connection.query(query_to_sql(query, "docs"))
-        mask = query.mask(docs_table)
-        assert result.n_rows == int(mask.sum())
+        for text in ("title: match 'disk timeout'", "title: contains 'DISK'"):
+            query = parse_query(text)
+            result = connection.query(query_to_sql(query, "docs"))
+            assert result.n_rows == query.count(docs_table)
 
 
 class TestRegistry:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.db.connection import SqlConnection
 from repro.engine.facade import explorer
+from repro.evaluation.metrics import map_set_fingerprint
 from repro.service.protocol import (
     AdmissionError,
     ProtocolError,
@@ -51,6 +52,19 @@ class TestRegistration:
             response = service.explore("census", "Age: [17, 90]")
             local = explorer(census_small).explore("Age: [17, 90]")
             assert response.map_set.maps == local.maps
+
+    @pytest.mark.parametrize("fidelity", ["exact", "sketch:800"])
+    def test_connection_source_answers_like_memory(self, census_small, fidelity):
+        # The relation SQLite hands back is the registered one (kinds,
+        # values, label order), so the answers are bit-identical.  Two
+        # services, because sketch seeds derive from the table name.
+        fingerprints = []
+        for source in (SqlConnection({"census": census_small}), census_small):
+            with ExplorationService(max_workers=1) as service:
+                service.register(source)
+                response = service.explore("census", fidelity=fidelity)
+                fingerprints.append(map_set_fingerprint(response.map_set))
+        assert fingerprints[0] == fingerprints[1]
 
 
 class TestOverwriteRace:
