@@ -7,6 +7,8 @@ Two concrete column types cover everything the Atlas pipeline needs:
   this mirrors how a column store hands a dense vector to the client.
 * :class:`CategoricalColumn` — dictionary encoding: an ``int32`` code per
   row plus a tuple of category labels; code ``-1`` marks missing values.
+  The labels live in one :class:`LabelDictionary` shared by every column
+  derived from it; a stored one decodes its text on first use.
 
 Columns are immutable after construction (the arrays are flagged
 non-writeable) so tables can share them across selections without copies.
@@ -15,7 +17,8 @@ non-writeable) so tables can share them across selections without copies.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable, Sequence
+import threading
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -233,6 +236,37 @@ class NumericColumn(Column):
         return super()._is_key_like()
 
 
+class LabelDictionary:
+    """A categorical column's labels, shared by identity with every
+    column derived from it (``with_codes``/``take``/``filter``/``rename``).
+
+    ``size`` is known up front, so codes are range-checked without the
+    text.  Without ``labels``, ``decode`` (which validates) runs once, on
+    first use, under a lock; a failed decode fails again on every use.
+    """
+
+    __slots__ = ("size", "_labels", "_decode", "_lock")
+
+    def __init__(self, size: int, labels=None, decode=None) -> None:
+        self.size: int = size
+        self._labels: tuple[str, ...] | None = labels
+        self._decode: Callable[[], tuple[str, ...]] | None = decode
+        self._lock = threading.Lock()
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The label tuple, indexed by code (decoded on first use)."""
+        labels = self._labels
+        if labels is None:
+            with self._lock:
+                labels = self._labels
+                if labels is None:
+                    assert self._decode is not None
+                    labels = self._labels = self._decode()
+                    self._decode = None
+        return labels
+
+
 class CategoricalColumn(Column):
     """Dictionary-encoded label column.
 
@@ -241,7 +275,7 @@ class CategoricalColumn(Column):
     order-preserving with respect to construction.
     """
 
-    __slots__ = ("_codes", "_categories")
+    __slots__ = ("_codes", "_dictionary")
 
     def __init__(
         self, name: str, codes: np.ndarray, categories: Sequence[str]
@@ -250,8 +284,20 @@ class CategoricalColumn(Column):
         labels = tuple(map(str, categories))
         if len(set(labels)) != len(labels):
             raise DatasetError(f"categorical column {name!r} has duplicate categories")
-        self._categories = labels
+        self._dictionary = LabelDictionary(len(labels), labels)
         self._codes = self._checked(codes)
+
+    @classmethod
+    def deferred(
+        cls, name: str, codes: np.ndarray, size: int, decode: Callable
+    ) -> "CategoricalColumn":
+        """A column whose ``size`` labels come from ``decode`` on first
+        use; the codes are checked against ``size`` now."""
+        column = cls.__new__(cls)
+        Column.__init__(column, name)
+        column._dictionary = LabelDictionary(size, decode=decode)
+        column._codes = column._checked(codes)
+        return column
 
     def _checked(self, codes: np.ndarray) -> np.ndarray:
         """``codes`` as a read-only int32 copy, range-checked against
@@ -261,7 +307,7 @@ class CategoricalColumn(Column):
             raise DatasetError(
                 f"categorical column {self.name!r} needs 1-D codes, got shape {codes.shape}"
             )
-        if codes.size and (codes.max() >= len(self._categories)
+        if codes.size and (codes.max() >= self._dictionary.size
                            or codes.min() < MISSING_CODE):
             raise DatasetError(f"categorical column {self.name!r} has out-of-range codes")
         return _as_readonly(codes)
@@ -270,11 +316,12 @@ class CategoricalColumn(Column):
         """This column's name and dictionary over other ``codes``.
 
         The dictionary is shared by identity, not re-validated (it was
-        when this column was built), so a derivation costs O(rows).
+        when this column was built, or is on first use), so a derivation
+        costs O(rows) and never touches label text.
         """
         clone = CategoricalColumn.__new__(CategoricalColumn)
         Column.__init__(clone, self._name)
-        clone._categories = self._categories
+        clone._dictionary = self._dictionary
         clone._codes = clone._checked(codes)
         return clone
 
@@ -313,7 +360,12 @@ class CategoricalColumn(Column):
     @property
     def categories(self) -> tuple[str, ...]:
         """Tuple of distinct labels, indexed by code."""
-        return self._categories
+        return self._dictionary.labels
+
+    @property
+    def n_categories(self) -> int:
+        """``len(categories)``, known without decoding the labels."""
+        return self._dictionary.size
 
     def __len__(self) -> int:
         return int(self._codes.shape[0])
@@ -328,7 +380,7 @@ class CategoricalColumn(Column):
         clone = CategoricalColumn.__new__(CategoricalColumn)
         Column.__init__(clone, name)
         clone._codes = self._codes
-        clone._categories = self._categories
+        clone._dictionary = self._dictionary
         return clone
 
     def concat(self, other: "Column") -> "CategoricalColumn":
@@ -341,11 +393,11 @@ class CategoricalColumn(Column):
         # their codes, fresh labels from `other` are appended, so the
         # parent's code array transfers verbatim and only the delta rows
         # are remapped.
-        categories = list(self._categories)
+        categories = list(self.categories)
         index = {label: code for code, label in enumerate(categories)}
-        remap = np.empty(len(other._categories) + 1, dtype=np.int32)
+        remap = np.empty(other._dictionary.size + 1, dtype=np.int32)
         remap[-1] = MISSING_CODE  # other code -1 indexes the last slot
-        for code, label in enumerate(other._categories):
+        for code, label in enumerate(other.categories):
             mapped = index.get(label)
             if mapped is None:
                 mapped = len(categories)
@@ -353,7 +405,7 @@ class CategoricalColumn(Column):
                 categories.append(label)
             remap[code] = mapped
         codes = np.concatenate([self._codes, remap[other._codes]])
-        if len(categories) == len(self._categories):
+        if len(categories) == self._dictionary.size:
             return self.with_codes(codes)  # no new label: keep the dictionary
         return CategoricalColumn(self.name, codes, categories)
 
@@ -367,14 +419,15 @@ class CategoricalColumn(Column):
     def value_counts(self) -> dict[str, int]:
         """Mapping label -> occurrence count (missing excluded)."""
         counts = np.bincount(
-            self._codes[self._codes != MISSING_CODE], minlength=len(self._categories)
+            self._codes[self._codes != MISSING_CODE], minlength=self._dictionary.size
         )
-        return {cat: int(c) for cat, c in zip(self._categories, counts)}
+        return {cat: int(c) for cat, c in zip(self.categories, counts)}
 
     def decode(self) -> list[str | None]:
         """Materialize the labels row by row (None for missing)."""
+        categories = self.categories
         return [
-            None if code == MISSING_CODE else self._categories[code]
+            None if code == MISSING_CODE else categories[code]
             for code in self._codes
         ]
 

@@ -54,3 +54,15 @@ class SketchError(AtlasError):
 
 class StoreError(AtlasError):
     """Problems in the persistent table store (schema drift, bad replay)."""
+
+
+class AppendConflictError(StoreError):
+    """An append's version pair is already logged with a different delta.
+
+    Another writer on the same store got there first; the caller's
+    append was not applied (HTTP 409).  Re-issuing the *logged* delta
+    stays an idempotent no-op.
+    """
+
+    status = 409
+    code = "append_conflict"

@@ -195,8 +195,10 @@ def error_to_dict(error: Exception) -> dict:
         status, code = error.status, error.code
     elif isinstance(error, AtlasError):
         # Library errors are the caller's fault: bad query text, bad
-        # config values, contradictory predicates.
-        status, code = 400, "bad_request"
+        # config values, contradictory predicates; a few (a lost append
+        # race) carry their own status.
+        status = getattr(error, "status", 400)
+        code = getattr(error, "code", "bad_request")
     else:
         status, code = 500, "internal"
     payload: dict = {

@@ -22,6 +22,7 @@ Two encodings share the per-column logic:
 from __future__ import annotations
 
 import base64
+import functools
 import json
 
 import numpy as np
@@ -58,23 +59,61 @@ def column_blob(
 
 
 def column_from_blob(
-    name: str, kind: str, blob: bytes, aux: str | None
+    name: str,
+    kind: str,
+    blob: bytes,
+    aux: str | None,
+    n_labels: int | None = None,
+    where: str | None = None,
 ) -> Column:
     """Rebuild one column from its stored row (inverse of
-    :func:`column_blob`)."""
+    :func:`column_blob`).
+
+    ``where`` names a store row (table and version): its dictionary of
+    ``n_labels`` labels is decoded on first use, and every error names
+    the row.  Without it (a summary document's inline dictionary) the
+    labels are decoded now.
+    """
     if kind == _NUMERIC:
         return NumericColumn(name, np.frombuffer(blob, dtype=np.float64))
-    if kind == _CATEGORICAL:
-        if aux is None:
-            raise StoreError(
-                f"stored categorical column {name!r} has no dictionary"
-            )
-        # The read-only view goes in as is; the constructor makes the
-        # one copy that detaches the column from the blob.
-        return CategoricalColumn(
-            name, np.frombuffer(blob, dtype=np.int32), json.loads(aux)
+    if kind != _CATEGORICAL:
+        raise StoreError(f"unknown stored column kind {kind!r} for {name!r}")
+    if aux is None:
+        raise StoreError(f"stored categorical column {name!r} has no dictionary")
+    # The read-only view goes in as is; the constructor makes the one
+    # copy that detaches the column from the blob.
+    codes = np.frombuffer(blob, dtype=np.int32)
+    if where is None:
+        return CategoricalColumn(name, codes, json.loads(aux))
+    where = f"column {name!r} of {where}"
+    if n_labels is None:
+        raise StoreError(f"stored dictionary of {where} has no label count")
+    try:
+        return CategoricalColumn.deferred(
+            name, codes, n_labels, functools.partial(stored_labels, aux, n_labels, where)
         )
-    raise StoreError(f"unknown stored column kind {kind!r} for {name!r}")
+    except DatasetError as exc:  # codes past the dictionary
+        raise StoreError(f"{where}: {exc}") from exc
+
+
+def stored_labels(aux: str, n_labels: int, where: str) -> tuple[str, ...]:
+    """A stored dictionary's labels, checked in one pass over the JSON
+    list: strings only (a stored label is never coerced), ``n_labels``
+    of them, no duplicates."""
+    try:
+        labels = json.loads(aux)
+    except ValueError:
+        problem = "is not valid JSON"
+    else:
+        if type(labels) is not list or not set(map(type, labels)) <= {str}:
+            problem = "is not a list of strings"
+        elif len(labels) != n_labels:
+            problem = f"holds {len(labels)} labels, expected {n_labels}"
+        elif len(set(labels)) != n_labels:
+            problem = "has duplicate labels"
+        else:
+            return tuple(labels)
+    raise StoreError(f"stored dictionary of {where} {problem}")
 
 
 def encode_table_payload(table: Table, base: Table | None = None) -> dict:

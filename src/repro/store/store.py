@@ -7,12 +7,15 @@ one lock) durably records three things per registered table:
 
 * the **base table** — raw column buffers via :mod:`repro.store.codec`;
 * the **append log** — one row per version pair ``(from, to)`` plus the
-  coerced delta's column buffers, so a restart replays the exact
-  streaming history through :meth:`repro.dataset.table.Table.append`
-  and lands on a bit-identical current table.  Replay is idempotent:
-  re-issuing an already-logged pair (a client retrying through a crash)
-  is a no-op, and the log + buffers commit in one transaction so a
-  crash mid-append leaves either both or neither;
+  coerced delta's column buffers and their digest, so a restart replays
+  the exact streaming history through
+  :meth:`repro.dataset.table.Table.append` and lands on a bit-identical
+  current table.  Replay is idempotent: re-issuing an already-logged
+  pair with the same delta (a client retrying through a crash) is a
+  no-op, while a different delta under a logged pair (another service
+  on the same file appended first) is an :class:`AppendConflictError`.
+  The log + buffers commit in one transaction so a crash mid-append
+  leaves either both or neither;
 * **sketch summaries** — JSON documents keyed ``(table, version,
   summary key)`` holding a serialized reservoir plus its built GK /
   Misra–Gries / token sketches, which :mod:`repro.store.warm` turns
@@ -28,6 +31,8 @@ otherwise — same answers either way, the index is a speedup.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import sqlite3
 import threading
@@ -35,11 +40,13 @@ import time
 
 from repro.dataset.column import CategoricalColumn
 from repro.dataset.table import Table
-from repro.errors import StoreError
+from repro.errors import AppendConflictError, StoreError
 from repro.query.predicate import tokenize_text
 from repro.store.codec import column_blob, column_from_blob, table_schema
 
-_SCHEMA_VERSION = 1
+#: 2 added ``columns.n_labels`` and ``append_log.digest``; a version-1
+#: store is migrated in place when opened (:func:`_migrate_v1`).
+_SCHEMA_VERSION = 2
 
 
 def open_sqlite(path: str) -> sqlite3.Connection:
@@ -75,6 +82,7 @@ CREATE TABLE IF NOT EXISTS columns (
     kind TEXT NOT NULL,
     data BLOB NOT NULL,
     aux TEXT,
+    n_labels INTEGER,
     PRIMARY KEY (table_name, version, position)
 );
 CREATE TABLE IF NOT EXISTS append_log (
@@ -83,6 +91,7 @@ CREATE TABLE IF NOT EXISTS append_log (
     to_version INTEGER NOT NULL,
     created REAL NOT NULL,
     n_rows INTEGER NOT NULL,
+    digest TEXT,
     PRIMARY KEY (table_name, to_version)
 );
 CREATE TABLE IF NOT EXISTS summaries (
@@ -101,6 +110,52 @@ _CREATE_FTS = """
 CREATE VIRTUAL TABLE IF NOT EXISTS label_fts
     USING fts5(table_name UNINDEXED, column_name UNINDEXED, label);
 """
+
+
+def _column_rows(table: Table) -> list[tuple]:
+    """Each column's stored ``(name, kind, data, aux, n_labels)``."""
+    return [
+        (column.name, *column_blob(column), getattr(column, "n_categories", None))
+        for column in table.columns
+    ]
+
+
+def _digest(rows: list) -> str:
+    """blake2b over a delta's stored ``(name, kind, data, aux)`` rows,
+    taken in name order: the delta's column order is not its content."""
+    digest = hashlib.blake2b(digest_size=16)
+    for name, kind, data, aux, *_ in sorted(rows, key=lambda row: row[0]):
+        for part in (name.encode(), kind.encode(), data, (aux or "").encode()):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+    return digest.hexdigest()
+
+
+def _migrate_v1(conn: sqlite3.Connection) -> None:
+    """Schema 1 → 2 in place: count every stored dictionary's labels
+    and digest every logged delta, once.  A dictionary that does not
+    decode keeps a NULL count, which loading reports as corruption."""
+    conn.execute("ALTER TABLE columns ADD COLUMN n_labels INTEGER")
+    conn.execute("ALTER TABLE append_log ADD COLUMN digest TEXT")
+    categorical = "SELECT rowid, aux FROM columns WHERE kind='categorical'"
+    for rowid, aux in conn.execute(categorical).fetchall():
+        with contextlib.suppress(TypeError, ValueError):
+            conn.execute(
+                "UPDATE columns SET n_labels=? WHERE rowid=?",
+                (len(json.loads(aux)), rowid),
+            )
+    for name, version in conn.execute(
+        "SELECT table_name, to_version FROM append_log"
+    ).fetchall():
+        delta = conn.execute(
+            "SELECT name, kind, data, aux FROM columns "
+            "WHERE table_name=? AND version=? ORDER BY position",
+            (name, version),
+        ).fetchall()
+        conn.execute(
+            "UPDATE append_log SET digest=? WHERE table_name=? AND to_version=?",
+            (_digest(delta), name, version),
+        )
 
 
 def _fts5_available(conn: sqlite3.Connection) -> bool:
@@ -131,6 +186,15 @@ class TableStore:
             cursor = self._conn.cursor()
             self._fts = _fts5_available(self._conn)
             version = cursor.execute("PRAGMA user_version").fetchone()[0]
+            if version == 1:
+                # Under the write lock, so a second process opening
+                # the same file waits, then finds the store migrated.
+                cursor.execute("BEGIN IMMEDIATE")
+                if cursor.execute("PRAGMA user_version").fetchone()[0] == 1:
+                    _migrate_v1(self._conn)
+                    cursor.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
+                self._conn.commit()
+                version = _SCHEMA_VERSION
             if version == 0:
                 cursor.executescript(_CREATE)
                 if self._fts:
@@ -192,7 +256,7 @@ class TableStore:
                     json.dumps(table_schema(table)),
                 ),
             )
-            self._insert_columns_locked(name, table.version, table)
+            self._insert_columns_locked(name, table.version, _column_rows(table))
             self._index_labels_locked(name, table)
             self._conn.commit()
 
@@ -214,16 +278,13 @@ class TableStore:
             )
 
     def _insert_columns_locked(  # holds-lock: _lock
-        self, name: str, version: int, table: Table
+        self, name: str, version: int, rows: list[tuple]
     ) -> None:
-        for position, column in enumerate(table.columns):
-            kind, blob, aux = column_blob(column)
-            self._conn.execute(
-                "INSERT INTO columns "
-                "(table_name, version, position, name, kind, data, aux) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (name, version, position, column.name, kind, blob, aux),
-            )
+        self._conn.executemany(
+            "INSERT INTO columns (table_name, version, position, name, "
+            "kind, data, aux, n_labels) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            ((name, version, position, *row) for position, row in enumerate(rows)),
+        )
 
     def _index_labels_locked(  # holds-lock: _lock
         self, name: str, table: Table
@@ -254,30 +315,34 @@ class TableStore:
         """Durably record one append (the *coerced* delta + version pair).
 
         Returns True when the entry was applied, False when the exact
-        pair was already logged (idempotent replay — a client retrying
-        through a crash re-issues the same pair and nothing doubles).
-        A pair that is neither next nor already logged is a gap and
-        raises :class:`StoreError`.
+        pair was already logged with the same delta (idempotent replay —
+        a client retrying through a crash re-issues the same pair and
+        nothing doubles).  A pair already logged with a *different*
+        delta — another writer on this file appended first — raises
+        :class:`AppendConflictError` and records nothing.  A pair past
+        the stored history is a gap and raises :class:`StoreError`.
         """
         if to_version != from_version + 1:
             raise StoreError(
                 f"append log entries advance one version at a time, got "
                 f"{from_version} -> {to_version}"
             )
+        rows = _column_rows(delta)
+        digest = _digest(rows)
         with self._lock:
             self._check_open()
             current = self._current_version_locked(name)
             if to_version <= current:
                 logged = self._conn.execute(
-                    "SELECT from_version FROM append_log "
-                    "WHERE table_name=? AND to_version=?",
-                    (name, to_version),
+                    "SELECT digest FROM append_log WHERE table_name=? "
+                    "AND from_version=? AND to_version=?",
+                    (name, from_version, to_version),
                 ).fetchone()
-                if logged is None or logged["from_version"] != from_version:
-                    raise StoreError(
+                if logged is None or logged["digest"] != digest:
+                    raise AppendConflictError(
                         f"append {from_version}->{to_version} on {name!r} "
-                        f"conflicts with the stored history "
-                        f"(current version {current})"
+                        f"conflicts with the stored history (current "
+                        f"version {current}); it was not applied"
                     )
                 return False  # exact replay: already durable
             if from_version != current:
@@ -289,12 +354,11 @@ class TableStore:
             # crash mid-append leaves both or neither, never a log row
             # whose buffers are missing.
             self._conn.execute(
-                "INSERT INTO append_log "
-                "(table_name, from_version, to_version, created, n_rows) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (name, from_version, to_version, time.time(), delta.n_rows),
+                "INSERT INTO append_log (table_name, from_version, "
+                "to_version, created, n_rows, digest) VALUES (?, ?, ?, ?, ?, ?)",
+                (name, from_version, to_version, time.time(), delta.n_rows, digest),
             )
-            self._insert_columns_locked(name, to_version, delta)
+            self._insert_columns_locked(name, to_version, rows)
             self._index_labels_locked(name, delta)
             self._conn.commit()
             return True
@@ -394,12 +458,12 @@ class TableStore:
                 version: self._column_rows_locked(name, version)
                 for version in versions
             }
-        # Decoded with the lock released: parsing and validating the
-        # dictionaries dominates a load and never touches the connection.
-        # Each version's raw rows are dropped as soon as they are decoded.
+        # Decoded with the lock released; label dictionaries only get
+        # their size checked here and decode on first use.  Each
+        # version's raw rows are dropped as soon as they are decoded.
         decoded = {
             version: [
-                column_from_blob(r["name"], r["kind"], r["data"], r["aux"])
+                column_from_blob(*r, f"stored table {name!r} at version {version}")
                 for r in stored.pop(version)
             ]
             for version in versions
@@ -425,7 +489,7 @@ class TableStore:
         self, name: str, version: int
     ) -> list:
         rows = self._conn.execute(
-            "SELECT name, kind, data, aux FROM columns "
+            "SELECT name, kind, data, aux, n_labels FROM columns "
             "WHERE table_name=? AND version=? ORDER BY position",
             (name, version),
         ).fetchall()

@@ -1,5 +1,9 @@
 """Unit tests for typed columns."""
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -214,3 +218,74 @@ class TestInheritedDictionary:
         assert col.categories == ("1", "2")
         with pytest.raises(DatasetError, match="duplicate"):
             CategoricalColumn("c", np.array([0], dtype=np.int32), [1, "1"])
+
+
+class TestDeferredDictionary:
+    """A deferred column knows its dictionary's size up front and
+    decodes the labels once, on first use, shared by every derivative."""
+
+    LABELS = ("a", "b", "c")
+
+    def deferred(self, decode=None):
+        calls = []
+
+        def count_calls():
+            calls.append(1)
+            return (decode or (lambda: self.LABELS))()
+
+        codes = np.array([0, 2, -1, 1, 0], dtype=np.int32)
+        return CategoricalColumn.deferred("c", codes, 3, count_calls), calls
+
+    def test_codes_and_size_need_no_decode(self):
+        col, calls = self.deferred()
+        assert col.n_categories == 3
+        assert col.distinct_count() == 3
+        assert col.missing_count() == 1
+        derived = [
+            col.take(np.array([1, 0])),
+            col.filter(np.array([True, True, False, False, True])),
+            col.rename("d"),
+            col.with_codes(np.array([2], dtype=np.int32)),
+        ]
+        assert calls == []
+        assert col.categories == self.LABELS
+        assert all(d.categories is col.categories for d in derived)
+        assert calls == [1]
+
+    def test_codes_past_the_size_fail_at_construction(self):
+        with pytest.raises(DatasetError, match="out-of-range"):
+            CategoricalColumn.deferred(
+                "c", np.array([3], dtype=np.int32), 3, lambda: self.LABELS
+            )
+
+    def test_eight_threads_get_one_tuple_decoded_once(self):
+        gate = threading.Barrier(8)
+
+        def slow():
+            time.sleep(0.05)  # every reader arrives while the decode runs
+            return tuple(["a", "b", "c"])
+
+        col, calls = self.deferred(slow)
+        derived = col.take(np.arange(len(col)))
+
+        def read(index):
+            gate.wait()
+            return (col if index % 2 else derived).categories
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            seen = list(pool.map(read, range(8)))
+        assert calls == [1]
+        assert all(labels is seen[0] for labels in seen)
+        assert seen[0] == self.LABELS
+
+    def test_a_failed_decode_fails_on_every_use(self):
+        def corrupt():
+            raise DatasetError("corrupt dictionary")
+
+        col, calls = self.deferred(corrupt)
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="corrupt"):
+                col.categories
+        assert calls == [1, 1]
+        with pytest.raises(DatasetError, match="corrupt"):
+            col.decode()

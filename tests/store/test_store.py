@@ -7,7 +7,10 @@ import pytest
 
 from repro.dataset.column import CategoricalColumn, NumericColumn
 from repro.dataset.table import Table
-from repro.errors import StoreError
+from repro.datagen import census_table
+from repro.errors import AppendConflictError, StoreError
+from repro.service import ExplorationService
+from repro.service.protocol import error_from_payload, error_to_dict
 from repro.store import TableStore
 from repro.store import store as store_module
 from repro.store.codec import column_blob, column_from_blob
@@ -169,6 +172,28 @@ class TestAppendLog:
         with pytest.raises(StoreError, match="one version at a time"):
             store.append("events", delta, from_version=0, to_version=2)
 
+    def test_same_pair_with_another_delta_is_a_conflict(self, store):
+        table = make_table()
+        store.register_table(table)
+        delta, _ = self.append_delta(table)
+        store.append("events", delta, from_version=0, to_version=1)
+        other = table.coerce_delta({"hours": [9.0], "title": ["disk fire"]})
+        with pytest.raises(AppendConflictError) as raised:
+            store.append("events", other, from_version=0, to_version=1)
+        message = str(raised.value)
+        assert "'events'" in message and "0->1" in message
+        assert "current version 1" in message
+        assert store.load_table("events").categorical("title").categories[-1] == (
+            "disk failure"
+        )
+        assert store.describe("events")["appends"] == 1
+
+    def test_conflict_is_a_409_on_the_wire(self):
+        payload = error_to_dict(AppendConflictError("append 0->1 on 'x'"))
+        assert payload["error"]["status"] == 409
+        assert payload["error"]["code"] == "append_conflict"
+        assert isinstance(error_from_payload(payload, 409), AppendConflictError)
+
     def test_multi_append_replay_order(self, store):
         table = make_table()
         store.register_table(table)
@@ -287,3 +312,53 @@ class TestLifecycle:
         with TableStore() as store:
             store.register_table(make_table())
             assert store.load_table("events").n_rows == 4
+
+
+def census_rows(n: int, offset: int) -> dict:
+    return {
+        "Age": [20.0 + (offset + i) % 50 for i in range(n)],
+        "Sex": ["Female" if (offset + i) % 2 else "Male" for i in range(n)],
+        "Salary": ["<20k"] * n,
+        "Education": ["BSc"] * n,
+        "Eye color": ["Blue"] * n,
+    }
+
+
+class TestTwoServicesOneStore:
+    """Two services on one store file: an append that loses the race
+    for a version is refused, never acknowledged and then lost."""
+
+    def test_losing_append_is_refused_not_lost(self, tmp_path):
+        path = str(tmp_path / "atlas.db")
+        a = ExplorationService(max_workers=1, store=path)
+        b = None
+        try:
+            a.register(census_table(n_rows=1_000, seed=0), persist=True)
+            assert a.append("census", census_rows(10, 0)).version == 1
+            b = ExplorationService(max_workers=1, store=path)
+            won = b.append("census", census_rows(50, 10))
+            assert (won.version, won.n_rows) == (2, 1_060)
+            with pytest.raises(AppendConflictError, match="'census'"):
+                a.append("census", census_rows(7, 60))
+            # A kept its last acknowledged state; nothing was swapped in.
+            served = a.catalog.resolve("census")
+            assert (served.version, served.n_rows) == (1, 1_010)
+            assert a.explore("census", fidelity="exact").map_set.version == 1
+        finally:
+            a.close()
+            if b is not None:
+                b.close()
+        with TableStore(path) as store:
+            stored = store.load_table("census")
+        assert (stored.version, stored.n_rows) == (2, 1_060)
+
+    def test_retrying_the_logged_delta_stays_a_noop(self, tmp_path):
+        path = str(tmp_path / "atlas.db")
+        with ExplorationService(max_workers=1, store=path) as service:
+            service.register(census_table(n_rows=200, seed=0), persist=True)
+            service.append("census", census_rows(5, 0))
+        table = census_table(n_rows=200, seed=0)
+        with TableStore(path) as store:
+            delta = table.coerce_delta(census_rows(5, 0))
+            assert store.append("census", delta, from_version=0, to_version=1) is False
+            assert store.load_table("census").n_rows == 205
