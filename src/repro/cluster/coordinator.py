@@ -54,7 +54,6 @@ from repro.engine.backends import (
 from repro.engine.parallel import (
     ScanRecipe,
     ShardedTable,
-    ShardStatistics,
     build_sharded_backend,
     shard_column_values,
 )
@@ -66,6 +65,7 @@ from repro.service.protocol import (
     StaleShardError,
 )
 from repro.service.transport import HttpTransport
+from repro.sketch.state import SketchState
 
 
 def server_for_shard(shard: int, n_shards: int, n_servers: int) -> int:
@@ -182,7 +182,7 @@ class ClusterCoordinator:
 
     def scan(
         self, table: Table, layout: ShardedTable, recipe: ScanRecipe
-    ) -> list[ShardStatistics]:
+    ) -> list[SketchState]:
         """Scan every shard on its owning server; shard-ordered results.
 
         One ``/scan`` per server lists that server's contiguous shard
@@ -196,7 +196,7 @@ class ClusterCoordinator:
                 (index, low, high)
             )
 
-        def scan_block(server: int) -> tuple[list[ShardStatistics], int]:
+        def scan_block(server: int) -> tuple[list[SketchState], int]:
             request = ScanRequest(
                 table=table.name,
                 version=table.version,
@@ -223,7 +223,7 @@ class ClusterCoordinator:
         self._last_scan.retries = sum(retries for _, retries in scanned)
         return sorted(
             (stat for block, _ in scanned for stat in block),
-            key=lambda stat: stat.index,
+            key=lambda stat: stat.provenance["shard"],
         )
 
     def provenance(
@@ -249,7 +249,7 @@ class ClusterCoordinator:
         table: Table,
         recipe: ScanRecipe,
         request: ScanRequest,
-    ) -> tuple[list[ShardStatistics], int]:
+    ) -> tuple[list[SketchState], int]:
         """One server's shard statistics and the retries they cost."""
         transport = self._transports[server]
         body = request.to_dict()

@@ -37,8 +37,9 @@ never declared on the wire:
   ``(codes, categories)`` payload the local venues scan
   (:func:`repro.engine.parallel.shard_column_values`), so a scan on a
   server runs the same kernels on the same buffers as a local worker.
-* ``/scan`` answer — per shard, each GK summary as float64 ``values``
-  and int64 ``g`` / ``delta`` buffers, the row sample as an
+* ``/scan`` answer — per shard (a one-shard
+  :class:`~repro.sketch.state.SketchState`), each GK summary as float64
+  ``values`` and int64 ``g`` / ``delta`` buffers, the row sample as an
   ``np.packbits`` bitmap over the shard's rows ``[low, high)`` (the
   sample is a sorted set of distinct rows in that range, so the bitmap
   is exact), and each Misra–Gries summary in its small ``to_dict``
@@ -60,11 +61,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.parallel import ShardStatistics
 from repro.errors import SketchError
 from repro.service.protocol import ProtocolError
 from repro.sketch.frequency import MisraGriesSketch
 from repro.sketch.quantile import GKQuantileSketch
+from repro.sketch.state import SketchState
 
 #: Bumped on incompatible shard-wire changes; ``/health`` reports it.
 CLUSTER_PROTOCOL_VERSION = 3
@@ -349,11 +350,11 @@ class ScanRequest:
 # ---------------------------------------------------------------------- #
 
 
-def _encode_statistics(statistics: ShardStatistics, low: int) -> dict:
-    bitmap = np.zeros(statistics.n_rows, dtype=bool)
-    bitmap[statistics.sample - low] = True
+def _encode_statistics(state: SketchState, low: int) -> dict:
+    bitmap = np.zeros(state.n_rows, dtype=bool)
+    bitmap[state.sample - low] = True
     quantiles = {}
-    for attribute, sketch in statistics.quantiles.items():
+    for attribute, sketch in state.quantiles.items():
         values, g, delta = sketch.arrays()
         quantiles[attribute] = {
             "epsilon": sketch.epsilon,
@@ -363,27 +364,27 @@ def _encode_statistics(statistics: ShardStatistics, low: int) -> dict:
             "delta": encode_buffer(delta, _INT64),
         }
     return {
-        "index": statistics.index,
-        "n_rows": statistics.n_rows,
+        "index": state.provenance["shard"],
+        "n_rows": state.n_rows,
         "sample": {
-            "size": len(statistics.sample),
+            "size": len(state.sample),
             "bitmap": encode_buffer(np.packbits(bitmap), _UINT8),
         },
         "quantiles": quantiles,
         "frequencies": {
             attribute: sketch.to_dict()
-            for attribute, sketch in statistics.frequencies.items()
+            for attribute, sketch in state.frequencies.items()
         },
-        "seconds": statistics.seconds,
-        "kernel_nanos": dict(statistics.kernel_nanos),
+        "seconds": state.provenance["seconds"],
+        "kernel_nanos": dict(state.provenance["kernel_nanos"]),
     }
 
 
 def encode_scan_answer(
-    request: ScanRequest, statistics: Iterable[ShardStatistics]
+    request: ScanRequest, statistics: Iterable[SketchState]
 ) -> dict:
-    """The ``/scan`` answer: one encoded statistic per listed shard,
-    in request order."""
+    """The ``/scan`` answer: one encoded one-shard state per listed
+    shard, in request order."""
     return {
         "statistics": [
             _encode_statistics(shard, low)
@@ -412,7 +413,7 @@ def _decode_sample(data: dict, low: int, high: int) -> np.ndarray:
 
 def _decode_statistics(
     data: dict, index: int, low: int, high: int
-) -> ShardStatistics:
+) -> SketchState:
     if int(data["index"]) != index or int(data["n_rows"]) != high - low:
         raise ValueError(
             f"answer for shard {data['index']} ({data['n_rows']} rows) "
@@ -428,26 +429,29 @@ def _decode_statistics(
             decode_buffer(gk["g"], _INT64, f"{what} g"),
             decode_buffer(gk["delta"], _INT64, f"{what} delta"),
         )
-    return ShardStatistics(
-        index=index,
-        n_rows=high - low,
+    return SketchState(
         sample=_decode_sample(data["sample"], low, high),
+        n_rows=high - low,
         quantiles=quantiles,
         frequencies={
             str(attribute): MisraGriesSketch.from_dict(mg)
             for attribute, mg in data["frequencies"].items()
         },
-        seconds=float(data["seconds"]),
-        kernel_nanos={
-            str(k): int(v) for k, v in dict(data["kernel_nanos"]).items()
+        full_scan=True,
+        provenance={
+            "shard": index,
+            "seconds": float(data["seconds"]),
+            "kernel_nanos": {
+                str(k): int(v) for k, v in dict(data["kernel_nanos"]).items()
+            },
         },
     )
 
 
 def decode_scan_answer(
     payload: dict, shards: tuple[tuple[int, int, int], ...]
-) -> list[ShardStatistics]:
-    """The statistics of a ``/scan`` answer, validated against the
+) -> list[SketchState]:
+    """The one-shard states of a ``/scan`` answer, validated against the
     ``(index, low, high)`` shards the request listed.
 
     Raises :class:`SketchError` for any malformed answer — a missing or

@@ -1,8 +1,8 @@
 """The shard server: owns row-range shards and scans them on demand.
 
 One :class:`ShardStore` holds the column values of every shard pushed
-to this process (``POST /own``), scans them into
-:class:`~repro.engine.parallel.ShardStatistics` (``POST /scan``, one
+to this process (``POST /own``), scans them into one-shard
+:class:`~repro.sketch.state.SketchState` values (``POST /scan``, one
 request per coordinator build listing this server's shards) with the
 *same* :func:`~repro.engine.parallel.scan_shard_values` core the local
 workers run.  :class:`ShardServer` mounts those routes (plus
@@ -28,9 +28,10 @@ from repro.cluster.protocol import (
     ScanRequest,
     encode_scan_answer,
 )
-from repro.engine.parallel import ShardStatistics, scan_shard_values
+from repro.engine.parallel import scan_shard_values
 from repro.service.httpd import Handler, JsonHttpServer
 from repro.service.protocol import ProtocolError, StaleShardError
+from repro.sketch.state import SketchState
 
 
 class _OwnedShard:
@@ -86,7 +87,7 @@ class ShardStore:
             self._shards[(request.table, request.shard)] = owned
         return {"owned": owned.describe()}
 
-    def scan(self, request: ScanRequest) -> list[ShardStatistics]:
+    def scan(self, request: ScanRequest) -> list[SketchState]:
         """Scan every listed shard with the shared deterministic core.
 
         Ownership of every listed shard is checked before any scan

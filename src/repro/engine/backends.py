@@ -51,6 +51,7 @@ from repro.engine.kernels import (
 )
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
+from repro.sketch.state import SketchState, merge_summaries, uniform_merge
 
 #: Bounds on cached scope tables / per-table stat blocks; interactive
 #: sessions revisit a handful of scopes, so a small FIFO is plenty.
@@ -688,12 +689,14 @@ class SketchBackend:
     Where the state came from is constructor *data*, not a subclass:
     the sharded build (:func:`repro.engine.parallel.build_sharded_backend`)
     and the warm restore (:func:`repro.store.warm.restore_backend`) hand
-    over a prebuilt ``sample`` and seed the summaries (``quantiles`` /
-    ``frequencies`` / ``tokens``).  ``full_scan`` says whether those
-    summaries observed every table row (a sharded build) or only the
-    reservoir; it is fixed here and decides the rate at which
-    :meth:`advance` thins appended rows.  ``provenance`` is merged into
-    :meth:`snapshot` as is (the ``"parallel"`` / ``"warm"`` blocks).
+    over a :class:`~repro.sketch.state.SketchState` whose sample is the
+    reservoir table and whose summaries seed the memos.  Its
+    ``full_scan`` says whether those summaries observed every table row
+    (a sharded build) or only the reservoir; it is fixed here and
+    decides the rate at which :meth:`advance` thins appended rows.  Its
+    ``provenance`` is merged into :meth:`snapshot` as is (the
+    ``"parallel"`` / ``"warm"`` blocks).  :meth:`export_state` hands the
+    same value back.
     """
 
     kind = "sketch"
@@ -705,13 +708,8 @@ class SketchBackend:
         rng: np.random.Generator | int | None = None,
         counters: CacheCounters | None = None,
         lock: threading.Lock | None = None,
-        sample: Table | None = None,
         *,
-        quantiles: Mapping[str, object] | None = None,
-        frequencies: Mapping[str, object] | None = None,
-        tokens: Mapping[str, object] | None = None,
-        full_scan: bool = False,
-        provenance: Mapping[str, object] | None = None,
+        state: SketchState | None = None,
     ):
         if not fidelity.is_sketch:
             raise MapError(
@@ -720,42 +718,28 @@ class SketchBackend:
         self._table = table
         self._fidelity = fidelity
         self._kernel_timings = KernelTimings()  # guarded-by: _lock
-        if sample is not None:
-            # A prebuilt reservoir (the sharded merge of
-            # :mod:`repro.engine.parallel` hands one over); the caller
-            # vouches it is a uniform ``budget_rows`` sample of
-            # ``table`` at ``table.version``.
-            pass
-        elif fidelity.budget_rows >= table.n_rows:
+        budget = fidelity.budget_rows
+        if state is None:
             sample = table  # the budget covers everything; nothing to copy
-        else:
-            generator = (
-                rng if isinstance(rng, np.random.Generator)
-                else np.random.default_rng(rng)
-            )
-            rows = np.sort(
-                generator.permutation(table.n_rows)[: fidelity.budget_rows]
-            )
-            sample = table.take(
-                rows, name=f"{table.name}_sketch{fidelity.budget_rows}"
-            )
-        self._inner = ExactBackend(sample, counters=counters, lock=lock)
+            if budget < table.n_rows:
+                rows = np.random.default_rng(rng).permutation(table.n_rows)
+                sample = table.take(
+                    np.sort(rows[:budget]), name=f"{table.name}_sketch{budget}"
+                )
+            state = SketchState(sample, table.n_rows, version=table.version)
+        # A handed-over state's caller vouches its sample is a uniform
+        # ``budget_rows`` sample of ``table`` at ``table.version``.
+        self._inner = ExactBackend(state.sample, counters=counters, lock=lock)
         self._lock = self._inner._lock
         self.counters = self._inner.counters
         self.usage = self._inner.usage
         # Seeded before the backend is shared.
-        self._quantile_sketches: dict[str, object] = dict(  # guarded-by: _lock
-            quantiles or {}
-        )
-        self._frequency_sketches: dict[str, object] = dict(  # guarded-by: _lock
-            frequencies or {}
-        )
-        self._token_sketches: dict[str, object] = dict(  # guarded-by: _lock
-            tokens or {}
-        )
+        self._quantile_sketches = dict(state.quantiles)  # guarded-by: _lock
+        self._frequency_sketches = dict(state.frequencies)  # guarded-by: _lock
+        self._token_sketches = dict(state.tokens)  # guarded-by: _lock
         self._root_cuts: dict[tuple, DataMap] = {}  # guarded-by: _lock
-        self._full_scan = bool(full_scan)
-        self._provenance = dict(provenance or {})
+        self._full_scan = state.full_scan
+        self._provenance = dict(state.provenance)
 
     @property
     def table(self) -> Table:
@@ -811,15 +795,15 @@ class SketchBackend:
         plus one-pass sketch builds), maintenance is proportional to the
         *delta*:
 
-        * the reservoir is **topped up** with the classic uniform-merge
-          rule — the number of survivors from the old reservoir follows
-          a hypergeometric law weighted by old-rows vs delta-rows, the
-          rest is drawn uniformly from the delta, so the result stays a
-          uniform sample of the union (the
-          :meth:`~repro.sketch.reservoir.ReservoirSampler.merge`
-          argument, applied to table rows);
+        * the reservoir is **topped up** by the uniform-merge rule every
+          sample merge shares (:func:`~repro.sketch.state.uniform_merge`,
+          the shard fold's rule) — the survivors from the old reservoir
+          are weighted by old-rows vs delta-rows, the rest drawn
+          uniformly from the delta, so the result stays a uniform
+          sample of the union;
         * every already-built per-attribute GK / Misra–Gries summary is
-          **merged** with a sketch built from a *rate-matched* uniform
+          **merged** (:func:`~repro.sketch.state.merge_summaries`) with
+          a sketch built from a *rate-matched* uniform
           subsample of the delta (each delta row kept with the
           probability the existing summary's rows were kept, i.e.
           ``reservoir rows / table rows``), so old and new rows stay
@@ -835,30 +819,77 @@ class SketchBackend:
         reader can never pair a new version with pre-append cut points.
         Maintenance is local: no scan venue is consulted.
         """
-        old_table = self._table
-        if new_table.version <= self.version:
+        state = self.export_state()
+        if new_table.version <= state.version:
             raise MapError(
-                f"cannot advance from version {self.version} to "
+                f"cannot advance from version {state.version} to "
                 f"{new_table.version}; versions must increase"
             )
-        if new_table.n_rows < old_table.n_rows:
+        if new_table.n_rows < state.n_rows:
             raise MapError(
                 "streaming tables are append-only: cannot advance from "
-                f"{old_table.n_rows} to {new_table.n_rows} rows"
+                f"{state.n_rows} to {new_table.n_rows} rows"
             )
-        generator = (
-            rng if isinstance(rng, np.random.Generator)
-            else np.random.default_rng(rng)
-        )
-        delta_n = new_table.n_rows - old_table.n_rows
+        generator = np.random.default_rng(rng)
+        reservoir, budget = state.sample, self._fidelity.budget_rows
+        delta_n = new_table.n_rows - state.n_rows
         delta = new_table.take(
-            np.arange(old_table.n_rows, new_table.n_rows),
+            np.arange(state.n_rows, new_table.n_rows),
             name=f"{new_table.name}_delta{new_table.version}",
         )
-        sample = self._topped_up_reservoir(new_table, delta, generator)
-        quantiles, frequencies = self._merged_sketches(
-            delta, delta_n, generator
-        )
+        # The top-up draws before the delta thinning below: the draw
+        # order is part of the recipe, it fixes every maintained bit.
+        sample = new_table  # the budget covers everything
+        if budget < new_table.n_rows:
+            fresh = delta
+            keep = uniform_merge(
+                reservoir.n_rows, state.n_rows, delta_n, delta_n,
+                budget, generator,
+            )
+            if keep is not None:
+                reservoir = reservoir.take(keep[0])
+                fresh = delta.take(keep[1])
+            sample = Table(
+                [
+                    reservoir.column(name).concat(fresh.column(name))
+                    for name in reservoir.column_names
+                ],
+                name=f"{new_table.name}_sketch{budget}",
+            )
+            # The reservoir snapshots the appended table; the inner
+            # exact block's advance validation keys on that version.
+            sample._version = new_table.version
+        quantiles, frequencies = state.quantiles, state.frequencies
+        timings = KernelTimings()
+        if delta_n:
+            # Delta summaries over the rows kept at the rate the current
+            # summaries' rows were: every row for full-scan summaries,
+            # ``reservoir / table`` for reservoir-built ones.  Raw delta
+            # counts would over-weight appends by ``table / budget`` and
+            # skew cut points under drift.
+            rate = state.sample.n_rows / max(1, state.n_rows)
+            kept = np.arange(delta_n)
+            if not state.full_scan and rate < 1.0:
+                kept = np.flatnonzero(generator.random(delta_n) < rate)
+            delta_quantiles = {
+                attribute: quantile_summary(
+                    delta.numeric(attribute).data[kept],
+                    sketch.epsilon,
+                    timings=timings,
+                )
+                for attribute, sketch in quantiles.items()
+            }
+            delta_frequencies = {}
+            for attribute, sketch in frequencies.items():
+                column = delta.categorical(attribute)
+                delta_frequencies[attribute] = frequency_summary_from_codes(
+                    column.codes[kept],
+                    list(column.categories),
+                    sketch.capacity,  # the existing sketch's capacity
+                    timings=timings,
+                )
+            quantiles = merge_summaries(quantiles, delta_quantiles)
+            frequencies = merge_summaries(frequencies, delta_frequencies)
         # One critical section for the whole transition — version bump,
         # memo invalidation, sketch swap — so a concurrent reader can
         # never observe the new version with pre-append state (and a
@@ -874,86 +905,7 @@ class SketchBackend:
             # a weighted merge and never observably different.
             self._token_sketches = {}
             self._root_cuts.clear()
-
-    def _topped_up_reservoir(
-        self, new_table: Table, delta: Table, rng: np.random.Generator
-    ) -> Table:
-        """A uniform ``budget_rows`` sample of the appended table,
-        reusing the current reservoir rows instead of re-permuting."""
-        budget = self._fidelity.budget_rows
-        if budget >= new_table.n_rows:
-            return new_table  # the budget covers everything
-        old_sample = self._inner.table
-        delta_n = delta.n_rows
-        from_old = int(
-            rng.hypergeometric(self._table.n_rows, delta_n, budget)
-        ) if delta_n else budget
-        # Clamp to what each side can actually supply.
-        from_old = min(from_old, old_sample.n_rows)
-        from_old = max(from_old, budget - delta_n)
-        kept = old_sample.take(
-            np.sort(rng.choice(old_sample.n_rows, size=from_old, replace=False))
-        )
-        fresh = delta.take(
-            np.sort(rng.choice(delta_n, size=budget - from_old, replace=False))
-        )
-        sample = Table(
-            [
-                kept.column(column_name).concat(fresh.column(column_name))
-                for column_name in kept.column_names
-            ],
-            name=f"{new_table.name}_sketch{budget}",
-        )
-        # The reservoir snapshots the appended table; the inner exact
-        # block's advance validation keys on that version.
-        sample._version = new_table.version
-        return sample
-
-    def _merged_sketches(
-        self, delta: Table, delta_n: int, rng: np.random.Generator
-    ) -> tuple[dict[str, object], dict[str, object]]:
-        """Already-built summaries, each merged with a delta-built one.
-
-        The delta is subsampled at the rate the existing summaries'
-        rows were kept before sketching, so every observed row — old
-        or new — carries the same weight in the merged summary:
-        reservoir-built summaries observed ``reservoir / table`` of the
-        existing rows, full-scan summaries observed (and must keep
-        observing) every row.  Without this, a summary of 20k reservoir
-        rows standing in for 1M would be merged with raw delta counts,
-        over-weighting appends by ``table/budget`` and skewing cut
-        points under distribution drift.
-        """
-        with self._lock:
-            quantiles = dict(self._quantile_sketches)
-            frequencies = dict(self._frequency_sketches)
-            rate = self._inner.table.n_rows / max(1, self._table.n_rows)
-        if not delta_n:
-            return quantiles, frequencies
-        if self._full_scan or rate >= 1.0:
-            kept = np.arange(delta_n)
-        else:
-            kept = np.flatnonzero(rng.random(delta_n) < rate)
-        timings = KernelTimings()
-        for attribute, sketch in quantiles.items():
-            delta_sketch = quantile_summary(
-                delta.numeric(attribute).data[kept],
-                sketch.epsilon,
-                timings=timings,
-            )
-            quantiles[attribute] = sketch.merge(delta_sketch)
-        for attribute, sketch in frequencies.items():
-            column = delta.categorical(attribute)
-            delta_sketch = frequency_summary_from_codes(
-                column.codes[kept],
-                list(column.categories),
-                sketch.capacity,
-                timings=timings,
-            )
-            frequencies[attribute] = sketch.merge(delta_sketch)
-        with self._lock:
             self._kernel_timings.merge(timings)
-        return quantiles, frequencies
 
     # ------------------------------------------------------------------ #
     # Delegated statistics (bounded by the reservoir)
@@ -1114,24 +1066,26 @@ class SketchBackend:
                 return sketch  # stale build (see quantile_sketch)
             return self._token_sketches.setdefault(attribute, sketch)
 
-    def export_state(self) -> dict:
-        """The built state a warm-start summary persists (one lock trip).
+    def export_state(self) -> SketchState:
+        """The built state, in one lock trip.
 
-        Returns the reservoir table plus every sketch built *so far*,
-        keyed the way :mod:`repro.store.warm` expects — a restored
-        backend re-seeded with exactly this state answers like this one
-        did, and sketches missing from the export simply rebuild lazily
-        from the (identical) restored reservoir.
+        The reservoir table plus every summary built *so far* — a
+        backend constructed with exactly this state answers like this
+        one does, and summaries missing from it simply rebuild lazily
+        from the (identical) reservoir.  What a warm-start summary
+        persists, and what :meth:`advance` merges appended rows into.
         """
         with self._lock:
-            return {
-                "sample": self._inner.table,
-                "quantiles": dict(self._quantile_sketches),
-                "frequencies": dict(self._frequency_sketches),
-                "tokens": dict(self._token_sketches),
-                "version": self._inner.version,
-                "full_scan": self._full_scan,
-            }
+            return SketchState(
+                sample=self._inner.table,
+                n_rows=self._table.n_rows,
+                quantiles=dict(self._quantile_sketches),
+                frequencies=dict(self._frequency_sketches),
+                tokens=dict(self._token_sketches),
+                version=self._inner.version,
+                full_scan=self._full_scan,
+                provenance=self._provenance,
+            )
 
     def _root_cut_cached(self, key: tuple) -> tuple[DataMap | None, int]:
         """(cached map or None, current version) in one lock trip."""

@@ -328,7 +328,7 @@ class ExecutionContext:
         """Statistics backend of the base table."""
         return self.stats_for(self.table)
 
-    def adopt_stats(self, factory) -> StatsBackend:
+    def adopt_stats(self, factory) -> bool:
         """Install an externally built backend for the *base* table.
 
         ``factory(table, counters, lock)`` runs outside the
@@ -338,14 +338,14 @@ class ExecutionContext:
         explore on a restarted service skips the scan/build entirely.
         The context stays free of store imports; only the seam lives
         here.  If statistics already exist for the base table the
-        existing backend wins and the factory never runs.
+        existing backend wins and the factory never runs.  Returns True
+        only when this call installed the factory's backend.
         """
         table = self.table
         fidelity = self._config.fidelity
         with self._lock:
-            existing = self._stats.get(id(table))
-        if existing is not None:
-            return existing
+            if id(table) in self._stats:
+                return False
         backend = factory(
             table,
             self._kind_counters["sketch" if fidelity.is_sketch else "exact"],
@@ -356,11 +356,10 @@ class ExecutionContext:
                 "adopted backend must be built over the context's base table"
             )
         with self._lock:
-            current = self._stats.get(id(table))
-            if current is not None:
-                return current
+            if id(table) in self._stats:
+                return False
             _bounded_put(self._stats, id(table), backend, _MAX_TABLE_STATS)
-            return backend
+            return True
 
     # ------------------------------------------------------------------ #
     # Streaming

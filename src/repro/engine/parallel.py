@@ -13,20 +13,21 @@ of parallel analytical engines:
    **row-range shards** (machine-independent boundaries).
 2. A :class:`ScanVenue` — the in-process :class:`InlineVenue`, the
    ``multiprocessing`` :class:`ForkVenue`, or a cluster's
-   :class:`~repro.cluster.coordinator.ClusterCoordinator` — builds the
-   per-shard statistics: a uniform row sample of the shard plus
-   **full-scan** GK quantile / Misra–Gries frequency summaries over
-   every shard row (higher fidelity than the reservoir-built summaries
-   of the unsharded path, whose sampling error comes on top of the
-   sketch error).
-3. :func:`build_sharded_backend` folds the per-shard results **in shard
-   order** with the PR-3 merge rules — hypergeometric reservoir merging
-   for the row samples, ``GKQuantileSketch.merge`` /
-   ``MisraGriesSketch.merge`` for the summaries — and seeds one
-   :class:`~repro.engine.backends.SketchBackend` with them, which the
-   existing pipeline consumes unchanged.  Summaries stay sketch
-   objects from scan to fold (a GK merge is numpy array work); only a
-   cluster ``/scan`` answer serializes them, as the numpy buffers of
+   :class:`~repro.cluster.coordinator.ClusterCoordinator` — scans every
+   shard into a one-shard :class:`~repro.sketch.state.SketchState`: a
+   uniform row sample of the shard plus **full-scan** GK quantile /
+   Misra–Gries frequency summaries over every shard row (higher
+   fidelity than the reservoir-built summaries of the unsharded path,
+   whose sampling error comes on top of the sketch error).
+3. :func:`build_sharded_backend` folds the shard states **in shard
+   order** with the one merge rule of :mod:`repro.sketch.state` —
+   :func:`~repro.sketch.state.uniform_merge` for the row samples,
+   :func:`~repro.sketch.state.merge_summaries` for the summaries — and
+   hands the folded state to one
+   :class:`~repro.engine.backends.SketchBackend`, which the existing
+   pipeline consumes unchanged.  Summaries stay sketch objects from
+   scan to fold (a GK merge is numpy array work); only a cluster
+   ``/scan`` answer serializes them, as the numpy buffers of
    :mod:`repro.cluster.protocol`.
 
 The venue is never part of the statistical recipe: a new place to run
@@ -43,9 +44,11 @@ worker count is a pure wall-clock knob (the E20 benchmark and the
 determinism property tests assert this).
 
 Streaming: venues are consulted only at build time.  After an append
-:meth:`SketchBackend.advance` maintains the merged state locally — the
-reservoir tops up hypergeometrically and delta sketches merge at rate
-1.0 (full-scan summaries must observe every appended row) — and a
+:meth:`SketchBackend.advance` maintains the folded state locally with
+the same two rules the fold used: the reservoir and the delta rows
+merge by :func:`~repro.sketch.state.uniform_merge`, and delta summaries
+built over every appended row (the state is ``full_scan``) merge by
+:func:`~repro.sketch.state.merge_summaries`.  No venue is consulted; a
 fresh build over the grown table shards it anew.
 """
 
@@ -74,8 +77,7 @@ from repro.engine.kernels import (
     quantile_summary,
 )
 from repro.errors import MapError
-from repro.sketch.frequency import MisraGriesSketch
-from repro.sketch.quantile import GKQuantileSketch
+from repro.sketch.state import SketchState, merge_summaries, uniform_merge
 
 
 def tag_rng(seed: int, tag: str) -> np.random.Generator:
@@ -229,32 +231,6 @@ class ShardedTable:
 
 
 @dataclasses.dataclass(frozen=True)
-class ShardStatistics:
-    """What one shard scan produces (cheap to pickle back to the parent).
-
-    Summaries are built sketch objects (a GK summary is three small
-    arrays), so the inline and fork venues hand them to the fold as
-    they are; only the cluster's ``/scan`` answer encodes them
-    (:mod:`repro.cluster.protocol`).  The row sample is *global* row
-    indices, sorted and distinct, so a worker never ships row data.
-    """
-
-    index: int
-    n_rows: int
-    #: Uniform sample of the shard's rows, as global row indices.
-    sample: np.ndarray
-    #: Attribute → full-scan GK summary of the shard.
-    quantiles: dict[str, GKQuantileSketch]
-    #: Attribute → full-scan Misra–Gries summary of the shard.
-    frequencies: dict[str, MisraGriesSketch]
-    #: Wall-clock seconds the shard scan took (inside the worker).
-    seconds: float
-    #: Columnar-kernel nanoseconds inside this scan
-    #: (:class:`repro.engine.kernels.KernelTimings` ``as_dict``).
-    kernel_nanos: dict[str, int] = dataclasses.field(default_factory=dict)
-
-
-@dataclasses.dataclass(frozen=True)
 class ScanRecipe:
     """What one build asks of every shard scan, whatever the venue."""
 
@@ -287,8 +263,10 @@ def scan_shard_values(
     epsilon: float,
     numeric: dict[str, np.ndarray],
     categorical: tuple[tuple[str, int, Any], ...],
-) -> ShardStatistics:
-    """Scan one shard's raw values: uniform row sample + full sketches.
+) -> SketchState:
+    """Scan one shard's raw values into a one-shard :class:`SketchState`:
+    a uniform row sample as global row indices, full-scan summaries, and
+    the shard ``index``, ``seconds`` and ``kernel_nanos`` as provenance.
 
     The array-level core of the shard scan, shared verbatim by the
     local venues (:func:`_scan_shard`) and the cluster shard
@@ -303,11 +281,8 @@ def scan_shard_values(
     is decoded just to be counted).  Every draw comes
     from the shard's own ``(seed, "shard:<index>:<fingerprint>")``
     stream, so the result depends only on the shard — not on which
-    worker or server ran it.
-
-    The sketch builds run as columnar kernels
-    (:mod:`repro.engine.kernels`); the per-kernel nanoseconds ride back
-    in ``kernel_nanos``.
+    worker or server ran it.  The sketch builds run as columnar
+    kernels (:mod:`repro.engine.kernels`).
     """
     started = time.perf_counter()
     timings = KernelTimings()
@@ -334,14 +309,17 @@ def scan_shard_values(
         for attribute, capacity, (codes, categories) in categorical
     }
 
-    return ShardStatistics(
-        index=index,
-        n_rows=n_rows,
+    return SketchState(
         sample=sample,
+        n_rows=n_rows,
         quantiles=quantiles,
         frequencies=frequencies,
-        seconds=time.perf_counter() - started,
-        kernel_nanos=timings.as_dict(),
+        full_scan=True,
+        provenance={
+            "shard": index,
+            "seconds": time.perf_counter() - started,
+            "kernel_nanos": timings.as_dict(),
+        },
     )
 
 
@@ -380,12 +358,12 @@ def shard_column_values(
 
 def _scan_shard(
     table: Table, layout: ShardedTable, recipe: ScanRecipe, index: int
-) -> ShardStatistics:
+) -> SketchState:
     """Scan one shard in this process.
 
     Delegates to :func:`scan_shard_values` on column slices, so a
-    locally built shard statistic is the same object a shard server
-    would produce.
+    locally scanned shard state is the one a shard server would
+    produce.
     """
     low, high = layout.bounds[index]
     numeric, categorical = shard_column_values(
@@ -422,7 +400,7 @@ class ScanVenue(Protocol):
 
     def scan(
         self, table: Table, layout: ShardedTable, recipe: ScanRecipe
-    ) -> list[ShardStatistics]:
+    ) -> list[SketchState]:
         """Statistics of every shard of ``layout``, in shard order."""
 
     def provenance(
@@ -442,7 +420,7 @@ class InlineVenue:
 
     def scan(
         self, table: Table, layout: ShardedTable, recipe: ScanRecipe
-    ) -> list[ShardStatistics]:
+    ) -> list[SketchState]:
         """Scan every shard, in order."""
         return [
             _scan_shard(table, layout, recipe, index)
@@ -465,7 +443,7 @@ _WORK: tuple[Table, ShardedTable, ScanRecipe] | None = None
 _WORK_LOCK = threading.Lock()
 
 
-def _scan_staged_shard(index: int) -> ShardStatistics:
+def _scan_staged_shard(index: int) -> SketchState:
     """Scan one shard of the staged :data:`_WORK` (in a pool worker)."""
     work = _WORK
     if work is None:  # pragma: no cover - defensive
@@ -483,7 +461,7 @@ class ForkVenue(InlineVenue):
 
     def scan(
         self, table: Table, layout: ShardedTable, recipe: ScanRecipe
-    ) -> list[ShardStatistics]:
+    ) -> list[SketchState]:
         """Scan the shards across the pool; results keep shard order."""
         import multiprocessing
 
@@ -527,26 +505,18 @@ def merge_row_samples(
     capacity: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    """Merge two uniform row samples into one over the union of rows.
+    """Merge two uniform row-index samples into one over the union.
 
-    :meth:`ReservoirSampler.merge`'s rule applied to index arrays:
-    when the union fits the capacity, concatenate (deterministic);
-    otherwise draw the survivor count from ``self`` hypergeometrically,
-    weighted by how many rows each side has seen, which keeps the
-    result a uniform sample of the union.
+    :func:`~repro.sketch.state.uniform_merge` applied to index arrays:
+    concatenated when the union fits the capacity, otherwise the
+    survivors of each side in their original order.
     """
-    if len(sample_a) + len(sample_b) <= capacity:
-        return np.concatenate([sample_a, sample_b]), seen_a + seen_b
-    from_a = int(rng.hypergeometric(seen_a, seen_b, capacity))
-    # Clamp to what each side can actually supply.
-    from_a = min(from_a, len(sample_a))
-    from_a = max(from_a, capacity - len(sample_b))
-    keep_a = np.sort(rng.choice(len(sample_a), size=from_a, replace=False))
-    keep_b = np.sort(
-        rng.choice(len(sample_b), size=capacity - from_a, replace=False)
+    keep = uniform_merge(
+        len(sample_a), seen_a, len(sample_b), seen_b, capacity, rng
     )
-    merged = np.concatenate([sample_a[keep_a], sample_b[keep_b]])
-    return merged, seen_a + seen_b
+    if keep is not None:
+        sample_a, sample_b = sample_a[keep[0]], sample_b[keep[1]]
+    return np.concatenate([sample_a, sample_b]), seen_a + seen_b
 
 
 def _sketch_attributes(
@@ -569,38 +539,42 @@ def _sketch_attributes(
 
 
 def fold_shard_statistics(
-    results: list[ShardStatistics],
+    results: list[SketchState],
     *,
     seed: int,
     fingerprint: int,
     budget_rows: int,
     sample_rows: bool,
-) -> tuple[
-    np.ndarray, dict[str, GKQuantileSketch], dict[str, MisraGriesSketch]
-]:
-    """Fold per-shard statistics **in shard order** into merged state.
+) -> SketchState:
+    """Fold one-shard states **in shard order** into one merged state.
 
-    Returns ``(sample_indices, quantile_sketches, frequency_sketches)``.
-    The fold, like the scan, has exactly one implementation, and its
+    Samples merge by :func:`merge_row_samples` unless ``sample_rows``
+    is False (the budget covers the table), summaries by
+    :func:`~repro.sketch.state.merge_summaries`.  The fold, like the
+    scan, has exactly one implementation, and its
     ``"shard-merge:<index>:<fingerprint>"`` RNG streams depend only on
     the shard layout, never on where the scans ran.
     """
-    first, rest = results[0], results[1:]
-    sample, seen = first.sample, first.n_rows
-    quantiles = dict(first.quantiles)
-    frequencies = dict(first.frequencies)
-    for shard in rest:
+    folded = results[0]
+    for shard in results[1:]:
+        sample, n_rows = folded.sample, folded.n_rows + shard.n_rows
         if sample_rows:
-            sample, seen = merge_row_samples(
-                sample, seen, shard.sample, shard.n_rows,
+            index = shard.provenance["shard"]
+            sample, n_rows = merge_row_samples(
+                folded.sample, folded.n_rows, shard.sample, shard.n_rows,
                 budget_rows,
-                tag_rng(seed, f"shard-merge:{shard.index}:{fingerprint}"),
+                tag_rng(seed, f"shard-merge:{index}:{fingerprint}"),
             )
-        for attribute, sketch in shard.quantiles.items():
-            quantiles[attribute] = quantiles[attribute].merge(sketch)
-        for attribute, mg in shard.frequencies.items():
-            frequencies[attribute] = frequencies[attribute].merge(mg)
-    return sample, quantiles, frequencies
+        folded = SketchState(
+            sample=sample,
+            n_rows=n_rows,
+            quantiles=merge_summaries(folded.quantiles, shard.quantiles),
+            frequencies=merge_summaries(
+                folded.frequencies, shard.frequencies
+            ),
+            full_scan=True,
+        )
+    return folded
 
 
 def build_sharded_backend(
@@ -651,7 +625,7 @@ def build_sharded_backend(
             parallelism=parallelism,
         ),
     )
-    sample, quantiles, frequencies = fold_shard_statistics(
+    folded = fold_shard_statistics(
         results,
         seed=seed,
         fingerprint=table_fingerprint(table),
@@ -662,32 +636,32 @@ def build_sharded_backend(
         sample_table = table  # the budget covers everything
     else:
         sample_table = table.take(
-            np.sort(sample),
+            np.sort(folded.sample),
             name=f"{table.name}_shardsketch{fidelity.budget_rows}",
         )
     scan_timings = KernelTimings()
     for shard in results:
-        scan_timings.merge(shard.kernel_nanos)
+        scan_timings.merge(shard.provenance["kernel_nanos"])
+    parallel = {
+        "spec": parallelism.spec(),
+        "workers": parallelism.resolved_workers,
+        "shards": layout.n_shards,
+        "build_seconds": time.perf_counter() - started,
+        "shard_seconds": [shard.provenance["seconds"] for shard in results],
+        # Kernel nanoseconds summed across the build's scans
+        # (distinct from the backend's post-build delta meters).
+        "kernel_nanos": scan_timings.as_dict(),
+        **venue.provenance(layout, parallelism),
+    }
     return SketchBackend(
         table,
         fidelity,
         counters=counters,
         lock=lock,
-        sample=sample_table,
-        quantiles=quantiles,
-        frequencies=frequencies,
-        full_scan=True,
-        provenance={
-            "parallel": {
-                "spec": parallelism.spec(),
-                "workers": parallelism.resolved_workers,
-                "shards": layout.n_shards,
-                "build_seconds": time.perf_counter() - started,
-                "shard_seconds": [shard.seconds for shard in results],
-                # Kernel nanoseconds summed across the build's scans
-                # (distinct from the backend's post-build delta meters).
-                "kernel_nanos": scan_timings.as_dict(),
-                **venue.provenance(layout, parallelism),
-            }
-        },
+        state=dataclasses.replace(
+            folded,
+            sample=sample_table,
+            version=table.version,
+            provenance={"parallel": parallel},
+        ),
     )

@@ -376,5 +376,7 @@ class Catalog:
         if self._store.has_summary(name, table.version, key):
             return False
         summary = extract_summary(backend, table_name=name, key=key)
-        self._store.put_summary(name, summary.version, key, summary.to_dict())
+        self._store.put_summary(
+            name, summary.state.version, key, summary.to_dict()
+        )
         return True

@@ -388,8 +388,10 @@ class ExplorationService:
                 self._contexts[key] = context
         if factory is not None:
             try:
-                context.adopt_stats(factory)
-                self._metrics.count("warm_starts")
+                # Racers on one cold context: only the restore that
+                # installed its backend is a warm start.
+                if context.adopt_stats(factory):
+                    self._metrics.count("warm_starts")
             except (StoreError, MapError):
                 # An append raced the restore (summary version no longer
                 # matches the context's table) — a fresh build is always

@@ -12,6 +12,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import SketchError
+from repro.sketch.state import uniform_merge
 
 
 class ReservoirSampler:
@@ -67,42 +68,31 @@ class ReservoirSampler:
     ) -> "ReservoirSampler":
         """Combine two reservoirs into one over the union of streams.
 
-        Standard uniform-sample merge: when the combined items fit the
-        capacity they are concatenated (deterministic — merging is then
-        exactly associative and commutative up to item order); otherwise
-        the number of survivors drawn from ``self`` follows a
-        hypergeometric law weighted by the stream sizes, which keeps the
-        result a uniform sample of the union.  ``rng`` makes the
-        subsampling reproducible.
+        The uniform-merge rule every sample merge shares
+        (:func:`repro.sketch.state.uniform_merge`): when the combined
+        items fit the capacity they are concatenated (deterministic —
+        merging is then exactly associative and commutative up to item
+        order); otherwise the survivors of each side are drawn weighted
+        by the stream sizes, which keeps the result a uniform sample of
+        the union.  ``rng`` makes the subsampling reproducible.
         """
         if other.capacity != self._capacity:
             raise SketchError(
                 "cannot merge reservoirs of different capacities "
                 f"({self._capacity} vs {other.capacity})"
             )
-        generator = (
-            rng if isinstance(rng, np.random.Generator)
-            else np.random.default_rng(rng)
-        )
+        generator = np.random.default_rng(rng)
         merged = ReservoirSampler(self._capacity, rng=generator)
         merged._seen = self._seen + other._seen
-        mine, theirs = list(self._items), list(other._items)
-        if len(mine) + len(theirs) <= self._capacity:
-            merged._items = mine + theirs
-            return merged
-        from_self = int(
-            generator.hypergeometric(self._seen, other._seen, self._capacity)
+        mine, theirs = self._items, other._items
+        keep = uniform_merge(
+            len(mine), self._seen, len(theirs), other._seen,
+            self._capacity, generator,
         )
-        # Clamp to what each side can actually supply.
-        from_self = min(from_self, len(mine))
-        from_self = max(from_self, self._capacity - len(theirs))
-        keep_mine = generator.choice(len(mine), size=from_self, replace=False)
-        keep_theirs = generator.choice(
-            len(theirs), size=self._capacity - from_self, replace=False
-        )
-        merged._items = [mine[i] for i in sorted(keep_mine)] + [
-            theirs[i] for i in sorted(keep_theirs)
-        ]
+        if keep is not None:
+            mine = [mine[i] for i in keep[0]]
+            theirs = [theirs[i] for i in keep[1]]
+        merged._items = mine + theirs
         return merged
 
     def to_dict(self) -> dict:

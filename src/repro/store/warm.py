@@ -1,15 +1,18 @@
 """Warm-start summaries: persist built sketch state, restore it ready.
 
 A :class:`~repro.engine.backends.SketchBackend` answers everything from
-two pieces of state — its reservoir sample and its per-attribute
-GK / Misra–Gries / token summaries.  Both serialize: the reservoir
-through :mod:`repro.store.codec`, the sketches through their own
-``to_dict``/``from_dict``.  :func:`extract_summary` captures that state
-after a build, :func:`restore_backend` seeds a fresh backend with it
-that answers *identically* to the one it was captured from — every
-estimate flows through the reservoir rows or the seeded sketch
-dictionaries, and any sketch missing from the capture rebuilds lazily
-from the (bit-identical) restored reservoir.
+one :class:`~repro.sketch.state.SketchState` — its reservoir sample and
+its per-attribute GK / Misra–Gries / token summaries.  A
+:class:`SketchSummary` is that state under a ``(table_name, key,
+fidelity)`` header, and it serializes: the reservoir through
+:mod:`repro.store.codec`, the sketches through their own
+``to_dict``/``from_dict``.  :func:`extract_summary` captures the state
+:meth:`~repro.engine.backends.SketchBackend.export_state` returns,
+:func:`restore_backend` hands it back to a fresh backend, which answers
+*identically* to the one it was captured from — every estimate flows
+through the reservoir rows or the seeded sketch dictionaries, and any
+sketch missing from the capture rebuilds lazily from the
+(bit-identical) restored reservoir.
 
 The :func:`summary_key` names the statistical identity of a summary:
 fidelity spec, seed, and shard count — with workers canonicalized out,
@@ -20,7 +23,9 @@ sample differently).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+from typing import Any, Mapping
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
 from repro.dataset.table import Table
@@ -28,6 +33,7 @@ from repro.engine.backends import CacheCounters, SketchBackend
 from repro.errors import StoreError
 from repro.sketch.frequency import MisraGriesSketch
 from repro.sketch.quantile import GKQuantileSketch
+from repro.sketch.state import SketchState
 from repro.store.codec import decode_table_payload, encode_table_payload
 
 _SUMMARY_KIND = "sketch-summary"
@@ -51,41 +57,29 @@ def summary_key(config: AtlasConfig) -> str:
 
 
 class SketchSummary:
-    """Serialized sketch-backend state for one ``(table, version, key)``.
+    """A ``(table_name, key, fidelity)`` header over one sketch state.
 
-    ``full_scan`` records whether the captured summaries observed every
-    table row (a sharded build) rather than only the reservoir — the
-    restored backend must keep merging appends at the same rate.
-
-    The document does not repeat label text: :meth:`to_dict` writes a
-    reservoir column whose dictionary equals ``base``'s (the summarized
-    table) as codes only, and a summary read from a document keeps its
-    reservoir encoded until :func:`restore_backend` binds it to the
-    live table's labels.
+    ``state`` is what :meth:`SketchBackend.export_state` returned; the
+    document stores its sample, summaries, ``version`` and
+    ``full_scan``.  It does not repeat label text: :meth:`to_dict`
+    writes a reservoir column whose dictionary equals ``base``'s (the
+    summarized table) as codes only, and a summary read from a document
+    keeps its reservoir encoded until :func:`restore_backend` binds it
+    to the live table's labels.
     """
 
     def __init__(
         self,
         table_name: str,
-        version: int,
         key: str,
         fidelity: str,
-        full_scan: bool,
-        sample: Table | dict,
-        quantiles: dict[str, GKQuantileSketch],
-        frequencies: dict[str, MisraGriesSketch],
-        tokens: dict[str, MisraGriesSketch],
+        state: SketchState,
         base: Table | None = None,
     ) -> None:
         self.table_name = table_name
-        self.version = version
         self.key = key
         self.fidelity = fidelity
-        self.full_scan = full_scan
-        self._sample = sample
-        self.quantiles = quantiles
-        self.frequencies = frequencies
-        self.tokens = tokens
+        self.state = state
         self._base = base
 
     @property
@@ -96,34 +90,28 @@ class SketchSummary:
 
     def bind(self, table: Table | None) -> Table:
         """The reservoir, borrowed dictionaries bound to ``table``'s."""
-        if isinstance(self._sample, dict):
-            return decode_table_payload(self._sample, base=table)
-        return self._sample
+        sample = self.state.sample
+        if isinstance(sample, dict):
+            return decode_table_payload(sample, base=table)
+        return sample
 
     def to_dict(self) -> dict:
         """JSON-ready document (inverse of :meth:`from_dict`)."""
+        state = self.state
+        sample = state.sample
         return {
             "kind": _SUMMARY_KIND,
             "table_name": self.table_name,
-            "version": self.version,
+            "version": state.version,
             "key": self.key,
             "fidelity": self.fidelity,
-            "full_scan": self.full_scan,
-            "sample": self._sample
-            if isinstance(self._sample, dict)
-            else encode_table_payload(self._sample, self._base),
-            "quantiles": {
-                attr: sketch.to_dict()
-                for attr, sketch in sorted(self.quantiles.items())
-            },
-            "frequencies": {
-                attr: sketch.to_dict()
-                for attr, sketch in sorted(self.frequencies.items())
-            },
-            "tokens": {
-                attr: sketch.to_dict()
-                for attr, sketch in sorted(self.tokens.items())
-            },
+            "full_scan": state.full_scan,
+            "sample": sample
+            if isinstance(sample, dict)
+            else encode_table_payload(sample, self._base),
+            "quantiles": _sketch_dicts(state.quantiles),
+            "frequencies": _sketch_dicts(state.frequencies),
+            "tokens": _sketch_dicts(state.tokens),
         }
 
     @classmethod
@@ -135,24 +123,26 @@ class SketchSummary:
             )
         return cls(
             table_name=data["table_name"],
-            version=int(data["version"]),
             key=data["key"],
             fidelity=data["fidelity"],
-            full_scan=bool(data["full_scan"]),
-            sample=data["sample"],  # decoded by bind(), against the table
-            quantiles={
-                attr: GKQuantileSketch.from_dict(payload)
-                for attr, payload in data["quantiles"].items()
-            },
-            frequencies={
-                attr: MisraGriesSketch.from_dict(payload)
-                for attr, payload in data["frequencies"].items()
-            },
-            tokens={
-                attr: MisraGriesSketch.from_dict(payload)
-                for attr, payload in data["tokens"].items()
-            },
+            state=SketchState(
+                sample=data["sample"],  # decoded by bind(), against the table
+                n_rows=0,  # not stored; restore_backend reads the table's
+                version=int(data["version"]),
+                full_scan=bool(data["full_scan"]),
+                quantiles=_sketches(data["quantiles"], GKQuantileSketch),
+                frequencies=_sketches(data["frequencies"], MisraGriesSketch),
+                tokens=_sketches(data["tokens"], MisraGriesSketch),
+            ),
         )
+
+
+def _sketch_dicts(sketches: Mapping[str, Any]) -> dict[str, dict]:
+    return {attr: sketch.to_dict() for attr, sketch in sorted(sketches.items())}
+
+
+def _sketches(payloads: dict, reader: Any) -> dict[str, Any]:
+    return {attr: reader.from_dict(data) for attr, data in payloads.items()}
 
 
 def extract_summary(
@@ -163,15 +153,10 @@ def extract_summary(
     base = backend.table  # lends its labels unless an append raced the capture
     return SketchSummary(
         table_name=table_name,
-        version=int(state["version"]),
         key=key,
         fidelity=backend.fidelity.spec(),
-        full_scan=bool(state["full_scan"]),
-        sample=state["sample"],
-        quantiles=dict(state["quantiles"]),  # type: ignore[arg-type]
-        frequencies=dict(state["frequencies"]),  # type: ignore[arg-type]
-        tokens=dict(state["tokens"]),  # type: ignore[arg-type]
-        base=base if base.version == state["version"] else None,
+        state=state,
+        base=base if base.version == state.version else None,
     )
 
 
@@ -192,10 +177,11 @@ def restore_backend(
     provenance, so the restored backend's ``snapshot()`` has no
     ``parallel`` block.
     """
-    if table.version != summary.version:
+    state = summary.state
+    if table.version != state.version:
         raise StoreError(
             f"summary for {summary.table_name!r} was captured at version "
-            f"{summary.version}, table is at {table.version}"
+            f"{state.version}, table is at {table.version}"
         )
     sample = summary.bind(table)
     if sample.n_rows > table.n_rows:
@@ -203,23 +189,19 @@ def restore_backend(
             f"summary reservoir has {sample.n_rows} rows, more "
             f"than the table's {table.n_rows}"
         )
-    fidelity = Fidelity.parse(summary.fidelity)
     if sample.n_rows == table.n_rows:
         # The budget covered everything: the reservoir *is* the table.
         # Hand the live table over so identity-keyed memos line up.
         sample = table
     return SketchBackend(
         table,
-        fidelity,
+        Fidelity.parse(summary.fidelity),
         counters=counters,
         lock=lock,
-        sample=sample,
-        quantiles=summary.quantiles,
-        frequencies=summary.frequencies,
-        tokens=summary.tokens,
-        full_scan=summary.full_scan,
-        provenance={
-            "warm": True,
-            "full_scan_summaries": summary.full_scan,
-        },
+        state=dataclasses.replace(
+            state,
+            sample=sample,
+            n_rows=table.n_rows,
+            provenance={"warm": True, "full_scan_summaries": state.full_scan},
+        ),
     )

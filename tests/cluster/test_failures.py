@@ -109,8 +109,8 @@ class TestMalformedAnswer:
         self.corrupt_scans(monkeypatch, coordinator, server=0, times=1)
         retried = coordinator.build_backend(table, SKETCH, CLUSTER, seed=7)
         assert retried.snapshot()["parallel"]["shard_retries"] == 1
-        assert retried.export_state()["quantiles"]["Age"].to_dict() == (
-            clean.export_state()["quantiles"]["Age"].to_dict()
+        assert retried.export_state().quantiles["Age"].to_dict() == (
+            clean.export_state().quantiles["Age"].to_dict()
         )
 
 

@@ -33,6 +33,6 @@ def test_folded_gk_state_is_byte_identical(venue, coordinator):
     )
     state = {
         attribute: sketch.to_dict()
-        for attribute, sketch in backend.export_state()["quantiles"].items()
+        for attribute, sketch in backend.export_state().quantiles.items()
     }
     assert json.dumps(state, sort_keys=True) + "\n" == GOLDEN.read_text()

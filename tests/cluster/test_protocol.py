@@ -131,7 +131,7 @@ class TestScanAnswerCodec:
         request, statistics = scanned
         decoded = decode_scan_answer(self.answer(scanned), request.shards)
         for before, after in zip(statistics, decoded):
-            assert after.index == before.index
+            assert after.provenance["shard"] == before.provenance["shard"]
             assert after.n_rows == before.n_rows
             assert after.sample.dtype == np.int64
             assert after.sample.tolist() == before.sample.tolist()
@@ -143,7 +143,9 @@ class TestScanAnswerCodec:
                 assert after.frequencies[attribute].to_dict() == (
                     sketch.to_dict()
                 )
-            assert after.kernel_nanos == before.kernel_nanos
+            assert after.provenance["kernel_nanos"] == (
+                before.provenance["kernel_nanos"]
+            )
 
     def test_sample_bitmap_is_one_bit_per_row(self, scanned):
         request, _ = scanned

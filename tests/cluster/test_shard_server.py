@@ -114,9 +114,11 @@ class TestShardStore:
         for shard in range(4):
             store.own(own_request(table, sharded, shard))
         batch = store.scan(scan_request(table, sharded, 1, 2, 3))
-        assert [stat.index for stat in batch] == [1, 2, 3]
+        assert [stat.provenance["shard"] for stat in batch] == [1, 2, 3]
         for stat in batch:
-            (alone,) = store.scan(scan_request(table, sharded, stat.index))
+            (alone,) = store.scan(
+                scan_request(table, sharded, stat.provenance["shard"])
+            )
             assert comparable(stat) == comparable(alone)
 
     def test_scan_naming_other_bounds_is_stale(self, table):

@@ -185,7 +185,9 @@ class TestShardScanDifferential:
     def test_scan_meters_kernels(self, table):
         numeric_values, categorical_values = self.inputs(table, 0, 300)
         statistics = self.scan(0, 0, 300, numeric_values, categorical_values)
-        assert set(statistics.kernel_nanos) >= {"sort_clean", "gk_build"}
+        assert set(statistics.provenance["kernel_nanos"]) >= {
+            "sort_clean", "gk_build"
+        }
 
     def test_empty_shard(self, table):
         numeric_values, categorical_values = self.inputs(table, 0, 0)

@@ -183,7 +183,7 @@ class TestExecutors:
 
     def test_serial_executor_preserves_order(self, table):
         results = InlineVenue().scan(*_scan_args(table))
-        assert [shard.index for shard in results] == [0, 1, 2, 3]
+        assert [shard.provenance["shard"] for shard in results] == [0, 1, 2, 3]
 
     @pytest.mark.skipif(not fork_available(), reason="platform cannot fork")
     def test_parallel_executor_matches_serial(self, table):
@@ -227,7 +227,7 @@ def _scan_args(table, shards=4):
 def _statistics(shard):
     """Everything deterministic about a shard scan (timing dropped)."""
     return {
-        "index": shard.index,
+        "index": shard.provenance["shard"],
         "n_rows": shard.n_rows,
         "sample": shard.sample.tolist(),
         "quantiles": {
@@ -526,17 +526,17 @@ def exported(backend):
     return {
         "reservoir": {
             column.name: column_blob(column)
-            for column in state["sample"].columns
+            for column in state.sample.columns
         },
         **{
             family: {
                 attribute: sketch.to_dict()
-                for attribute, sketch in state[family].items()
+                for attribute, sketch in getattr(state, family).items()
             }
             for family in ("quantiles", "frequencies", "tokens")
         },
-        "version": state["version"],
-        "full_scan": state["full_scan"],
+        "version": state.version,
+        "full_scan": state.full_scan,
     }
 
 
@@ -620,4 +620,4 @@ class TestVenueInvisibility:
         ).stats()
         assert "parallel" not in backend.snapshot()
         assert backend.shard_seconds == () and backend.shard_servers == ()
-        assert backend.export_state()["full_scan"] is False
+        assert backend.export_state().full_scan is False

@@ -11,6 +11,7 @@ that do or do not introduce new labels.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -132,14 +133,15 @@ def test_foreign_dictionary_falls_back_to_inline(base, extra):
     )
     summary = SketchSummary(
         table_name="events",
-        version=captured.version,
         key="k",
         fidelity=captured.fidelity,
-        full_scan=captured.full_scan,
-        sample=sample,
-        quantiles={},
-        frequencies={},
-        tokens={},
+        state=dataclasses.replace(
+            captured.state,
+            sample=sample,
+            quantiles={},
+            frequencies={},
+            tokens={},
+        ),
         base=table,
     )
     document = json.loads(json.dumps(summary.to_dict()))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,41 @@ class TestServiceIntegration:
             warm = again.explore("events", query, config=config)
             assert again.metrics()["requests"]["warm_starts"] == 1
             assert warm.map_set.maps == cold.map_set.maps
+
+    def test_racing_cold_explores_count_one_warm_start(
+        self, tmp_path, monkeypatch
+    ):
+        """Two requests race to a cold context on a restarted store.
+
+        Both get a restore factory (the barrier holds each until the
+        other has one), but only the backend one of them installs is a
+        warm start; the loser adopts the winner's backend.
+        """
+        path = str(tmp_path / "atlas.db")
+        config = {"fidelity": "sketch:4", "seed": 1}
+        with ExplorationService(max_workers=1, store=path) as service:
+            service.register(make_table(), persist=True)
+            cold = service.explore("events", config=config)
+        with ExplorationService(max_workers=2, store=path) as again:
+            catalog = again.catalog
+            barrier = threading.Barrier(2, timeout=10)
+            real_factory = catalog.warm_factory
+
+            def warm_factory(*args):
+                factory = real_factory(*args)
+                barrier.wait()
+                return factory
+
+            monkeypatch.setattr(catalog, "warm_factory", warm_factory)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                answers = list(pool.map(
+                    lambda _: again.explore(
+                        "events", config=config, use_cache=False
+                    ),
+                    range(2),
+                ))
+            assert again.metrics()["requests"]["warm_starts"] == 1
+            assert all(a.map_set.maps == cold.map_set.maps for a in answers)
 
     def test_warm_start_reads_the_summary_payload_exactly_once(self, tmp_path):
         path = str(tmp_path / "atlas.db")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 from pathlib import Path
 
@@ -73,16 +74,16 @@ class TestRoundTrip:
         )
         payload = json.loads(json.dumps(summary.to_dict()))
         again = SketchSummary.from_dict(payload)
-        assert again.version == summary.version
+        assert again.state.version == summary.state.version
         assert again.key == "k"
         # The label dictionaries live with the table: until
         # restore_backend binds them, the reservoir is not readable.
         with pytest.raises(StoreError, match="borrows its table"):
             again.sample
         assert again.bind(census).n_rows == summary.sample.n_rows
-        assert set(again.quantiles) == {"Age"}
-        assert set(again.frequencies) == {"Education"}
-        assert set(again.tokens) == {"Education"}
+        assert set(again.state.quantiles) == {"Age"}
+        assert set(again.state.frequencies) == {"Education"}
+        assert set(again.state.tokens) == {"Education"}
 
     def test_restored_backend_answers_identically(
         self, built_backend, census
@@ -117,7 +118,7 @@ class TestRoundTrip:
         warm = restore_backend(summary, census)
         # "Sex" was never sketched before capture: it rebuilds lazily
         # from the restored (bit-identical) reservoir.
-        assert set(summary.frequencies) == {"Education"}
+        assert set(summary.state.frequencies) == {"Education"}
         cold = built_backend.frequency_sketch("Sex")
         assert (
             warm.frequency_sketch("Sex").heavy_hitters()
@@ -139,14 +140,11 @@ class TestValidation:
         )
         moved = SketchSummary(
             table_name=summary.table_name,
-            version=summary.version + 1,
             key=summary.key,
             fidelity=summary.fidelity,
-            full_scan=summary.full_scan,
-            sample=summary.sample,
-            quantiles=summary.quantiles,
-            frequencies=summary.frequencies,
-            tokens=summary.tokens,
+            state=dataclasses.replace(
+                summary.state, version=summary.state.version + 1
+            ),
         )
         with pytest.raises(StoreError, match="version"):
             restore_backend(moved, census)
@@ -199,7 +197,7 @@ class TestWarmTracksColdAcrossAppends:
         for attribute in categorical:
             cold.stats().frequency_sketch(attribute)
         summary = extract_summary(cold.stats(), table_name="census", key="k")
-        assert summary.full_scan is full_scan
+        assert summary.state.full_scan is full_scan
         document = json.loads(json.dumps(summary.to_dict()))
         warm = ExecutionContext(table, config)
         warm.adopt_stats(
@@ -285,14 +283,15 @@ class TestBorrowedDictionaries:
         ]
         odd = SketchSummary(
             table_name="census",
-            version=summary.version,
             key="k",
             fidelity=summary.fidelity,
-            full_scan=summary.full_scan,
-            sample=Table(columns, name=summary.sample.name),
-            quantiles={},
-            frequencies={},
-            tokens={},
+            state=dataclasses.replace(
+                summary.state,
+                sample=Table(columns, name=summary.sample.name),
+                quantiles={},
+                frequencies={},
+                tokens={},
+            ),
             base=census,
         )
         document = json.loads(json.dumps(odd.to_dict()))
@@ -308,14 +307,11 @@ class TestBorrowedDictionaries:
         summary = extract_summary(built_backend, table_name="census", key="k")
         alone = SketchSummary(
             table_name="census",
-            version=summary.version,
             key="k",
             fidelity=summary.fidelity,
-            full_scan=summary.full_scan,
-            sample=summary.sample,
-            quantiles={},
-            frequencies={},
-            tokens={},
+            state=dataclasses.replace(
+                summary.state, quantiles={}, frequencies={}, tokens={}
+            ),
         )
         document = alone.to_dict()
         assert all(
