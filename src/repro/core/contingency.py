@@ -22,14 +22,15 @@ def joint_counts(assignment_a: np.ndarray, assignment_b: np.ndarray,
 
     Escape assignments (−1) are folded into an extra final row/column, so
     the table has shape ``(n_regions_a + 1, n_regions_b + 1)`` and its sum
-    equals the number of tuples.
+    equals the number of tuples.  The cell index is built in ``intp``:
+    int8 assignments would overflow it past 127 cells.
     """
     if assignment_a.shape != assignment_b.shape:
         raise MapError(
             f"assignment length mismatch: {assignment_a.shape} vs "
             f"{assignment_b.shape}"
         )
-    rows = np.where(assignment_a < 0, n_regions_a, assignment_a)
+    rows = np.where(assignment_a < 0, n_regions_a, assignment_a).astype(np.intp)
     cols = np.where(assignment_b < 0, n_regions_b, assignment_b)
     flat = rows * (n_regions_b + 1) + cols
     counts = np.bincount(flat, minlength=(n_regions_a + 1) * (n_regions_b + 1))

@@ -218,9 +218,10 @@ def _clean_cut_points(
         lower = max(lower, parent.low)
         upper = min(upper, parent.high)
     cleaned: list[float] = []
-    for point in sorted(set(float(p) for p in points)):
-        if math.isnan(point):
-            continue
+    # NaN goes before the sort: it compares false both ways, so a NaN
+    # inside the list would leave its neighbours unsorted.
+    distinct = {float(p) for p in points}
+    for point in sorted(p for p in distinct if not math.isnan(p)):
         if lower < point < upper or (point == lower and point < upper):
             # A point equal to the lower bound still splits when the
             # left side keeps at least the bound value itself (closed).
@@ -228,7 +229,9 @@ def _clean_cut_points(
                 cleaned.append(point)
             elif isinstance(parent, RangePredicate) and parent.closed_low:
                 cleaned.append(point)
-            elif not isinstance(parent, RangePredicate):
+            elif not isinstance(parent, RangePredicate) and point > -math.inf:
+                # Without a parent range the left piece is open at -inf,
+                # so a point at -inf would leave it empty (and invalid).
                 cleaned.append(point)
     # Points equal to `low` make a left region of only the minimum value;
     # that is a legal (if extreme) split.  Points >= upper are useless.

@@ -41,12 +41,13 @@ class Column(abc.ABC):
     (numeric) or ``.codes``/``.categories`` (categorical).
     """
 
-    __slots__ = ("_name",)
+    __slots__ = ("_name", "_role")
 
     def __init__(self, name: str) -> None:
         if not name or not isinstance(name, str):
             raise DatasetError(f"column name must be a non-empty string, got {name!r}")
         self._name = name
+        self._role: ColumnRole | None = None
 
     @property
     def name(self) -> str:
@@ -105,9 +106,19 @@ class Column(abc.ABC):
         measurements are always mappable even though every value is
         distinct, so :class:`NumericColumn` only flags *integer-valued*
         near-unique columns.
+
+        The verdict is computed once per column object: columns are
+        immutable, so it can never go stale.  Two threads racing on the
+        first call compute the same verdict.
         """
-        n = len(self)
-        if n == 0:
+        role = self._role
+        if role is None:
+            role = self._role = self._classify()
+        return role
+
+    def _classify(self) -> ColumnRole:
+        """The uncached verdict behind :meth:`role`."""
+        if len(self) == 0:
             return ColumnRole.DIMENSION
         if self._is_key_like():
             return ColumnRole.KEY

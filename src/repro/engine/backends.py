@@ -66,6 +66,8 @@ _MAX_TABLE_STATS = 16
 #: byte budget divided by the per-entry size (clamped to [8, 256]
 #: entries): on small tables the memos keep hundreds of entries, on a
 #: 10M-row table an 8-byte-per-row assignment memo holds ~8 vectors.
+#: Assignments are charged at their stored itemsize (1 byte per row
+#: for the int8 vectors of maps under 127 regions).
 #: Small per-region results (covers, joints, cuts) get a flat cap.
 _ROW_ARRAY_BYTE_BUDGET = 512 * 1024 * 1024
 _MIN_ROW_ARRAYS = 8
@@ -87,7 +89,7 @@ def _row_array_cap(n_rows: int, bytes_per_row: int) -> int:
 
 def _bounded_put(memo: dict, key, value, cap: int) -> None:
     """Insert with FIFO eviction once ``cap`` entries are reached."""
-    if len(memo) >= cap:
+    while len(memo) >= cap:
         memo.pop(next(iter(memo)))
     memo[key] = value
 
@@ -281,7 +283,6 @@ class ExactBackend:
         self._joints: dict[tuple, np.ndarray] = {}  # guarded-by: _lock
         self._cuts: dict[tuple, DataMap] = {}  # guarded-by: _lock
         self._mask_cap = _row_array_cap(table.n_rows, 1)
-        self._row_array_cap = _row_array_cap(table.n_rows, 8)
 
     @property
     def table(self) -> Table:
@@ -366,7 +367,6 @@ class ExactBackend:
         self._joints.clear()
         self._cuts.clear()
         self._mask_cap = _row_array_cap(new_table.n_rows, 1)
-        self._row_array_cap = _row_array_cap(new_table.n_rows, 8)
 
     # ------------------------------------------------------------------ #
     # Masks
@@ -457,12 +457,12 @@ class ExactBackend:
                 mask = self._query_mask_on(table, query)
             return mask
 
-        assignment = assign_regions(data_map.regions, table.n_rows, mask_fn)
+        assignment = assign_regions(data_map.regions, table, mask_fn)
         assignment.flags.writeable = False
+        cap = _row_array_cap(table.n_rows, assignment.itemsize)
         with self._lock:
             self._put_if_current(
-                self._assignments, data_map.regions, assignment,
-                self._row_array_cap, version,
+                self._assignments, data_map.regions, assignment, cap, version
             )
         return assignment
 

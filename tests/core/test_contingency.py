@@ -35,6 +35,16 @@ class TestJointCounts:
         with pytest.raises(MapError, match="mismatch"):
             joint_counts(np.array([0]), np.array([0, 1]), 1, 2)
 
+    def test_int8_assignments_past_127_cells_match_int64(self):
+        # 16 x 16 = 256 cells: an int8 cell index would wrap.
+        rng = np.random.default_rng(7)
+        a = rng.integers(-1, 15, size=5000)
+        b = rng.integers(-1, 15, size=5000)
+        wide = joint_counts(a.astype(np.int64), b.astype(np.int64), 15, 15)
+        narrow = joint_counts(a.astype(np.int8), b.astype(np.int8), 15, 15)
+        np.testing.assert_array_equal(narrow, wide)
+        assert narrow[15, 15] == np.count_nonzero((a < 0) & (b < 0))
+
 
 class TestJointDistribution:
     def test_from_maps(self):

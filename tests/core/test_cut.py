@@ -8,7 +8,7 @@ from repro.core.config import (
     CategoricalCutStrategy,
     NumericCutStrategy,
 )
-from repro.core.cut import balanced_label_groups, cut
+from repro.core.cut import _clean_cut_points, balanced_label_groups, cut
 from repro.dataset.table import Table
 from repro.query.algebra import regions_partition
 from repro.query.parser import parse_query
@@ -169,6 +169,25 @@ class TestTwoMeansStrategy:
         )
         assert 2 < boundaries[0] < 8
         assert 12 < boundaries[1] < 18
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cut_point_at_minus_infinity_is_dropped(self):
+        # Two-means on a column holding -inf proposes a point at -inf;
+        # the unrestricted left piece is open there, so it must go.
+        table = Table.from_dict({"x": [float("-inf"), 1.0, 2.0, 3.0]})
+        config = AtlasConfig(numeric_strategy=NumericCutStrategy.TWO_MEANS)
+        result = cut(table, ConjunctiveQuery(), "x", config)
+        assert all(
+            r.predicate_on("x") is None or r.predicate_on("x").high > -np.inf
+            for r in result.regions
+        )
+
+    def test_nan_cut_point_does_not_unsort_the_rest(self):
+        # NaN compares false both ways, so sorting it with the others
+        # once left [0.0, -2.5] behind and built an inverted range.
+        points = _clean_cut_points([0.0, float("nan"), -2.5], None, -4.0, 4.0)
+        assert points == [-2.5, 0.0]
 
 
 class TestSketchStrategy:

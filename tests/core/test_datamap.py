@@ -1,5 +1,6 @@
 """Unit tests for the DataMap structure and its underlying variable."""
 
+import numpy as np
 import pytest
 
 from repro.core.datamap import ESCAPE, DataMap
@@ -77,6 +78,24 @@ class TestAssignment:
         overlapping = DataMap([_region(1, 4), _region(3, 6)])
         assignment = overlapping.assign(table)
         assert assignment.tolist() == [0, 0, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize(
+        ("n_regions", "dtype"),
+        [(2, np.int8), (126, np.int8), (127, np.int64), (200, np.int64)],
+    )
+    def test_assignment_dtype_follows_region_count(self, n_regions, dtype):
+        wide = Table.from_dict({"x": list(range(n_regions))})
+        # Closed pieces [i, i] with gaps between them: the mask loop.
+        loop = DataMap([_region(i, i) for i in range(n_regions)])
+        # Contiguous pieces (i - 1, i]: the one-pass grid.
+        grid = DataMap([
+            ConjunctiveQuery([RangePredicate("x", i - 1, i, closed_low=False)])
+            for i in range(n_regions)
+        ])
+        for data_map in (loop, grid):
+            assignment = data_map.assign(wide)
+            assert assignment.dtype == dtype
+            assert assignment.tolist() == list(range(n_regions))
 
     def test_covers(self, half_map, table):
         assert half_map.covers(table).tolist() == [0.5, 0.5]

@@ -150,6 +150,32 @@ class TestRoleClassification:
         assert col.role() is ColumnRole.TEXT
 
 
+class TestRoleCache:
+    def test_verdict_computed_once_per_column(self, monkeypatch):
+        col = NumericColumn("id", np.arange(100, dtype=float))
+        calls = []
+        original = NumericColumn.distinct_count
+
+        def counting(self):
+            calls.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(NumericColumn, "distinct_count", counting)
+        assert col.role() is ColumnRole.KEY
+        assert col.role() is ColumnRole.KEY
+        assert len(calls) == 1
+
+    def test_derived_columns_judge_their_own_rows(self):
+        col = CategoricalColumn.from_values(
+            "name", [f"user-{i}" for i in range(200)]
+        )
+        assert col.role() is ColumnRole.KEY
+        # Twenty rows of two labels: the same dictionary, another verdict.
+        few = col.take(np.array([0, 1] * 10))
+        assert few.role() is ColumnRole.DIMENSION
+        assert col.rename("other").role() is ColumnRole.KEY
+
+
 class TestColumnFromValues:
     def test_numbers_become_numeric(self):
         col = column_from_values("x", [1, 2.5, None])

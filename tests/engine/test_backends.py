@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import AtlasConfig, Fidelity
+from repro.core.datamap import DataMap
+from repro.dataset.table import Table
+from repro.engine import backends
 from repro.engine.backends import (
     ExactBackend,
     SketchBackend,
@@ -24,6 +27,7 @@ from repro.engine.facade import explorer
 from repro.errors import ConfigError, MapError
 from repro.evaluation.metrics import ranked_map_agreement
 from repro.query.parser import parse_query
+from repro.query.predicate import RangePredicate
 from repro.query.query import ConjunctiveQuery
 
 SKETCH = AtlasConfig(fidelity="sketch:1000")
@@ -261,3 +265,40 @@ class TestCountersAndSnapshot:
         assert snap["kind"] == "exact"
         assert snap["rows"] == census_small.n_rows
         assert snap["usage"]["query_mask"] >= 1
+
+
+class TestAssignmentMemo:
+    """The assignment memo is charged at the stored itemsize."""
+
+    def test_int8_assignments_cost_one_byte_per_row(self, monkeypatch):
+        n_rows = 1000
+        # A budget of 16 one-byte vectors: int8 keeps 16 entries, where
+        # 8-byte charging would clamp the memo to the floor of 8.
+        monkeypatch.setattr(backends, "_ROW_ARRAY_BYTE_BUDGET", 16 * n_rows)
+        table = Table.from_dict({"x": np.arange(n_rows, dtype=float)})
+        backend = ExactBackend(table)
+        for cut_point in range(1, 21):
+            data_map = DataMap([
+                ConjunctiveQuery([RangePredicate("x", 0, cut_point)]),
+                ConjunctiveQuery(
+                    [RangePredicate("x", cut_point, n_rows, closed_low=False)]
+                ),
+            ])
+            assignment = backend.assignment(data_map)
+            assert assignment.dtype == np.int8
+            np.testing.assert_array_equal(assignment, data_map.assign(table))
+        assert len(backend._assignments) == 16
+
+    def test_int64_assignments_cost_eight_bytes_per_row(self, monkeypatch):
+        n_rows = 200
+        monkeypatch.setattr(backends, "_ROW_ARRAY_BYTE_BUDGET", 80 * n_rows)
+        table = Table.from_dict({"x": np.arange(n_rows, dtype=float)})
+        backend = ExactBackend(table)
+        for shift in range(12):
+            data_map = DataMap([
+                ConjunctiveQuery([RangePredicate("x", i + shift, i + shift)])
+                for i in range(130)
+            ])
+            assert backend.assignment(data_map).dtype == np.int64
+        # 80 bytes per row over 8-byte entries: ten vectors.
+        assert len(backend._assignments) == 10

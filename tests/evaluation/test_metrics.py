@@ -11,6 +11,7 @@ from repro.evaluation.metrics import (
     attribute_recall,
     best_map_recovery,
     map_recovery,
+    purity,
     region_balance,
     split_sse,
 )
@@ -51,6 +52,27 @@ class TestAdjustedRandIndex:
     def test_empty_rejected(self):
         with pytest.raises(AtlasError):
             adjusted_rand_index(np.array([]), np.array([]))
+
+
+class TestAssignmentDtypes:
+    """Map assignments are int8 below 127 regions; scores must not care."""
+
+    @pytest.fixture
+    def labelings(self):
+        rng = np.random.default_rng(3)
+        return rng.integers(-1, 40, size=3000), rng.integers(0, 5, size=3000)
+
+    def test_ari_agrees_on_int8_and_int64(self, labelings):
+        assignment, planted = labelings
+        assert adjusted_rand_index(
+            assignment.astype(np.int8), planted
+        ) == adjusted_rand_index(assignment.astype(np.int64), planted)
+
+    def test_purity_agrees_on_int8_and_int64(self, labelings):
+        assignment, planted = labelings
+        assert purity(assignment.astype(np.int8), planted) == purity(
+            assignment.astype(np.int64), planted
+        )
 
 
 class TestMapRecovery:
