@@ -74,8 +74,8 @@ def assign_regions(regions, table: Table, mask_of) -> np.ndarray:
     lookup = np.full(2 * cells, ESCAPE, dtype=dtype)
     for index in range(len(regions) - 1, -1, -1):
         cell = 0
-        for __, pieces, piece_of in splits:
-            cell = cell * len(pieces) + piece_of[index]
+        for __, pieces, region_pieces in splits:
+            cell = cell * len(pieces) + region_pieces[index]
         lookup[2 * cell + 1] = index
     return lookup.take(code)
 
@@ -84,7 +84,7 @@ def _grid_split(regions, table: Table):
     """``(shared, splits, cells)`` when the map is a grid over ``table``.
 
     ``shared`` lists the predicates identical in every region; each
-    split is ``(column, pieces, piece_of)``: the attribute's column,
+    split is ``(column, pieces, region_pieces)``: the attribute's column,
     its distinct predicates (contiguous ranges in ascending order, or
     pairwise-disjoint label sets) and each region's piece index;
     ``cells`` is the product of the piece counts.  None sends the map

@@ -170,7 +170,6 @@ class TestTwoMeansStrategy:
         assert 2 < boundaries[0] < 8
         assert 12 < boundaries[1] < 18
 
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cut_point_at_minus_infinity_is_dropped(self):
         # Two-means on a column holding -inf proposes a point at -inf;
@@ -184,8 +183,8 @@ class TestTwoMeansStrategy:
         )
 
     def test_nan_cut_point_does_not_unsort_the_rest(self):
-        # NaN compares false both ways, so sorting it with the others
-        # once left [0.0, -2.5] behind and built an inverted range.
+        # NaN compares false both ways: sorted among the others it would
+        # leave [0.0, -2.5] in place and build an inverted range.
         points = _clean_cut_points([0.0, float("nan"), -2.5], None, -4.0, 4.0)
         assert points == [-2.5, 0.0]
 

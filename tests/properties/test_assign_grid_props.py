@@ -29,6 +29,7 @@ from repro.core.datamap import (
 from repro.core.merge import composition, product
 from repro.dataset.column import CategoricalColumn, NumericColumn
 from repro.dataset.table import Table
+from repro.errors import SchemaError
 from repro.query.predicate import (
     AnyPredicate,
     ContainsPredicate,
@@ -204,7 +205,7 @@ def _check(table, regions):
     dtype = assignment_dtype(len(regions))
     try:
         expected = _assign_by_masks(regions, table.n_rows, mask_of, dtype)
-    except Exception as exc:  # the grid must fail the same way
+    except SchemaError as exc:  # a wrong-kind predicate: same error
         with pytest.raises(type(exc)):
             assign_regions(regions, table, mask_of)
         return
