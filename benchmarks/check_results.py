@@ -1,12 +1,14 @@
-"""Benchmark-regression guard: committed speedup floors vs a smoke run.
+"""Benchmark-regression guard: committed figures vs a smoke run.
 
-CI runs the E20 smoke benchmark with ``--json`` and hands the fresh
-measurement to this script, which diffs it against the committed
-``benchmarks/results/*.json`` figures (matched by ``experiment``):
+CI runs the E23 service smoke benchmark with ``--json`` and hands the
+fresh measurement to this script, which diffs it against the committed
+``benchmarks/results/*.json`` figures (matched by ``experiment``).  A
+speed-up payload (E21's ``bench_cluster.py --smoke --json``) can be
+checked the same way by hand:
 
 * **Correctness gates (always):** the smoke run's answers must be
-  bit-identical across worker counts (``answers_identical``) with
-  top-3 agreement 1.000 — a determinism regression fails CI on any
+  bit-identical to the serial executor's (``answers_identical``) with
+  top-3 agreement 1.000 — a determinism regression fails on any
   hardware.
 * **Speedup floor:** the fresh ``speedup`` must reach ``RATIO`` (80%)
   of the committed figure.  The floor only binds when the fresh host
@@ -25,7 +27,7 @@ measurement to this script, which diffs it against the committed
 
 Usage::
 
-    python benchmarks/bench_parallel.py --smoke --json fresh.json
+    PYTHONPATH=src python benchmarks/bench_service.py --smoke --json fresh.json
     python benchmarks/check_results.py fresh.json
 
 Exit status 0 when every gate passes, 1 otherwise (fails the build).

@@ -4,14 +4,13 @@ A ``Parallelism`` with ``mode="cluster"`` is pure configuration — it
 names *that* the scan should fan out, not *where*.  The where lives
 here: one module-global :class:`~repro.cluster.coordinator.ClusterCoordinator`
 the facade, REPL, and :class:`~repro.engine.context.ExecutionContext`
-dispatch consult (the same module-global precedent as the staged
-``_WORK`` build of :mod:`repro.engine.parallel`).
+dispatch consult.
 
 With no cluster attached, a ``cluster`` config **degrades to the local
 scan/merge split** — same shard layout, same answers, single machine —
 so configs can travel between clustered and unclustered deployments
-without changing results: the coordinator and the local fork pool are
-two venues of one build.
+without changing results: the coordinator and the local scan threads
+are two venues of one build.
 """
 
 from __future__ import annotations

@@ -176,13 +176,13 @@ DEFAULT_SHARDS = 8
 
 @dataclasses.dataclass(frozen=True)
 class Parallelism:
-    """Multi-core execution: worker processes over row-range shards.
+    """Multi-core execution: scan threads over row-range shards.
 
     The scan/merge split of :mod:`repro.engine.parallel` in one value
     threaded end to end (engine, facade, service, REPL), like
     :class:`Fidelity`:
 
-    * ``workers`` — processes building per-shard statistics
+    * ``workers`` — threads scanning shards into per-shard statistics
       concurrently; ``"auto"`` resolves to ``os.cpu_count()`` at run
       time.  Workers never affect results, only wall-clock.
     * ``shards`` — row-range partitions of the table.  Shards *do*
@@ -195,8 +195,8 @@ class Parallelism:
     ``"cluster:2"``) so it stays hashable inside serialized configs and
     cache keys.
 
-    ``mode`` distinguishes *where* the scan runs — ``"local"`` worker
-    processes or ``"cluster"`` shard servers (:mod:`repro.cluster`) —
+    ``mode`` distinguishes *where* the scan runs — ``"local"`` scan
+    threads or ``"cluster"`` shard servers (:mod:`repro.cluster`) —
     without touching the statistical recipe: shard boundaries, per-shard
     RNG streams, and merge order are identical in both modes, so a
     cluster run is bit-identical to a local run with the same shard
@@ -204,12 +204,12 @@ class Parallelism:
     coordinator fans out to (``"auto"`` = every attached server).
     """
 
-    #: Worker processes (``>= 1``) or ``"auto"`` (= ``os.cpu_count()``).
+    #: Scan threads (``>= 1``) or ``"auto"`` (= ``os.cpu_count()``).
     #: In cluster mode: shard servers (``"auto"`` = all attached).
     workers: int | str = 1
     #: Row-range shards; ``1`` is the unsharded legacy path.
     shards: int = 1
-    #: Execution venue: ``"local"`` worker processes, or ``"cluster"``
+    #: Execution venue: ``"local"`` scan threads, or ``"cluster"``
     #: shard servers behind a :class:`repro.cluster.ClusterCoordinator`.
     mode: str = "local"
 
@@ -267,7 +267,7 @@ class Parallelism:
     def of(
         cls, workers: int | str = "auto", shards: int | None = None
     ) -> "Parallelism":
-        """Sharded execution with ``workers`` processes.
+        """Sharded execution with ``workers`` scan threads.
 
         ``shards`` defaults to :data:`DEFAULT_SHARDS` — *not* to the
         worker count — so answers are bit-identical for any ``workers``.
@@ -285,7 +285,7 @@ class Parallelism:
 
         ``shards`` defaults to :data:`DEFAULT_SHARDS`, exactly as in
         :meth:`of` — the shard layout (and therefore every answer) is
-        the same whether the scan runs on local workers or on a
+        the same whether the scan runs on local threads or on a
         cluster.
         """
         return cls(
@@ -310,7 +310,7 @@ class Parallelism:
         ``"parallel:<workers|auto>"``,
         ``"parallel:<workers|auto>:<shards>"``, and the same tail
         shapes under ``"cluster"`` (where the middle component counts
-        shard servers instead of worker processes).
+        shard servers instead of scan threads).
         """
         parts = text.strip().split(":")
         mode = parts[0].strip().lower()
@@ -455,7 +455,7 @@ class AtlasConfig:
     #: ``sketch`` row/epsilon budget answered by the sketch backend.
     #: Accepts a :class:`Fidelity` or a spec string (``"sketch:20000"``).
     fidelity: Fidelity | str = Fidelity()
-    #: Multi-core execution: worker processes over row-range shards
+    #: Multi-core execution: scan threads over row-range shards
     #: (:mod:`repro.engine.parallel`), or shard servers over the same
     #: shard layout (:mod:`repro.cluster`).  Accepts a
     #: :class:`Parallelism`, a spec string (``"parallel:4"``,

@@ -34,11 +34,7 @@ from repro.engine.backends import (
 )
 from repro.engine.cancel import CancelToken, PipelineCancelled
 from repro.engine.context import ExecutionContext
-from repro.engine.parallel import (
-    ShardedTable,
-    build_sharded_backend,
-    fork_available,
-)
+from repro.engine.parallel import ShardedTable, build_sharded_backend
 from repro.engine.pipeline import CANONICAL_STAGES, MapSet, Pipeline, StageTimings
 from repro.engine.registry import (
     CATEGORICAL_ORDERS,
@@ -93,7 +89,6 @@ __all__ = [
     "build_sharded_backend",
     "default_stages",
     "explorer",
-    "fork_available",
     "make_backend",
     "query_fingerprint",
     "table_fingerprint",

@@ -328,6 +328,14 @@ class ExecutionContext:
         """Statistics backend of the base table."""
         return self.stats_for(self.table)
 
+    @property
+    def has_base_stats(self) -> bool:
+        """True once the base table's backend exists (built, adopted or
+        advanced): such a context scans no more, since ``advance``
+        consults no venue."""
+        with self._lock:
+            return self._table is not None and id(self._table) in self._stats
+
     def adopt_stats(self, factory) -> bool:
         """Install an externally built backend for the *base* table.
 

@@ -1,6 +1,6 @@
 """Columnar scan kernels: batch sketch builds over contiguous buffers.
 
-Every execution venue — the serial backend, the fork-pool workers of
+Every execution venue — the serial backend, the scan threads of
 :mod:`repro.engine.parallel`, and the cluster shard servers of
 :mod:`repro.cluster` — bottoms out in one scan core
 (:func:`repro.engine.parallel.scan_shard_values`), and until this

@@ -11,8 +11,8 @@ of parallel analytical engines:
 
 1. :class:`ShardedTable` partitions the table into contiguous
    **row-range shards** (machine-independent boundaries).
-2. A :class:`ScanVenue` — the in-process :class:`InlineVenue`, the
-   ``multiprocessing`` :class:`ForkVenue`, or a cluster's
+2. A :class:`ScanVenue` — the in-process :class:`InlineVenue` (the
+   calling thread, or one thread pool per build), or a cluster's
    :class:`~repro.cluster.coordinator.ClusterCoordinator` — scans every
    shard into a one-shard :class:`~repro.sketch.state.SketchState`: a
    uniform row sample of the shard plus **full-scan** GK quantile /
@@ -40,7 +40,7 @@ with tags keyed by **shard index** (``"shard:3:<table>"``,
 ``"shard-merge:3:<table>"``).  Shard boundaries and merge order depend
 only on ``(table, shards)``, never on the worker count — so serial,
 2-worker, and 4-worker runs produce bit-identical answers, and the
-worker count is a pure wall-clock knob (the E20 benchmark and the
+worker count is a pure wall-clock knob (the E20 gate and the
 determinism property tests assert this).
 
 Streaming: venues are consulted only at build time.  After an append
@@ -55,9 +55,11 @@ fresh build over the grown table shards it anew.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Mapping, Protocol
 
 import numpy as np
@@ -85,35 +87,11 @@ def tag_rng(seed: int, tag: str) -> np.random.Generator:
 
     Exactly :meth:`ExecutionContext.child_rng`'s derivation for string
     sources (``default_rng([seed, crc32(tag)])``), factored out so
-    worker *processes* — which cannot call a bound method of the
-    parent's context — draw the same streams the parent would.  A
+    shard scans — which run with no context, on a scan thread or a
+    shard server — draw the same streams a context would.  A
     regression test pins the two implementations together.
     """
     return np.random.default_rng([seed, zlib.crc32(tag.encode("utf-8"))])
-
-
-def fork_available() -> bool:
-    """True when ``multiprocessing`` can *safely* fork on this platform.
-
-    Fork is what makes sharding cheap: workers inherit the parent's
-    table pages copy-on-write instead of pickling row data.  Windows
-    has no fork at all, and macOS advertises one that is unsafe with
-    system frameworks (Accelerate-backed numpy can abort in the child
-    with ``objc_initializeAfterForkError``), so both fall back to
-    :class:`InlineVenue` — same answers, single core.
-
-    Forking a *threaded* parent (the service's worker pool does) is
-    the usual fork caveat: the children only touch the staged
-    :data:`_WORK` snapshot, numpy slicing, and pure-Python sketch
-    code — never the context lock — which is the same discipline
-    joblib-style fork pools rely on.
-    """
-    import multiprocessing
-    import sys
-
-    if sys.platform == "darwin":
-        return False
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def new_shard_aggregate() -> dict[str, Any]:
@@ -212,7 +190,7 @@ class ShardedTable:
 
     def shard(self, index: int) -> Table:
         """Materialize one shard as a table (diagnostics and tests;
-        the workers read column slices instead of copying rows)."""
+        the scans read column slices instead of copying rows)."""
         low, high = self._bounds[index]
         return self._table.take(
             np.arange(low, high), name=f"{self._table.name}_shard{index}"
@@ -226,7 +204,7 @@ class ShardedTable:
 
 
 # ---------------------------------------------------------------------- #
-# Per-shard statistics (runs inside worker processes)
+# Per-shard statistics (runs on a scan thread or a shard server)
 # ---------------------------------------------------------------------- #
 
 
@@ -269,7 +247,7 @@ def scan_shard_values(
     the shard ``index``, ``seconds`` and ``kernel_nanos`` as provenance.
 
     The array-level core of the shard scan, shared verbatim by the
-    local venues (:func:`_scan_shard`) and the cluster shard
+    local venue (:func:`_scan_shard`) and the cluster shard
     server (:mod:`repro.cluster.shard`) — one implementation is what
     makes "cluster answers are bit-identical to local" true by
     construction rather than by parallel maintenance.
@@ -277,11 +255,11 @@ def scan_shard_values(
     ``numeric`` maps attribute → the shard's raw values (``NaN`` for
     missing); ``categorical`` carries ``(attribute, capacity, (codes,
     categories))``: the shard's raw code buffer and the column's
-    dictionary, on a local worker and a shard server alike (no label
+    dictionary, on a scan thread and a shard server alike (no label
     is decoded just to be counted).  Every draw comes
     from the shard's own ``(seed, "shard:<index>:<fingerprint>")``
     stream, so the result depends only on the shard — not on which
-    worker or server ran it.  The sketch builds run as columnar
+    thread or server ran it.  The sketch builds run as columnar
     kernels (:mod:`repro.engine.kernels`).
     """
     started = time.perf_counter()
@@ -293,8 +271,8 @@ def scan_shard_values(
         sample = sample.astype(np.int64, copy=False)
     else:
         # The budget covers the whole table: the merged backend uses
-        # the table itself, so shipping an index array per shard back
-        # across the process boundary would buy nothing.
+        # the table itself, so an index array per shard (shipped back
+        # over the wire from a shard server) would buy nothing.
         sample = np.empty(0, dtype=np.int64)
 
     quantiles = {
@@ -411,50 +389,18 @@ class ScanVenue(Protocol):
 
 
 class InlineVenue:
-    """Scans in the calling process: the ``workers=1`` / no-fork venue.
+    """Scans in this process, across ``workers`` threads.
 
-    Runs the same per-shard function in shard order, so an inline build
-    is bit-identical to any other — which is what makes it a *fallback*
-    rather than a different mode.
+    With one worker (or one shard) the shards scan in the calling
+    thread; otherwise a thread pool created for this build maps the
+    same per-shard function over them, and the results keep shard
+    order.  The scan kernels are numpy sorts and bincounts, which
+    release the GIL, so threads overlap.  The pool is never shared:
+    scans queued behind the build that waits on them could deadlock.
+    The worker count changes wall-clock, never an answer.
     """
 
-    def scan(
-        self, table: Table, layout: ShardedTable, recipe: ScanRecipe
-    ) -> list[SketchState]:
-        """Scan every shard, in order."""
-        return [
-            _scan_shard(table, layout, recipe, index)
-            for index in range(layout.n_shards)
-        ]
-
-    def provenance(
-        self, layout: ShardedTable, parallelism: Parallelism
-    ) -> dict[str, Any]:
-        """A local build has no venue keys to add."""
-        return {}
-
-
-#: The build a :class:`ForkVenue` is scanning; set in the parent
-#: immediately before the pool forks, so workers read it from inherited
-#: memory instead of unpickling the table.  ``_WORK_LOCK`` serializes
-#: concurrent fork-pool builds in one process (two pools racing a
-#: module global would be worse than queueing; a build is short-lived).
-_WORK: tuple[Table, ShardedTable, ScanRecipe] | None = None
-_WORK_LOCK = threading.Lock()
-
-
-def _scan_staged_shard(index: int) -> SketchState:
-    """Scan one shard of the staged :data:`_WORK` (in a pool worker)."""
-    work = _WORK
-    if work is None:  # pragma: no cover - defensive
-        raise MapError("no shard work is staged")
-    return _scan_shard(*work, index)
-
-
-class ForkVenue(InlineVenue):
-    """Scans across a ``multiprocessing`` fork pool."""
-
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise MapError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
@@ -462,34 +408,20 @@ class ForkVenue(InlineVenue):
     def scan(
         self, table: Table, layout: ShardedTable, recipe: ScanRecipe
     ) -> list[SketchState]:
-        """Scan the shards across the pool; results keep shard order."""
-        import multiprocessing
+        """Scan every shard; results keep shard order."""
+        scan_one = functools.partial(_scan_shard, table, layout, recipe)
+        indices = range(layout.n_shards)
+        threads = min(self.workers, layout.n_shards)
+        if threads <= 1:
+            return [scan_one(index) for index in indices]
+        with ThreadPoolExecutor(threads) as pool:
+            return list(pool.map(scan_one, indices))
 
-        global _WORK
-        context = multiprocessing.get_context("fork")
-        with _WORK_LOCK:
-            _WORK = (table, layout, recipe)
-            try:
-                with context.Pool(
-                    processes=min(self.workers, layout.n_shards)
-                ) as pool:
-                    return pool.map(
-                        _scan_staged_shard, range(layout.n_shards)
-                    )
-            finally:
-                _WORK = None
-
-
-def local_venue(parallelism: Parallelism) -> InlineVenue:
-    """The local venue a parallelism setting asks for on this platform.
-
-    ``workers=1`` — and any platform that cannot fork — scans inline;
-    results are identical either way, only wall-clock differs.
-    """
-    workers = parallelism.resolved_workers
-    if workers <= 1 or not fork_available():
-        return InlineVenue()
-    return ForkVenue(workers)
+    def provenance(
+        self, layout: ShardedTable, parallelism: Parallelism
+    ) -> dict[str, Any]:
+        """A local build has no venue keys to add."""
+        return {}
 
 
 # ---------------------------------------------------------------------- #
@@ -590,8 +522,8 @@ def build_sharded_backend(
     """Build sketch statistics for ``table`` with the scan/merge split.
 
     The one place that shards, scans, folds and constructs.  Shards are
-    scanned by ``venue`` (default: :func:`local_venue`'s pool or inline
-    scan), then folded in shard order: row samples merge
+    scanned by ``venue`` (default: an :class:`InlineVenue` with the
+    setting's resolved worker count), then folded in shard order: row samples merge
     hypergeometrically down to ``fidelity.budget_rows``, GK/Misra–Gries
     summaries merge with their PR-3 rules.  The result is a plain
     :class:`SketchBackend` — the pipeline stages cannot tell it from a
@@ -609,7 +541,7 @@ def build_sharded_backend(
     started = time.perf_counter()
     layout = ShardedTable(table, parallelism.shards)
     if venue is None:
-        venue = local_venue(parallelism)
+        venue = InlineVenue(parallelism.resolved_workers)
     numeric, categorical = _sketch_attributes(table)
     sample_rows = fidelity.budget_rows < table.n_rows
     results = venue.scan(

@@ -155,7 +155,7 @@ def map_set_fingerprint(map_set: MapSet) -> str:
     with ``repr``, so the hash is bit-exact), the rows used, and the
     fidelity/version provenance.  Two answers with equal fingerprints
     are bit-identical results; the parallel-execution determinism
-    tests and the E20 benchmark compare worker counts with this.
+    tests and the E20 gate compare worker counts with this.
     """
     import hashlib
     import json

@@ -424,10 +424,11 @@ class ExplorationService:
         ``config`` (a spec string or :class:`Fidelity`);
         ``parallelism`` overrides the multi-core execution the same way
         (a spec string, :class:`Parallelism`, or worker count).  A
-        parallel request is *weighed* by the worker processes it asks
-        for: admission control charges it ``min(workers, capacity)``
-        in-flight slots, so concurrent clients cannot stack more
-        sharded builds than the host has cores to give.
+        parallel request that still has to build is *weighed* by the
+        scan threads its build runs: admission control charges it
+        ``min(workers, shards, capacity)`` in-flight slots, so
+        concurrent clients cannot stack more sharded builds than the
+        host has cores to give.
 
         ``tenant``/``api_key`` name the principal (in-process callers
         pass the tenant name; HTTP frontends forward the ``X-Api-Key``
@@ -571,20 +572,21 @@ class ExplorationService:
     def _admission_weight(self, table_name: str, config: AtlasConfig) -> int:
         """In-flight slots a request occupies.
 
-        A serial request costs one slot; a sharded-parallel request
-        costs one per worker process its statistics build may fork
-        (clamped to the in-flight capacity so a single over-sized
-        request stays admittable on an idle service, and to the shard
-        count since a pool never forks more workers than shards).
+        A serial request costs one slot; a request whose sharded
+        statistics build is still to come costs one per scan thread
+        that build may run (clamped to the in-flight capacity so a
+        single over-sized request stays admittable on an idle service,
+        and to the shard count since a build never runs more threads
+        than shards).
 
         Contexts are shared across worker counts (workers never change
         answers, so :meth:`_config_key` canonicalizes them out), which
         means the build runs with the worker count of whichever request
         *created* the context — so the charge is read from the live
         context when one exists, not from the request: a ``parallel:4``
-        request served by a ``workers=1`` context costs 1 slot, and a
-        ``parallel:1`` request whose shared context would fork 8
-        workers on a rebuild costs 8.
+        request served by a ``workers=1`` context costs 1 slot.  A
+        context whose base-table statistics exist never scans again
+        (``advance`` consults no venue), so it costs 1 slot too.
         """
         parallelism = config.parallelism
         if not (parallelism.is_parallel and config.fidelity.is_sketch):
@@ -593,6 +595,8 @@ class ExplorationService:
         with self._registry:
             context = self._contexts.get(key)
         if context is not None:
+            if context.has_base_stats:
+                return 1
             parallelism = context.config.parallelism
         workers = min(parallelism.resolved_workers, parallelism.shards)
         return max(1, min(workers, self._max_inflight))

@@ -1,5 +1,8 @@
 """Unit tests for the sharded parallel execution layer."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -10,17 +13,17 @@ from repro.core.config import (
     Parallelism,
 )
 from repro.datagen import census_table
+from repro.dataset.column import CategoricalColumn
+from repro.dataset.table import Table
+from repro.engine import parallel
 from repro.engine.context import ExecutionContext
 from repro.engine.parallel import (
-    ForkVenue,
     InlineVenue,
     ScanRecipe,
     ScanVenue,
     ShardedTable,
     _sketch_attributes,
     build_sharded_backend,
-    fork_available,
-    local_venue,
     merge_row_samples,
     tag_rng,
 )
@@ -173,7 +176,7 @@ class TestShardedTable:
 
 class TestExecutors:
     def test_tag_rng_matches_child_rng(self, table):
-        """Workers must draw the streams the context would hand out."""
+        """Shard scans must draw the streams the context would hand out."""
         context = ExecutionContext(table, AtlasConfig(seed=7))
         tag = "shard:3:12345"
         np.testing.assert_array_equal(
@@ -185,27 +188,78 @@ class TestExecutors:
         results = InlineVenue().scan(*_scan_args(table))
         assert [shard.provenance["shard"] for shard in results] == [0, 1, 2, 3]
 
-    @pytest.mark.skipif(not fork_available(), reason="platform cannot fork")
     def test_parallel_executor_matches_serial(self, table):
         args = _scan_args(table)
-        forked = ForkVenue(2).scan(*args)
+        threaded = InlineVenue(2).scan(*args)
         inline = InlineVenue().scan(*args)
-        assert [_statistics(shard) for shard in forked] == [
+        assert [_statistics(shard) for shard in threaded] == [
             _statistics(shard) for shard in inline
         ]
 
-    def test_local_venue_fallbacks(self):
-        assert type(local_venue(Parallelism(workers=1, shards=4))) is (
-            InlineVenue
-        )
-        if fork_available():
-            venue = local_venue(Parallelism(workers=3, shards=4))
-            assert isinstance(venue, ForkVenue)
-            assert venue.workers == 3
+    def test_local_venue_fallbacks(self, table, monkeypatch):
+        """With no venue given, the build scans locally with the
+        setting's resolved worker count."""
+        created = []
+
+        class RecordingInline(InlineVenue):
+            def __init__(self, workers=1):
+                super().__init__(workers)
+                created.append(self.workers)
+
+        monkeypatch.setattr(parallel, "InlineVenue", RecordingInline)
+        for setting in (
+            Parallelism(workers=1, shards=4),
+            Parallelism(workers=3, shards=4),
+            Parallelism(workers="auto", shards=4),
+        ):
+            build_sharded_backend(table, SKETCH, setting, seed=0)
+            assert created.pop() == setting.resolved_workers
 
     def test_parallel_executor_rejects_bad_workers(self):
         with pytest.raises(MapError):
-            ForkVenue(0)
+            InlineVenue(0)
+
+    def test_scan_threads_share_one_lazy_decode(self, table):
+        """More scan threads than cores, racing on deferred label
+        dictionaries: each decodes once, and every shard scans as it
+        does in the calling thread."""
+        decodes = []
+
+        def deferred(column):
+            def decode():
+                decodes.append(column.name)
+                time.sleep(0.001)
+                return column.categories
+
+            return CategoricalColumn.deferred(
+                column.name, column.codes, len(column.categories), decode
+            )
+
+        lazy = Table(
+            [
+                deferred(column)
+                if isinstance(column, CategoricalColumn) else column
+                for column in table.columns
+            ],
+            name=table.name,
+        )
+        _, layout, recipe = _scan_args(table, shards=16)
+        expected = [
+            _statistics(shard)
+            for shard in InlineVenue().scan(table, layout, recipe)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = InlineVenue(8).scan(
+                lazy, ShardedTable(lazy, 16), recipe
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert [_statistics(shard) for shard in threaded] == expected
+        assert sorted(decodes) == sorted(
+            name for name, _ in recipe.categorical
+        )
 
 
 def _scan_args(table, shards=4):
@@ -592,10 +646,9 @@ class RecordingVenue:
 
 
 class TestVenueInvisibility:
-    @pytest.mark.skipif(not fork_available(), reason="platform cannot fork")
     @pytest.mark.parametrize("stage", STAGES)
-    def test_fork_pool_matches_inline(self, table, stage):
-        assert_venue_invisible(table, ForkVenue(2), stage)
+    def test_thread_pool_matches_inline(self, table, stage):
+        assert_venue_invisible(table, InlineVenue(2), stage)
 
     def test_build_scans_once_and_advance_never_asks_the_venue(self, table):
         venue = RecordingVenue()

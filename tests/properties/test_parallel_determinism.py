@@ -6,7 +6,7 @@ the same shard layout produce bit-identical :class:`MapSet` answers —
 equal :func:`map_set_fingerprint` hashes — at every fidelity, for every
 query, and across streaming appends.  Shard RNG streams are keyed by
 shard index and merges fold in shard order, so nothing observable
-depends on which process scanned which shard.
+depends on which thread scanned which shard.
 """
 
 import numpy as np
@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
 from repro.datagen import census_table
 from repro.engine.context import ExecutionContext
-from repro.engine.parallel import fork_available
 from repro.engine.pipeline import Pipeline
 from repro.evaluation.metrics import map_set_fingerprint
 from repro.query.parser import parse_query
 
 #: Worker counts under test; all share one fixed shard layout, so the
-#: answers must be bit-identical.  Without fork the >1 counts exercise
-#: the serial fallback, which must be identical by construction.
+#: answers must be bit-identical.
 WORKER_COUNTS = (1, 2, 4)
 SHARDS = 4
 ROWS = 4_000
@@ -99,16 +97,15 @@ def test_worker_count_never_changes_answers_after_append(table, fidelity):
     assert per_worker[0] == per_worker[1] == per_worker[2]
 
 
-@pytest.mark.skipif(not fork_available(), reason="platform cannot fork")
 @settings(max_examples=8, deadline=None)
 @given(
     budget=st.integers(min_value=200, max_value=3_000),
     seed=st.integers(min_value=0, max_value=2**16),
     shards=st.integers(min_value=2, max_value=6),
 )
-def test_sharded_build_is_process_count_invariant(budget, seed, shards):
-    """Property: for any (budget, seed, shard count), a forked 2-worker
-    build equals the in-process serial build bit for bit."""
+def test_sharded_build_is_worker_count_invariant(budget, seed, shards):
+    """Property: for any (budget, seed, shard count), a 2-thread build
+    equals the calling-thread build bit for bit."""
     table = census_table(n_rows=2_000, seed=1)
     fidelity = Fidelity.sketch(budget_rows=budget)
     fingerprints = []

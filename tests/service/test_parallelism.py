@@ -121,8 +121,9 @@ class TestParallelExplores:
 
 
 class TestAdmissionWeighting:
-    """A parallel request occupies one in-flight slot per worker, so a
-    client asking for the whole host cannot also stack queue depth."""
+    """A parallel request that still has to build occupies one in-flight
+    slot per scan thread, so a client asking for the whole host cannot
+    also stack queue depth."""
 
     def _gated_service(self, max_workers=2, max_queue_depth=2):
         from tests.service.conftest import GateStage
@@ -144,10 +145,10 @@ class TestAdmissionWeighting:
             base = AtlasConfig(fidelity="sketch:1000")
             assert weigh(AtlasConfig()) == 1  # serial
             assert weigh(base) == 1           # sketch but unsharded
-            # Exact fidelity never forks → weight 1 even when asked.
+            # Exact fidelity never shards → weight 1 even when asked.
             assert weigh(AtlasConfig(parallelism="parallel:4:8")) == 1
             assert weigh(base.replace(parallelism="parallel:3:8")) == 3
-            # Clamped to the shard count (a pool never forks more).
+            # Clamped to the shard count (no more threads than shards).
             assert weigh(base.replace(parallelism="parallel:8:2")) == 2
             # Clamped to the in-flight capacity so it stays admittable.
             assert weigh(base.replace(parallelism="parallel:16:16")) == 4
@@ -156,7 +157,7 @@ class TestAdmissionWeighting:
 
     def test_weight_follows_the_serving_context(self, census_small):
         """Contexts are shared across worker counts, so the charge is
-        what the serving context would fork — not what was asked."""
+        what the serving context would scan with — not what was asked."""
         service = ExplorationService(max_workers=4, max_queue_depth=4)
         service.register("census", census_small)
         try:
@@ -177,6 +178,73 @@ class TestAdmissionWeighting:
                 "elsewhere", base.replace(parallelism="parallel:4:4")
             ) == 4
         finally:
+            service.close()
+
+    def test_warm_context_weighs_one(self, census_small):
+        """A context whose statistics are built never scans again, so
+        only a cold build is charged its scan threads."""
+        service = ExplorationService(max_workers=2, max_queue_depth=2)
+        service.register("census", census_small)
+        try:
+            config = AtlasConfig(
+                fidelity="sketch:1000", parallelism="parallel:2:4"
+            )
+            assert service._admission_weight("census", config) == 2
+            service.explore(
+                "census", fidelity="sketch:1000",
+                parallelism="parallel:2:4",
+            )
+            assert service._admission_weight("census", config) == 1
+            assert service._admission_weight("elsewhere", config) == 2
+        finally:
+            service.close()
+
+    def test_concurrent_threaded_builds_match_inline(self, census_small):
+        """Two cold ``parallel:2`` builds run at once on one service,
+        each equal to its ``parallel:1`` twin, and leave no slot
+        behind."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.evaluation.metrics import map_set_fingerprint
+
+        def answer(service, seed, workers):
+            return service.explore(
+                "census", "Age: [17, 60]", AtlasConfig(seed=seed), False,
+                "sketch:1000", f"parallel:{workers}:4",
+            )
+
+        serial = ExplorationService(max_workers=1)
+        serial.register("census", census_small)
+        try:
+            expected = {
+                seed: map_set_fingerprint(answer(serial, seed, 1).map_set)
+                for seed in (3, 4)
+            }
+        finally:
+            serial.close()
+
+        service, gate = self._gated_service(max_workers=2, max_queue_depth=2)
+        service.register("census", census_small)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = {
+                    seed: pool.submit(answer, service, seed, 2)
+                    for seed in (3, 4)
+                }
+                # Both are admitted and in the pipeline before either
+                # builds, so the two scan pools overlap.
+                gate.entered.acquire()
+                gate.entered.acquire()
+                gate.release.set()
+                got = {
+                    seed: map_set_fingerprint(future.result(30).map_set)
+                    for seed, future in futures.items()
+                }
+            assert got == expected
+            assert service.metrics()["service"]["pending"] == 0
+            assert service.metrics()["service"]["pending_by_tenant"] == {}
+        finally:
+            gate.release.set()
             service.close()
 
     def test_parallel_request_consumes_queue_capacity(self, census_small):
