@@ -27,8 +27,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_cluster.py --smoke   # CI check
     PYTHONPATH=src python benchmarks/bench_cluster.py --smoke --json out.json
 
-The full run writes ``benchmarks/results/cluster_speedup.json`` (the
-file ``benchmarks/check_results.py`` guards); the smoke run only
+The full run writes ``benchmarks/results/cluster_speedup.json``
+(E21's gates are ``tests/cluster/test_e21_gate.py``); the smoke run only
 prints/asserts unless ``--json`` names an output file, so committed
 full-scale numbers are never overwritten by CI.
 """
@@ -190,7 +190,7 @@ def run(
         "mode": "smoke" if smoke else "full",
         "n_rows": n_rows,
         "budget_rows": budget,
-        "workers": top_servers,  # servers; named for check_results.py
+        "workers": top_servers,  # servers
         "server_counts": list(server_counts),
         "shards": shards,
         "seed": seed,

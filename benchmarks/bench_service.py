@@ -32,12 +32,13 @@ Usage::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_service.py   # E17
     PYTHONPATH=src python benchmarks/bench_service.py             # full E23
-    PYTHONPATH=src python benchmarks/bench_service.py --smoke     # CI check
+    PYTHONPATH=src python benchmarks/bench_service.py --smoke     # quick check
     PYTHONPATH=src python benchmarks/bench_service.py --smoke --json out.json
 
-The full E23 run writes ``benchmarks/results/service_saturation.json``
-(guarded by ``benchmarks/check_results.py``); the smoke run only
-prints/asserts unless ``--json`` names an output file.
+The full E23 run writes ``benchmarks/results/service_saturation.json``;
+the smoke run only prints/asserts unless ``--json`` names an output
+file.  E23's behavioural gates run in tier 1 as
+``tests/service/test_e23_gate.py``.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_store.py --smoke   # CI check
     PYTHONPATH=src python benchmarks/bench_store.py --smoke --json out.json
 
-The full run writes ``benchmarks/results/store_warmstart.json`` (the
-file ``benchmarks/check_results.py`` guards); the smoke run only
-prints/asserts unless ``--json`` names an output file.
+The full run writes ``benchmarks/results/store_warmstart.json``
+(E24's gates are ``tests/store/test_warm_start_gate.py``); the smoke run
+only prints/asserts unless ``--json`` names an output file.
 """
 
 from __future__ import annotations

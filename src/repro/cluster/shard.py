@@ -29,7 +29,7 @@ from repro.cluster.protocol import (
     encode_scan_answer,
 )
 from repro.engine.parallel import scan_shard_values
-from repro.service.httpd import Handler, JsonHttpServer
+from repro.service.httpd import Handler, JsonHttpServer, Reply
 from repro.service.protocol import ProtocolError, StaleShardError
 from repro.sketch.state import SketchState
 
@@ -166,10 +166,14 @@ class ShardStore:
 
 
 def _shard_routes(store: ShardStore) -> dict[tuple[str, str], Handler]:
-    """The five shard routes as ``(payload, query, headers)`` handlers."""
-    health = {"status": "ok", "protocol": CLUSTER_PROTOCOL_VERSION}
+    """The five shard routes as ``(payload, query, headers)`` handlers;
+    ``/health`` is a coroutine, so it is answered on the event loop."""
+
+    async def health(*_: object) -> Reply:
+        return 200, {"status": "ok", "protocol": CLUSTER_PROTOCOL_VERSION}
+
     return {
-        ("GET", "/health"): lambda *_: (200, health),
+        ("GET", "/health"): health,
         ("GET", "/shards"): lambda *_: (200, store.describe()),
         ("GET", "/metrics"): lambda *_: (200, store.metrics()),
         ("POST", "/own"): lambda payload, *_: (

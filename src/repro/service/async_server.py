@@ -30,10 +30,12 @@ hundreds of instances on one loop (the E23 saturation benchmark drives
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import urllib.parse
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
+from repro.service.cache import CachedAnswer
 from repro.service.client import retry_delay
 from repro.service.httpd import (
     AccessLogger,
@@ -65,9 +67,10 @@ from repro.service.transport import decode_response, parse_base_url
 def _service_routes(
     service: ExplorationService,
 ) -> dict[tuple[str, str], Handler]:
-    """The seven service routes as ``(payload, query, headers)`` handlers."""
+    """The seven service routes as ``(payload, query, headers)`` handlers;
+    ``/health`` and ``/explore`` are coroutines, run on the event loop."""
 
-    def health(payload, query, headers):
+    async def health(payload, query, headers):
         return 200, {"status": "ok", "protocol": PROTOCOL_VERSION}
 
     def tables(payload, query, headers):
@@ -89,10 +92,22 @@ def _service_routes(
         )
         return 200, {"history": entries}
 
-    def explore(payload, query, headers):
+    async def explore(payload, query, headers):
         request = ExploreRequest.from_dict(payload)
-        response = service.handle(request, api_key=headers.get("x-api-key"))
-        return 200, response.to_dict()
+        begin = functools.partial(
+            service.begin, **vars(request), api_key=headers.get("x-api-key")
+        )
+        served = service.catalog.lookup(request.table)
+        if served is None:
+            # An unknown name or a table not loaded yet: phase 1 may
+            # block, so it runs in the executor.
+            loop = asyncio.get_running_loop()
+            outcome = await loop.run_in_executor(None, begin)
+        else:
+            outcome = begin(served=served)
+        if isinstance(outcome, CachedAnswer):
+            return 200, outcome.body()
+        return 200, (await asyncio.wrap_future(outcome)).to_dict()
 
     def append(payload, query, headers):
         request = AppendRequest.from_dict(payload)
@@ -154,10 +169,14 @@ class AsyncServiceServer(JsonHttpServer):
             # Exploration payloads are tiny; anything bigger is a client
             # bug or abuse.
             max_body_bytes=1 << 20,
-            # Sized to the admission ceiling: more threads could never
-            # run concurrently (the ledger sheds first), fewer would
-            # make admitted requests queue behind each other.
-            workers=max(8, service.max_inflight + 4),
+            # Explores hold no frontend thread (phase 1 runs on the
+            # loop, the run on the service pool).  The executor serves
+            # /append, /tables, /metrics, /history and the phase 1 of an
+            # explore that must load its table or report an unknown
+            # one.  Appends serialize on the catalog lock and a table
+            # loads once, so a few threads suffice: one may wait on the
+            # lock while the others keep the short reads moving.
+            workers=4,
             name="repro-service",
             quiet=quiet,
             access_log=access_log,

@@ -7,18 +7,39 @@ fingerprint (plus table and configuration).  Interactive traffic
 repeats itself — the §5.1 anticipation argument — so a small LRU turns
 the common repeated query into a dictionary lookup.
 
-Values (:class:`~repro.engine.pipeline.MapSet`) are immutable frozen
-dataclasses over immutable maps, so one cached object is safely shared
-by every thread that hits it.
+The service stores one :class:`CachedAnswer` per key: the answer as a
+hit returns it (a frozen response over immutable maps, so one object
+is safely shared by every thread that hits it) and, once an HTTP
+frontend has served it, its encoded JSON body, so a later hit does no
+``to_dict`` or ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import threading
 from collections import OrderedDict
 from typing import Generic, Hashable, TypeVar
 
 V = TypeVar("V")
+
+
+class CachedAnswer:
+    """One result-cache entry: the response every hit returns (marked
+    ``cached``) and its JSON body."""
+
+    __slots__ = ("response", "_body")
+
+    def __init__(self, response):
+        self.response = dataclasses.replace(response, cached=True)
+        self._body: bytes | None = None
+
+    def body(self) -> bytes:
+        """The encoded response; racing first calls encode equal bytes."""
+        if self._body is None:
+            self._body = json.dumps(self.response.to_dict()).encode("utf-8")
+        return self._body
 
 
 class ResultCache(Generic[V]):

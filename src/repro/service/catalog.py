@@ -62,14 +62,18 @@ class Catalog:
     Thread-safe the way the service registry was: sources load outside
     the lock (first materialization wins, so context identity keyed on
     the table object stays stable), appends serialize under it, and a
-    re-registration racing a load is detected and retried.
+    re-registration racing a load is detected and retried.  Served
+    tables are read without the lock, from a dict republished on every
+    change.
     """
 
     def __init__(self, *, store: TableStore | None = None):
         self._lock = Lock()
         self._store = store
         self._sources: dict[str, TableSource] = {}  # guarded-by: _lock
-        self._tables: dict[str, Table] = {}  # guarded-by: _lock
+        #: Name -> ``(table, generation)`` of each materialized table;
+        #: republished under ``_lock`` (:meth:`_publish`), read without.
+        self._tables: dict[str, tuple[Table, int]] = {}
         #: Per-name registration generation, bumped on every (re-)
         #: registration; result-cache keys carry ``(generation,
         #: version)`` so neither an overwrite nor an append can leave a
@@ -207,6 +211,8 @@ class Catalog:
                     loaded if loaded.name == name else loaded.rename(name)
                 )
                 self._store.register_table(table, overwrite=overwrite)
+        if table is None and isinstance(source, InMemorySource):
+            table = source.load()  # free: served from registration on
         with self._lock:
             if name in self._sources and not overwrite:
                 raise ProtocolError(
@@ -218,9 +224,7 @@ class Catalog:
             # Drop any stale materialization; persisted registrations
             # keep the one just written through so the served object
             # and the stored bytes describe the same rows.
-            self._tables.pop(name, None)
-            if table is not None:
-                self._tables[name] = table
+            self._publish(name, table)
             if persist:
                 self._persisted.add(name)
             else:
@@ -249,13 +253,24 @@ class Catalog:
     # Resolution
     # ------------------------------------------------------------------ #
 
+    def lookup(self, name: str) -> tuple[Table, int] | None:
+        """``(table, generation)`` of a materialized table, else None;
+        never loads or waits on the lock, so an event loop may call it."""
+        return self._tables.get(name)
+
     def resolve(self, name: str) -> Table:
         """The served table, materializing its source on first use."""
+        return self.resolve_with_generation(name)[0]
+
+    def resolve_with_generation(self, name: str) -> tuple[Table, int]:
+        """The served table *and* the generation it belongs to, published
+        as one pair — a re-registration racing an explore must not pair
+        the old tenant's table with the new tenant's generation."""
         while True:
+            served = self._tables.get(name)
+            if served is not None:
+                return served
             with self._lock:
-                table = self._tables.get(name)
-                if table is not None:
-                    return table
                 source = self._sources.get(name)
             if source is None:
                 known = ", ".join(self.names()) or "(none registered)"
@@ -264,23 +279,20 @@ class Catalog:
                 )
             table = source.load()
             with self._lock:
-                if self._sources.get(name) is not source:
-                    # Re-registered (overwrite) while we were loading;
-                    # the materialization belongs to the old source and
-                    # must not be installed — resolve again.
-                    continue
-                # First materialization wins so context identity is stable.
-                return self._tables.setdefault(name, table)
+                # First materialization wins so context identity is
+                # stable; one re-registered while we were loading belongs
+                # to the old source and is dropped — resolve again.
+                if (
+                    self._sources.get(name) is source
+                    and name not in self._tables
+                ):
+                    self._publish(name, table)
 
-    def resolve_with_generation(self, name: str) -> tuple[Table, int]:
-        """The served table *and* the generation it belongs to, read
-        atomically — a re-registration racing an explore must not pair
-        the old tenant's table with the new tenant's generation."""
-        while True:
-            table = self.resolve(name)
-            with self._lock:
-                if self._tables.get(name) is table:
-                    return table, self._generations.get(name, 0)
+    def _publish(self, name: str, table: Table | None) -> None:  # holds-lock: _lock
+        tables = {key: pair for key, pair in self._tables.items() if key != name}
+        if table is not None:
+            tables[name] = (table, self._generations[name])
+        self._tables = tables
 
     # ------------------------------------------------------------------ #
     # Streaming
@@ -306,12 +318,13 @@ class Catalog:
         """
         self.resolve(name)  # materialize lazy sources / 404
         with self._lock:
-            current = self._tables.get(name)
-            if current is None:  # re-register racing the append
+            served = self._tables.get(name)
+            if served is None:  # re-register racing the append
                 raise UnknownTableError(
                     f"table {name!r} was re-registered during the append; "
                     "retry"
                 )
+            current = served[0]
             delta = current.coerce_delta(rows)
             new_table = current.append(delta)
             if name in self._persisted and self._store is not None:
@@ -321,9 +334,11 @@ class Catalog:
                     from_version=current.version,
                     to_version=new_table.version,
                 )
-            self._tables[name] = new_table
             self._sources[name] = InMemorySource(new_table)
             on_swap(new_table)
+            # Published last: no reader sees the new version before its
+            # contexts have advanced to it.
+            self._publish(name, new_table)
         return current, new_table
 
     # ------------------------------------------------------------------ #

@@ -10,14 +10,16 @@ Backed by stdlib ``sqlite3``: a file path makes the history survive
 service restarts (WAL journal, ``busy_timeout``, ``synchronous=NORMAL``
 — the Paper-Scanner pragmas); the default ``":memory:"`` keeps tests
 and throwaway services free of disk state.  One connection guarded by
-one lock: history writes are two tiny statements per request, far off
-the pipeline's critical path, and a single writer sidesteps SQLite's
-multi-writer contention entirely.
+one lock: a request writes one tiny statement (two when it runs the
+pipeline), and a single writer sidesteps SQLite's multi-writer
+contention entirely.  Requests answered on the HTTP frontend's event
+loop journal there, so a file-backed history commits on the loop.
 
 Statuses walk a small per-request machine::
 
-    running ──> completed | cached | failed | deadline_exceeded
-    (terminal on arrival: rejected | rate_limited | unauthorized)
+    running ──> completed | failed | deadline_exceeded
+    (terminal on arrival, before any run: cached | rejected |
+     rate_limited | unauthorized | failed)
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ STATUSES = (
     "rate_limited",
     "unauthorized",
 )
-
-#: Statuses a request can be *born* with (shed before any work ran).
-TERMINAL_ON_ARRIVAL = ("rejected", "rate_limited", "unauthorized")
 
 _SCHEMA_VERSION = 1
 
@@ -110,8 +109,11 @@ class QueryHistory:
         query: str | None = None,
         fidelity: str | None = None,
         status: str = "running",
+        elapsed: float | None = None,
+        detail: dict | None = None,
     ) -> int:
-        """Insert one request row; returns its id for :meth:`finish`."""
+        """Insert one request row; returns its id for :meth:`finish`
+        (a request that ended before any run is born terminal)."""
         if status not in STATUSES:
             raise ValueError(f"unknown history status {status!r}")
         with self._lock:
@@ -120,10 +122,11 @@ class QueryHistory:
                 # caller must not crash over lost observability.
                 return 0
             cursor = self._conn.execute(
-                "INSERT INTO query_history "
-                "(created, tenant, table_name, query, fidelity, status) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (time.time(), tenant, table, query, fidelity, status),
+                "INSERT INTO query_history (created, tenant, table_name, "
+                "query, fidelity, status, elapsed, detail) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (time.time(), tenant, table, query, fidelity, status,
+                 elapsed, json.dumps(detail) if detail else None),
             )
             self._trim_locked()
             self._conn.commit()

@@ -7,13 +7,16 @@ body limit and a worker count, and holds nothing else.  Bytes become a
 request in exactly one place, so framing rules, typed errors,
 ``Retry-After`` and the access log cannot drift between servers.
 
-* **The loop owns the sockets, an executor runs the handlers.**  A
-  keep-alive connection costs one task, not one OS thread.  A handler
-  is a blocking callable ``(payload, query, headers) -> (status, body)``
+* **The loop owns the sockets; one rule says where a handler runs.**
+  A keep-alive connection costs one task, not one OS thread.  A
+  handler is a callable ``(payload, query, headers) -> (status, body)``
   (``payload``: the JSON body of a ``POST``, decoded on the loop,
   ``None`` for a ``GET``; ``query``: the raw query string; ``headers``:
-  lower-cased).  Only ``GET /health`` is answered on the loop, so a
-  liveness probe never queues behind pipeline or scan work.
+  lower-cased).  A coroutine function runs on the loop and must never
+  block: ``/health`` is one, so a liveness probe never queues behind
+  pipeline or scan work, and the service's ``/explore`` answers a
+  cache hit there.  Any other callable runs in the executor.  ``body``
+  is a JSON-ready value, or JSON already encoded as ``bytes``.
 * **A response is one write.**  Two writes put the body in a second TCP
   segment that waits out the peer's delayed ACK (~40 ms per keep-alive
   round trip on Linux).
@@ -27,13 +30,14 @@ from __future__ import annotations
 
 import asyncio
 import http
+import inspect
 import json
 import logging
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Mapping, Self
+from typing import Any, Awaitable, Callable, Mapping, Self, cast
 
 from repro.service.protocol import ServiceError, error_to_dict
 from repro.service.tenancy import retry_after_header
@@ -41,14 +45,15 @@ from repro.service.tenancy import retry_after_header
 #: Largest accepted request head (request line + headers).
 MAX_HEAD_BYTES = 32 * 1024
 
-#: ``(payload, query, headers) -> (status, body)``; runs off the loop.
-Handler = Callable[[Any, str, dict[str, str]], tuple[int, dict[str, Any]]]
+#: ``(status, body)``: a JSON-ready dict, or JSON already encoded.
+Reply = tuple[int, dict[str, Any] | bytes]
+
+#: ``(payload, query, headers) -> Reply``; a coroutine function runs on
+#: the loop, any other callable in the executor.
+Handler = Callable[[Any, str, dict[str, str]], Reply | Awaitable[Reply]]
 
 #: The structured access-log sink: one JSON-ready dict per request.
 AccessLogger = Callable[[dict[str, Any]], None]
-
-#: The one route answered on the event loop; its handler must not block.
-_ON_LOOP = ("GET", "/health")
 
 _REASONS = {status.value: status.phrase for status in http.HTTPStatus}
 
@@ -246,12 +251,12 @@ class JsonHttpServer:
             # threads raised stream_persist's peak RSS by 18 % (measured;
             # their garbage stays in each thread's own malloc arena).
             request = _decode(body) if method == "POST" else None
-            if route == _ON_LOOP:
-                status, payload = handler(request, query, headers)
+            if inspect.iscoroutinefunction(handler):
+                answer = await cast(Awaitable[Reply], handler(request, query, headers))
             else:
-                status, payload = await asyncio.get_running_loop().run_in_executor(
-                    None, handler, request, query, headers
-                )
+                loop = asyncio.get_running_loop()
+                answer = await loop.run_in_executor(None, handler, request, query, headers)
+            status, payload = cast(Reply, answer)
         except _HttpError as error:
             status, payload = error.status, error.payload
             close = close or error.close
@@ -260,14 +265,14 @@ class JsonHttpServer:
             status = payload["error"]["status"]
             if self._access_log is not None and not isinstance(error, ServiceError):
                 _access_logger.error("unhandled error: %r", error)
-        response = json.dumps(payload).encode("utf-8")
+        response = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         reply = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(response)}\r\n"
             f"Connection: {'close' if close else 'keep-alive'}\r\n"
         )
-        if status in (429, 503):
+        if status in (429, 503) and isinstance(payload, dict):
             hint = payload.get("error", {}).get("detail", {}).get("retry_after")
             seconds = hint if isinstance(hint, (int, float)) else 0.0
             reply += f"Retry-After: {retry_after_header(seconds)}\r\n"

@@ -34,10 +34,9 @@ into a multi-client system:
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from threading import Lock
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
@@ -52,7 +51,7 @@ from repro.engine.parallel import merge_shard_info, new_shard_aggregate
 from repro.engine.pipeline import Pipeline
 from repro.errors import MapError, StoreError
 from repro.query.query import ConjunctiveQuery
-from repro.service.cache import ResultCache
+from repro.service.cache import CachedAnswer, ResultCache
 from repro.service.catalog import Catalog
 from repro.service.history import QueryHistory
 from repro.service.metrics import ServiceMetrics
@@ -198,7 +197,7 @@ class ExplorationService:
             )
         self._config = config or AtlasConfig()
         self._pipeline = pipeline or Pipeline.default()
-        self._results: ResultCache[ExploreResponse] = ResultCache(
+        self._results: ResultCache[CachedAnswer] = ResultCache(
             result_cache_size
         )
         self._metrics = ServiceMetrics()
@@ -294,9 +293,6 @@ class ExplorationService:
 
     def _resolve_table(self, name: str) -> Table:
         return self._catalog.resolve(name)
-
-    def _resolve_with_generation(self, name: str) -> tuple[Table, int]:
-        return self._catalog.resolve_with_generation(name)
 
     # ------------------------------------------------------------------ #
     # Tenancy and history
@@ -438,61 +434,154 @@ class ExplorationService:
         cancelled cooperatively *between stages* and the call raises
         :class:`DeadlineExceededError` whose ``detail`` proves where it
         stopped.
+
+        This is :meth:`begin`, then a wait on the service pool's future.
         """
+        outcome = self.begin(
+            table, query, config, use_cache, fidelity, parallelism,
+            tenant=tenant, api_key=api_key, deadline_seconds=deadline_seconds,
+        )
+        if isinstance(outcome, CachedAnswer):
+            return outcome.response
+        return outcome.result()
+
+    def begin(
+        self,
+        table: str,
+        query: "str | dict | ConjunctiveQuery | None" = None,
+        config: dict | AtlasConfig | None = None,
+        use_cache: bool = True,
+        fidelity: "str | Fidelity | None" = None,
+        parallelism: "str | Parallelism | int | None" = None,
+        *,
+        tenant: str | None = None,
+        api_key: str | None = None,
+        deadline_seconds: float | None = None,
+        served: tuple[Table, int] | None = None,
+    ) -> "CachedAnswer | Future[ExploreResponse]":
+        """Phase 1 of :meth:`explore`: tenant, rate, coercion, result
+        cache and admission.  A hit returns its :class:`CachedAnswer`;
+        an admitted run, the service-pool future of :meth:`_complete`.
+        Either way, and for a raised 401, 429 or 404, the journal row is
+        written once.  Given ``served`` (from :meth:`Catalog.lookup`) it
+        never loads a source or waits on the catalog lock, so the HTTP
+        mount runs it on its event loop."""
         self._metrics.count("received")
         if self._admission.closed:
             raise ServiceError("service is shut down")
         principal = self._resolve_checked(tenant, api_key)
-        entry = self._history.record(
-            tenant=principal.name,
-            table=table,
-            query=_history_query_text(query),
-            fidelity=None if fidelity is None else str(fidelity),
-        )
+        fidelity_text = None if fidelity is None else str(fidelity)
+        row = dict(tenant=principal.name, table=table, fidelity=fidelity_text,
+                   query=_history_query_text(query))
         try:
-            response = self._explore_admitted(
-                principal,
-                entry,
-                table,
-                query,
-                config,
-                use_cache,
-                fidelity,
-                parallelism,
-                deadline_seconds,
+            # Rate limiting happens before any per-request work: a shed
+            # request costs a lock and a few float operations.
+            self._tenants.check_rate(principal)
+            resolved_query = self._coerce_query(query)
+            resolved_config = self._coerce_config(config)
+            if fidelity is not None:
+                resolved_config = resolved_config.replace(fidelity=fidelity)
+            if parallelism is not None:
+                resolved_config = resolved_config.replace(
+                    parallelism=parallelism
+                )
+            table_obj, generation = (
+                served or self._catalog.resolve_with_generation(table)
             )
+            cache_key = result_cache_key(
+                table,
+                generation,
+                table_obj.version,
+                resolved_config,
+                resolved_query,
+            )
+            if use_cache:
+                hit = self._results.get(cache_key)
+                if hit is not None:
+                    self._metrics.count("cache_hits")
+                    # The elapsed time of the run that computed it.
+                    elapsed = hit.response.elapsed
+                    self._history.record(**row, status="cached", elapsed=elapsed)
+                    return hit
+            cancel = (
+                CancelToken.with_timeout(deadline_seconds)
+                if deadline_seconds is not None
+                else None
+            )
+            weight = self._admission_weight(table, resolved_config)
+            self._admission.admit(principal, weight)
+        except RateLimitError as error:
+            self._journal(row, "rate_limited", dict(error.detail))
+            raise
+        except AdmissionError as error:
+            self._journal(row, "rejected", dict(error.detail))
+            raise
+        except Exception as error:
+            self._journal(row, "failed", {"error": str(error)})
+            raise
+        entry = 0
+        # Slot-leak audit: nothing may run between a successful admit
+        # and the try below — every later failure, including a worker
+        # pool that refuses the submission, must release the slot.
+        try:
+            entry = self._history.record(**row)
+            run = (table, table_obj, resolved_query, resolved_config,
+                   cache_key if use_cache else None, cancel)
+            future = self._pool.submit(
+                self._complete, principal, weight, entry, deadline_seconds, run
+            )
+        except BaseException as error:
+            self._admission.release(principal, weight)
+            self._journal(entry or row, "failed", {"error": str(error)})
+            raise
+        future.add_done_callback(
+            lambda done: self._abandoned(principal, weight, entry, done)
+        )
+        return future
+
+    def _complete(
+        self, principal, weight, entry, deadline_seconds, run: tuple
+    ) -> ExploreResponse:
+        """Phase 2, on a service-pool thread: :meth:`_run`, then the
+        journal row's terminal status and the admission release."""
+        try:
+            response = self._run(*run)
         except PipelineCancelled as cancelled:
             # The run stopped at a stage boundary; the shared context
             # and caches are exactly as consistent as after a finished
             # run (nothing partial is ever cached).
-            self._metrics.count("deadline_exceeded")
             detail = {
                 "stages_completed": cancelled.stages_completed,
                 "next_stage": cancelled.next_stage,
                 "deadline_seconds": deadline_seconds,
             }
-            self._history.finish(entry, "deadline_exceeded", detail=detail)
+            self._journal(entry, "deadline_exceeded", detail)
             raise DeadlineExceededError(str(cancelled), detail=detail) from None
-        except RateLimitError as error:
-            self._metrics.count("rate_limited")
-            self._history.finish(
-                entry, "rate_limited", detail=dict(error.detail)
-            )
-            raise
-        except AdmissionError as error:
-            self._metrics.count("rejected")
-            self._history.finish(entry, "rejected", detail=dict(error.detail))
-            raise
         except Exception as error:
-            self._metrics.count("failed")
-            self._history.finish(entry, "failed", detail={"error": str(error)})
+            self._journal(entry, "failed", {"error": str(error)})
             raise
-        self._history.finish(
-            entry,
-            "cached" if response.cached else "completed",
-            elapsed=response.elapsed,
-        )
+        finally:
+            self._admission.release(principal, weight)
+        self._history.finish(entry, "completed", elapsed=response.elapsed)
         return response
+
+    def _abandoned(self, principal, weight, entry, future: Future) -> None:
+        """Phase 2 cancelled before a pool thread took it (its HTTP
+        server closed mid-request): release and journal it here."""
+        if future.cancelled():
+            self._admission.release(principal, weight)
+            detail = {"error": "cancelled before it ran"}
+            self._journal(entry, "failed", detail)
+
+    def _journal(self, entry: "int | dict", status: str, detail: dict) -> None:
+        """Count a request that ended in ``status`` and journal it: one
+        insert of its row's fields from phase 1, else an update of its
+        running row."""
+        self._metrics.count(status)
+        if isinstance(entry, dict):
+            self._history.record(**entry, status=status, detail=detail)
+        else:
+            self._history.finish(entry, status, detail=detail)
 
     def _resolve_checked(
         self, tenant: str | None, api_key: str | None
@@ -508,66 +597,6 @@ class ExplorationService:
                 status="unauthorized",
             )
             raise error
-
-    def _explore_admitted(
-        self,
-        principal: Tenant,
-        entry: int,
-        table: str,
-        query: "str | dict | ConjunctiveQuery | None",
-        config: dict | AtlasConfig | None,
-        use_cache: bool,
-        fidelity: "str | Fidelity | None",
-        parallelism: "str | Parallelism | int | None",
-        deadline_seconds: float | None,
-    ) -> ExploreResponse:
-        # Rate limiting happens before any per-request work: a shed
-        # request costs a lock and a few float operations.
-        self._tenants.check_rate(principal)
-        resolved_query = self._coerce_query(query)
-        resolved_config = self._coerce_config(config)
-        if fidelity is not None:
-            resolved_config = resolved_config.replace(fidelity=fidelity)
-        if parallelism is not None:
-            resolved_config = resolved_config.replace(parallelism=parallelism)
-        table_obj, generation = self._resolve_with_generation(table)
-
-        cache_key = result_cache_key(
-            table,
-            generation,
-            table_obj.version,
-            resolved_config,
-            resolved_query,
-        )
-        if use_cache:
-            cached = self._results.get(cache_key)
-            if cached is not None:
-                self._metrics.count("cache_hits")
-                return dataclasses.replace(cached, cached=True)
-
-        cancel = (
-            CancelToken.with_timeout(deadline_seconds)
-            if deadline_seconds is not None
-            else None
-        )
-        weight = self._admission_weight(table, resolved_config)
-        # Slot-leak audit: nothing may run between a successful admit
-        # and the try below — every later failure, including a worker
-        # pool that refuses the submission, must reach the finally.
-        self._admission.admit(principal, weight)
-        try:
-            future = self._pool.submit(
-                self._run,
-                table,
-                table_obj,
-                resolved_query,
-                resolved_config,
-                cache_key if use_cache else None,
-                cancel,
-            )
-            return future.result()
-        finally:
-            self._admission.release(principal, weight)
 
     def _admission_weight(self, table_name: str, config: AtlasConfig) -> int:
         """In-flight slots a request occupies.
@@ -591,9 +620,15 @@ class ExplorationService:
         parallelism = config.parallelism
         if not (parallelism.is_parallel and config.fidelity.is_sketch):
             return 1
-        key = (table_name, self._config_key(config))
-        with self._registry:
-            context = self._contexts.get(key)
+        # Never waits: this runs on the HTTP mount's event loop, and an
+        # append holds the registry while it advances contexts.  A busy
+        # registry charges the request as if no context were live.
+        context = None
+        if self._registry.acquire(blocking=False):
+            try:
+                context = self._live_context(table_name, config)
+            finally:
+                self._registry.release()
         if context is not None:
             if context.has_base_stats:
                 return 1
@@ -601,20 +636,18 @@ class ExplorationService:
         workers = min(parallelism.resolved_workers, parallelism.shards)
         return max(1, min(workers, self._max_inflight))
 
+    def _live_context(  # holds-lock: _registry
+        self, table_name: str, config: AtlasConfig
+    ) -> ExecutionContext | None:
+        return self._contexts.get((table_name, self._config_key(config)))
+
     def handle(
         self, request: ExploreRequest, *, api_key: str | None = None
     ) -> ExploreResponse:
-        """Serve a wire-shaped request (what the HTTP frontends call)."""
-        return self.explore(
-            table=request.table,
-            query=request.query,
-            config=request.config,
-            use_cache=request.use_cache,
-            fidelity=request.fidelity,
-            parallelism=request.parallelism,
-            api_key=api_key,
-            deadline_seconds=request.deadline_seconds,
-        )
+        """Serve a wire-shaped request in process (the HTTP mount runs
+        :meth:`begin` on its event loop instead)."""
+        # The request's fields are explore's parameters, by name.
+        return self.explore(**vars(request), api_key=api_key)
 
     # ------------------------------------------------------------------ #
     # Streaming
@@ -687,7 +720,7 @@ class ExplorationService:
             map_set=map_set, cached=False, elapsed=elapsed
         )
         if cache_key is not None:
-            self._results.put(cache_key, response)
+            self._results.put(cache_key, CachedAnswer(response))
         self._maybe_persist_summary(table_name, table, context, config)
         return response
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -112,6 +113,51 @@ class TestOverwriteAndGenerations:
         catalog.register(make_table(), overwrite=True)
         _, second = catalog.resolve_with_generation("events")
         assert second == first + 1
+
+    def test_lock_free_lookups_see_whole_pairs_under_churn(self):
+        """Readers never take the lock, yet each ``(table, generation)``
+        they see is one that was published: the generation never goes
+        back, nor the version within one generation."""
+        catalog = Catalog()
+        catalog.register(make_table())
+        rows = {"hours": [7.0], "title": ["disk outage"]}
+        stop = threading.Event()
+        errors: list[str] = []
+
+        def read() -> None:
+            last = (0, -1)
+            while not stop.is_set():
+                served = catalog.lookup("events")
+                if served is None:
+                    errors.append("a registered table was unpublished")
+                    return
+                seen = (served[1], served[0].version)
+                if seen < last:
+                    errors.append(f"saw {seen} after {last}")
+                last = seen
+
+        def write(_: int) -> None:
+            for _ in range(5):
+                for _ in range(20):
+                    catalog.append("events", rows, lambda new_table: None)
+                catalog.register(make_table(), overwrite=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        try:
+            for reader in readers:
+                reader.start()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(write, range(4)))
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert catalog.lookup("events")[1] == 21
 
     def test_resolve_caches_identity(self):
         catalog = Catalog()
