@@ -8,7 +8,8 @@ Two concrete column types cover everything the Atlas pipeline needs:
 * :class:`CategoricalColumn` — dictionary encoding: an ``int32`` code per
   row plus a tuple of category labels; code ``-1`` marks missing values.
   The labels live in one :class:`LabelDictionary` shared by every column
-  derived from it; a stored one decodes its text on first use.
+  derived from it; a stored one keeps them as one ``"\\n"``-joined
+  text, loaded on first use.
 
 Columns are immutable after construction (the arrays are flagged
 non-writeable) so tables can share them across selections without copies.
@@ -117,25 +118,24 @@ class Column(abc.ABC):
         return role
 
     def _classify(self) -> ColumnRole:
-        """The uncached verdict behind :meth:`role`."""
-        if len(self) == 0:
+        """The uncached verdict behind :meth:`role` (one distinct count)."""
+        non_missing = len(self) - self.missing_count()
+        if non_missing == 0 or not self._may_be_key():
             return ColumnRole.DIMENSION
-        if self._is_key_like():
+        distinct = self.distinct_count()
+        if distinct / non_missing >= KEY_DISTINCT_RATIO and distinct > 8:
             return ColumnRole.KEY
         if (
             self.kind is ColumnKind.CATEGORICAL
-            and self.distinct_count() > TEXT_CARDINALITY_LIMIT
+            and distinct > TEXT_CARDINALITY_LIMIT
         ):
             return ColumnRole.TEXT
         return ColumnRole.DIMENSION
 
-    def _is_key_like(self) -> bool:
-        """True when the column looks like an identifier (near-unique)."""
-        non_missing = len(self) - self.missing_count()
-        if non_missing == 0:
-            return False
-        distinct = self.distinct_count()
-        return distinct / non_missing >= KEY_DISTINCT_RATIO and distinct > 8
+    def _may_be_key(self) -> bool:
+        """False when the column cannot be an identifier whatever its
+        distinct count (so the count is never taken)."""
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r} n={len(self)}>"
@@ -231,7 +231,7 @@ class NumericColumn(Column):
         valid = self._data[~np.isnan(self._data)]
         return float(valid.std()) if valid.size else float("nan")
 
-    def _is_key_like(self) -> bool:
+    def _may_be_key(self) -> bool:
         """Only integer-valued near-unique numerics look like keys.
 
         A continuous measurement (height, redshift) is distinct on every
@@ -240,11 +240,48 @@ class NumericColumn(Column):
         branch).
         """
         valid = self._data[~np.isnan(self._data)]
-        if valid.size == 0:
-            return False
-        if not np.array_equal(valid, np.trunc(valid)):
-            return False
-        return super()._is_key_like()
+        return bool(np.array_equal(valid, np.trunc(valid)))
+
+
+def label_text(labels: Sequence[str]) -> tuple[str, np.ndarray]:
+    """``labels`` as one text joined by ``"\\n"``, plus each label's
+    length in code points (a label may itself hold a ``"\\n"``)."""
+    lengths = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+    return "\n".join(labels), lengths
+
+
+def _label_starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each label starts in its joined text."""
+    starts = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1] + 1, out=starts[1:])  # +1: the separator
+    return starts
+
+
+def _split_text(text: str, lengths: np.ndarray) -> tuple[str, ...]:
+    """The label tuple of a joined text (inverse of :func:`label_text`)."""
+    if text.count("\n") == len(lengths) - 1:  # no label holds a "\n"
+        return tuple(text.split("\n"))
+    return tuple(
+        text[start:start + length]
+        for start, length in zip(_label_starts(lengths).tolist(), lengths.tolist())
+    )
+
+
+def _scan_index(text: str, lengths: np.ndarray) -> tuple[str, np.ndarray]:
+    """The joined text lowered, plus label start offsets.
+
+    One ``lower()`` over the whole text equals the labels lowered one
+    by one and joined: the separator is not a cased letter, so it ends
+    a final sigma's context.  Only when lowering changes the length
+    (``'İ'`` lowers to two code points) do the offsets move; then the
+    labels are lowered one by one.
+    """
+    lowered = text.lower()
+    if len(lowered) != len(text):
+        lowered, lengths = label_text(
+            [label.lower() for label in _split_text(text, lengths)]
+        )
+    return lowered, _label_starts(lengths)
 
 
 class LabelDictionary:
@@ -252,30 +289,60 @@ class LabelDictionary:
     column derived from it (``with_codes``/``take``/``filter``/``rename``).
 
     ``size`` is known up front, so codes are range-checked without the
-    text.  Without ``labels``, ``decode`` (which validates) runs once, on
-    first use, under a lock; a failed decode fails again on every use.
+    text.  A stored dictionary keeps its :func:`label_text`: ``load``
+    (which validates) returns it on first use, under the lock, and a
+    failed load fails again on every use; the label tuple is sliced
+    from it on the tuple's first read.  One built from labels keeps
+    only those.  :meth:`scan_index`, built once, is what text
+    predicates sweep, so they never build the tuple.
     """
 
-    __slots__ = ("size", "_labels", "_decode", "_lock")
+    __slots__ = ("size", "_labels", "_text", "_load", "_scan", "_lock")
 
-    def __init__(self, size: int, labels=None, decode=None) -> None:
+    def __init__(
+        self,
+        size: int,
+        labels: tuple[str, ...] | None = None,
+        load: Callable[[], tuple[str, np.ndarray]] | None = None,
+    ) -> None:
         self.size: int = size
-        self._labels: tuple[str, ...] | None = labels
-        self._decode: Callable[[], tuple[str, ...]] | None = decode
+        self._labels = labels
+        self._text: tuple[str, np.ndarray] | None = None  # guarded-by: _lock
+        self._load = load  # guarded-by: _lock
+        self._scan: tuple[str, np.ndarray] | None = None  # guarded-by: _lock
         self._lock = threading.Lock()
+
+    def _text_locked(self) -> tuple[str, np.ndarray]:  # holds-lock: _lock
+        if self._text is None:
+            if self._load is None:  # the labels are kept, not their text
+                assert self._labels is not None
+                return label_text(self._labels)
+            self._text = self._load()
+            self._load = None
+        return self._text
+
+    def text(self) -> tuple[str, np.ndarray]:
+        """The labels joined by ``"\\n"`` and their lengths (the stored form)."""
+        with self._lock:
+            return self._text_locked()
 
     @property
     def labels(self) -> tuple[str, ...]:
-        """The label tuple, indexed by code (decoded on first use)."""
+        """The label tuple, indexed by code (sliced on first use)."""
         labels = self._labels
         if labels is None:
             with self._lock:
                 labels = self._labels
                 if labels is None:
-                    assert self._decode is not None
-                    labels = self._labels = self._decode()
-                    self._decode = None
+                    labels = self._labels = _split_text(*self._text_locked())
         return labels
+
+    def scan_index(self) -> tuple[str, np.ndarray]:
+        """The lowered joined text and each label's offset in it."""
+        with self._lock:
+            if self._scan is None:
+                self._scan = _scan_index(*self._text_locked())
+            return self._scan
 
 
 class CategoricalColumn(Column):
@@ -300,13 +367,14 @@ class CategoricalColumn(Column):
 
     @classmethod
     def deferred(
-        cls, name: str, codes: np.ndarray, size: int, decode: Callable
+        cls, name: str, codes: np.ndarray, size: int, load: Callable
     ) -> "CategoricalColumn":
-        """A column whose ``size`` labels come from ``decode`` on first
-        use; the codes are checked against ``size`` now."""
+        """A column whose ``size`` labels' :func:`label_text` comes from
+        ``load`` on first use; the codes are checked against ``size``
+        now."""
         column = cls.__new__(cls)
         Column.__init__(column, name)
-        column._dictionary = LabelDictionary(size, decode=decode)
+        column._dictionary = LabelDictionary(size, load=load)
         column._codes = column._checked(codes)
         return column
 
@@ -374,6 +442,11 @@ class CategoricalColumn(Column):
         return self._dictionary.labels
 
     @property
+    def dictionary(self) -> LabelDictionary:
+        """The shared label holder (stored form, scan index)."""
+        return self._dictionary
+
+    @property
     def n_categories(self) -> int:
         """``len(categories)``, known without decoding the labels."""
         return self._dictionary.size
@@ -424,8 +497,10 @@ class CategoricalColumn(Column):
         return self._codes == MISSING_CODE
 
     def distinct_count(self) -> int:
-        present = np.unique(self._codes[self._codes != MISSING_CODE])
-        return int(present.size)
+        present = self._codes[self._codes >= 0]
+        return int(np.count_nonzero(
+            np.bincount(present, minlength=self._dictionary.size)
+        ))
 
     def value_counts(self) -> dict[str, int]:
         """Mapping label -> occurrence count (missing excluded)."""

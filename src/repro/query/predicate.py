@@ -32,7 +32,6 @@ from __future__ import annotations
 import abc
 import math
 import re
-from bisect import bisect_right
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -384,58 +383,28 @@ class SetPredicate(Predicate):
 #: boundary checks during joined-string scanning.
 _ALNUM = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 
-#: ``categories`` tuple → ``(joined, starts)`` scan index.  Bounded so
-#: a long-lived service over many tables cannot pin every dictionary it
-#: ever served; dict get/set are atomic under the GIL, and a racing
-#: rebuild only wastes work (the entries are pure functions of the key).
-_SCAN_INDEX_CACHE: dict[tuple, tuple[str, list]] = {}
-_SCAN_INDEX_LIMIT = 8
 
-
-def _scan_index(categories: tuple) -> tuple[str, list]:
-    """The lowered labels joined with ``"\\n"`` plus label start offsets.
-
-    Built once per dictionary (label tuples are immutable and shared by
-    every derived column, so the cache keys on the tuple itself) — on
-    document columns with 10^5+ distinct labels the lowering pass alone
-    is worth memoizing across predicates and queries.
-    """
-    cached = _SCAN_INDEX_CACHE.get(categories)
-    if cached is not None:
-        return cached
-    lowered = list(map(str.lower, categories))
-    n = len(lowered)
-    starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        lengths = np.fromiter(map(len, lowered), dtype=np.int64, count=n)
-        np.cumsum(lengths[:-1] + 1, out=starts[1:])  # +1: the separator
-    entry = ("\n".join(lowered), starts.tolist())
-    if len(_SCAN_INDEX_CACHE) >= _SCAN_INDEX_LIMIT:
-        _SCAN_INDEX_CACHE.pop(next(iter(_SCAN_INDEX_CACHE)))
-    _SCAN_INDEX_CACHE[categories] = entry
-    return entry
-
-
-def _scan_labels(categories: tuple, needles) -> np.ndarray:
+def _scan_labels(dictionary, needles) -> np.ndarray:
     """Which dictionary labels pass every ``(needle, token_bounded)`` test.
 
-    One C-speed :meth:`str.find` sweep per needle over the joined
-    lowered labels, mapping hit offsets back to label indices by
-    bisection.  ``token_bounded`` needles additionally require no
-    alphanumeric neighbour on either side — exactly the maximal-run
-    rule of :func:`tokenize_text` (the ``"\\n"`` separator is outside
-    the token alphabet, and needles never contain it, so a hit cannot
-    span two labels).  A confirmed hit skips straight to the next
-    label, so the sweep is bounded by failed boundary checks plus
-    matching labels — milliseconds instead of seconds on document
-    dictionaries with 10^5+ distinct labels.
+    One C-speed :meth:`str.find` sweep per needle over the dictionary's
+    scan index (its joined labels, lowered, built once per dictionary
+    and never split into a tuple); the hit offsets map back to label
+    codes in one ``searchsorted``.  ``token_bounded`` needles
+    additionally require no alphanumeric neighbour on either side —
+    exactly the maximal-run rule of :func:`tokenize_text` (the
+    ``"\\n"`` separator is outside the token alphabet, and needles
+    never contain it, so a hit cannot span two labels, and the next
+    hit can start no earlier than this one ends).  The sweep is bounded
+    by failed boundary checks plus hits — milliseconds instead of
+    seconds on document dictionaries with 10^5+ distinct labels.
     """
-    n = len(categories)
-    joined, starts = _scan_index(categories)
+    n = dictionary.size
+    joined, starts = dictionary.scan_index()
     end = len(joined)
     admitted = np.ones(n, dtype=bool)
     for needle, token_bounded in needles:
-        hits = np.zeros(n, dtype=bool)
+        found = []
         width = len(needle)
         pos = joined.find(needle)
         while pos != -1:
@@ -445,11 +414,10 @@ def _scan_labels(categories: tuple, needles) -> np.ndarray:
             ):
                 pos = joined.find(needle, pos + 1)
                 continue
-            label = bisect_right(starts, pos) - 1
-            hits[label] = True
-            if label + 1 >= n:
-                break
-            pos = joined.find(needle, starts[label + 1])
+            found.append(pos)
+            pos = joined.find(needle, pos + width)
+        hits = np.zeros(n, dtype=bool)
+        hits[np.searchsorted(starts, found, side="right") - 1] = True
         admitted &= hits
         if not admitted.any():
             break
@@ -492,18 +460,20 @@ class ContainsPredicate(Predicate):
 
     def mask(self, table: Table) -> np.ndarray:
         col = table.categorical(self._attribute)
+        return _rows_with_labels(col, self.admitted(col.dictionary), table.n_rows)
+
+    def admitted(self, dictionary) -> np.ndarray:
+        """Per dictionary code: does its label pass this text test?"""
         lowered = self._needle.lower()
         if "\n" in lowered:
             # The needle could span the joined-scan separator; test
             # each label directly (rare: multi-line search strings).
-            admitted = np.fromiter(
-                (lowered in cat.lower() for cat in col.categories),
+            return np.fromiter(
+                (lowered in label.lower() for label in dictionary.labels),
                 dtype=bool,
-                count=len(col.categories),
+                count=dictionary.size,
             )
-        else:
-            admitted = _scan_labels(col.categories, [(lowered, False)])
-        return _rows_with_labels(col, admitted, table.n_rows)
+        return _scan_labels(dictionary, [(lowered, False)])
 
     def admits_label(self, label: str) -> bool:
         """True when a dictionary label passes this text test."""
@@ -585,10 +555,11 @@ class MatchPredicate(Predicate):
 
     def mask(self, table: Table) -> np.ndarray:
         col = table.categorical(self._attribute)
-        admitted = _scan_labels(
-            col.categories, [(term, True) for term in self._terms]
-        )
-        return _rows_with_labels(col, admitted, table.n_rows)
+        return _rows_with_labels(col, self.admitted(col.dictionary), table.n_rows)
+
+    def admitted(self, dictionary) -> np.ndarray:
+        """Per dictionary code: does its label hold every term?"""
+        return _scan_labels(dictionary, [(term, True) for term in self._terms])
 
     def admits_label(self, label: str) -> bool:
         """True when a dictionary label contains every required token."""

@@ -2,21 +2,26 @@
 
 The codec is deliberately dumb: a numeric column persists as its raw
 float64 buffer, a categorical column as its raw int32 code buffer plus
-the dictionary as JSON.  Decoding hands the buffers straight back to
-the column constructors, so a round trip is bit-identical — the
-property the warm-start fingerprint tests pin.
+its dictionary.  Decoding hands the buffers straight back to the column
+constructors, so a round trip is bit-identical — the property the
+warm-start fingerprint tests pin.
 
 Two encodings share the per-column logic:
 
-* **blob rows** (:func:`column_blob` / :func:`column_from_blob`) — the
-  ``columns`` table of :class:`repro.store.store.TableStore`, one BLOB
-  per column per table version;
+* **store rows** (:func:`column_row` / :func:`column_from_blob`) — the
+  ``columns`` table of :class:`repro.store.store.TableStore`, one row
+  per column per table version.  A dictionary is stored as its labels'
+  UTF-8 joined by ``"\\n"``, their int32 lengths, and a CRC-32 over
+  both (:func:`dictionary_row`), written from a column whose labels
+  are known to be unique; :func:`stored_text` checks the CRC the first
+  time the labels are used;
 * **JSON payloads** (:func:`encode_table_payload` /
   :func:`decode_table_payload`) — base64-wrapped blobs inside the
   summary documents, where the reservoir sample travels with its
   sketches.  A reservoir column whose dictionary equals its table's
   is written as codes plus a ``"dictionary": "table"`` marker and
-  decoded against that table's labels: label text is stored once.
+  decoded against that table's labels: label text is stored once.  An
+  inline dictionary there is JSON (:func:`column_blob`).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import zlib
 
 import numpy as np
 
@@ -58,51 +64,109 @@ def column_blob(
     )
 
 
+def dictionary_row(
+    text: str, lengths: np.ndarray
+) -> tuple[bytes, bytes, int]:
+    """A dictionary's stored ``(labels, label_lengths, checksum)``: the
+    UTF-8 of its :func:`~repro.dataset.column.label_text`, the lengths
+    as little-endian int32, and a CRC-32 over both."""
+    data = text.encode("utf-8", "surrogatepass")
+    sizes = np.asarray(lengths, dtype="<i4").tobytes()
+    return data, sizes, zlib.crc32(sizes, zlib.crc32(data))
+
+
+def column_row(column: Column) -> tuple:
+    """One column's stored ``(name, kind, data, labels, n_labels,
+    label_lengths, checksum)``; the dictionary fields are ``None`` for
+    a numeric column."""
+    kind, data, _ = column_blob(column, dictionary=False)
+    if not isinstance(column, CategoricalColumn):
+        return column.name, kind, data, None, None, None, None
+    labels, sizes, checksum = dictionary_row(*column.dictionary.text())
+    return column.name, kind, data, labels, column.n_categories, sizes, checksum
+
+
 def column_from_blob(
     name: str,
     kind: str,
     blob: bytes,
-    aux: str | None,
+    aux: str | bytes | None,
     n_labels: int | None = None,
+    lengths: bytes | None = None,
+    checksum: int | None = None,
     where: str | None = None,
 ) -> Column:
-    """Rebuild one column from its stored row (inverse of
-    :func:`column_blob`).
+    """Rebuild one column from its stored form (inverse of
+    :func:`column_blob` and :func:`column_row`).
 
-    ``where`` names a store row (table and version): its dictionary of
-    ``n_labels`` labels is decoded on first use, and every error names
-    the row.  Without it (a summary document's inline dictionary) the
-    labels are decoded now.
+    Without ``where``, ``aux`` is a summary document's inline JSON
+    dictionary, decoded now.  With it, the arguments are a store row
+    (``aux`` is its label text) and ``where`` names it (table and
+    version): its ``n_labels`` labels load on first use, through
+    :func:`stored_text`, and every error names the row.
     """
     if kind == _NUMERIC:
         return NumericColumn(name, np.frombuffer(blob, dtype=np.float64))
     if kind != _CATEGORICAL:
         raise StoreError(f"unknown stored column kind {kind!r} for {name!r}")
-    if aux is None:
-        raise StoreError(f"stored categorical column {name!r} has no dictionary")
     # The read-only view goes in as is; the constructor makes the one
     # copy that detaches the column from the blob.
     codes = np.frombuffer(blob, dtype=np.int32)
     if where is None:
+        if aux is None:
+            raise StoreError(f"stored categorical column {name!r} has no dictionary")
         return CategoricalColumn(name, codes, json.loads(aux))
     where = f"column {name!r} of {where}"
     if n_labels is None:
         raise StoreError(f"stored dictionary of {where} has no label count")
+    load = functools.partial(stored_text, aux, lengths, checksum, n_labels, where)
     try:
-        return CategoricalColumn.deferred(
-            name, codes, n_labels, functools.partial(stored_labels, aux, n_labels, where)
-        )
+        return CategoricalColumn.deferred(name, codes, n_labels, load)
     except DatasetError as exc:  # codes past the dictionary
         raise StoreError(f"{where}: {exc}") from exc
 
 
+def stored_text(
+    labels: bytes | None,
+    lengths: bytes | None,
+    checksum: int | None,
+    n_labels: int,
+    where: str,
+) -> tuple[str, np.ndarray]:
+    """A stored dictionary's :func:`~repro.dataset.column.label_text`,
+    checked: the CRC-32 over its bytes, ``n_labels`` lengths, and
+    lengths that sum to the text.  Uniqueness was checked when the
+    row was written."""
+    if (
+        labels is None
+        or lengths is None
+        or checksum != zlib.crc32(lengths, zlib.crc32(labels))
+    ):
+        problem = "fails its checksum"
+    elif len(lengths) != 4 * n_labels:
+        problem = f"has {len(lengths)} bytes of lengths, expected {4 * n_labels}"
+    else:
+        sizes = np.frombuffer(lengths, dtype="<i4")
+        try:
+            text = labels.decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError:
+            problem = "is not UTF-8"
+        else:
+            if sizes.min(initial=0) >= 0 and (
+                int(sizes.sum(dtype=np.int64)) + max(n_labels - 1, 0) == len(text)
+            ):
+                return text, sizes
+            problem = "has label lengths that do not fit its text"
+    raise StoreError(f"stored dictionary of {where} {problem}")
+
+
 def stored_labels(aux: str, n_labels: int, where: str) -> tuple[str, ...]:
-    """A stored dictionary's labels, checked in one pass over the JSON
-    list: strings only (a stored label is never coerced), ``n_labels``
-    of them, no duplicates."""
+    """A schema-2 JSON dictionary's labels, checked in one pass:
+    strings only (a stored label is never coerced), ``n_labels`` of
+    them, no duplicates."""
     try:
         labels = json.loads(aux)
-    except ValueError:
+    except (TypeError, ValueError):
         problem = "is not valid JSON"
     else:
         if type(labels) is not list or not set(map(type, labels)) <= {str}:

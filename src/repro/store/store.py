@@ -22,11 +22,10 @@ one lock) durably records three things per registered table:
   back into a ready :class:`~repro.engine.backends.SketchBackend` so a
   restarted service answers its first explore without rescanning.
 
-Text columns are additionally indexed in an FTS5 virtual table when
-the linked SQLite has the extension (probed at open); :meth:`search`
-then answers ``match`` via FTS ``MATCH`` and ``contains`` via ``LIKE``,
-falling back to Python-side matching over the stored dictionaries
-otherwise — same answers either way, the index is a speedup.
+A categorical column's dictionary is stored once, as checksummed text
+(:func:`repro.store.codec.dictionary_row`) that loads on first use.
+:meth:`search` sweeps that text with the text predicates' own scan, so
+its answers are the predicate masks' by construction.
 """
 
 from __future__ import annotations
@@ -38,15 +37,23 @@ import sqlite3
 import threading
 import time
 
-from repro.dataset.column import CategoricalColumn
+from repro.dataset.column import label_text
 from repro.dataset.table import Table
-from repro.errors import AppendConflictError, StoreError
-from repro.query.predicate import tokenize_text
-from repro.store.codec import column_blob, column_from_blob, table_schema
+from repro.errors import AppendConflictError, PredicateError, StoreError
+from repro.query.predicate import ContainsPredicate, MatchPredicate
+from repro.store.codec import (
+    column_from_blob,
+    column_row,
+    dictionary_row,
+    stored_labels,
+    table_schema,
+)
 
-#: 2 added ``columns.n_labels`` and ``append_log.digest``; a version-1
-#: store is migrated in place when opened (:func:`_migrate_v1`).
-_SCHEMA_VERSION = 2
+#: 2 added ``columns.n_labels`` and ``append_log.digest``; 3 stores
+#: dictionaries as checksummed text (``labels``, ``label_lengths``,
+#: ``checksum``) instead of JSON ``aux`` and drops ``label_fts``.  An
+#: older store is migrated in place when opened (:data:`_MIGRATIONS`).
+_SCHEMA_VERSION = 3
 
 
 def open_sqlite(path: str) -> sqlite3.Connection:
@@ -81,8 +88,10 @@ CREATE TABLE IF NOT EXISTS columns (
     name TEXT NOT NULL,
     kind TEXT NOT NULL,
     data BLOB NOT NULL,
-    aux TEXT,
     n_labels INTEGER,
+    labels BLOB,
+    label_lengths BLOB,
+    checksum INTEGER,
     PRIMARY KEY (table_name, version, position)
 );
 CREATE TABLE IF NOT EXISTS append_log (
@@ -106,35 +115,33 @@ CREATE INDEX IF NOT EXISTS idx_append_from
     ON append_log (table_name, from_version);
 """
 
-_CREATE_FTS = """
-CREATE VIRTUAL TABLE IF NOT EXISTS label_fts
-    USING fts5(table_name UNINDEXED, column_name UNINDEXED, label);
-"""
-
-
-def _column_rows(table: Table) -> list[tuple]:
-    """Each column's stored ``(name, kind, data, aux, n_labels)``."""
-    return [
-        (column.name, *column_blob(column), getattr(column, "n_categories", None))
-        for column in table.columns
-    ]
-
-
 def _digest(rows: list) -> str:
-    """blake2b over a delta's stored ``(name, kind, data, aux)`` rows,
-    taken in name order: the delta's column order is not its content."""
+    """blake2b over a delta's stored rows (name, kind, codes or values,
+    label text and lengths), taken in name order: the delta's column
+    order is not its content."""
     digest = hashlib.blake2b(digest_size=16)
-    for name, kind, data, aux, *_ in sorted(rows, key=lambda row: row[0]):
-        for part in (name.encode(), kind.encode(), data, (aux or "").encode()):
+    for name, kind, data, labels, _, lengths, *_ in sorted(rows, key=lambda row: row[0]):
+        for part in (name.encode(), kind.encode(), data, labels or b"", lengths or b""):
             digest.update(len(part).to_bytes(8, "little"))
             digest.update(part)
     return digest.hexdigest()
 
 
+def _stored_rows(conn: sqlite3.Connection, name: str, version: int) -> list:
+    """One table version's stored column rows, in position order and
+    in :func:`repro.store.codec.column_row`'s field order."""
+    return conn.execute(
+        "SELECT name, kind, data, labels, n_labels, label_lengths, checksum "
+        "FROM columns WHERE table_name=? AND version=? ORDER BY position",
+        (name, version),
+    ).fetchall()
+
+
 def _migrate_v1(conn: sqlite3.Connection) -> None:
-    """Schema 1 → 2 in place: count every stored dictionary's labels
-    and digest every logged delta, once.  A dictionary that does not
-    decode keeps a NULL count, which loading reports as corruption."""
+    """Schema 1 → 2 in place: count every stored dictionary's labels,
+    once.  A dictionary that does not decode keeps a NULL count, which
+    loading reports as corruption.  :func:`_migrate_v2` digests the
+    logged deltas."""
     conn.execute("ALTER TABLE columns ADD COLUMN n_labels INTEGER")
     conn.execute("ALTER TABLE append_log ADD COLUMN digest TEXT")
     categorical = "SELECT rowid, aux FROM columns WHERE kind='categorical'"
@@ -144,28 +151,43 @@ def _migrate_v1(conn: sqlite3.Connection) -> None:
                 "UPDATE columns SET n_labels=? WHERE rowid=?",
                 (len(json.loads(aux)), rowid),
             )
+
+
+def _migrate_v2(conn: sqlite3.Connection) -> None:
+    """Schema 2 → 3 in place: each JSON dictionary gets the full check
+    reads used to make and is rewritten as checksummed text; one that
+    fails gets no text, so it fails its checksum on first use.  Then
+    every logged delta is digested over its new rows, and the FTS5
+    copy of the labels, which nothing reads, is dropped."""
+    for column in ("labels BLOB", "label_lengths BLOB", "checksum INTEGER"):
+        conn.execute(f"ALTER TABLE columns ADD COLUMN {column}")
+    categorical = (
+        "SELECT rowid, table_name, version, name, aux, n_labels FROM columns "
+        "WHERE kind='categorical'"
+    )
+    for rowid, table, version, name, aux, n_labels in conn.execute(categorical).fetchall():
+        where = f"column {name!r} of stored table {table!r} at version {version}"
+        with contextlib.suppress(StoreError):
+            labels = label_text(stored_labels(aux, n_labels, where))
+            conn.execute(
+                "UPDATE columns SET labels=?, label_lengths=?, checksum=? WHERE rowid=?",
+                (*dictionary_row(*labels), rowid),
+            )
+    conn.execute("UPDATE columns SET aux=NULL")
     for name, version in conn.execute(
         "SELECT table_name, to_version FROM append_log"
     ).fetchall():
-        delta = conn.execute(
-            "SELECT name, kind, data, aux FROM columns "
-            "WHERE table_name=? AND version=? ORDER BY position",
-            (name, version),
-        ).fetchall()
         conn.execute(
             "UPDATE append_log SET digest=? WHERE table_name=? AND to_version=?",
-            (_digest(delta), name, version),
+            (_digest(_stored_rows(conn, name, version)), name, version),
         )
+    # A SQLite without FTS5 cannot drop the table; it stays, unread.
+    with contextlib.suppress(sqlite3.OperationalError):
+        conn.execute("DROP TABLE IF EXISTS label_fts")
 
 
-def _fts5_available(conn: sqlite3.Connection) -> bool:
-    """Probe whether the linked SQLite carries the FTS5 extension."""
-    try:
-        conn.execute("CREATE VIRTUAL TABLE temp.fts5_probe USING fts5(x)")
-        conn.execute("DROP TABLE temp.fts5_probe")
-        return True
-    except sqlite3.OperationalError:
-        return False
+#: Schema version → the in-place migration to the next one.
+_MIGRATIONS = {1: _migrate_v1, 2: _migrate_v2}
 
 
 class TableStore:
@@ -184,42 +206,30 @@ class TableStore:
         self._conn = open_sqlite(self._path)  # guarded-by: _lock
         with self._lock:
             cursor = self._conn.cursor()
-            self._fts = _fts5_available(self._conn)
             version = cursor.execute("PRAGMA user_version").fetchone()[0]
-            if version == 1:
+            if version in _MIGRATIONS:
                 # Under the write lock, so a second process opening
                 # the same file waits, then finds the store migrated.
                 cursor.execute("BEGIN IMMEDIATE")
-                if cursor.execute("PRAGMA user_version").fetchone()[0] == 1:
-                    _migrate_v1(self._conn)
-                    cursor.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
-                self._conn.commit()
-                version = _SCHEMA_VERSION
+                version = cursor.execute("PRAGMA user_version").fetchone()[0]
+                while version in _MIGRATIONS:
+                    _MIGRATIONS[version](self._conn)
+                    version += 1
+                cursor.execute(f"PRAGMA user_version={version}")
             if version == 0:
                 cursor.executescript(_CREATE)
-                if self._fts:
-                    cursor.executescript(_CREATE_FTS)
                 cursor.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
             elif version != _SCHEMA_VERSION:
                 raise StoreError(
                     f"store database {self._path!r} has schema version "
                     f"{version}; this build speaks {_SCHEMA_VERSION}"
                 )
-            elif self._fts:
-                # A database created by an FTS-less build gains the
-                # index lazily the first time an FTS-capable one opens.
-                cursor.executescript(_CREATE_FTS)
             self._conn.commit()
 
     @property
     def path(self) -> str:
         """Where the store lives (``":memory:"`` or a file path)."""
         return self._path
-
-    @property
-    def has_fts(self) -> bool:
-        """True when text search is answered by the FTS5 index."""
-        return self._fts
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -256,12 +266,13 @@ class TableStore:
                     json.dumps(table_schema(table)),
                 ),
             )
-            self._insert_columns_locked(name, table.version, _column_rows(table))
-            self._index_labels_locked(name, table)
+            self._insert_columns_locked(
+                name, table.version, [column_row(c) for c in table.columns]
+            )
             self._conn.commit()
 
     def delete_table(self, name: str) -> None:
-        """Remove a table, its append log, summaries, and text index."""
+        """Remove a table, its append log, and its summaries."""
         with self._lock:
             self._check_open()
             self._drop_locked(name)
@@ -272,33 +283,16 @@ class TableStore:
         self._conn.execute("DELETE FROM columns WHERE table_name=?", (name,))
         self._conn.execute("DELETE FROM append_log WHERE table_name=?", (name,))
         self._conn.execute("DELETE FROM summaries WHERE table_name=?", (name,))
-        if self._fts:
-            self._conn.execute(
-                "DELETE FROM label_fts WHERE table_name=?", (name,)
-            )
 
     def _insert_columns_locked(  # holds-lock: _lock
         self, name: str, version: int, rows: list[tuple]
     ) -> None:
         self._conn.executemany(
-            "INSERT INTO columns (table_name, version, position, name, "
-            "kind, data, aux, n_labels) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            "INSERT INTO columns (table_name, version, position, name, kind, "
+            "data, labels, n_labels, label_lengths, checksum) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             ((name, version, position, *row) for position, row in enumerate(rows)),
         )
-
-    def _index_labels_locked(  # holds-lock: _lock
-        self, name: str, table: Table
-    ) -> None:
-        if not self._fts:
-            return
-        for column in table.columns:
-            if not isinstance(column, CategoricalColumn):
-                continue
-            self._conn.executemany(
-                "INSERT INTO label_fts (table_name, column_name, label) "
-                "VALUES (?, ?, ?)",
-                ((name, column.name, label) for label in column.categories),
-            )
 
     # ------------------------------------------------------------------ #
     # The append log
@@ -327,7 +321,7 @@ class TableStore:
                 f"append log entries advance one version at a time, got "
                 f"{from_version} -> {to_version}"
             )
-        rows = _column_rows(delta)
+        rows = [column_row(column) for column in delta.columns]
         digest = _digest(rows)
         with self._lock:
             self._check_open()
@@ -359,7 +353,6 @@ class TableStore:
                 (name, from_version, to_version, time.time(), delta.n_rows, digest),
             )
             self._insert_columns_locked(name, to_version, rows)
-            self._index_labels_locked(name, delta)
             self._conn.commit()
             return True
 
@@ -488,11 +481,7 @@ class TableStore:
     def _column_rows_locked(  # holds-lock: _lock
         self, name: str, version: int
     ) -> list:
-        rows = self._conn.execute(
-            "SELECT name, kind, data, aux, n_labels FROM columns "
-            "WHERE table_name=? AND version=? ORDER BY position",
-            (name, version),
-        ).fetchall()
+        rows = _stored_rows(self._conn, name, version)
         if not rows:
             raise StoreError(
                 f"stored table {name!r} has no column buffers at "
@@ -579,104 +568,35 @@ class TableStore:
     ) -> list[str]:
         """Stored labels of ``column`` matching ``text``, sorted.
 
-        ``mode="match"`` is the conjunctive token match of
-        :func:`repro.query.predicate.tokenize_text` (answered by FTS5
-        ``MATCH`` when available); ``mode="contains"`` is the
-        case-insensitive substring test.  Both agree exactly with the
-        corresponding :class:`~repro.query.predicate.Predicate` masks —
-        the index only changes *how fast* the labels are found.
+        ``mode="match"`` keeps the labels holding every token of
+        :func:`repro.query.predicate.tokenize_text`, ``mode="contains"``
+        the ones holding ``text`` in any case: the labels the
+        corresponding :class:`~repro.query.predicate.Predicate` masks
+        admit, found by the same scan over every stored version's
+        dictionary.
         """
-        if mode not in ("match", "contains"):
+        predicates = {"match": MatchPredicate, "contains": ContainsPredicate}
+        if mode not in predicates:
             raise StoreError(f"unknown search mode {mode!r}")
-        limit = max(1, int(limit))
-        if self._fts:
-            labels = self._search_fts(name, column, text, mode)
-        else:
-            labels = self._search_python(name, column, text, mode)
-        return sorted(labels)[:limit]
-
-    def _search_fts(
-        self, name: str, column: str, text: str, mode: str
-    ) -> set[str]:
-        if mode == "match":
-            terms = tokenize_text(text)
-            if not terms:
-                raise StoreError("match needs at least one token")
-            fts_query = " ".join(f'"{term}"' for term in dict.fromkeys(terms))
-            sql = (
-                "SELECT DISTINCT label FROM label_fts "
-                "WHERE table_name=? AND column_name=? AND label MATCH ?"
-            )
-            params: tuple = (name, column, fts_query)
-        else:
-            if not text:
-                raise StoreError("contains needs a non-empty needle")
-            escaped = (
-                text.replace("\\", "\\\\")
-                .replace("%", "\\%")
-                .replace("_", "\\_")
-            )
-            sql = (
-                "SELECT DISTINCT label FROM label_fts "
-                "WHERE table_name=? AND column_name=? "
-                "AND label LIKE ? ESCAPE '\\'"
-            )
-            params = (name, column, f"%{escaped}%")
+        try:
+            predicate = predicates[mode](column, text)
+        except PredicateError as exc:
+            raise StoreError(f"cannot search {column!r} for {text!r}: {exc}") from exc
         with self._lock:
             self._check_open()
-            rows = self._conn.execute(sql, params).fetchall()
-        found = {row["label"] for row in rows}
-        if mode == "match":
-            # FTS5's tokenizer can differ from ours on edge cases
-            # (unicode, embedded digits); re-filter so the answer is
-            # exactly the predicate semantics.
-            required = set(tokenize_text(text))
-            found = {
-                label
-                for label in found
-                if required <= set(tokenize_text(label))
-            }
-        return found
-
-    def _search_python(
-        self, name: str, column: str, text: str, mode: str
-    ) -> set[str]:
-        labels = self._stored_labels(name, column)
-        if mode == "match":
-            required = set(tokenize_text(text))
-            if not required:
-                raise StoreError("match needs at least one token")
-            return {
-                label
-                for label in labels
-                if required <= set(tokenize_text(label))
-            }
-        if not text:
-            raise StoreError("contains needs a non-empty needle")
-        needle = text.lower()
-        return {label for label in labels if needle in label.lower()}
-
-    def _stored_labels(self, name: str, column: str) -> set[str]:
-        """Union of the column's dictionaries across all stored versions."""
-        with self._lock:
-            self._check_open()
-            if (
-                self._conn.execute(
-                    "SELECT 1 FROM tables WHERE name=?", (name,)
-                ).fetchone()
-                is None
-            ):
-                raise StoreError(f"unknown stored table {name!r}")
+            self._current_version_locked(name)  # a typed error if unknown
             rows = self._conn.execute(
-                "SELECT aux FROM columns WHERE table_name=? AND name=? "
+                "SELECT version, name, kind, data, labels, n_labels, label_lengths, "
+                "checksum FROM columns WHERE table_name=? AND name=? "
                 "AND kind='categorical'",
                 (name, column),
             ).fetchall()
-        labels: set[str] = set()
-        for row in rows:
-            if row["aux"]:
-                labels.update(json.loads(row["aux"]))
-        return labels
+        found: set[str] = set()
+        for version, *row in rows:
+            stored = column_from_blob(*row, f"stored table {name!r} at version {version}")
+            admitted = predicate.admitted(stored.dictionary).nonzero()[0]
+            found.update(stored.categories[code] for code in admitted.tolist())
+        return sorted(found)[: max(1, int(limit))]
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -1,17 +1,21 @@
 """Unit tests for typed columns."""
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.column import (
     MISSING_CODE,
     CategoricalColumn,
     NumericColumn,
     column_from_values,
+    label_text,
 )
 from repro.dataset.types import ColumnKind, ColumnRole
 from repro.errors import DatasetError
@@ -119,6 +123,23 @@ class TestCategoricalColumn:
             col.codes[0] = 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.integers(min_value=0, max_value=6),
+    codes=st.lists(st.integers(min_value=-1, max_value=5), max_size=40),
+)
+@example(size=3, codes=[-1, -1])  # every row missing
+@example(size=5, codes=[1, 1, 3])  # unused labels
+@example(size=0, codes=[])  # no rows, no labels
+@example(size=2, codes=[])  # no rows
+def test_categorical_distinct_count_agrees_with_unique(size, codes):
+    """Counted by ``bincount`` presence: equal to a hash-based count,
+    also with every row missing, unused labels, or no rows at all."""
+    codes = np.array([code for code in codes if code < size], dtype=np.int32)
+    col = CategoricalColumn("c", codes, [f"label {i}" for i in range(size)])
+    assert col.distinct_count() == np.unique(codes[codes != MISSING_CODE]).size
+
+
 class TestRoleClassification:
     def test_low_cardinality_is_dimension(self):
         col = CategoricalColumn.from_values("c", ["a", "b"] * 50)
@@ -163,6 +184,20 @@ class TestRoleCache:
         monkeypatch.setattr(NumericColumn, "distinct_count", counting)
         assert col.role() is ColumnRole.KEY
         assert col.role() is ColumnRole.KEY
+        assert len(calls) == 1
+
+    def test_a_categorical_verdict_counts_distinct_labels_once(self, monkeypatch):
+        labels = [f"comment-{i}" for i in range(1500)] * 3
+        col = CategoricalColumn.from_values("comment", labels)
+        calls = []
+        original = CategoricalColumn.distinct_count
+
+        def counting(self):
+            calls.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(CategoricalColumn, "distinct_count", counting)
+        assert col.role() is ColumnRole.TEXT  # past the key test, then TEXT
         assert len(calls) == 1
 
     def test_derived_columns_judge_their_own_rows(self):
@@ -248,7 +283,9 @@ class TestInheritedDictionary:
 
 class TestDeferredDictionary:
     """A deferred column knows its dictionary's size up front and
-    decodes the labels once, on first use, shared by every derivative."""
+    decodes the labels once, on first use, shared by every derivative.
+    ``decode`` gives the labels; the loader hands them over in their
+    stored form, :func:`label_text`."""
 
     LABELS = ("a", "b", "c")
 
@@ -257,7 +294,7 @@ class TestDeferredDictionary:
 
         def count_calls():
             calls.append(1)
-            return (decode or (lambda: self.LABELS))()
+            return label_text((decode or (lambda: self.LABELS))())
 
         codes = np.array([0, 2, -1, 1, 0], dtype=np.int32)
         return CategoricalColumn.deferred("c", codes, 3, count_calls), calls
@@ -303,6 +340,33 @@ class TestDeferredDictionary:
         assert calls == [1]
         assert all(labels is seen[0] for labels in seen)
         assert seen[0] == self.LABELS
+
+    def test_eight_threads_share_one_scan_index_and_one_load(self):
+        gate = threading.Barrier(8)
+
+        def slow():
+            time.sleep(0.05)  # every reader arrives while the load runs
+            return self.LABELS
+
+        col, calls = self.deferred(slow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def read(index):
+                gate.wait(timeout=10)
+                if index % 2:
+                    return col.dictionary.scan_index()
+                return col.categories, col.dictionary.scan_index()[0]
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(read, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [1]
+        index = col.dictionary.scan_index()
+        assert all(s is index for s in seen[1::2])
+        assert all(s == (self.LABELS, index[0]) for s in seen[::2])
+        assert index[0] == "a\nb\nc" and index[1].tolist() == [0, 2, 4]
 
     def test_a_failed_decode_fails_on_every_use(self):
         def corrupt():

@@ -13,7 +13,7 @@ from repro.core.config import (
     Parallelism,
 )
 from repro.datagen import census_table
-from repro.dataset.column import CategoricalColumn
+from repro.dataset.column import CategoricalColumn, label_text
 from repro.dataset.table import Table
 from repro.engine import parallel
 from repro.engine.context import ExecutionContext
@@ -229,7 +229,7 @@ class TestExecutors:
             def decode():
                 decodes.append(column.name)
                 time.sleep(0.001)
-                return column.categories
+                return label_text(column.categories)
 
             return CategoricalColumn.deferred(
                 column.name, column.codes, len(column.categories), decode

@@ -9,6 +9,7 @@ from repro.dataset.column import CategoricalColumn, NumericColumn
 from repro.dataset.table import Table
 from repro.datagen import census_table
 from repro.errors import AppendConflictError, StoreError
+from repro.query.predicate import ContainsPredicate, MatchPredicate
 from repro.service import ExplorationService
 from repro.service.protocol import error_from_payload, error_to_dict
 from repro.store import TableStore
@@ -265,15 +266,21 @@ class TestSearch:
             "events", "title", "time", mode="contains"
         ) == ["network timeout"]
 
-    def test_python_fallback_agrees_with_index(self, indexed):
-        for mode in ("match", "contains"):
-            indexed_labels = indexed.search(
-                "events", "title", "disk", mode=mode
+    def test_search_agrees_with_the_predicate_over_appended_versions(self, indexed):
+        table = indexed.load_table("events")
+        for titles in (["DISK meltdown", "Straße timeout"], ["ΟΔΟΣ disk-error", "x"]):
+            delta = table.coerce_delta({"hours": [5.0] * 2, "title": titles})
+            indexed.append(
+                "events", delta, from_version=table.version, to_version=table.version + 1
             )
-            fallback = indexed._search_python(
-                "events", "title", "disk", mode
-            )
-            assert indexed_labels == sorted(fallback)
+            table = table.append(delta)
+        title = table.categorical("title")
+        predicates = {"match": MatchPredicate, "contains": ContainsPredicate}
+        for text in ("disk", "timeout", "straße", "disk error", "e", "οδος"):
+            for mode in ("match", "contains")[text == "οδος":]:  # no token in it
+                admitted = predicates[mode]("title", text).admitted(title.dictionary)
+                expected = sorted(np.asarray(title.categories)[admitted])
+                assert indexed.search("events", "title", text, mode=mode) == expected
 
     def test_appended_labels_are_searchable(self, indexed):
         table = indexed.load_table("events")
