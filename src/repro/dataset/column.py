@@ -13,6 +13,9 @@ Two concrete column types cover everything the Atlas pipeline needs:
 
 Columns are immutable after construction (the arrays are flagged
 non-writeable) so tables can share them across selections without copies.
+A stored column (``NumericColumn.stored`` / ``CategoricalColumn.stored``)
+knows its length up front and loads its buffer from a :class:`Deferred`
+on first read; a column built from values pays nothing for this.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import abc
 import threading
 from collections.abc import Callable, Iterable, Sequence
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -33,6 +37,27 @@ from repro.errors import DatasetError
 
 #: Sentinel code for a missing categorical value.
 MISSING_CODE = -1
+
+T = TypeVar("T")
+
+
+class Deferred(Generic[T]):
+    """A value loaded on first use: the first :meth:`get` runs ``load``
+    under the holder's lock; a failed load keeps the loader, so it fails
+    again on every read."""
+
+    __slots__ = ("_value", "_load", "_lock")
+
+    def __init__(self, load: Callable[[], T]) -> None:
+        self._value: T  # guarded-by: _lock
+        self._load: Callable[[], T] | None = load  # guarded-by: _lock
+        self._lock = threading.Lock()
+
+    def get(self) -> T:
+        with self._lock:
+            if self._load is not None:
+                self._value, self._load = self._load(), None
+            return self._value
 
 
 class Column(abc.ABC):
@@ -149,6 +174,42 @@ def _as_readonly(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_codes(name: str, codes: np.ndarray, size: int) -> None:
+    """Raise :class:`DatasetError` unless ``codes`` is 1-D and every
+    code indexes a dictionary of ``size`` labels or is missing."""
+    if codes.ndim != 1:
+        raise DatasetError(
+            f"categorical column {name!r} needs 1-D codes, got shape {codes.shape}"
+        )
+    if codes.size and (codes.max() >= size or codes.min() < MISSING_CODE):
+        raise DatasetError(f"categorical column {name!r} has out-of-range codes")
+
+
+class _Stored(Column):
+    """A stored column: its length is known up front, and its buffer
+    (the slot named ``_BUFFER``) is ``_buffer``'s, loaded on first read."""
+
+    __slots__ = ()
+    _BUFFER: str
+    _length: int
+    _buffer: Deferred[np.ndarray]
+
+    def __init__(self, name: str, length: int, load: Callable[[], np.ndarray]) -> None:
+        Column.__init__(self, name)
+        self._length, self._buffer = length, Deferred(load)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getattr__(self, attr: str) -> np.ndarray:
+        # Reached only while the slot is unset: later reads are plain.
+        if attr != self._BUFFER:
+            raise AttributeError(attr)
+        buffer = self._buffer.get()
+        setattr(self, attr, buffer)
+        return buffer
+
+
 class NumericColumn(Column):
     """Dense float64 column; ``NaN`` encodes missing values."""
 
@@ -162,6 +223,11 @@ class NumericColumn(Column):
                 f"numeric column {name!r} needs a 1-D array, got shape {data.shape}"
             )
         self._data = _as_readonly(data)
+
+    @staticmethod
+    def stored(name: str, length: int, load: Callable[[], np.ndarray]) -> "NumericColumn":
+        """``length`` values that ``load`` returns, read-only, on first read."""
+        return _StoredNumeric(name, length, load)
 
     @property
     def kind(self) -> ColumnKind:
@@ -289,15 +355,15 @@ class LabelDictionary:
     column derived from it (``with_codes``/``take``/``filter``/``rename``).
 
     ``size`` is known up front, so codes are range-checked without the
-    text.  A stored dictionary keeps its :func:`label_text`: ``load``
-    (which validates) returns it on first use, under the lock, and a
-    failed load fails again on every use; the label tuple is sliced
-    from it on the tuple's first read.  One built from labels keeps
-    only those.  :meth:`scan_index`, built once, is what text
-    predicates sweep, so they never build the tuple.
+    text.  A stored dictionary keeps its :func:`label_text` in a
+    :class:`Deferred` holder: ``load`` (which validates) runs on first
+    use, and a failed load fails again on every use; the label tuple
+    is sliced from the text on the tuple's first read.  One built from
+    labels keeps only those.  :meth:`scan_index`, built once, is what
+    text predicates sweep, so they never build the tuple.
     """
 
-    __slots__ = ("size", "_labels", "_text", "_load", "_scan", "_lock")
+    __slots__ = ("size", "_labels", "_stored", "_scan", "_lock")
 
     def __init__(
         self,
@@ -307,24 +373,16 @@ class LabelDictionary:
     ) -> None:
         self.size: int = size
         self._labels = labels
-        self._text: tuple[str, np.ndarray] | None = None  # guarded-by: _lock
-        self._load = load  # guarded-by: _lock
+        self._stored = None if load is None else Deferred(load)
         self._scan: tuple[str, np.ndarray] | None = None  # guarded-by: _lock
         self._lock = threading.Lock()
 
-    def _text_locked(self) -> tuple[str, np.ndarray]:  # holds-lock: _lock
-        if self._text is None:
-            if self._load is None:  # the labels are kept, not their text
-                assert self._labels is not None
-                return label_text(self._labels)
-            self._text = self._load()
-            self._load = None
-        return self._text
-
     def text(self) -> tuple[str, np.ndarray]:
         """The labels joined by ``"\\n"`` and their lengths (the stored form)."""
-        with self._lock:
-            return self._text_locked()
+        if self._stored is None:  # the labels are kept, not their text
+            assert self._labels is not None
+            return label_text(self._labels)
+        return self._stored.get()
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -334,14 +392,14 @@ class LabelDictionary:
             with self._lock:
                 labels = self._labels
                 if labels is None:
-                    labels = self._labels = _split_text(*self._text_locked())
+                    labels = self._labels = _split_text(*self.text())
         return labels
 
     def scan_index(self) -> tuple[str, np.ndarray]:
         """The lowered joined text and each label's offset in it."""
         with self._lock:
             if self._scan is None:
-                self._scan = _scan_index(*self._text_locked())
+                self._scan = _scan_index(*self.text())
             return self._scan
 
 
@@ -365,30 +423,21 @@ class CategoricalColumn(Column):
         self._dictionary = LabelDictionary(len(labels), labels)
         self._codes = self._checked(codes)
 
-    @classmethod
-    def deferred(
-        cls, name: str, codes: np.ndarray, size: int, load: Callable
+    @staticmethod
+    def stored(
+        name: str, length: int, load: Callable[[], np.ndarray], dictionary: LabelDictionary
     ) -> "CategoricalColumn":
-        """A column whose ``size`` labels' :func:`label_text` comes from
-        ``load`` on first use; the codes are checked against ``size``
-        now."""
-        column = cls.__new__(cls)
-        Column.__init__(column, name)
-        column._dictionary = LabelDictionary(size, load=load)
-        column._codes = column._checked(codes)
+        """``length`` codes over ``dictionary`` that ``load`` returns,
+        read-only and range-checked, on first read."""
+        column = _StoredCategorical(name, length, load)
+        column._dictionary = dictionary
         return column
 
     def _checked(self, codes: np.ndarray) -> np.ndarray:
         """``codes`` as a read-only int32 copy, range-checked against
         the dictionary."""
         codes = np.asarray(codes, dtype=np.int32)
-        if codes.ndim != 1:
-            raise DatasetError(
-                f"categorical column {self.name!r} needs 1-D codes, got shape {codes.shape}"
-            )
-        if codes.size and (codes.max() >= self._dictionary.size
-                           or codes.min() < MISSING_CODE):
-            raise DatasetError(f"categorical column {self.name!r} has out-of-range codes")
+        check_codes(self.name, codes, self._dictionary.size)
         return _as_readonly(codes)
 
     def with_codes(self, codes: np.ndarray) -> "CategoricalColumn":
@@ -516,6 +565,16 @@ class CategoricalColumn(Column):
             None if code == MISSING_CODE else categories[code]
             for code in self._codes
         ]
+
+
+class _StoredNumeric(_Stored, NumericColumn):
+    __slots__ = ("_length", "_buffer")
+    _BUFFER = "_data"
+
+
+class _StoredCategorical(_Stored, CategoricalColumn):
+    __slots__ = ("_length", "_buffer")
+    _BUFFER = "_codes"
 
 
 def column_from_values(name: str, values: Iterable[object]) -> Column:

@@ -8,13 +8,13 @@ warm-start fingerprint tests pin.
 
 Two encodings share the per-column logic:
 
-* **store rows** (:func:`column_row` / :func:`column_from_blob`) — the
+* **store rows** (:func:`column_row` / :func:`stored_column`) — the
   ``columns`` table of :class:`repro.store.store.TableStore`, one row
   per column per table version.  A dictionary is stored as its labels'
   UTF-8 joined by ``"\\n"``, their int32 lengths, and a CRC-32 over
   both (:func:`dictionary_row`), written from a column whose labels
-  are known to be unique; :func:`stored_text` checks the CRC the first
-  time the labels are used;
+  are known to be unique.  :func:`stored_column` builds a column from a
+  row's metadata; its buffers are fetched and checked on first use;
 * **JSON payloads** (:func:`encode_table_payload` /
   :func:`decode_table_payload`) — base64-wrapped blobs inside the
   summary documents, where the reservoir sample travels with its
@@ -27,19 +27,24 @@ Two encodings share the per-column logic:
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import zlib
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.dataset.column import CategoricalColumn, Column, NumericColumn
+from repro.dataset.column import (
+    CategoricalColumn, Column, LabelDictionary, NumericColumn, check_codes,
+)
 from repro.dataset.table import Table
 from repro.errors import DatasetError, StoreError
 
 #: Column kinds the codec understands, by tag stored on disk.
 _NUMERIC = "numeric"
 _CATEGORICAL = "categorical"
+
+#: Each kind's stored buffer element: float64 values or int32 codes.
+_DTYPES = {_NUMERIC: np.dtype(np.float64), _CATEGORICAL: np.dtype(np.int32)}
 
 
 def column_blob(
@@ -87,43 +92,59 @@ def column_row(column: Column) -> tuple:
 
 
 def column_from_blob(
-    name: str,
-    kind: str,
-    blob: bytes,
-    aux: str | bytes | None,
-    n_labels: int | None = None,
-    lengths: bytes | None = None,
-    checksum: int | None = None,
-    where: str | None = None,
+    name: str, kind: str, blob: bytes, aux: str | None
 ) -> Column:
-    """Rebuild one column from its stored form (inverse of
-    :func:`column_blob` and :func:`column_row`).
-
-    Without ``where``, ``aux`` is a summary document's inline JSON
-    dictionary, decoded now.  With it, the arguments are a store row
-    (``aux`` is its label text) and ``where`` names it (table and
-    version): its ``n_labels`` labels load on first use, through
-    :func:`stored_text`, and every error names the row.
-    """
+    """Rebuild one column from a summary document's stored form (inverse
+    of :func:`column_blob`); ``aux`` is its inline JSON dictionary."""
     if kind == _NUMERIC:
         return NumericColumn(name, np.frombuffer(blob, dtype=np.float64))
     if kind != _CATEGORICAL:
         raise StoreError(f"unknown stored column kind {kind!r} for {name!r}")
+    if aux is None:
+        raise StoreError(f"stored categorical column {name!r} has no dictionary")
     # The read-only view goes in as is; the constructor makes the one
     # copy that detaches the column from the blob.
-    codes = np.frombuffer(blob, dtype=np.int32)
-    if where is None:
-        if aux is None:
-            raise StoreError(f"stored categorical column {name!r} has no dictionary")
-        return CategoricalColumn(name, codes, json.loads(aux))
-    where = f"column {name!r} of {where}"
+    return CategoricalColumn(name, np.frombuffer(blob, dtype=np.int32), json.loads(aux))
+
+
+def stored_column(
+    name: str, kind: str, n_rows: int, size: int, n_labels: int | None, where: str,
+    data: Callable[[], bytes], text: Callable[[], tuple]
+) -> Column:
+    """A store row's column from its metadata: ``n_rows`` rows in a
+    ``size``-byte buffer (checked now).  ``data`` fetches the buffer and
+    ``text`` the dictionary's ``(labels, label_lengths, checksum)`` on
+    first use, when they are checked; every error names ``where``."""
+    if kind not in _DTYPES:
+        raise StoreError(f"{where} has unknown kind {kind!r}")
+    dtype = _DTYPES[kind]
+    if size != n_rows * dtype.itemsize:
+        raise StoreError(
+            f"{where} holds {size} bytes, expected {n_rows * dtype.itemsize} for {n_rows} rows"
+        )
+    if kind == _NUMERIC:
+        return NumericColumn.stored(name, n_rows, lambda: np.frombuffer(data(), dtype=dtype))
+    dictionary = stored_dictionary(n_labels, text, where)
+
+    def codes() -> np.ndarray:
+        array = np.frombuffer(data(), dtype=dtype)
+        try:
+            check_codes(name, array, dictionary.size)
+        except DatasetError as exc:  # codes past the dictionary
+            raise StoreError(f"{where}: {exc}") from exc
+        return array
+
+    return CategoricalColumn.stored(name, n_rows, codes, dictionary)
+
+
+def stored_dictionary(
+    n_labels: int | None, text: Callable[[], tuple], where: str
+) -> LabelDictionary:
+    """``n_labels`` labels whose ``text`` (``labels, label_lengths,
+    checksum``) is fetched and checked by :func:`stored_text` on first use."""
     if n_labels is None:
         raise StoreError(f"stored dictionary of {where} has no label count")
-    load = functools.partial(stored_text, aux, lengths, checksum, n_labels, where)
-    try:
-        return CategoricalColumn.deferred(name, codes, n_labels, load)
-    except DatasetError as exc:  # codes past the dictionary
-        raise StoreError(f"{where}: {exc}") from exc
+    return LabelDictionary(n_labels, load=lambda: stored_text(*text(), n_labels, where))
 
 
 def stored_text(

@@ -23,9 +23,14 @@ one lock) durably records three things per registered table:
   restarted service answers its first explore without rescanning.
 
 A categorical column's dictionary is stored once, as checksummed text
-(:func:`repro.store.codec.dictionary_row`) that loads on first use.
-:meth:`search` sweeps that text with the text predicates' own scan, so
-its answers are the predicate masks' by construction.
+(:func:`repro.store.codec.dictionary_row`).  :meth:`search` sweeps that
+text with the text predicates' own scan, so its answers are the
+predicate masks' by construction.
+
+:meth:`TableStore.load_table` reads row metadata only; each buffer
+(values, codes, label text) is fetched by rowid and checked on first
+use, and stays readable for the table's whole life (DESIGN, "Buffers
+on first use").
 """
 
 from __future__ import annotations
@@ -33,18 +38,22 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 import sqlite3
 import threading
 import time
+import weakref
+from pathlib import Path
 
-from repro.dataset.column import label_text
+from repro.dataset.column import Column, label_text
 from repro.dataset.table import Table
 from repro.errors import AppendConflictError, PredicateError, StoreError
 from repro.query.predicate import ContainsPredicate, MatchPredicate
 from repro.store.codec import (
-    column_from_blob,
     column_row,
     dictionary_row,
+    stored_column,
+    stored_dictionary,
     stored_labels,
     table_schema,
 )
@@ -127,6 +136,18 @@ def _digest(rows: list) -> str:
     return digest.hexdigest()
 
 
+class _Buffer:
+    """A loaded table's stored buffer: ``fields`` (a SELECT list) of the
+    row ``key`` (rowid, table, created), fetched on first use; ``pinned``
+    keeps the fetched row, so a failed check fails again alike."""
+
+    __slots__ = ("key", "fields", "size", "where", "pinned", "__weakref__")
+
+    def __init__(self, key: tuple, fields: str, size: int | None, where: str) -> None:
+        self.key, self.fields, self.size, self.where = key, fields, size, where
+        self.pinned: tuple | None = None
+
+
 def _stored_rows(conn: sqlite3.Connection, name: str, version: int) -> list:
     """One table version's stored column rows, in position order and
     in :func:`repro.store.codec.column_row`'s field order."""
@@ -201,9 +222,13 @@ class TableStore:
 
     def __init__(self, path: str = ":memory:"):
         self._path = str(path)
+        # Where reads after close() find a file store.
+        self._file = None if self._path == ":memory:" else os.path.abspath(self._path)
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
         self._conn = open_sqlite(self._path)  # guarded-by: _lock
+        # Buffers of loaded tables not fetched yet (see _Buffer).
+        self._pending: weakref.WeakSet[_Buffer] = weakref.WeakSet()  # guarded-by: _lock
         with self._lock:
             cursor = self._conn.cursor()
             version = cursor.execute("PRAGMA user_version").fetchone()[0]
@@ -242,6 +267,8 @@ class TableStore:
         starts there, so registering an already-appended table is fine.
         """
         name = table.name
+        # Outside the lock: a table loaded from this store fetches through it.
+        rows = [column_row(c) for c in table.columns]
         with self._lock:
             self._check_open()
             exists = self._conn.execute(
@@ -266,9 +293,7 @@ class TableStore:
                     json.dumps(table_schema(table)),
                 ),
             )
-            self._insert_columns_locked(
-                name, table.version, [column_row(c) for c in table.columns]
-            )
+            self._insert_columns_locked(name, table.version, rows)
             self._conn.commit()
 
     def delete_table(self, name: str) -> None:
@@ -279,6 +304,7 @@ class TableStore:
             self._conn.commit()
 
     def _drop_locked(self, name: str) -> None:  # holds-lock: _lock
+        self._pin_locked(name)
         self._conn.execute("DELETE FROM tables WHERE name=?", (name,))
         self._conn.execute("DELETE FROM columns WHERE table_name=?", (name,))
         self._conn.execute("DELETE FROM append_log WHERE table_name=?", (name,))
@@ -425,69 +451,107 @@ class TableStore:
         }
 
     def load_table(self, name: str) -> Table:
-        """The current table: decoded base + full append-log replay.
+        """The current table: stored base + full append-log replay.
 
-        Replay goes through :meth:`repro.dataset.table.Table.append`
-        with the recorded coerced deltas, so versions, row order, and
-        categorical dictionary-union order all come back bit-identical
-        to the table the writing process last held.
+        Buffers load on first use.  Replay goes through
+        :meth:`repro.dataset.table.Table.append` with the recorded
+        coerced deltas (loading what it concatenates), so versions, row
+        order, and categorical dictionary-union order all come back
+        bit-identical to the table the writing process last held.
         """
         with self._lock:
             self._check_open()
             row = self._conn.execute(
-                "SELECT base_version, base_rows FROM tables WHERE name=?",
+                "SELECT created, base_version, base_rows FROM tables WHERE name=?",
                 (name,),
             ).fetchone()
             if row is None:
                 raise StoreError(f"unknown stored table {name!r}")
-            base_version = int(row["base_version"])
             log = self._conn.execute(
-                "SELECT from_version, to_version FROM append_log "
+                "SELECT from_version, to_version, n_rows FROM append_log "
                 "WHERE table_name=? ORDER BY to_version",
                 (name,),
             ).fetchall()
-            versions = [base_version] + [r["to_version"] for r in log]
-            stored = {
-                version: self._column_rows_locked(name, version)
-                for version in versions
-            }
-        # Decoded with the lock released; label dictionaries only get
-        # their size checked here and decode on first use.  Each
-        # version's raw rows are dropped as soon as they are decoded.
-        decoded = {
-            version: [
-                column_from_blob(*r, f"stored table {name!r} at version {version}")
-                for r in stored.pop(version)
-            ]
-            for version in versions
-        }
-        table = Table(decoded[base_version], name=name)
-        table._version = base_version
-        if table.n_rows != int(row["base_rows"]):
-            raise StoreError(
-                f"stored base of {name!r} decoded to {table.n_rows} rows, "
-                f"expected {row['base_rows']}"
-            )
+            n_rows = {int(row["base_version"]): int(row["base_rows"])}
+            n_rows.update((entry["to_version"], entry["n_rows"]) for entry in log)
+            by_version: dict[int, list] = {version: [] for version in n_rows}
+            for meta in self._conn.execute(
+                "SELECT rowid, version, name, kind, n_labels, length(data) AS size "
+                "FROM columns WHERE table_name=? ORDER BY version, position",
+                (name,),
+            ):
+                if meta["version"] in by_version:
+                    by_version[meta["version"]].append(self._column_locked(
+                        name, row["created"], n_rows[meta["version"]], meta
+                    ))
+        for version, columns in by_version.items():
+            if not columns:
+                raise StoreError(
+                    f"stored table {name!r} has no column buffers at version {version}"
+                )
+        table = Table(by_version[int(row["base_version"])], name=name)
+        table._version = int(row["base_version"])
         for entry in log:
             if entry["from_version"] != table.version:
                 raise StoreError(
                     f"append log of {name!r} has a gap: entry starts at "
                     f"{entry['from_version']}, table is at {table.version}"
                 )
-            delta = Table(decoded[entry["to_version"]], name=f"{name}_delta")
+            delta = Table(by_version[entry["to_version"]], name=f"{name}_delta")
             table = table.append(delta)
         return table
 
-    def _column_rows_locked(  # holds-lock: _lock
-        self, name: str, version: int
-    ) -> list:
-        rows = _stored_rows(self._conn, name, version)
-        if not rows:
-            raise StoreError(
-                f"stored table {name!r} has no column buffers at "
-                f"version {version}"
-            )
-        return rows
+    def _column_locked(  # holds-lock: _lock
+        self, name: str, created: float, n_rows: int, meta: sqlite3.Row
+    ) -> Column:
+        """One column row's column, its buffer and label text deferred."""
+        where = f"column {meta['name']!r} of stored table {name!r} at version {meta['version']}"
+        key = (meta["rowid"], name, created)
+        data = _Buffer(key, "data", meta["size"], where)
+        text = _Buffer(key, "labels, label_lengths, checksum", None, where)
+        self._pending.add(data)
+        if meta["kind"] == "categorical":
+            self._pending.add(text)
+        return stored_column(
+            meta["name"], meta["kind"], n_rows, meta["size"], meta["n_labels"], where,
+            lambda: self._fetch(data)[0], lambda: self._fetch(text),
+        )
+
+    def _fetch(self, buffer: _Buffer) -> tuple:
+        with self._lock:
+            if buffer.pinned is None:
+                buffer.pinned = self._select_locked(buffer)
+            return buffer.pinned
+
+    def _select_locked(self, buffer: _Buffer) -> tuple:  # holds-lock: _lock
+        """``buffer``'s row, guarded by its table's ``created`` stamp and
+        its byte size, read after close() through a read-only connection."""
+        query = (
+            f"SELECT {buffer.fields} FROM columns JOIN tables ON tables.name=table_name "
+            "WHERE columns.rowid=? AND table_name=? AND created=?"
+        )
+        try:
+            if not self._closed:
+                row = self._conn.execute(query, buffer.key).fetchone()
+            elif self._file is None:
+                raise StoreError(f"store {self._path!r} is closed")
+            else:
+                uri = Path(self._file).as_uri() + "?mode=ro"
+                with contextlib.closing(sqlite3.connect(uri, uri=True)) as conn:
+                    row = conn.execute(query, buffer.key).fetchone()
+        except sqlite3.Error as exc:
+            raise StoreError(f"cannot read {buffer.where}: {exc}") from exc
+        if row is None or (buffer.size is not None and len(row[0]) != buffer.size):
+            raise StoreError(f"{buffer.where} was replaced after it was loaded")
+        return tuple(row)
+
+    def _pin_locked(self, name: str | None = None) -> None:  # holds-lock: _lock
+        """Fetch every deferred buffer (of table ``name``, or all) before
+        its row goes; one that fails then fails on first use."""
+        for buffer in list(self._pending):
+            if buffer.pinned is None and name in (None, buffer.key[1]):
+                with contextlib.suppress(StoreError):
+                    buffer.pinned = self._select_locked(buffer)
 
     # ------------------------------------------------------------------ #
     # Summaries
@@ -586,16 +650,17 @@ class TableStore:
             self._check_open()
             self._current_version_locked(name)  # a typed error if unknown
             rows = self._conn.execute(
-                "SELECT version, name, kind, data, labels, n_labels, label_lengths, "
-                "checksum FROM columns WHERE table_name=? AND name=? "
-                "AND kind='categorical'",
+                "SELECT version, n_labels, labels, label_lengths, checksum "
+                "FROM columns WHERE table_name=? AND name=? AND kind='categorical'",
                 (name, column),
             ).fetchall()
         found: set[str] = set()
-        for version, *row in rows:
-            stored = column_from_blob(*row, f"stored table {name!r} at version {version}")
-            admitted = predicate.admitted(stored.dictionary).nonzero()[0]
-            found.update(stored.categories[code] for code in admitted.tolist())
+        for version, n_labels, *text in rows:
+            where = f"column {column!r} of stored table {name!r} at version {version}"
+            dictionary = stored_dictionary(n_labels, lambda text=text: text, where)
+            admitted = predicate.admitted(dictionary).nonzero()[0]
+            labels = dictionary.labels
+            found.update(labels[code] for code in admitted.tolist())
         return sorted(found)[: max(1, int(limit))]
 
     # ------------------------------------------------------------------ #
@@ -607,9 +672,12 @@ class TableStore:
             raise StoreError(f"store {self._path!r} is closed")
 
     def close(self) -> None:
-        """Close the underlying connection (idempotent)."""
+        """Close the underlying connection (idempotent).  Tables loaded
+        from a ``":memory:"`` store read their buffers in first."""
         with self._lock:
             if not self._closed:
+                if self._path == ":memory:":
+                    self._pin_locked()
                 self._closed = True
                 self._conn.close()
 

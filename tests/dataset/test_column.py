@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.dataset.column import (
     MISSING_CODE,
     CategoricalColumn,
+    LabelDictionary,
     NumericColumn,
     column_from_values,
     label_text,
@@ -282,7 +283,7 @@ class TestInheritedDictionary:
 
 
 class TestDeferredDictionary:
-    """A deferred column knows its dictionary's size up front and
+    """A column over a deferred dictionary knows its size up front and
     decodes the labels once, on first use, shared by every derivative.
     ``decode`` gives the labels; the loader hands them over in their
     stored form, :func:`label_text`."""
@@ -297,7 +298,8 @@ class TestDeferredDictionary:
             return label_text((decode or (lambda: self.LABELS))())
 
         codes = np.array([0, 2, -1, 1, 0], dtype=np.int32)
-        return CategoricalColumn.deferred("c", codes, 3, count_calls), calls
+        dictionary = LabelDictionary(3, load=count_calls)
+        return CategoricalColumn.stored("c", len(codes), lambda: codes, dictionary), calls
 
     def test_codes_and_size_need_no_decode(self):
         col, calls = self.deferred()
@@ -314,12 +316,6 @@ class TestDeferredDictionary:
         assert col.categories == self.LABELS
         assert all(d.categories is col.categories for d in derived)
         assert calls == [1]
-
-    def test_codes_past_the_size_fail_at_construction(self):
-        with pytest.raises(DatasetError, match="out-of-range"):
-            CategoricalColumn.deferred(
-                "c", np.array([3], dtype=np.int32), 3, lambda: self.LABELS
-            )
 
     def test_eight_threads_get_one_tuple_decoded_once(self):
         gate = threading.Barrier(8)
@@ -379,3 +375,47 @@ class TestDeferredDictionary:
         assert calls == [1, 1]
         with pytest.raises(DatasetError, match="corrupt"):
             col.decode()
+
+
+class TestStoredColumns:
+    """A stored column knows its length up front and loads its buffer
+    once, on first read; a column built from values has no load hook."""
+
+    def test_length_and_derivations_load_once(self):
+        calls = []
+
+        def load():
+            calls.append(1)
+            return np.array([1.0, 2.0, 3.0])
+
+        col = NumericColumn.stored("x", 3, load)
+        assert len(col) == 3 and calls == []
+        assert col.take(np.array([2, 0])).data.tolist() == [3.0, 1.0]
+        assert col.mean() == 2.0 and col.data is col.data
+        assert calls == [1]
+
+    def test_stored_codes_share_their_dictionary(self):
+        dictionary = LabelDictionary(2, ("a", "b"))
+        col = CategoricalColumn.stored(
+            "c", 3, lambda: np.array([1, -1, 0], dtype=np.int32), dictionary
+        )
+        assert len(col) == 3 and col.n_categories == 2
+        assert col.decode() == ["b", None, "a"]
+        assert col.filter(np.array([True, False, True])).dictionary is dictionary
+
+    def test_a_failed_load_fails_on_every_read(self):
+        calls = []
+
+        def corrupt():
+            calls.append(1)
+            raise DatasetError("corrupt buffer")
+
+        col = NumericColumn.stored("x", 3, corrupt)
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="corrupt"):
+                col.data
+        assert calls == [1, 1] and len(col) == 3
+
+    def test_columns_built_from_values_have_no_load_hook(self):
+        for cls in (NumericColumn, CategoricalColumn):
+            assert not hasattr(cls, "__getattr__")

@@ -13,7 +13,7 @@ from repro.core.config import (
     Parallelism,
 )
 from repro.datagen import census_table
-from repro.dataset.column import CategoricalColumn, label_text
+from repro.dataset.column import CategoricalColumn, LabelDictionary, label_text
 from repro.dataset.table import Table
 from repro.engine import parallel
 from repro.engine.context import ExecutionContext
@@ -231,8 +231,9 @@ class TestExecutors:
                 time.sleep(0.001)
                 return label_text(column.categories)
 
-            return CategoricalColumn.deferred(
-                column.name, column.codes, len(column.categories), decode
+            dictionary = LabelDictionary(len(column.categories), load=decode)
+            return CategoricalColumn.stored(
+                column.name, len(column), lambda: column.codes, dictionary
             )
 
         lazy = Table(

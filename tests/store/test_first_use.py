@@ -1,0 +1,272 @@
+"""Stored buffers on first use: ``load_table`` reads metadata only.
+
+A loaded table's numeric values, categorical codes and label text are
+fetched (by rowid) and checked the first time something reads them.
+The table stays readable for its whole life — after the store closes,
+after the store drops or replaces its rows, and for ``":memory:"``
+stores — and a row that another connection replaced meanwhile is a
+typed :class:`StoreError`, never other bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import re
+import sqlite3
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro.dataset.column import CategoricalColumn, NumericColumn
+from repro.dataset.table import Table
+from repro.datagen import census_table, support_tickets_table
+from repro.errors import StoreError
+from repro.service import ExplorationService
+from repro.store import TableStore
+from repro.store import store as store_module
+from repro.store.codec import column_blob
+
+from tests.store.test_labels import NON_TEXT_QUERIES, SKETCH, TEXT_QUERY
+
+
+def census_history() -> tuple[Table, list[Table]]:
+    """A census base and two coerced deltas bringing new labels."""
+    base = current = census_table(n_rows=300, seed=0)
+    deltas = []
+    for offset in (0, 5):
+        delta = current.coerce_delta({
+            "Age": [30.0 + offset, 41.0],
+            "Sex": ["Female", "Male"],
+            "Salary": ["<20k", "a new band"],
+            "Education": ["BSc", "PhD"],
+            "Eye color": [f"color {offset}", "Blue"],
+        })
+        deltas.append(delta)
+        current = current.append(delta)
+    return base, deltas
+
+
+def assert_identical(loaded: Table, expected: Table) -> None:
+    """Every column's stored form (kind, buffer, dictionary) is equal."""
+    assert loaded.column_names == expected.column_names
+    assert loaded.version == expected.version
+    for column in expected.columns:
+        assert column_blob(loaded.column(column.name)) == column_blob(column)
+
+
+class TestLifetime:
+    """A loaded table reads back bit-identically whatever its store does."""
+
+    TABLE = staticmethod(lambda: support_tickets_table(n_rows=500, seed=3))
+
+    def test_file_store_after_close(self, tmp_path):
+        table = self.TABLE()
+        with TableStore(str(tmp_path / "atlas.db")) as store:
+            store.register_table(table)
+            loaded = store.load_table(table.name)
+        assert_identical(loaded, table)
+
+    def test_appended_table_after_close(self, tmp_path):
+        table, deltas = census_history()
+        with TableStore(str(tmp_path / "atlas.db")) as store:
+            store.register_table(table)
+            for delta in deltas:
+                store.append(table.name, delta, from_version=table.version,
+                             to_version=table.version + 1)
+                table = table.append(delta)
+            loaded = store.load_table(table.name)
+        assert_identical(loaded, table)
+
+    @pytest.mark.parametrize("drop", ["overwrite", "delete"])
+    def test_after_the_store_drops_the_rows(self, tmp_path, drop):
+        table = self.TABLE()
+        with TableStore(str(tmp_path / "atlas.db")) as store:
+            store.register_table(table)
+            loaded = store.load_table(table.name)
+            if drop == "overwrite":
+                store.register_table(
+                    support_tickets_table(n_rows=40, seed=9), overwrite=True
+                )
+            else:
+                store.delete_table(table.name)
+            assert_identical(loaded, table)
+
+    def test_memory_store_after_close(self):
+        table = self.TABLE()
+        store = TableStore()
+        store.register_table(table)
+        loaded = store.load_table(table.name)
+        store.close()
+        assert_identical(loaded, table)
+
+    @pytest.mark.parametrize("drop", ["overwrite", "delete"])
+    def test_a_row_replaced_by_another_connection_is_a_typed_error(self, tmp_path, drop):
+        path = str(tmp_path / "atlas.db")
+        table = self.TABLE()
+        with TableStore(path) as store:
+            store.register_table(table)
+            loaded = store.load_table(table.name)
+            with TableStore(path) as other:
+                if drop == "overwrite":
+                    other.register_table(
+                        support_tickets_table(n_rows=500, seed=4), overwrite=True
+                    )
+                else:
+                    other.delete_table(table.name)
+            for read in (
+                lambda: loaded.numeric("hours_open").data,
+                lambda: loaded.categorical("severity").codes,
+                lambda: loaded.categorical("title").categories,
+                lambda: loaded.numeric("hours_open").data,  # and again
+            ):
+                with pytest.raises(StoreError, match="was replaced") as raised:
+                    read()
+                assert "'support_tickets'" in str(raised.value)
+                assert "version 0" in str(raised.value)
+
+
+class TestConcurrentFirstUse:
+    def test_eight_threads_load_each_buffer_once(self, tmp_path, monkeypatch):
+        table = support_tickets_table(n_rows=2_000, seed=0)
+        selects: list[tuple[str, str]] = []
+        real = store_module.TableStore._select_locked
+
+        def spy(self, buffer):
+            selects.append((buffer.where, buffer.fields))
+            return real(self, buffer)
+
+        monkeypatch.setattr(store_module.TableStore, "_select_locked", spy)
+        with TableStore(str(tmp_path / "atlas.db")) as store:
+            store.register_table(table)
+            loaded = store.load_table(table.name)
+            gate = threading.Barrier(8)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                def read(index):
+                    gate.wait(timeout=10)
+                    if index % 2:
+                        return loaded.categorical("component").codes
+                    return loaded.numeric("hours_open").data
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    seen = list(pool.map(read, range(8), timeout=30))
+            finally:
+                sys.setswitchinterval(interval)
+        assert sorted(fields for _, fields in selects) == ["data", "data"]
+        assert all(array is seen[1] for array in seen[1::2])
+        assert all(array is seen[0] for array in seen[::2])
+        np.testing.assert_array_equal(seen[0], table.numeric("hours_open").data)
+        np.testing.assert_array_equal(seen[1], table.categorical("component").codes)
+
+
+class TestMalformedBuffersFailAtLoad:
+    """A buffer whose byte length does not fit its row count is a typed
+    error at ``load_table``, naming column, table and version."""
+
+    def stored(self, tmp_path) -> str:
+        path = str(tmp_path / "atlas.db")
+        table = Table(
+            [NumericColumn("c", [1.0, 2.0]),
+             CategoricalColumn.from_values("k", ["a", "b"])],
+            name="t",
+        )
+        with TableStore(path) as store:
+            store.register_table(table)
+            delta = table.coerce_delta({"c": [3.0, 4.0, 5.0], "k": ["a", "c", "a"]})
+            store.append("t", delta, from_version=0, to_version=1)
+        return path
+
+    @pytest.mark.parametrize(
+        "version, column, blob, expected",
+        [
+            (0, "c", b"\x00" * 7, "holds 7 bytes, expected 16"),
+            (1, "c", b"\x00" * 16, "holds 16 bytes, expected 24"),
+            (1, "k", b"\x00" * 8, "holds 8 bytes, expected 12"),
+        ],
+    )
+    def test_wrong_byte_length(self, tmp_path, version, column, blob, expected):
+        path = self.stored(tmp_path)
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "UPDATE columns SET data=? WHERE version=? AND name=?",
+                (blob, version, column),
+            )
+        conn.close()
+        with TableStore(path) as store:
+            with pytest.raises(StoreError, match=expected) as raised:
+                store.load_table("t")
+        message = str(raised.value)
+        assert f"column {column!r}" in message
+        assert "'t'" in message and f"version {version}" in message
+
+
+_SELECT = re.compile(r"^\s*SELECT\s+(.*?)\s+FROM", re.I | re.S)
+
+
+def buffers_selected(path: str, statements: list[str]) -> list[tuple[str, str | None]]:
+    """``(field, column)`` for every buffer field (``data``, ``labels``)
+    a SELECT names itself (``length(data)`` reads no buffer)."""
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        names = dict(conn.execute("SELECT rowid, name FROM columns"))
+    read = []
+    for statement in statements:
+        match = _SELECT.match(statement)
+        if match:
+            rowid = re.search(r"rowid=(\d+)", statement)
+            column = names.get(int(rowid.group(1))) if rowid else None
+            fields = [f.strip().split(".")[-1] for f in match.group(1).split(",")]
+            read += [(f, column) for f in fields if f in ("data", "labels")]
+    return sorted(read)
+
+
+class TestRestartReadsOnlyWhatTheQueryReads:
+    """A restarted service reads no values and no codes of its table,
+    and only the label text its predicates name: the small dictionaries
+    a set predicate maps to codes, ``title`` for a text predicate."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("first_use") / "atlas.db")
+        with ExplorationService(max_workers=1, store=path) as service:
+            service.register(support_tickets_table(n_rows=4_000, seed=0), persist=True)
+            service.explore("support_tickets", TEXT_QUERY, fidelity=SKETCH, use_cache=False)
+        return path
+
+    @pytest.fixture
+    def statements(self, monkeypatch):
+        """Every statement the store's own connections run from now on."""
+        seen: list[str] = []
+        real = store_module.open_sqlite
+
+        def traced(path):
+            conn = real(path)
+            conn.set_trace_callback(seen.append)
+            return conn
+
+        monkeypatch.setattr(store_module, "open_sqlite", traced)
+        return seen
+
+    def restart(self, path, query):
+        with ExplorationService(max_workers=1, store=path) as service:
+            service.explore("support_tickets", query, fidelity=SKETCH, use_cache=False)
+            assert service.metrics()["requests"]["warm_starts"] == 1
+
+    @pytest.mark.parametrize("query", NON_TEXT_QUERIES)
+    def test_non_text_query_reads_no_values_codes_or_title(self, path, statements, query):
+        self.restart(path, query)
+        assert any("FROM columns" in s for s in statements)  # the trace works
+        named = sorted(line.split(":")[0] for line in query.split("\n") if "{" in line)
+        assert buffers_selected(path, statements) == [("labels", c) for c in named]
+
+    def test_text_query_reads_the_title_text_once_and_no_codes(self, path, statements):
+        self.restart(path, TEXT_QUERY)
+        assert buffers_selected(path, statements) == [("labels", "title")]
+
+    def test_search_reads_no_codes(self, path, statements):
+        with TableStore(path) as store:
+            assert store.search("support_tickets", "title", "disk")
+        assert buffers_selected(path, statements) == [("labels", None)]

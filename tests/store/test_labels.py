@@ -251,13 +251,19 @@ class TestCorruptDictionaries:
         assert "'title'" in message and "'events'" in message
         assert "version 0" in message and "no label count" in message
 
-    def test_codes_past_n_labels_fail_at_load(self, path):
+    def test_codes_past_n_labels_fail_at_first_use(self, path):
         corrupt(path, lambda t, l, n: (t, l, 1))
         with TableStore(path) as store:
-            with pytest.raises(StoreError, match="out-of-range") as raised:
-                store.load_table("events")
-        assert "'title'" in str(raised.value)
-        assert "version 0" in str(raised.value)
+            title = store.load_table("events").categorical("title")
+            for use in (  # and again on every later read
+                lambda: title.codes,
+                lambda: title.take(np.array([0])),
+                lambda: title.codes,
+            ):
+                with pytest.raises(StoreError, match="out-of-range") as raised:
+                    use()
+                assert "'title'" in str(raised.value)
+                assert "version 0" in str(raised.value)
 
 
 def table_digest(table: Table) -> str:

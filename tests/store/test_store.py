@@ -13,7 +13,7 @@ from repro.query.predicate import ContainsPredicate, MatchPredicate
 from repro.service import ExplorationService
 from repro.service.protocol import error_from_payload, error_to_dict
 from repro.store import TableStore
-from repro.store import store as store_module
+from repro.store import codec as codec_module
 from repro.store.codec import column_blob, column_from_blob
 
 
@@ -105,17 +105,27 @@ class TestDecode:
             buffer[:] = bytes(len(buffer))
             np.testing.assert_array_equal(array, before)
 
-    def test_load_table_decodes_outside_the_lock(self, store, monkeypatch):
+    def test_buffers_decode_outside_the_lock(self, store, monkeypatch):
+        """``load_table`` builds columns from metadata; their buffers are
+        checked on first use, with the store's lock released."""
         store.register_table(make_table())
         held = []
 
-        def spy(*args):
-            held.append(store._lock.locked())
-            return column_from_blob(*args)
+        def spying(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(store_module, "column_from_blob", spy)
-        assert store.load_table("events").n_rows == 4
-        assert held == [False, False]
+            def spy(*args):
+                held.append((name, store._lock.locked()))
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+        spying(codec_module, "check_codes")
+        spying(codec_module, "stored_text")
+        table = store.load_table("events")
+        assert table.n_rows == 4 and held == []
+        assert table.categorical("title").decode()[0] == "disk outage"
+        assert sorted(held) == [("check_codes", False), ("stored_text", False)]
 
 
 class TestAppendLog:
