@@ -40,9 +40,9 @@ never declared on the wire:
 * ``/scan`` answer — per shard (a one-shard
   :class:`~repro.sketch.state.SketchState`), each GK summary as float64
   ``values`` and int64 ``g`` / ``delta`` buffers, the row sample as an
-  ``np.packbits`` bitmap over the shard's rows ``[low, high)`` (the
-  sample is a sorted set of distinct rows in that range, so the bitmap
-  is exact), and each Misra–Gries summary in its small ``to_dict``
+  ``np.packbits`` bitmap over the shard's rows ``[low, high)``
+  (:func:`~repro.sketch.state.encode_sample`, the stored summary's
+  form too), and each Misra–Gries summary in its small ``to_dict``
   form.
 
 Both directions are validated at decode: a malformed request is a
@@ -54,7 +54,6 @@ server's failure (retry once, then 503).
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 from collections.abc import Iterable
 from typing import Any
@@ -65,7 +64,9 @@ from repro.errors import SketchError
 from repro.service.protocol import ProtocolError
 from repro.sketch.frequency import MisraGriesSketch
 from repro.sketch.quantile import GKQuantileSketch
-from repro.sketch.state import SketchState
+from repro.sketch.state import (
+    SketchState, decode_buffer, decode_sample, encode_buffer, encode_sample,
+)
 
 #: Bumped on incompatible shard-wire changes; ``/health`` reports it.
 CLUSTER_PROTOCOL_VERSION = 3
@@ -73,35 +74,6 @@ CLUSTER_PROTOCOL_VERSION = 3
 _FLOAT64 = np.dtype("<f8")
 _INT64 = np.dtype("<i8")
 _INT32 = np.dtype("<i4")
-_UINT8 = np.dtype("u1")
-
-
-def encode_buffer(array: np.ndarray, dtype: np.dtype) -> str:
-    """An array as base64 of its raw little-endian ``dtype`` bytes."""
-    raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def decode_buffer(text: object, dtype: np.dtype, what: str) -> np.ndarray:
-    """The read-only array a :func:`encode_buffer` string holds.
-
-    Raises :class:`ValueError` naming ``what`` for a non-string, bad
-    base64, or a byte count that is not a whole number of items.
-    """
-    if not isinstance(text, str):
-        raise ValueError(
-            f"{what} must be a base64 string, got {type(text).__name__}"
-        )
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"{what} is not valid base64 ({exc})") from exc
-    if len(raw) % dtype.itemsize:
-        raise ValueError(
-            f"{what} holds {len(raw)} bytes, not a whole number of "
-            f"{dtype.itemsize}-byte items"
-        )
-    return np.frombuffer(raw, dtype=dtype)
 
 
 # ---------------------------------------------------------------------- #
@@ -351,8 +323,6 @@ class ScanRequest:
 
 
 def _encode_statistics(state: SketchState, low: int) -> dict:
-    bitmap = np.zeros(state.n_rows, dtype=bool)
-    bitmap[state.sample - low] = True
     quantiles = {}
     for attribute, sketch in state.quantiles.items():
         values, g, delta = sketch.arrays()
@@ -366,10 +336,7 @@ def _encode_statistics(state: SketchState, low: int) -> dict:
     return {
         "index": state.provenance["shard"],
         "n_rows": state.n_rows,
-        "sample": {
-            "size": len(state.sample),
-            "bitmap": encode_buffer(np.packbits(bitmap), _UINT8),
-        },
+        "sample": encode_sample(state.sample, low, state.n_rows),
         "quantiles": quantiles,
         "frequencies": {
             attribute: sketch.to_dict()
@@ -393,24 +360,6 @@ def encode_scan_answer(
     }
 
 
-def _decode_sample(data: dict, low: int, high: int) -> np.ndarray:
-    n_rows = high - low
-    packed = decode_buffer(data["bitmap"], _UINT8, "sample bitmap")
-    if len(packed) != (n_rows + 7) // 8:
-        raise ValueError(
-            f"sample bitmap has {len(packed)} bytes for {n_rows} rows"
-        )
-    bits = np.unpackbits(packed)
-    if bits[n_rows:].any():
-        raise ValueError("sample bitmap sets padding bits")
-    rows = np.flatnonzero(bits[:n_rows])
-    if len(rows) != int(data["size"]):
-        raise ValueError(
-            f"sample bitmap holds {len(rows)} rows, not {data['size']}"
-        )
-    return rows.astype(np.int64, copy=False) + low
-
-
 def _decode_statistics(
     data: dict, index: int, low: int, high: int
 ) -> SketchState:
@@ -430,7 +379,7 @@ def _decode_statistics(
             decode_buffer(gk["delta"], _INT64, f"{what} delta"),
         )
     return SketchState(
-        sample=_decode_sample(data["sample"], low, high),
+        sample=decode_sample(data["sample"], low, high),
         n_rows=high - low,
         quantiles=quantiles,
         frequencies={

@@ -51,7 +51,7 @@ from repro.engine.kernels import (
 )
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
-from repro.sketch.state import SketchState, merge_summaries, uniform_merge
+from repro.sketch.state import SketchState, merge_row_samples, merge_summaries
 
 #: Bounds on cached scope tables / per-table stat blocks; interactive
 #: sessions revisit a handful of scopes, so a small FIFO is plenty.
@@ -689,8 +689,10 @@ class SketchBackend:
     Where the state came from is constructor *data*, not a subclass:
     the sharded build (:func:`repro.engine.parallel.build_sharded_backend`)
     and the warm restore (:func:`repro.store.warm.restore_backend`) hand
-    over a :class:`~repro.sketch.state.SketchState` whose sample is the
-    reservoir table and whose summaries seed the memos.  Its
+    over a :class:`~repro.sketch.state.SketchState` whose sample holds
+    the reservoir's row positions and whose summaries seed the memos.
+    The reservoir is ``table.take(positions)``, or the table itself
+    when the positions cover it.  Its
     ``full_scan`` says whether those summaries observed every table row
     (a sharded build) or only the reservoir; it is fixed here and
     decides the rate at which :meth:`advance` thins appended rows.  Its
@@ -718,19 +720,20 @@ class SketchBackend:
         self._table = table
         self._fidelity = fidelity
         self._kernel_timings = KernelTimings()  # guarded-by: _lock
-        budget = fidelity.budget_rows
         if state is None:
-            sample = table  # the budget covers everything; nothing to copy
-            if budget < table.n_rows:
+            if fidelity.budget_rows < table.n_rows:
                 rows = np.random.default_rng(rng).permutation(table.n_rows)
-                sample = table.take(
-                    np.sort(rows[:budget]), name=f"{table.name}_sketch{budget}"
-                )
-            state = SketchState(sample, table.n_rows, version=table.version)
+                positions = np.sort(rows[: fidelity.budget_rows])
+            else:
+                positions = np.arange(table.n_rows)  # the budget covers everything
+            state = SketchState(positions, table.n_rows, version=table.version)
         # A handed-over state's caller vouches its sample is a uniform
         # ``budget_rows`` sample of ``table`` at ``table.version``.
-        self._inner = ExactBackend(state.sample, counters=counters, lock=lock)
+        self._inner = ExactBackend(
+            self._reservoir(table, state.sample), counters=counters, lock=lock
+        )
         self._lock = self._inner._lock
+        self._positions = state.sample  # guarded-by: _lock
         self.counters = self._inner.counters
         self.usage = self._inner.usage
         # Seeded before the backend is shared.
@@ -740,6 +743,15 @@ class SketchBackend:
         self._root_cuts: dict[tuple, DataMap] = {}  # guarded-by: _lock
         self._full_scan = state.full_scan
         self._provenance = dict(state.provenance)
+
+    def _reservoir(self, table: Table, positions: np.ndarray) -> Table:
+        """The rows at ``positions``: ``table`` itself when they are all
+        of its rows, so identity-keyed memos line up."""
+        if len(positions) == table.n_rows:
+            return table
+        return table.take(
+            positions, name=f"{table.name}_sketch{self._fidelity.budget_rows}"
+        )
 
     @property
     def table(self) -> Table:
@@ -795,12 +807,13 @@ class SketchBackend:
         plus one-pass sketch builds), maintenance is proportional to the
         *delta*:
 
-        * the reservoir is **topped up** by the uniform-merge rule every
-          sample merge shares (:func:`~repro.sketch.state.uniform_merge`,
-          the shard fold's rule) — the survivors from the old reservoir
+        * the sample is **topped up** by the merge rule every sample
+          merge shares (:func:`~repro.sketch.state.merge_row_samples`,
+          the shard fold's call) — the survivors from the old sample
           are weighted by old-rows vs delta-rows, the rest drawn
           uniformly from the delta, so the result stays a uniform
-          sample of the union;
+          sample of the union; the reservoir is then one
+          ``new_table.take`` of the merged positions;
         * every already-built per-attribute GK / Misra–Gries summary is
           **merged** (:func:`~repro.sketch.state.merge_summaries`) with
           a sketch built from a *rate-matched* uniform
@@ -831,49 +844,29 @@ class SketchBackend:
                 f"{state.n_rows} to {new_table.n_rows} rows"
             )
         generator = np.random.default_rng(rng)
-        reservoir, budget = state.sample, self._fidelity.budget_rows
-        delta_n = new_table.n_rows - state.n_rows
-        delta = new_table.take(
-            np.arange(state.n_rows, new_table.n_rows),
-            name=f"{new_table.name}_delta{new_table.version}",
-        )
+        n_old, delta_n = state.n_rows, new_table.n_rows - state.n_rows
         # The top-up draws before the delta thinning below: the draw
         # order is part of the recipe, it fixes every maintained bit.
-        sample = new_table  # the budget covers everything
-        if budget < new_table.n_rows:
-            fresh = delta
-            keep = uniform_merge(
-                reservoir.n_rows, state.n_rows, delta_n, delta_n,
-                budget, generator,
-            )
-            if keep is not None:
-                reservoir = reservoir.take(keep[0])
-                fresh = delta.take(keep[1])
-            sample = Table(
-                [
-                    reservoir.column(name).concat(fresh.column(name))
-                    for name in reservoir.column_names
-                ],
-                name=f"{new_table.name}_sketch{budget}",
-            )
-            # The reservoir snapshots the appended table; the inner
-            # exact block's advance validation keys on that version.
-            sample._version = new_table.version
+        positions, _ = merge_row_samples(
+            state.sample, n_old, np.arange(n_old, new_table.n_rows), delta_n,
+            self._fidelity.budget_rows, generator,
+        )
+        sample = self._reservoir(new_table, positions)
         quantiles, frequencies = state.quantiles, state.frequencies
         timings = KernelTimings()
         if delta_n:
             # Delta summaries over the rows kept at the rate the current
             # summaries' rows were: every row for full-scan summaries,
-            # ``reservoir / table`` for reservoir-built ones.  Raw delta
+            # ``sample / table`` for reservoir-built ones.  Raw delta
             # counts would over-weight appends by ``table / budget`` and
             # skew cut points under drift.
-            rate = state.sample.n_rows / max(1, state.n_rows)
-            kept = np.arange(delta_n)
+            rate = len(state.sample) / max(1, n_old)
+            kept = np.arange(n_old, new_table.n_rows)
             if not state.full_scan and rate < 1.0:
-                kept = np.flatnonzero(generator.random(delta_n) < rate)
+                kept = n_old + np.flatnonzero(generator.random(delta_n) < rate)
             delta_quantiles = {
                 attribute: quantile_summary(
-                    delta.numeric(attribute).data[kept],
+                    new_table.numeric(attribute).data[kept],
                     sketch.epsilon,
                     timings=timings,
                 )
@@ -881,7 +874,7 @@ class SketchBackend:
             }
             delta_frequencies = {}
             for attribute, sketch in frequencies.items():
-                column = delta.categorical(attribute)
+                column = new_table.categorical(attribute)
                 delta_frequencies[attribute] = frequency_summary_from_codes(
                     column.codes[kept],
                     list(column.categories),
@@ -896,6 +889,7 @@ class SketchBackend:
         # failure above leaves the backend intact).
         with self._lock:
             self._inner._advance_state(sample)
+            self._positions = positions
             self._table = new_table
             self._quantile_sketches = quantiles
             self._frequency_sketches = frequencies
@@ -1069,15 +1063,16 @@ class SketchBackend:
     def export_state(self) -> SketchState:
         """The built state, in one lock trip.
 
-        The reservoir table plus every summary built *so far* — a
-        backend constructed with exactly this state answers like this
-        one does, and summaries missing from it simply rebuild lazily
-        from the (identical) reservoir.  What a warm-start summary
-        persists, and what :meth:`advance` merges appended rows into.
+        The reservoir's row positions plus every summary built *so
+        far* — a backend constructed over the same table with exactly
+        this state answers like this one does, and summaries missing
+        from it simply rebuild lazily from the (identical) reservoir.
+        What a warm-start summary persists, and what :meth:`advance`
+        merges appended rows into.
         """
         with self._lock:
             return SketchState(
-                sample=self._inner.table,
+                sample=self._positions,
                 n_rows=self._table.n_rows,
                 quantiles=dict(self._quantile_sketches),
                 frequencies=dict(self._frequency_sketches),

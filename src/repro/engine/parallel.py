@@ -21,7 +21,7 @@ of parallel analytical engines:
    whose sampling error comes on top of the sketch error).
 3. :func:`build_sharded_backend` folds the shard states **in shard
    order** with the one merge rule of :mod:`repro.sketch.state` —
-   :func:`~repro.sketch.state.uniform_merge` for the row samples,
+   :func:`~repro.sketch.state.merge_row_samples` for the row samples,
    :func:`~repro.sketch.state.merge_summaries` for the summaries — and
    hands the folded state to one
    :class:`~repro.engine.backends.SketchBackend`, which the existing
@@ -45,8 +45,8 @@ determinism property tests assert this).
 
 Streaming: venues are consulted only at build time.  After an append
 :meth:`SketchBackend.advance` maintains the folded state locally with
-the same two rules the fold used: the reservoir and the delta rows
-merge by :func:`~repro.sketch.state.uniform_merge`, and delta summaries
+the same two rules the fold used: the sample and the delta rows
+merge by :func:`~repro.sketch.state.merge_row_samples`, and delta summaries
 built over every appended row (the state is ``full_scan``) merge by
 :func:`~repro.sketch.state.merge_summaries`.  No venue is consulted; a
 fresh build over the grown table shards it anew.
@@ -79,7 +79,7 @@ from repro.engine.kernels import (
     quantile_summary,
 )
 from repro.errors import MapError
-from repro.sketch.state import SketchState, merge_summaries, uniform_merge
+from repro.sketch.state import SketchState, merge_row_samples, merge_summaries
 
 
 def tag_rng(seed: int, tag: str) -> np.random.Generator:
@@ -429,28 +429,6 @@ class InlineVenue:
 # ---------------------------------------------------------------------- #
 
 
-def merge_row_samples(
-    sample_a: np.ndarray,
-    seen_a: int,
-    sample_b: np.ndarray,
-    seen_b: int,
-    capacity: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int]:
-    """Merge two uniform row-index samples into one over the union.
-
-    :func:`~repro.sketch.state.uniform_merge` applied to index arrays:
-    concatenated when the union fits the capacity, otherwise the
-    survivors of each side in their original order.
-    """
-    keep = uniform_merge(
-        len(sample_a), seen_a, len(sample_b), seen_b, capacity, rng
-    )
-    if keep is not None:
-        sample_a, sample_b = sample_a[keep[0]], sample_b[keep[1]]
-    return np.concatenate([sample_a, sample_b]), seen_a + seen_b
-
-
 def _sketch_attributes(
     table: Table,
 ) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...]]:
@@ -480,8 +458,9 @@ def fold_shard_statistics(
 ) -> SketchState:
     """Fold one-shard states **in shard order** into one merged state.
 
-    Samples merge by :func:`merge_row_samples` unless ``sample_rows``
-    is False (the budget covers the table), summaries by
+    Samples merge by :func:`~repro.sketch.state.merge_row_samples`
+    unless ``sample_rows`` is False (the budget covers the table),
+    summaries by
     :func:`~repro.sketch.state.merge_summaries`.  The fold, like the
     scan, has exactly one implementation, and its
     ``"shard-merge:<index>:<fingerprint>"`` RNG streams depend only on
@@ -564,13 +543,6 @@ def build_sharded_backend(
         budget_rows=fidelity.budget_rows,
         sample_rows=sample_rows,
     )
-    if not sample_rows:
-        sample_table = table  # the budget covers everything
-    else:
-        sample_table = table.take(
-            np.sort(folded.sample),
-            name=f"{table.name}_shardsketch{fidelity.budget_rows}",
-        )
     scan_timings = KernelTimings()
     for shard in results:
         scan_timings.merge(shard.provenance["kernel_nanos"])
@@ -592,7 +564,8 @@ def build_sharded_backend(
         lock=lock,
         state=dataclasses.replace(
             folded,
-            sample=sample_table,
+            # Shards skip the sample when the budget covers the table.
+            sample=folded.sample if sample_rows else np.arange(table.n_rows),
             version=table.version,
             provenance={"parallel": parallel},
         ),

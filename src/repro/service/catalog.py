@@ -364,9 +364,11 @@ class Catalog:
         )
         if document is None:
             return None
-        summary = SketchSummary.from_dict(document)
 
         def factory(target, counters, lock):
+            # Decoded here, inside the caller's fallback: a malformed
+            # document is a StoreError, and the explore builds cold.
+            summary = SketchSummary.from_dict(document)
             return restore_backend(summary, target, counters=counters, lock=lock)
 
         return factory

@@ -390,8 +390,9 @@ class ExplorationService:
                     self._metrics.count("warm_starts")
             except (StoreError, MapError):
                 # An append raced the restore (summary version no longer
-                # matches the context's table) — a fresh build is always
-                # correct, so warm-start failures never fail an explore.
+                # matches the context's table), or the stored document
+                # is malformed — a fresh build is always correct, so
+                # warm-start failures never fail an explore.
                 pass
         return context
 

@@ -4,31 +4,40 @@ Section 5.1's speed comes from a bounded uniform row sample plus
 per-attribute one-pass summaries.  :class:`SketchState` is that state as
 one value, whoever produced it: a shard scan or a fold of them, a live
 :class:`~repro.engine.backends.SketchBackend`, or a stored warm-start
-summary.  Every merge of two states over disjoint rows — the shard
-fold, an append's ``SketchBackend.advance``,
+summary.  Its sample is always the same thing: the sorted global
+positions of the sampled rows, never a copy of them.  Every merge of
+two states over disjoint rows — the shard fold, an append's
+``SketchBackend.advance``,
 :meth:`~repro.sketch.reservoir.ReservoirSampler.merge` — goes through
-the two functions beside it: :func:`uniform_merge` for the samples,
+the functions beside it: :func:`uniform_merge` (and
+:func:`merge_row_samples`, its form over positions) for the samples,
 :func:`merge_summaries` for the GK / Misra–Gries summaries.
+
+A sample has one byte form too, shared by the ``/scan`` answer and the
+stored summary: :func:`encode_sample` / :func:`decode_sample`, an
+``np.packbits`` bitmap over the rows it was drawn from.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 from typing import Any, Mapping
 
 import numpy as np
+
+_UINT8 = np.dtype("u1")
 
 
 @dataclasses.dataclass(frozen=True)
 class SketchState:
     """A uniform row sample plus one-pass summaries of the same rows."""
 
-    #: Sorted distinct global row indices (a shard scan or a fold), the
-    #: reservoir table (a backend), or an encoded table payload (a
-    #: stored summary not yet bound to its table).
-    sample: Any
-    #: Rows described (a stored summary does not record it: 0 until
-    #: :func:`~repro.store.warm.restore_backend` binds it).
+    #: Sorted distinct int64 global row positions of the sampled rows:
+    #: every row when the budget covers the table (a shard scan then
+    #: leaves it empty, and the build fills it in).
+    sample: np.ndarray
+    #: Rows described.
     n_rows: int
     #: Attribute → GK quantile / Misra–Gries label / token summary.
     quantiles: Mapping[str, Any] = dataclasses.field(default_factory=dict)
@@ -70,6 +79,29 @@ def uniform_merge(
     return keep_a, keep_b
 
 
+def merge_row_samples(
+    sample_a: np.ndarray,
+    seen_a: int,
+    sample_b: np.ndarray,
+    seen_b: int,
+    capacity: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, int]:
+    """Merge two uniform row-position samples into one over the union.
+
+    :func:`uniform_merge` applied to position arrays: concatenated when
+    the union fits the capacity, otherwise the survivors of each side in
+    their original order (so ``a``'s positions, all below ``b``'s, keep
+    the result sorted).
+    """
+    keep = uniform_merge(
+        len(sample_a), seen_a, len(sample_b), seen_b, capacity, rng
+    )
+    if keep is not None:
+        sample_a, sample_b = sample_a[keep[0]], sample_b[keep[1]]
+    return np.concatenate([sample_a, sample_b]), seen_a + seen_b
+
+
 def merge_summaries(
     a: Mapping[str, Any], b: Mapping[str, Any]
 ) -> dict[str, Any]:
@@ -79,3 +111,68 @@ def merge_summaries(
         attribute: sketch.merge(b[attribute])
         for attribute, sketch in a.items()
     }
+
+
+def encode_buffer(array: np.ndarray, dtype: np.dtype) -> str:
+    """An array as base64 of its raw little-endian ``dtype`` bytes."""
+    raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_buffer(text: object, dtype: np.dtype, what: str) -> np.ndarray:
+    """The read-only array a :func:`encode_buffer` string holds.
+
+    Raises :class:`ValueError` naming ``what`` for a non-string, bad
+    base64, or a byte count that is not a whole number of items.
+    """
+    if not isinstance(text, str):
+        raise ValueError(
+            f"{what} must be a base64 string, got {type(text).__name__}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{what} is not valid base64 ({exc})") from exc
+    if len(raw) % dtype.itemsize:
+        raise ValueError(
+            f"{what} holds {len(raw)} bytes, not a whole number of "
+            f"{dtype.itemsize}-byte items"
+        )
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def encode_sample(sample: np.ndarray, low: int, n_rows: int) -> dict:
+    """A sample of the rows ``[low, low + n_rows)`` as its row count and
+    an ``np.packbits`` bitmap over those rows (exact: the positions are
+    distinct)."""
+    bitmap = np.zeros(n_rows, dtype=bool)
+    bitmap[sample - low] = True
+    return {
+        "size": len(sample),
+        "bitmap": encode_buffer(np.packbits(bitmap), _UINT8),
+    }
+
+
+def decode_sample(data: dict, low: int, high: int) -> np.ndarray:
+    """The sorted int64 positions an :func:`encode_sample` document holds
+    over the rows ``[low, high)``.
+
+    Raises :class:`ValueError` (or ``KeyError`` / ``TypeError`` for a
+    malformed document) for a bitmap of the wrong length, set padding
+    bits, or a row count other than the recorded size.
+    """
+    n_rows = high - low
+    packed = decode_buffer(data["bitmap"], _UINT8, "sample bitmap")
+    if len(packed) != (n_rows + 7) // 8:
+        raise ValueError(
+            f"sample bitmap has {len(packed)} bytes for {n_rows} rows"
+        )
+    bits = np.unpackbits(packed)
+    if bits[n_rows:].any():
+        raise ValueError("sample bitmap sets padding bits")
+    rows = np.flatnonzero(bits[:n_rows])
+    if len(rows) != int(data["size"]):
+        raise ValueError(
+            f"sample bitmap holds {len(rows)} rows, not {data['size']}"
+        )
+    return rows.astype(np.int64, copy=False) + low

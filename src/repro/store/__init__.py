@@ -9,12 +9,6 @@ restart warm-starts — loading tables and ready-made
 regenerating and rescanning.
 """
 
-from repro.store.codec import (
-    column_blob,
-    column_from_blob,
-    decode_table_payload,
-    encode_table_payload,
-)
 from repro.store.store import TableStore
 from repro.store.warm import (
     SketchSummary,
@@ -26,10 +20,6 @@ from repro.store.warm import (
 __all__ = [
     "SketchSummary",
     "TableStore",
-    "column_blob",
-    "column_from_blob",
-    "decode_table_payload",
-    "encode_table_payload",
     "extract_summary",
     "restore_backend",
     "summary_key",

@@ -1,4 +1,4 @@
-"""Column / table serialization for the persistent store.
+"""Column serialization for the persistent store.
 
 The codec is deliberately dumb: a numeric column persists as its raw
 float64 buffer, a categorical column as its raw int32 code buffer plus
@@ -6,27 +6,20 @@ its dictionary.  Decoding hands the buffers straight back to the column
 constructors, so a round trip is bit-identical — the property the
 warm-start fingerprint tests pin.
 
-Two encodings share the per-column logic:
-
-* **store rows** (:func:`column_row` / :func:`stored_column`) — the
-  ``columns`` table of :class:`repro.store.store.TableStore`, one row
-  per column per table version.  A dictionary is stored as its labels'
-  UTF-8 joined by ``"\\n"``, their int32 lengths, and a CRC-32 over
-  both (:func:`dictionary_row`), written from a column whose labels
-  are known to be unique.  :func:`stored_column` builds a column from a
-  row's metadata; its buffers are fetched and checked on first use;
-* **JSON payloads** (:func:`encode_table_payload` /
-  :func:`decode_table_payload`) — base64-wrapped blobs inside the
-  summary documents, where the reservoir sample travels with its
-  sketches.  A reservoir column whose dictionary equals its table's
-  is written as codes plus a ``"dictionary": "table"`` marker and
-  decoded against that table's labels: label text is stored once.  An
-  inline dictionary there is JSON (:func:`column_blob`).
+Each stored column is one row of the ``columns`` table of
+:class:`repro.store.store.TableStore` (:func:`column_row` /
+:func:`stored_column`), one per column per table version.  A dictionary
+is stored as its labels' UTF-8 joined by ``"\\n"``, their int32
+lengths, and a CRC-32 over both (:func:`dictionary_row`), written from a
+column whose labels are known to be unique.  :func:`stored_column`
+builds a column from a row's metadata; its buffers are fetched and
+checked on first use.  Summary documents hold no column: their sample
+is row positions in the stored table
+(:func:`repro.sketch.state.encode_sample`).
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import zlib
 from collections.abc import Callable
@@ -47,28 +40,6 @@ _CATEGORICAL = "categorical"
 _DTYPES = {_NUMERIC: np.dtype(np.float64), _CATEGORICAL: np.dtype(np.int32)}
 
 
-def column_blob(
-    column: Column, *, dictionary: bool = True
-) -> tuple[str, bytes, str | None]:
-    """``(kind, raw buffer, aux JSON)`` for one column.
-
-    ``aux`` carries the categorical dictionary (order matters — codes
-    index into it) and is ``None`` for numeric columns, or when the
-    caller keeps the ``dictionary`` elsewhere.
-    """
-    if isinstance(column, NumericColumn):
-        return _NUMERIC, np.ascontiguousarray(column.data).tobytes(), None
-    if isinstance(column, CategoricalColumn):
-        return (
-            _CATEGORICAL,
-            np.ascontiguousarray(column.codes).tobytes(),
-            json.dumps(list(column.categories)) if dictionary else None,
-        )
-    raise StoreError(
-        f"cannot persist column {column.name!r} of kind {column.kind!r}"
-    )
-
-
 def dictionary_row(
     text: str, lengths: np.ndarray
 ) -> tuple[bytes, bytes, int]:
@@ -84,27 +55,16 @@ def column_row(column: Column) -> tuple:
     """One column's stored ``(name, kind, data, labels, n_labels,
     label_lengths, checksum)``; the dictionary fields are ``None`` for
     a numeric column."""
-    kind, data, _ = column_blob(column, dictionary=False)
+    if isinstance(column, NumericColumn):
+        data = np.ascontiguousarray(column.data).tobytes()
+        return column.name, _NUMERIC, data, None, None, None, None
     if not isinstance(column, CategoricalColumn):
-        return column.name, kind, data, None, None, None, None
+        raise StoreError(
+            f"cannot persist column {column.name!r} of kind {column.kind!r}"
+        )
+    data = np.ascontiguousarray(column.codes).tobytes()
     labels, sizes, checksum = dictionary_row(*column.dictionary.text())
-    return column.name, kind, data, labels, column.n_categories, sizes, checksum
-
-
-def column_from_blob(
-    name: str, kind: str, blob: bytes, aux: str | None
-) -> Column:
-    """Rebuild one column from a summary document's stored form (inverse
-    of :func:`column_blob`); ``aux`` is its inline JSON dictionary."""
-    if kind == _NUMERIC:
-        return NumericColumn(name, np.frombuffer(blob, dtype=np.float64))
-    if kind != _CATEGORICAL:
-        raise StoreError(f"unknown stored column kind {kind!r} for {name!r}")
-    if aux is None:
-        raise StoreError(f"stored categorical column {name!r} has no dictionary")
-    # The read-only view goes in as is; the constructor makes the one
-    # copy that detaches the column from the blob.
-    return CategoricalColumn(name, np.frombuffer(blob, dtype=np.int32), json.loads(aux))
+    return column.name, _CATEGORICAL, data, labels, column.n_categories, sizes, checksum
 
 
 def stored_column(
@@ -199,81 +159,6 @@ def stored_labels(aux: str, n_labels: int, where: str) -> tuple[str, ...]:
         else:
             return tuple(labels)
     raise StoreError(f"stored dictionary of {where} {problem}")
-
-
-def encode_table_payload(table: Table, base: Table | None = None) -> dict:
-    """The table as a JSON-ready document (blobs base64-wrapped).
-
-    ``base`` is the table a reservoir was drawn from (same schema): a
-    column whose label dictionary equals its namesake's there is
-    written as codes only, marked ``"dictionary": "table"``, and
-    :func:`decode_table_payload` binds it back to ``base``'s labels.
-    """
-    columns = []
-    for column in table.columns:
-        borrowed = (
-            base is not None
-            and isinstance(column, CategoricalColumn)
-            and column.categories == base.categorical(column.name).categories
-        )
-        kind, blob, aux = column_blob(column, dictionary=not borrowed)
-        entry = {
-            "name": column.name,
-            "kind": kind,
-            "data": base64.b64encode(blob).decode("ascii"),
-            "aux": aux,
-        }
-        if borrowed:
-            entry["dictionary"] = "table"
-        columns.append(entry)
-    return {
-        "name": table.name,
-        "version": table.version,
-        "n_rows": table.n_rows,
-        "columns": columns,
-    }
-
-
-def _borrowed_column(entry: dict, base: Table | None) -> Column:
-    """A codes-only column over ``base``'s dictionary of the same name
-    (shared by identity; the codes are range-checked against it)."""
-    name = entry["name"]
-    if base is None:
-        raise StoreError(
-            f"stored column {name!r} borrows its table's label dictionary; "
-            "restore_backend binds it"
-        )
-    codes = np.frombuffer(base64.b64decode(entry["data"]), dtype=np.int32)
-    try:
-        return base.categorical(name).with_codes(codes)
-    except DatasetError as exc:  # no such label column, or codes past it
-        raise StoreError(
-            f"stored column {name!r} cannot borrow its dictionary from table "
-            f"{base.name!r} at version {base.version}: {exc}"
-        ) from exc
-
-
-def decode_table_payload(payload: dict, base: Table | None = None) -> Table:
-    """Inverse of :func:`encode_table_payload` (restores the version)."""
-    columns = [
-        _borrowed_column(entry, base)
-        if entry.get("dictionary") == "table"
-        else column_from_blob(
-            entry["name"],
-            entry["kind"],
-            base64.b64decode(entry["data"]),
-            entry.get("aux"),
-        )
-        for entry in payload["columns"]
-    ]
-    table = Table(columns, name=payload["name"])
-    if table.n_rows != payload["n_rows"]:
-        raise StoreError(
-            f"stored table {payload['name']!r} decoded to {table.n_rows} "
-            f"rows, expected {payload['n_rows']}"
-        )
-    table._version = int(payload["version"])
-    return table
 
 
 def table_schema(table: Table) -> list[dict]:

@@ -35,6 +35,7 @@ on first use").
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import json
@@ -45,10 +46,13 @@ import time
 import weakref
 from pathlib import Path
 
-from repro.dataset.column import Column, label_text
+import numpy as np
+
+from repro.dataset.column import CategoricalColumn, Column, NumericColumn, label_text
 from repro.dataset.table import Table
-from repro.errors import AppendConflictError, PredicateError, StoreError
+from repro.errors import AppendConflictError, AtlasError, PredicateError, StoreError
 from repro.query.predicate import ContainsPredicate, MatchPredicate
+from repro.sketch.state import decode_buffer, encode_sample
 from repro.store.codec import (
     column_row,
     dictionary_row,
@@ -60,9 +64,11 @@ from repro.store.codec import (
 
 #: 2 added ``columns.n_labels`` and ``append_log.digest``; 3 stores
 #: dictionaries as checksummed text (``labels``, ``label_lengths``,
-#: ``checksum``) instead of JSON ``aux`` and drops ``label_fts``.  An
+#: ``checksum``) instead of JSON ``aux`` and drops ``label_fts``; 4
+#: stores a summary's sample as row positions instead of a copy of the
+#: rows, and puts ``columns``' fixed-size fields before its BLOBs.  An
 #: older store is migrated in place when opened (:data:`_MIGRATIONS`).
-_SCHEMA_VERSION = 3
+_SCHEMA_VERSION = 4
 
 
 def open_sqlite(path: str) -> sqlite3.Connection:
@@ -82,7 +88,25 @@ def open_sqlite(path: str) -> sqlite3.Connection:
     return conn
 
 
-_CREATE = """
+#: The fixed-size fields come first: SQLite stores a row's fields in
+#: this order, so ``load_table``'s metadata read (``n_labels``) stops
+#: before the buffers' overflow pages.  ``{legacy}`` keeps the unread
+#: ``aux`` of a store first written by schema 1 or 2.
+_COLUMNS = """CREATE TABLE IF NOT EXISTS {name} (
+    table_name TEXT NOT NULL,
+    version INTEGER NOT NULL,
+    position INTEGER NOT NULL,
+    name TEXT NOT NULL,
+    kind TEXT NOT NULL,
+    n_labels INTEGER,
+    checksum INTEGER,
+    data BLOB NOT NULL,
+    labels BLOB,
+    label_lengths BLOB,{legacy}
+    PRIMARY KEY (table_name, version, position)
+)"""
+
+_CREATE = f"""
 CREATE TABLE IF NOT EXISTS tables (
     name TEXT PRIMARY KEY,
     created REAL NOT NULL,
@@ -90,19 +114,7 @@ CREATE TABLE IF NOT EXISTS tables (
     base_rows INTEGER NOT NULL,
     schema TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS columns (
-    table_name TEXT NOT NULL,
-    version INTEGER NOT NULL,
-    position INTEGER NOT NULL,
-    name TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    data BLOB NOT NULL,
-    n_labels INTEGER,
-    labels BLOB,
-    label_lengths BLOB,
-    checksum INTEGER,
-    PRIMARY KEY (table_name, version, position)
-);
+{_COLUMNS.format(name="columns", legacy="")};
 CREATE TABLE IF NOT EXISTS append_log (
     table_name TEXT NOT NULL,
     from_version INTEGER NOT NULL,
@@ -207,8 +219,125 @@ def _migrate_v2(conn: sqlite3.Connection) -> None:
         conn.execute("DROP TABLE IF EXISTS label_fts")
 
 
+def _migrate_v3(conn: sqlite3.Connection) -> None:
+    """Schema 3 → 4's layout half: ``columns`` is rebuilt in schema 4's
+    field order, rowids kept.  :func:`_position_summaries` rewrites the
+    summaries once the tables load."""
+    fields = [row["name"] for row in conn.execute("PRAGMA table_info(columns)")]
+    legacy = "\n    aux TEXT," if "aux" in fields else ""
+    conn.execute(_COLUMNS.format(name="columns_v4", legacy=legacy))
+    listed = ", ".join(["rowid", *fields])
+    conn.execute(f"INSERT INTO columns_v4 ({listed}) SELECT {listed} FROM columns")
+    conn.execute("DROP TABLE columns")
+    conn.execute("ALTER TABLE columns_v4 RENAME TO columns")
+
+
+def _row_bytes(columns: list[np.ndarray]) -> list[bytes]:
+    """Each row of equal-length int64 ``columns`` as one bytes value."""
+    keys = np.stack(columns, axis=1)
+    return keys.view(np.dtype((np.void, keys.itemsize * len(columns)))).ravel().tolist()
+
+
+def _copied_rows(sample: dict, table: Table) -> list[bytes]:
+    """A schema-3 summary's copied reservoir (its ``sample`` table
+    payload), each row keyed as :func:`_table_rows` keys ``table``'s:
+    float64 bits, or codes into ``table``'s dictionary (a borrowed
+    column's codes already are; an inline dictionary's labels are
+    looked up)."""
+    if [entry["name"] for entry in sample["columns"]] != list(table.column_names):
+        raise StoreError("stored reservoir columns differ from the table's")
+    keys = []
+    for entry in sample["columns"]:
+        column = table.column(entry["name"])
+        if entry["kind"] != column.kind.value:
+            raise StoreError(f"stored reservoir column {entry['name']!r} changed kind")
+        if isinstance(column, NumericColumn):
+            keys.append(decode_buffer(entry["data"], np.dtype(np.int64), "values"))
+            continue
+        codes = decode_buffer(entry["data"], np.dtype(np.int32), "codes").astype(np.int64)
+        if entry.get("dictionary") != "table":
+            index = {label: code for code, label in enumerate(column.categories)}
+            # The extra -1 maps a missing value (code -1) to itself.
+            codes = np.asarray([index[label] for label in json.loads(entry["aux"])] + [-1])[codes]
+        keys.append(codes)
+    return _row_bytes(keys)
+
+
+def _table_rows(table: Table) -> dict[bytes, list[int]]:
+    """Each distinct row of ``table`` (float64 bits and codes) → the
+    ascending positions holding it."""
+    rows: dict[bytes, list[int]] = {}
+    for position, key in enumerate(_row_bytes([
+        column.codes.astype(np.int64)
+        if isinstance(column, CategoricalColumn)
+        else column.data.view(np.int64)
+        for column in table.columns
+    ])):
+        rows.setdefault(key, []).append(position)
+    return rows
+
+
+def _positions(copied: list[bytes], rows: dict[bytes, list[int]], n_rows: int) -> np.ndarray:
+    """Each copied row matched, in order, to the next table row with
+    the same bytes: the sorted positions of a copy drawn in row order
+    from the first ``n_rows`` rows (a :class:`StoreError` if none fits)."""
+    positions, last = [], -1
+    for key in copied:
+        candidates = rows.get(key, [])
+        found = bisect.bisect_right(candidates, last)
+        if found == len(candidates) or candidates[found] >= n_rows:
+            raise StoreError("a stored reservoir row is not in its table")
+        last = candidates[found]
+        positions.append(last)
+    return np.asarray(positions, dtype=np.int64)
+
+
+def _position_summaries(conn: sqlite3.Connection, load) -> None:
+    """Schema 3 → 4's summary half: each document's copied reservoir
+    becomes the positions of its rows in the stored table (``load(name)``,
+    the current table: tables are append-only, so its first rows are
+    the table at the summary's version).  A summary that cannot be
+    matched is deleted; it costs a cold build, never a wrong answer."""
+    for (name,) in conn.execute("SELECT DISTINCT table_name FROM summaries").fetchall():
+        rows_at, total = {}, 0
+        for version, n_rows in conn.execute(
+            "SELECT base_version, base_rows FROM tables WHERE name=? UNION ALL "
+            "SELECT to_version, n_rows FROM append_log WHERE table_name=? ORDER BY 1",
+            (name, name),
+        ).fetchall():
+            total += n_rows
+            rows_at[version] = total
+        try:
+            table = load(name)
+            rows = _table_rows(table)
+        except AtlasError:
+            table = rows = None
+        for version, key, payload in conn.execute(
+            "SELECT version, summary_key, payload FROM summaries WHERE table_name=?",
+            (name,),
+        ).fetchall():
+            where = (name, version, key)
+            try:
+                if table is None or rows is None:
+                    raise StoreError(f"stored table {name!r} does not load")
+                document = json.loads(payload)
+                n_rows = rows_at[version]
+                positions = _positions(_copied_rows(document["sample"], table), rows, n_rows)
+                document.update(n_rows=n_rows, sample=encode_sample(positions, 0, n_rows))
+            except (KeyError, TypeError, ValueError, IndexError, AtlasError):
+                conn.execute(
+                    "DELETE FROM summaries WHERE table_name=? AND version=? "
+                    "AND summary_key=?", where,
+                )
+            else:
+                conn.execute(
+                    "UPDATE summaries SET payload=? WHERE table_name=? AND version=? "
+                    "AND summary_key=?", (json.dumps(document), *where),
+                )
+
+
 #: Schema version → the in-place migration to the next one.
-_MIGRATIONS = {1: _migrate_v1, 2: _migrate_v2}
+_MIGRATIONS = {1: _migrate_v1, 2: _migrate_v2, 3: _migrate_v3}
 
 
 class TableStore:
@@ -229,27 +358,30 @@ class TableStore:
         self._conn = open_sqlite(self._path)  # guarded-by: _lock
         # Buffers of loaded tables not fetched yet (see _Buffer).
         self._pending: weakref.WeakSet[_Buffer] = weakref.WeakSet()  # guarded-by: _lock
-        with self._lock:
-            cursor = self._conn.cursor()
+        # Not under _lock: nothing shares the store yet, and the
+        # summary migration loads tables through load_table.
+        cursor = self._conn.cursor()
+        version = cursor.execute("PRAGMA user_version").fetchone()[0]
+        if version in _MIGRATIONS:
+            # Under the write lock, so a second process opening the
+            # same file waits, then finds the store migrated.
+            cursor.execute("BEGIN IMMEDIATE")
             version = cursor.execute("PRAGMA user_version").fetchone()[0]
             if version in _MIGRATIONS:
-                # Under the write lock, so a second process opening
-                # the same file waits, then finds the store migrated.
-                cursor.execute("BEGIN IMMEDIATE")
-                version = cursor.execute("PRAGMA user_version").fetchone()[0]
                 while version in _MIGRATIONS:
                     _MIGRATIONS[version](self._conn)
                     version += 1
-                cursor.execute(f"PRAGMA user_version={version}")
-            if version == 0:
-                cursor.executescript(_CREATE)
-                cursor.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
-            elif version != _SCHEMA_VERSION:
-                raise StoreError(
-                    f"store database {self._path!r} has schema version "
-                    f"{version}; this build speaks {_SCHEMA_VERSION}"
-                )
-            self._conn.commit()
+                _position_summaries(self._conn, self.load_table)
+            cursor.execute(f"PRAGMA user_version={version}")
+        if version == 0:
+            cursor.executescript(_CREATE)
+            cursor.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
+        elif version != _SCHEMA_VERSION:
+            raise StoreError(
+                f"store database {self._path!r} has schema version "
+                f"{version}; this build speaks {_SCHEMA_VERSION}"
+            )
+        self._conn.commit()
 
     @property
     def path(self) -> str:

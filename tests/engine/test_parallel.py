@@ -24,11 +24,11 @@ from repro.engine.parallel import (
     ShardedTable,
     _sketch_attributes,
     build_sharded_backend,
-    merge_row_samples,
     tag_rng,
 )
 from repro.engine.pipeline import Pipeline
 from repro.errors import ConfigError, MapError
+from repro.sketch.state import merge_row_samples
 
 SKETCH = Fidelity.sketch(budget_rows=2_000)
 
@@ -575,14 +575,14 @@ def staged_backend(table, venue, stage, fidelity, parallelism):
 
 def exported(backend):
     """``export_state()`` as comparable plain data, field by field."""
-    from repro.store.codec import column_blob
+    from repro.store.codec import column_row
 
     state = backend.export_state()
     return {
-        "reservoir": {
-            column.name: column_blob(column)
-            for column in state.sample.columns
-        },
+        "sample": state.sample.tolist(),
+        "reservoir": [
+            column_row(column) for column in backend.effective_table.columns
+        ],
         **{
             family: {
                 attribute: sketch.to_dict()

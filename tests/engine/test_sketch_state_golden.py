@@ -1,6 +1,6 @@
 """Sketch state pinned byte for byte: serial, sharded, appended, on the wire.
 
-``data/sketch_state_census.json`` holds blake2b digests of five
+``data/sketch_state_census.json`` holds blake2b digests of nine
 documents built from census (3,000 rows, seed 3), split by
 ``split_for_streaming`` into an initial half and two append batches:
 
@@ -11,6 +11,12 @@ documents built from census (3,000 rows, seed 3), split by
 * ``serial_appended`` / ``sharded_appended`` — the same backends after
   both batches were appended (``context.advance``) and the survey
   re-answered at each version;
+* ``serial_state`` … ``sharded_appended_state`` — the same four
+  backends in a form no storage layout enters: each reservoir column's
+  :func:`~repro.store.codec.column_row` fields (values or codes plus
+  the dictionary's stored text), then every GK, Misra–Gries and token
+  summary's ``to_dict``.  These hold when only the summary document's
+  layout changes;
 * ``scan_answer`` — ``json.dumps`` (key order kept) of the
   ``encode_scan_answer`` a shard server sends for a 2-shard scan of the
   whole table, with the wall-clock ``seconds`` and ``kernel_nanos``
@@ -43,6 +49,7 @@ from repro.engine.parallel import (
 from repro.engine.pipeline import Pipeline
 from repro.evaluation.workloads import figure2_query
 from repro.store import extract_summary, summary_key
+from repro.store.codec import column_row
 
 GOLDEN = Path(__file__).parent / "data" / "sketch_state_census.json"
 FIDELITY = Fidelity.parse("sketch:500")
@@ -59,8 +66,25 @@ def summary_digest(context: ExecutionContext) -> str:
     return digest(json.dumps(summary.to_dict(), sort_keys=True))
 
 
-def session_digests(shards: int) -> tuple[str, str]:
-    """Digests of one backend before and after two appends."""
+def state_digest(context: ExecutionContext) -> str:
+    """The reservoir rows and summaries, whatever form stores them."""
+    backend = context.stats()
+    state = backend.export_state()
+    digest = hashlib.blake2b(digest_size=16)
+    for column in backend.effective_table.columns:
+        for part in column_row(column):
+            raw = part if isinstance(part, bytes) else repr(part).encode()
+            digest.update(len(raw).to_bytes(8, "little"))
+            digest.update(raw)
+    for family in (state.quantiles, state.frequencies, state.tokens):
+        sketches = {name: sketch.to_dict() for name, sketch in family.items()}
+        digest.update(json.dumps(sketches, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def session_digests(shards: int) -> tuple[str, str, str, str]:
+    """Document and state digests of one backend before and after two
+    appends."""
     table = census_table(n_rows=3000, seed=SEED)
     initial, batches = split_for_streaming(table, 2)
     config = AtlasConfig(
@@ -72,13 +96,13 @@ def session_digests(shards: int) -> tuple[str, str]:
     context = ExecutionContext(initial, config)
     pipeline.run(None, context)
     pipeline.run(survey, context)
-    before = summary_digest(context)
+    before, before_state = summary_digest(context), state_digest(context)
     current = initial
     for batch in batches:
         current = current.append(batch)
         context.advance(current)
         pipeline.run(survey, context)
-    return before, summary_digest(context)
+    return before, summary_digest(context), before_state, state_digest(context)
 
 
 def scan_answer_digest() -> str:
@@ -124,15 +148,15 @@ def scan_answer_digest() -> str:
 
 
 def current_digests() -> dict[str, str]:
-    serial, serial_appended = session_digests(shards=1)
-    sharded, sharded_appended = session_digests(shards=4)
-    return {
-        "serial": serial,
-        "serial_appended": serial_appended,
-        "sharded": sharded,
-        "sharded_appended": sharded_appended,
-        "scan_answer": scan_answer_digest(),
-    }
+    digests = {}
+    for name, shards in (("serial", 1), ("sharded", 4)):
+        before, after, before_state, after_state = session_digests(shards)
+        digests[name] = before
+        digests[f"{name}_appended"] = after
+        digests[f"{name}_state"] = before_state
+        digests[f"{name}_appended_state"] = after_state
+    digests["scan_answer"] = scan_answer_digest()
+    return digests
 
 
 def test_sketch_state_bytes_match_the_golden():

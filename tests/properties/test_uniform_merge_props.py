@@ -22,7 +22,7 @@ from repro.core.config import Fidelity
 from repro.datagen import census_table
 from repro.dataset.column import NumericColumn
 from repro.engine.backends import SketchBackend
-from repro.engine.parallel import merge_row_samples
+from repro.sketch.state import merge_row_samples
 
 TABLE = census_table(n_rows=1200, seed=11)
 

@@ -27,7 +27,7 @@ from repro.errors import StoreError
 from repro.service import ExplorationService
 from repro.store import TableStore
 from repro.store import store as store_module
-from repro.store.codec import column_blob
+from repro.store.codec import column_row
 
 from tests.store.test_labels import NON_TEXT_QUERIES, SKETCH, TEXT_QUERY
 
@@ -54,7 +54,7 @@ def assert_identical(loaded: Table, expected: Table) -> None:
     assert loaded.column_names == expected.column_names
     assert loaded.version == expected.version
     for column in expected.columns:
-        assert column_blob(loaded.column(column.name)) == column_blob(column)
+        assert column_row(loaded.column(column.name)) == column_row(column)
 
 
 class TestLifetime:
@@ -204,6 +204,9 @@ class TestMalformedBuffersFailAtLoad:
         assert "'t'" in message and f"version {version}" in message
 
 
+#: The tickets table's columns, each one stored buffer.
+COLUMNS = support_tickets_table(n_rows=10, seed=0).column_names
+
 _SELECT = re.compile(r"^\s*SELECT\s+(.*?)\s+FROM", re.I | re.S)
 
 
@@ -224,9 +227,10 @@ def buffers_selected(path: str, statements: list[str]) -> list[tuple[str, str | 
 
 
 class TestRestartReadsOnlyWhatTheQueryReads:
-    """A restarted service reads no values and no codes of its table,
-    and only the label text its predicates name: the small dictionaries
-    a set predicate maps to codes, ``title`` for a text predicate."""
+    """A restarted service reads each value and code buffer of its table
+    once (the restored reservoir is a ``take`` of the table's rows), and
+    only the label text its predicates name: the small dictionaries a
+    set predicate maps to codes, ``title`` for a text predicate."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -256,15 +260,23 @@ class TestRestartReadsOnlyWhatTheQueryReads:
             assert service.metrics()["requests"]["warm_starts"] == 1
 
     @pytest.mark.parametrize("query", NON_TEXT_QUERIES)
-    def test_non_text_query_reads_no_values_codes_or_title(self, path, statements, query):
+    def test_non_text_query_reads_each_buffer_once_and_no_title_text(
+        self, path, statements, query
+    ):
         self.restart(path, query)
         assert any("FROM columns" in s for s in statements)  # the trace works
         named = sorted(line.split(":")[0] for line in query.split("\n") if "{" in line)
-        assert buffers_selected(path, statements) == [("labels", c) for c in named]
+        assert buffers_selected(path, statements) == sorted(
+            [("data", c) for c in COLUMNS] + [("labels", c) for c in named]
+        )
 
-    def test_text_query_reads_the_title_text_once_and_no_codes(self, path, statements):
+    def test_text_query_reads_each_buffer_once_and_the_title_text_once(
+        self, path, statements
+    ):
         self.restart(path, TEXT_QUERY)
-        assert buffers_selected(path, statements) == [("labels", "title")]
+        assert buffers_selected(path, statements) == sorted(
+            [("data", c) for c in COLUMNS] + [("labels", "title")]
+        )
 
     def test_search_reads_no_codes(self, path, statements):
         with TableStore(path) as store:

@@ -11,6 +11,7 @@ version.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import shutil
@@ -30,7 +31,6 @@ from repro.evaluation.metrics import map_set_fingerprint
 from repro.service import ExplorationService
 from repro.store import TableStore
 from repro.store import codec as codec_module
-from repro.store.codec import column_blob
 
 DATA = Path(__file__).parent / "data"
 
@@ -267,10 +267,15 @@ class TestCorruptDictionaries:
 
 
 def table_digest(table: Table) -> str:
+    """sha256 over each column's name, kind, raw buffer and JSON label
+    list (the digest the fixtures' ``table_digest`` fields record)."""
     digest = hashlib.sha256()
     for column in table.columns:
-        kind, data, aux = column_blob(column)
-        for part in (column.name.encode(), kind.encode(), data, (aux or "").encode()):
+        if isinstance(column, CategoricalColumn):
+            data, aux = column.codes.tobytes(), json.dumps(list(column.categories))
+        else:
+            data, aux = column.data.tobytes(), ""
+        for part in (column.name.encode(), column.kind.value.encode(), data, aux.encode()):
             digest.update(len(part).to_bytes(8, "little"))
             digest.update(part)
     return digest.hexdigest()
@@ -302,7 +307,7 @@ class TestSchemaOneStore:
         assert (table.version, table.n_rows) == (golden["version"], golden["n_rows"])
         assert table_digest(table) == golden["table_digest"]
         with sqlite3.connect(path) as conn:
-            assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
+            assert conn.execute("PRAGMA user_version").fetchone()[0] == 4
             assert conn.execute(
                 "SELECT COUNT(*) FROM columns WHERE kind='categorical' "
                 "AND n_labels IS NULL"
@@ -340,9 +345,9 @@ class TestSchemaOneStore:
 
     def test_a_newer_schema_is_still_refused(self, path):
         with sqlite3.connect(path) as conn:
-            conn.execute("PRAGMA user_version=4")
+            conn.execute("PRAGMA user_version=5")
         conn.close()
-        with pytest.raises(StoreError, match="schema version 4"):
+        with pytest.raises(StoreError, match="schema version 5"):
             TableStore(path)
 
 
@@ -373,7 +378,7 @@ class TestSchemaTwoStore:
         assert (table.version, table.n_rows) == (golden["version"], golden["n_rows"])
         assert table_digest(table) == golden["table_digest"]
         with sqlite3.connect(path) as conn:
-            assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
+            assert conn.execute("PRAGMA user_version").fetchone()[0] == 4
             assert conn.execute(
                 "SELECT COUNT(*) FROM columns WHERE kind='categorical' AND "
                 "(checksum IS NULL OR aux IS NOT NULL)"
@@ -430,3 +435,43 @@ class TestSchemaTwoStore:
                 store.load_table("support_tickets")
         assert "version 0" in str(raised.value)
         assert "fails its checksum" in str(raised.value)
+
+
+#: Schema 4's ``columns`` fields: the fixed-size ones before the BLOBs.
+COLUMN_FIELDS = [
+    "table_name", "version", "position", "name", "kind",
+    "n_labels", "checksum", "data", "labels", "label_lengths",
+]
+
+
+def column_fields(path: str) -> list[str]:
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        return [row[1] for row in conn.execute("PRAGMA table_info(columns)")]
+
+
+class TestColumnOrder:
+    """``load_table``'s metadata read stops before the buffers only if
+    SQLite stores ``n_labels`` ahead of them."""
+
+    def test_a_fresh_store_puts_the_fixed_size_fields_first(self, tmp_path):
+        path = str(tmp_path / "atlas.db")
+        TableStore(path).close()
+        assert column_fields(path) == COLUMN_FIELDS
+
+    def test_a_migrated_store_puts_them_first_and_keeps_rowids(self, tmp_path):
+        path = str(tmp_path / "atlas.db")
+        shutil.copyfile(DATA / "store_v3_census.db", path)
+        rows = "SELECT rowid, table_name, version, position, data FROM columns"
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            before = conn.execute(rows).fetchall()
+        TableStore(path).close()
+        assert column_fields(path) == COLUMN_FIELDS
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            assert conn.execute(rows).fetchall() == before
+            assert conn.execute("PRAGMA user_version").fetchone()[0] == 4
+
+    def test_a_store_from_schema_two_keeps_its_unread_aux_last(self, tmp_path):
+        path = str(tmp_path / "atlas.db")
+        shutil.copyfile(DATA / "store_v2_tickets.db", path)
+        TableStore(path).close()
+        assert column_fields(path) == COLUMN_FIELDS + ["aux"]

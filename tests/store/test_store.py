@@ -14,7 +14,7 @@ from repro.service import ExplorationService
 from repro.service.protocol import error_from_payload, error_to_dict
 from repro.store import TableStore
 from repro.store import codec as codec_module
-from repro.store.codec import column_blob, column_from_blob
+from repro.store.codec import column_row, stored_column
 
 
 def make_table(name: str = "events") -> Table:
@@ -93,14 +93,16 @@ class TestRegistration:
 class TestDecode:
     def test_decoded_arrays_are_readonly_and_detached_from_the_blob(self):
         for column in make_table().columns:
-            kind, blob, aux = column_blob(column)
+            name, kind, blob, labels, n_labels, lengths, checksum = column_row(column)
             buffer = bytearray(blob)  # a blob we can scribble on afterwards
-            decoded = column_from_blob(column.name, kind, buffer, aux)
+            decoded = stored_column(
+                name, kind, len(column), len(blob), n_labels, "a test row",
+                lambda: bytes(buffer), lambda: (labels, lengths, checksum),
+            )
             array = getattr(decoded, "data", None)
             if array is None:
                 array = decoded.codes
             assert not array.flags.writeable
-            assert array.flags.owndata
             before = array.copy()
             buffer[:] = bytes(len(buffer))
             np.testing.assert_array_equal(array, before)

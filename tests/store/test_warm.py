@@ -5,13 +5,15 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import shutil
+import sqlite3
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
-from repro.datagen import census_table
+from repro.datagen import census_table, split_for_streaming, support_tickets_table
 from repro.dataset.column import CategoricalColumn, NumericColumn
 from repro.dataset.table import Table
 from repro.engine.backends import SketchBackend
@@ -19,15 +21,19 @@ from repro.engine.context import ExecutionContext
 from repro.engine.pipeline import Pipeline
 from repro.errors import StoreError
 from repro.evaluation.metrics import map_set_fingerprint
+from repro.query.parser import parse_query
 from repro.service.service import ExplorationService
+from repro.sketch.state import encode_sample
 from repro.store import TableStore
-from repro.store.codec import column_blob
 from repro.store.warm import (
     SketchSummary,
     extract_summary,
     restore_backend,
     summary_key,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -76,11 +82,9 @@ class TestRoundTrip:
         again = SketchSummary.from_dict(payload)
         assert again.state.version == summary.state.version
         assert again.key == "k"
-        # The label dictionaries live with the table: until
-        # restore_backend binds them, the reservoir is not readable.
-        with pytest.raises(StoreError, match="borrows its table"):
-            again.sample
-        assert again.bind(census).n_rows == summary.sample.n_rows
+        # The sample is row positions in the table, not rows.
+        np.testing.assert_array_equal(again.state.sample, summary.state.sample)
+        assert again.state.n_rows == census.n_rows
         assert set(again.state.quantiles) == {"Age"}
         assert set(again.state.frequencies) == {"Education"}
         assert set(again.state.tokens) == {"Education"}
@@ -233,28 +237,20 @@ def _borrowed_document(backend) -> dict:
     return json.loads(json.dumps(summary.to_dict()))
 
 
-def _entry(document: dict, name: str) -> dict:
-    (entry,) = [
-        column
-        for column in document["sample"]["columns"]
-        if column["name"] == name
-    ]
-    return entry
-
-
 class TestBorrowedDictionaries:
     """Label text is stored once, with the table: a summary document
-    carries codes and borrows the dictionaries at restore."""
+    carries row positions, and the restored reservoir shares the
+    table's dictionaries."""
 
-    def test_document_marks_label_columns_instead_of_repeating_them(
-        self, built_backend, census
-    ):
-        document = _borrowed_document(built_backend)
-        for column in census.columns:
-            entry = _entry(document, column.name)
-            assert entry["aux"] is None
-            is_label = isinstance(column, CategoricalColumn)
-            assert (entry.get("dictionary") == "table") == is_label
+    def test_a_summary_repeats_no_label_text(self):
+        table = _titled_table(6_000)
+        backend = SketchBackend(table, Fidelity.parse("sketch:1000"), rng=1)
+        backend.token_sketch("title")
+        document = json.dumps(
+            extract_summary(backend, table_name="tickets", key="k").to_dict()
+        )
+        labels = table.categorical("title").categories
+        assert not any(label in document for label in labels)
 
     def test_restore_shares_the_live_dictionaries_by_identity(
         self, built_backend, census
@@ -271,152 +267,41 @@ class TestBorrowedDictionaries:
                 )
                 assert not column.codes.flags.writeable
 
-    def test_a_differing_dictionary_stays_inline(self, built_backend, census):
-        summary = extract_summary(built_backend, table_name="census", key="k")
-        sex = summary.sample.categorical("Sex")
-        widened = CategoricalColumn(
-            "Sex", sex.codes, sex.categories + ("(unused)",)
-        )
-        columns = [
-            widened if column.name == "Sex" else column
-            for column in summary.sample.columns
-        ]
-        odd = SketchSummary(
-            table_name="census",
-            key="k",
-            fidelity=summary.fidelity,
-            state=dataclasses.replace(
-                summary.state,
-                sample=Table(columns, name=summary.sample.name),
-                quantiles={},
-                frequencies={},
-                tokens={},
-            ),
-            base=census,
-        )
-        document = json.loads(json.dumps(odd.to_dict()))
-        assert "dictionary" not in _entry(document, "Sex")
-        assert json.loads(_entry(document, "Sex")["aux"])[-1] == "(unused)"
-        assert _entry(document, "Education")["dictionary"] == "table"
-        warm = restore_backend(SketchSummary.from_dict(document), census)
-        restored = warm.effective_table.categorical("Sex")
-        assert restored.categories == widened.categories
-        np.testing.assert_array_equal(restored.codes, widened.codes)
-
-    def test_summary_without_its_table_writes_inline(self, built_backend):
-        summary = extract_summary(built_backend, table_name="census", key="k")
-        alone = SketchSummary(
-            table_name="census",
-            key="k",
-            fidelity=summary.fidelity,
-            state=dataclasses.replace(
-                summary.state, quantiles={}, frequencies={}, tokens={}
-            ),
-        )
-        document = alone.to_dict()
-        assert all(
-            "dictionary" not in column
-            for column in document["sample"]["columns"]
-        )
-        assert SketchSummary.from_dict(document).sample.n_rows == 500
-
     def test_unbound_summary_reserializes_unchanged(self, built_backend):
         document = _borrowed_document(built_backend)
         assert SketchSummary.from_dict(document).to_dict() == document
 
-    def test_document_size_is_bounded_by_the_reservoir_not_the_labels(self):
-        n_rows, budget = 6_000, 1_000
-        table = Table(
-            [
-                NumericColumn("hours", np.arange(n_rows, dtype=np.float64)),
-                CategoricalColumn.from_values(
-                    "title",
-                    [f"ticket {i:05d}: disk outage on rack" for i in range(n_rows)],
-                ),
-            ],
-            name="tickets",
-        )
-        backend = SketchBackend(table, Fidelity.parse(f"sketch:{budget}"), rng=1)
-        summary = extract_summary(backend, table_name="tickets", key="k")
-        assert len(summary.sample.categorical("title").categories) >= 5_000
-        buffers = sum(
-            len(base64.b64encode(column_blob(column)[1]))
-            for column in summary.sample.columns
-        )
-        size = len(json.dumps(summary.to_dict()))
-        assert size <= 2 * buffers + 4096
-
-
-class TestLegacyDocuments:
-    """Summaries written before dictionaries were borrowed carry them
-    inline on every label column; they must keep restoring, through the
-    same reader, to the same answers."""
-
-    def test_golden_legacy_summary_restores_bit_identically(self):
-        golden = json.loads(
-            (Path(__file__).parent / "data" / "legacy_summary_census.json")
-            .read_text()
-        )
-        document = golden["document"]
-        assert all(
-            column["kind"] == "numeric" or column["aux"]
-            for column in document["sample"]["columns"]
-        )
-        spec = golden["table"]
-        table = census_table(n_rows=spec["n_rows"], seed=spec["seed"])
-        assert SketchSummary.from_dict(document).sample.n_rows == 100
-        with TableStore() as store:
-            store.register_table(table)
-            store.put_summary(
-                "census", document["version"], golden["summary_key"], document
+    def test_document_size_is_bounded_by_a_bitmap_of_the_table(self, tmp_path):
+        """53,996 bytes when the document copied its 2,000 reservoir rows."""
+        path = str(tmp_path / "atlas.db")
+        table = support_tickets_table(n_rows=20_000, seed=0)
+        with ExplorationService(max_workers=1, store=path) as service:
+            service.register(table, persist=True)
+            service.explore(
+                table.name, "hours_open: [0, 48]", fidelity="sketch:2000",
+                use_cache=False,
             )
-            with ExplorationService(max_workers=1, store=store) as service:
-                warm = service.explore(
-                    "census", golden["query"], config=golden["config"]
-                )
-                assert service.metrics()["requests"]["warm_starts"] == 1
-        assert map_set_fingerprint(warm.map_set) == golden["fingerprint"]
-        with ExplorationService(max_workers=1) as service:
-            service.register(table)
-            cold = service.explore(
-                "census", golden["query"], config=golden["config"]
-            )
-        assert map_set_fingerprint(cold.map_set) == golden["fingerprint"]
+            assert service.metrics()["requests"]["summaries_persisted"] == 1
+        with sqlite3.connect(path) as conn:
+            (size,) = conn.execute("SELECT length(payload) FROM summaries").fetchone()
+        conn.close()
+        assert size <= 6 * 1024
 
 
-def _rename_column(document, census):
-    _entry(document, "Sex")["name"] = "Gender"
-    return census, "Gender"
-
-
-def _mark_numeric(document, census):
-    _entry(document, "Age")["dictionary"] = "table"
-    return census, "Age"
-
-
-def _overflow_codes(document, census):
-    entry = _entry(document, "Education")
-    codes = np.full(500, len(census.categorical("Education").categories))
-    entry["data"] = base64.b64encode(codes.astype(np.int32).tobytes()).decode()
-    return census, "Education"
+def _titled_table(n_rows: int) -> Table:
+    return Table(
+        [
+            NumericColumn("hours", np.arange(n_rows, dtype=np.float64)),
+            CategoricalColumn.from_values(
+                "title",
+                [f"ticket {i:05d}: disk outage on rack" for i in range(n_rows)],
+            ),
+        ],
+        name="tickets",
+    )
 
 
 class TestBorrowedDictionaryErrors:
-    @pytest.mark.parametrize(
-        "corrupt", [_rename_column, _mark_numeric, _overflow_codes]
-    )
-    def test_unbindable_column_is_a_store_error_naming_the_culprit(
-        self, built_backend, census, corrupt
-    ):
-        document = _borrowed_document(built_backend)
-        table, column = corrupt(document, census)
-        summary = SketchSummary.from_dict(document)
-        with pytest.raises(StoreError) as raised:
-            restore_backend(summary, table)
-        message = str(raised.value)
-        assert repr(column) in message
-        assert "'census'" in message and "version 0" in message
-
     def test_table_at_another_version_keeps_the_version_error(
         self, built_backend, census
     ):
@@ -425,7 +310,179 @@ class TestBorrowedDictionaryErrors:
         with pytest.raises(StoreError, match="captured at version 0"):
             restore_backend(summary, moved)
 
-    def test_reading_an_unbound_reservoir_is_a_store_error(self, built_backend):
-        summary = SketchSummary.from_dict(_borrowed_document(built_backend))
-        with pytest.raises(StoreError, match="restore_backend"):
-            summary.sample
+
+class TestLegacyDocuments:
+    """Summaries a schema-3 store holds copy their reservoir rows — with
+    borrowed dictionaries, or inline ones from before borrowing.  Opening
+    the store rewrites each as positions; each must restore to the
+    answer that build gave."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((DATA / "store_v3_census.json").read_text())
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "atlas.db"
+        shutil.copyfile(DATA / "store_v3_census.db", path)
+        return str(path)
+
+    @staticmethod
+    def tables(golden) -> dict[str, list[Table]]:
+        """Every stored table at every version, regenerated."""
+        legacy, spec = golden["legacy"], golden["appended"]
+        initial, _ = split_for_streaming(
+            census_table(n_rows=spec["n_rows"], seed=spec["seed"]), spec["batches"]
+        )
+        versions = [initial.rename(spec["table"])]
+        for rows in spec["appends"]:
+            versions.append(versions[-1].append(rows))
+        census = census_table(n_rows=legacy["n_rows"], seed=legacy["seed"])
+        return {legacy["table"]: [census], spec["table"]: versions}
+
+    def test_golden_legacy_summary_restores_bit_identically(self, path, golden):
+        legacy = json.loads((DATA / "legacy_summary_census.json").read_text())
+        assert all(
+            column["kind"] == "numeric" or column["aux"]
+            for column in legacy["document"]["sample"]["columns"]
+        )
+        with ExplorationService(max_workers=1, store=path) as service:
+            warm = service.explore(
+                "census", legacy["query"], config=legacy["config"], use_cache=False
+            )
+            assert service.metrics()["requests"]["warm_starts"] == 1
+        assert map_set_fingerprint(warm.map_set) == legacy["fingerprint"]
+        with ExplorationService(max_workers=1) as service:
+            service.register(self.tables(golden)["census"][0])
+            cold = service.explore(
+                "census", legacy["query"], config=legacy["config"]
+            )
+        assert map_set_fingerprint(cold.map_set) == legacy["fingerprint"]
+
+    def test_every_summary_migrates_and_restores_its_answer(self, path, golden):
+        tables = self.tables(golden)
+        config = AtlasConfig.from_dict(golden["config"])
+        with TableStore(path) as store:
+            assert [
+                [name, *key] for name in tables for key in store.summary_keys(name)
+            ] == [
+                [s["table"], s["version"], s["summary_key"]]
+                for s in golden["summaries"]
+            ]
+            for stored in golden["summaries"]:
+                document = store.get_summary(
+                    stored["table"], stored["version"], stored["summary_key"]
+                )
+                assert set(document["sample"]) == {"size", "bitmap"}
+                summary = SketchSummary.from_dict(document)
+                context = ExecutionContext(
+                    tables[stored["table"]][stored["version"]], config
+                )
+                assert context.adopt_stats(
+                    lambda table, counters, lock: restore_backend(
+                        summary, table, counters=counters, lock=lock
+                    )
+                )
+                answer = Pipeline.default().run(parse_query(golden["query"]), context)
+                assert map_set_fingerprint(answer) == stored["fingerprint"], stored
+
+    def test_the_appended_table_answers_warm_with_its_fingerprint(self, path, golden):
+        name = golden["appended"]["table"]
+        with ExplorationService(max_workers=1, store=path) as service:
+            warm = service.explore(
+                name, golden["query"], config=golden["config"], use_cache=False
+            )
+            assert service.metrics()["requests"]["warm_starts"] == 1
+        assert map_set_fingerprint(warm.map_set) == golden["summaries"][-1]["fingerprint"]
+
+    def test_an_unmatchable_summary_is_deleted(self, path, golden):
+        with sqlite3.connect(path) as conn:
+            (payload,) = conn.execute(
+                "SELECT payload FROM summaries WHERE table_name='census'"
+            ).fetchone()
+            document = json.loads(payload)
+            age = document["sample"]["columns"][0]
+            assert age["name"] == "Age"
+            age["data"] = base64.b64encode(
+                np.full(100, -1.5).tobytes()
+            ).decode()  # an age no census row has
+            conn.execute(
+                "UPDATE summaries SET payload=? WHERE table_name='census'",
+                (json.dumps(document),),
+            )
+        conn.close()
+        with TableStore(path) as store:
+            assert store.summary_keys("census") == []
+            assert len(store.summary_keys(golden["appended"]["table"])) == 3
+
+
+CORRUPT_QUERY = "Age: [20, 70]\nEducation: {'BSc', 'MSc'}"
+CORRUPT_CONFIG = {"fidelity": "sketch:500", "seed": 3}
+
+
+def _missing_field(document):
+    del document["table_name"]
+
+
+def _bad_gk_arrays(document):
+    gk = next(iter(document["quantiles"].values()))
+    gk["count"] += 1  # its tuples no longer sum to it
+
+
+def _bad_bitmap(document):
+    document["sample"]["bitmap"] = "not base64!"
+
+
+def _bitmap_count_mismatch(document):
+    document["sample"]["size"] += 1
+
+
+def _positions_past_the_table(document):
+    n_rows = document["n_rows"] + 8
+    positions = np.append(
+        SketchSummary.from_dict(document).state.sample, n_rows - 1
+    )
+    document.update(n_rows=n_rows, sample=encode_sample(positions, 0, n_rows))
+
+
+class TestMalformedSummaries:
+    """A stored summary that does not decode, or does not fit its
+    table, costs a cold build and never fails the explore."""
+
+    @pytest.fixture(scope="class")
+    def cold_fingerprint(self, census):
+        with ExplorationService(max_workers=1) as service:
+            service.register(census)
+            answer = service.explore(
+                "census", CORRUPT_QUERY, config=CORRUPT_CONFIG, use_cache=False
+            )
+        return map_set_fingerprint(answer.map_set)
+
+    @pytest.mark.parametrize("corrupt", [
+        _missing_field,
+        _bad_gk_arrays,
+        _bad_bitmap,
+        _bitmap_count_mismatch,
+        _positions_past_the_table,
+    ])
+    def test_the_explore_falls_back_to_a_cold_build(
+        self, tmp_path, census, cold_fingerprint, corrupt
+    ):
+        path = str(tmp_path / "atlas.db")
+        with ExplorationService(max_workers=1, store=path) as service:
+            service.register(census, persist=True)
+            # The root scope builds (and persists) the GK summaries.
+            service.explore("census", None, config=CORRUPT_CONFIG, use_cache=False)
+        key = summary_key(AtlasConfig.from_dict(CORRUPT_CONFIG))
+        with TableStore(path) as store:
+            document = store.get_summary("census", 0, key)
+            corrupt(document)
+            store.put_summary("census", 0, key, document)
+        with pytest.raises(StoreError):
+            restore_backend(SketchSummary.from_dict(document), census)
+        with ExplorationService(max_workers=1, store=path) as service:
+            answer = service.explore(
+                "census", CORRUPT_QUERY, config=CORRUPT_CONFIG, use_cache=False
+            )
+            assert service.metrics()["requests"]["warm_starts"] == 0
+        assert map_set_fingerprint(answer.map_set) == cold_fingerprint

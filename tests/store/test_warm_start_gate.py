@@ -1,11 +1,10 @@
-"""E24's behavioural gate, at smoke scale: a warm start answers exactly
-as the cold boot did.
+"""E24's gate: a warm start answers exactly as the cold boot did.
 
-``benchmarks/bench_store.py --smoke`` asserts the same things plus a
-wall-clock speed-up; only the behaviour is checked here.  A cold service
-registers the document table with ``persist=True`` and answers two mixed
-numeric+text queries (persisting the sketch summary); a new service over
-the same store file must adopt that summary and answer bit-identically.
+A cold service registers the document table with ``persist=True`` and
+answers two mixed numeric+text queries (persisting the sketch summary);
+a new service over the same store file must adopt that summary and
+answer bit-identically.  Only behaviour is checked: the restart's wall
+clock is the ``warm_restart`` workload of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -15,12 +14,12 @@ from repro.evaluation.metrics import map_set_fingerprint, ranked_map_agreement
 from repro.service import ExplorationService
 
 TABLE = "support_tickets"
-#: bench_store.py's QUERIES.
+#: Mixed numeric + text queries (a token match and a substring match).
 QUERIES = (
     "hours_open: [0, 48]\ntitle: match 'disk'",
     "severity: {'critical', 'high'}\ntitle: contains 'outage'",
 )
-#: bench_store.py's --smoke scale.
+#: A 30k-row table, sampled at a 3k-row budget.
 SPEC = {"generator": TABLE, "n_rows": 30_000, "seed": 0, "n_entities": 300}
 CONFIG = AtlasConfig(fidelity=Fidelity.sketch(budget_rows=3_000), seed=0)
 
