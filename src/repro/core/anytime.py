@@ -34,6 +34,7 @@ from collections.abc import Iterator
 from repro.core.config import AtlasConfig, Fidelity
 from repro.core.distance import map_nvi
 from repro.dataset.table import Table
+from repro.engine.backends import check_advance
 from repro.engine.context import ExecutionContext
 from repro.engine.pipeline import MapSet, Pipeline
 from repro.errors import MapError
@@ -149,13 +150,7 @@ class AnytimeExplorer:
         drivers call this between batches so a re-run answers against
         fresh rows.
         """
-        if new_table.version <= self._table.version:
-            raise MapError(
-                f"cannot advance from version {self._table.version} to "
-                f"{new_table.version}; versions must increase"
-            )
-        if new_table.column_names != self._table.column_names:
-            raise MapError("cannot advance onto a different schema")
+        check_advance(self._table, new_table)
         self._table = new_table
 
     def ticks(self) -> Iterator[AnytimeResult]:

@@ -119,7 +119,7 @@ class Atlas:
         columnar mapping or a same-schema table).  The shared execution
         context maintains its statistics incrementally — sketch
         backends merge delta sketches and top up their reservoirs,
-        exact backends drop version-stale memos — so subsequent
+        exact backends start fresh memos — so subsequent
         explores answer at the new version without a cold start.
         Returns the new (version-bumped) table.
 

@@ -176,8 +176,10 @@ class StatsBackend(Protocol):
         self,
         new_table: Table,
         rng: np.random.Generator | int | None = None,
-    ) -> None:
-        """Maintain this backend onto an appended version of its table."""
+    ) -> "StatsBackend":
+        """A successor backend describing an appended version of the
+        table; this backend is left untouched (it still describes its
+        own version)."""
         ...  # pragma: no cover - protocol stub
 
     def query_mask(self, query: ConjunctiveQuery) -> np.ndarray:
@@ -237,6 +239,26 @@ def table_fingerprint(table: Table) -> int:
     return zlib.crc32(canonical.encode("utf-8"))
 
 
+def check_advance(table: Table, new_table: Table) -> None:
+    """Raise :class:`MapError` unless ``new_table`` is an appended
+    version of ``table`` (higher version, same schema, no fewer rows)."""
+    if new_table.version <= table.version:
+        raise MapError(
+            f"cannot advance from version {table.version} to "
+            f"{new_table.version}; versions must increase"
+        )
+    if new_table.column_names != table.column_names:
+        raise MapError(
+            "cannot advance onto a table with a different schema "
+            f"({table.column_names} vs {new_table.column_names})"
+        )
+    if new_table.n_rows < table.n_rows:
+        raise MapError(
+            "streaming tables are append-only: cannot advance from "
+            f"{table.n_rows} to {new_table.n_rows} rows"
+        )
+
+
 class ExactBackend:
     """Memoized exact statistics over one immutable table.
 
@@ -255,12 +277,9 @@ class ExactBackend:
     one lock shared by all its stat blocks so nested memo calls and the
     shared counters stay consistent; a standalone backend gets its own.
 
-    Streaming: :meth:`advance` moves the backend to an appended version
-    of its table.  Every memo family here is row-backed, so an append
-    makes all of them version-stale; they are dropped in one shot and
-    every insert is stamped with the version it was computed at, so a
-    statistic computed against the pre-append rows that lands *after*
-    the advance is discarded instead of poisoning the new version.
+    Streaming: the backend describes one table version for its whole
+    life.  :meth:`advance` returns a fresh successor over the appended
+    table, so no memo here ever holds a statistic of other rows.
     """
 
     kind = "exact"
@@ -272,7 +291,6 @@ class ExactBackend:
         lock: threading.Lock | None = None,
     ):
         self._table = table
-        self._version = table.version
         self._lock = lock if lock is not None else threading.Lock()
         self.counters = counters if counters is not None else CacheCounters()
         self.usage: dict[str, int] = {}  # guarded-by: _lock
@@ -301,25 +319,12 @@ class ExactBackend:
 
     @property
     def version(self) -> int:
-        """Streaming version of the table currently being described."""
-        return self._version
+        """Streaming version of the table being described."""
+        return self._table.version
 
     def _use(self, name: str) -> None:  # holds-lock: _lock
         """Bump the per-request usage counter (caller holds the lock)."""
         self.usage[name] = self.usage.get(name, 0) + 1
-
-    def _put_if_current(  # holds-lock: _lock
-        self, memo: dict, key, value, cap: int, version: int
-    ) -> None:
-        """Version-stamped insert (caller holds the lock).
-
-        A statistic computed against version ``v`` rows must not enter
-        the memo after an :meth:`advance` past ``v`` — it would be
-        served as a current answer while describing pre-append rows
-        (and row-sized arrays would not even have the current length).
-        """
-        if version == self._version:
-            _bounded_put(memo, key, value, cap)
 
     # ------------------------------------------------------------------ #
     # Streaming maintenance
@@ -329,67 +334,25 @@ class ExactBackend:
         self,
         new_table: Table,
         rng: np.random.Generator | int | None = None,
-    ) -> None:
-        """Move to an appended version of the table.
+    ) -> "ExactBackend":
+        """A fresh backend over an appended version of the table.
 
-        Exact statistics are all row-backed, so the whole memo surface
-        is version-stale the moment rows arrive: every family is
-        dropped and rebuilt lazily on demand against the new rows.
-        (``rng`` is accepted for signature parity with
+        Every exact memo is row-backed, so only the usage counters
+        carry over; the successor shares this backend's counters and
+        lock.  (``rng`` is accepted for signature parity with
         :meth:`SketchBackend.advance`; exact maintenance draws nothing.)
         """
         del rng
-        if new_table.version <= self._version:
-            raise MapError(
-                f"cannot advance from version {self._version} to "
-                f"{new_table.version}; versions must increase"
-            )
-        if new_table.n_rows < self._table.n_rows:
-            raise MapError(
-                "streaming tables are append-only: cannot advance from "
-                f"{self._table.n_rows} to {new_table.n_rows} rows"
-            )
+        check_advance(self._table, new_table)
+        successor = ExactBackend(new_table, self.counters, self._lock)
         with self._lock:
-            self._advance_state(new_table)
-
-    def _advance_state(self, new_table: Table) -> None:  # holds-lock: _lock
-        """The state transition of :meth:`advance` (caller holds the
-        lock — :class:`SketchBackend` swaps its own state in the same
-        critical section so the version bump and the memo invalidation
-        are atomic for readers)."""
-        self._use("advance")
-        self._table = new_table
-        self._version = new_table.version
-        self._predicate_masks.clear()
-        self._query_masks.clear()
-        self._assignments.clear()
-        self._covers.clear()
-        self._joints.clear()
-        self._cuts.clear()
-        self._mask_cap = _row_array_cap(new_table.n_rows, 1)
+            successor.usage.update(self.usage)
+            successor._use("advance")
+        return successor
 
     # ------------------------------------------------------------------ #
     # Masks
     # ------------------------------------------------------------------ #
-
-    def _query_mask_on(
-        self, table: Table, query: ConjunctiveQuery
-    ) -> np.ndarray:
-        """Uncached query mask over a captured table snapshot.
-
-        The fallback path when an :meth:`advance` races a computation:
-        cached masks may describe the new rows while the caller is
-        mid-way through an answer over the old ones; recomputing from
-        the snapshot keeps each answer internally consistent.
-        """
-        result = np.ones(table.n_rows, dtype=bool)
-        for predicate in query.predicates:
-            np.logical_and(
-                result,
-                np.asarray(predicate.mask(table), dtype=bool),
-                out=result,
-            )
-        return result
 
     def predicate_mask(self, predicate) -> np.ndarray:
         """Row mask of one predicate (frozen array, cached)."""
@@ -400,12 +363,11 @@ class ExactBackend:
                 self.counters.hits += 1
                 return cached
             self.counters.misses += 1
-            table, version = self._table, self._version
-        mask = np.asarray(predicate.mask(table), dtype=bool)
+        mask = np.asarray(predicate.mask(self._table), dtype=bool)
         mask.flags.writeable = False
         with self._lock:
-            self._put_if_current(
-                self._predicate_masks, predicate, mask, self._mask_cap, version
+            _bounded_put(
+                self._predicate_masks, predicate, mask, self._mask_cap
             )
         return mask
 
@@ -418,18 +380,13 @@ class ExactBackend:
                 self.counters.hits += 1
                 return cached
             self.counters.misses += 1
-            table, version = self._table, self._version
-        result = np.ones(table.n_rows, dtype=bool)
+        result = np.ones(self._table.n_rows, dtype=bool)
         for predicate in query.predicates:
             mask = self.predicate_mask(predicate)
-            if mask.shape != result.shape:  # advance raced us
-                mask = np.asarray(predicate.mask(table), dtype=bool)
             np.logical_and(result, mask, out=result)
         result.flags.writeable = False
         with self._lock:
-            self._put_if_current(
-                self._query_masks, query, result, self._mask_cap, version
-            )
+            _bounded_put(self._query_masks, query, result, self._mask_cap)
         return result
 
     # ------------------------------------------------------------------ #
@@ -449,21 +406,13 @@ class ExactBackend:
                 self.counters.hits += 1
                 return cached
             self.counters.misses += 1
-            table, version = self._table, self._version
-
-        def mask_fn(query: ConjunctiveQuery) -> np.ndarray:
-            mask = self.query_mask(query)
-            if mask.shape != (table.n_rows,):  # advance raced us
-                mask = self._query_mask_on(table, query)
-            return mask
-
-        assignment = assign_regions(data_map.regions, table, mask_fn)
+        assignment = assign_regions(
+            data_map.regions, self._table, self.query_mask
+        )
         assignment.flags.writeable = False
-        cap = _row_array_cap(table.n_rows, assignment.itemsize)
+        cap = _row_array_cap(self._table.n_rows, assignment.itemsize)
         with self._lock:
-            self._put_if_current(
-                self._assignments, data_map.regions, assignment, cap, version
-            )
+            _bounded_put(self._assignments, data_map.regions, assignment, cap)
         return assignment
 
     def covers(self, data_map: DataMap) -> np.ndarray:
@@ -475,15 +424,13 @@ class ExactBackend:
                 self.counters.hits += 1
                 return cached
             self.counters.misses += 1
-            version = self._version
         result = covers_from_assignment(
             self.assignment(data_map), data_map.n_regions
         )
         result.flags.writeable = False
         with self._lock:
-            self._put_if_current(
-                self._covers, data_map.regions, result, _MAX_SMALL_ENTRIES,
-                version,
+            _bounded_put(
+                self._covers, data_map.regions, result, _MAX_SMALL_ENTRIES
             )
         return result
 
@@ -507,7 +454,6 @@ class ExactBackend:
         """
         with self._lock:
             self._use("joint")
-            version = self._version
         assign_a = self.assignment(map_a)
         assign_b = self.assignment(map_b)
         if row_indices is not None:
@@ -516,7 +462,6 @@ class ExactBackend:
         return self._joint_from(
             map_a, map_b, assign_a, assign_b,
             scope_key, cacheable=row_indices is None or scope_key is not None,
-            version=version,
         )
 
     def _joint_from(
@@ -527,7 +472,6 @@ class ExactBackend:
         assign_b: np.ndarray,
         scope_key: object,
         cacheable: bool,
-        version: int,
     ) -> np.ndarray:
         """Cache-aware joint distribution from prepared assignments."""
         if cacheable:
@@ -553,9 +497,7 @@ class ExactBackend:
         if cacheable:
             joint.flags.writeable = False
             with self._lock:
-                self._put_if_current(
-                    self._joints, key, joint, _MAX_SMALL_ENTRIES, version
-                )
+                _bounded_put(self._joints, key, joint, _MAX_SMALL_ENTRIES)
         return joint
 
     def distance_matrix(
@@ -577,7 +519,6 @@ class ExactBackend:
             raise MapError("need at least one map")
         with self._lock:
             self._use("distance_matrix")
-            version = self._version
         n = len(maps)
         # Slice each assignment once up front — per-pair slicing would
         # copy every assignment O(n) times.
@@ -592,7 +533,7 @@ class ExactBackend:
             for j in range(i + 1, n):
                 joint = self._joint_from(
                     maps[i], maps[j], assignments[i], assignments[j],
-                    scope_key, cacheable, version,
+                    scope_key, cacheable,
                 )
                 raw[i, j] = raw[j, i] = variation_of_information(joint)
                 scaled[i, j] = scaled[j, i] = rajski_distance(joint)
@@ -631,17 +572,14 @@ class ExactBackend:
                 self.counters.hits += 1
                 return cached
             self.counters.misses += 1
-            table, version = self._table, self._version
         from repro.core.cut import cut
 
-        region_mask = self.query_mask(query)
-        if region_mask.shape != (table.n_rows,):  # advance raced us
-            region_mask = self._query_mask_on(table, query)
-        result = cut(table, query, attribute, config, region_mask=region_mask)
+        result = cut(
+            self._table, query, attribute, config,
+            region_mask=self.query_mask(query),
+        )
         with self._lock:
-            self._put_if_current(
-                self._cuts, key, result, _MAX_SMALL_ENTRIES, version
-            )
+            _bounded_put(self._cuts, key, result, _MAX_SMALL_ENTRIES)
         return result
 
     # ------------------------------------------------------------------ #
@@ -654,7 +592,7 @@ class ExactBackend:
             return {
                 "kind": self.kind,
                 "rows": self.n_rows,
-                "version": self._version,
+                "version": self.version,
                 "usage": dict(self.usage),
                 "hits": self.counters.hits,
                 "misses": self.counters.misses,
@@ -699,6 +637,11 @@ class SketchBackend:
     ``provenance`` is merged into :meth:`snapshot` as is (the
     ``"parallel"`` / ``"warm"`` blocks).  :meth:`export_state` hands the
     same value back.
+
+    The table, reservoir and sample positions are fixed at
+    construction: a backend describes one table version, and
+    :meth:`advance` returns a successor for the next one.  Only the
+    lazily built summaries and memos grow afterwards.
     """
 
     kind = "sketch"
@@ -733,7 +676,7 @@ class SketchBackend:
             self._reservoir(table, state.sample), counters=counters, lock=lock
         )
         self._lock = self._inner._lock
-        self._positions = state.sample  # guarded-by: _lock
+        self._positions = state.sample
         self.counters = self._inner.counters
         self.usage = self._inner.usage
         # Seeded before the backend is shared.
@@ -790,7 +733,7 @@ class SketchBackend:
     @property
     def version(self) -> int:
         """Streaming version of the table being approximated."""
-        return self._inner.version
+        return self._table.version
 
     # ------------------------------------------------------------------ #
     # Streaming maintenance
@@ -800,8 +743,8 @@ class SketchBackend:
         self,
         new_table: Table,
         rng: np.random.Generator | int | None = None,
-    ) -> None:
-        """Incrementally maintain the backend onto an appended version.
+    ) -> "SketchBackend":
+        """A successor backend over an appended version of the table.
 
         Instead of rebuilding from scratch (a full-table permutation
         plus one-pass sketch builds), maintenance is proportional to the
@@ -812,7 +755,7 @@ class SketchBackend:
           the shard fold's call) — the survivors from the old sample
           are weighted by old-rows vs delta-rows, the rest drawn
           uniformly from the delta, so the result stays a uniform
-          sample of the union; the reservoir is then one
+          sample of the union; the successor's reservoir is then one
           ``new_table.take`` of the merged positions;
         * every already-built per-attribute GK / Misra–Gries summary is
           **merged** (:func:`~repro.sketch.state.merge_summaries`) with
@@ -826,23 +769,15 @@ class SketchBackend:
           build's (the base table only grows), so the summaries always
           reflect at least as many rows per capita as a rebuild.
 
-        Sketches not built yet are unaffected; they build lazily from
-        the new reservoir.  Root-cut memos are version-stale and drop
-        in the same critical section that bumps the version, so a
-        reader can never pair a new version with pre-append cut points.
+        Sketches not built yet, and token summaries (suggestions and
+        warm state, never ranked answers), rebuild lazily from the new
+        reservoir.  The successor shares this backend's counters and
+        lock and carries over its usage (plus ``"advance"``) and kernel
+        meters; this backend keeps answering for its own version.
         Maintenance is local: no scan venue is consulted.
         """
+        check_advance(self._table, new_table)
         state = self.export_state()
-        if new_table.version <= state.version:
-            raise MapError(
-                f"cannot advance from version {state.version} to "
-                f"{new_table.version}; versions must increase"
-            )
-        if new_table.n_rows < state.n_rows:
-            raise MapError(
-                "streaming tables are append-only: cannot advance from "
-                f"{state.n_rows} to {new_table.n_rows} rows"
-            )
         generator = np.random.default_rng(rng)
         n_old, delta_n = state.n_rows, new_table.n_rows - state.n_rows
         # The top-up draws before the delta thinning below: the draw
@@ -851,7 +786,6 @@ class SketchBackend:
             state.sample, n_old, np.arange(n_old, new_table.n_rows), delta_n,
             self._fidelity.budget_rows, generator,
         )
-        sample = self._reservoir(new_table, positions)
         quantiles, frequencies = state.quantiles, state.frequencies
         timings = KernelTimings()
         if delta_n:
@@ -883,23 +817,27 @@ class SketchBackend:
                 )
             quantiles = merge_summaries(quantiles, delta_quantiles)
             frequencies = merge_summaries(frequencies, delta_frequencies)
-        # One critical section for the whole transition — version bump,
-        # memo invalidation, sketch swap — so a concurrent reader can
-        # never observe the new version with pre-append state (and a
-        # failure above leaves the backend intact).
+        successor = SketchBackend(
+            new_table,
+            self._fidelity,
+            counters=self.counters,
+            lock=self._lock,
+            state=dataclasses.replace(
+                state,
+                sample=positions,
+                n_rows=new_table.n_rows,
+                quantiles=quantiles,
+                frequencies=frequencies,
+                tokens={},
+                version=new_table.version,
+            ),
+        )
         with self._lock:
-            self._inner._advance_state(sample)
-            self._positions = positions
-            self._table = new_table
-            self._quantile_sketches = quantiles
-            self._frequency_sketches = frequencies
-            # Token summaries rebuild lazily from the topped-up
-            # reservoir — they feed suggestions and persisted warm
-            # state, not ranked answers, so a rebuild is cheaper than
-            # a weighted merge and never observably different.
-            self._token_sketches = {}
-            self._root_cuts.clear()
-            self._kernel_timings.merge(timings)
+            successor.usage.update(self.usage)
+            successor._use("advance")
+            successor._kernel_timings.merge(self._kernel_timings)
+            successor._kernel_timings.merge(timings)
+        return successor
 
     # ------------------------------------------------------------------ #
     # Delegated statistics (bounded by the reservoir)
@@ -973,32 +911,25 @@ class SketchBackend:
         """The memoized per-attribute GK summary (built on first use)."""
         with self._lock:
             cached = self._quantile_sketches.get(attribute)
-            column = self._inner.table.numeric(attribute)
-            version = self._inner.version
         if cached is not None:
             return cached
         timings = KernelTimings()
         sketch = quantile_summary(
-            column.data,
+            self._inner.table.numeric(attribute).data,
             self._fidelity.epsilon,
             timings=timings,
         )
         with self._lock:
             self._kernel_timings.merge(timings)
-            if version != self._inner.version:
-                # An advance raced the build: the summary describes the
-                # pre-append reservoir.  Serve it once, never cache it.
-                return sketch
             return self._quantile_sketches.setdefault(attribute, sketch)
 
     def frequency_sketch(self, attribute: str):
         """The memoized per-attribute Misra–Gries summary."""
         with self._lock:
             cached = self._frequency_sketches.get(attribute)
-            column = self._inner.table.column(attribute)
-            version = self._inner.version
         if cached is not None:
             return cached
+        column = self._inner.table.column(attribute)
         if not isinstance(column, CategoricalColumn):
             raise MapError(
                 f"column {attribute!r} is {column.kind}, expected categorical"
@@ -1013,8 +944,6 @@ class SketchBackend:
         )
         with self._lock:
             self._kernel_timings.merge(timings)
-            if version != self._inner.version:
-                return sketch  # stale build (see quantile_sketch)
             return self._frequency_sketches.setdefault(attribute, sketch)
 
     def token_sketch(self, attribute: str):
@@ -1032,10 +961,9 @@ class SketchBackend:
 
         with self._lock:
             cached = self._token_sketches.get(attribute)
-            column = self._inner.table.column(attribute)
-            version = self._inner.version
         if cached is not None:
             return cached
+        column = self._inner.table.column(attribute)
         if not isinstance(column, CategoricalColumn):
             raise MapError(
                 f"column {attribute!r} is {column.kind}, expected categorical"
@@ -1056,8 +984,6 @@ class SketchBackend:
         )
         sketch.extend_counts(token_counts)
         with self._lock:
-            if version != self._inner.version:
-                return sketch  # stale build (see quantile_sketch)
             return self._token_sketches.setdefault(attribute, sketch)
 
     def export_state(self) -> SketchState:
@@ -1077,13 +1003,13 @@ class SketchBackend:
                 quantiles=dict(self._quantile_sketches),
                 frequencies=dict(self._frequency_sketches),
                 tokens=dict(self._token_sketches),
-                version=self._inner.version,
+                version=self._table.version,
                 full_scan=self._full_scan,
                 provenance=self._provenance,
             )
 
-    def _root_cut_cached(self, key: tuple) -> tuple[DataMap | None, int]:
-        """(cached map or None, current version) in one lock trip."""
+    def _root_cut_cached(self, key: tuple) -> DataMap | None:
+        """The memoized root cut under ``key``, or None (counted)."""
         with self._lock:
             self._use("cut_map")
             cached = self._root_cuts.get(key)
@@ -1091,13 +1017,7 @@ class SketchBackend:
                 self.counters.hits += 1
             else:
                 self.counters.misses += 1
-            return cached, self._inner.version
-
-    def _put_root_cut(self, key: tuple, result: DataMap, version: int) -> None:
-        """Version-stamped root-cut insert (drops stale racing writes)."""
-        with self._lock:
-            if version == self._inner.version:
-                _bounded_put(self._root_cuts, key, result, _MAX_SMALL_ENTRIES)
+            return cached
 
     def _root_numeric_cut(
         self, query: ConjunctiveQuery, attribute: str, config: AtlasConfig
@@ -1106,7 +1026,7 @@ class SketchBackend:
         from repro.core.cut import _clean_cut_points, _numeric_subpredicates
 
         key = ("num", attribute, config.n_splits, self._fidelity.epsilon)
-        cached, version = self._root_cut_cached(key)
+        cached = self._root_cut_cached(key)
         if cached is not None:
             return cached
         trivial = DataMap([query], attributes=[attribute], label=f"cut:{attribute}")
@@ -1127,7 +1047,8 @@ class SketchBackend:
                         attributes=[attribute],
                         label=f"cut:{attribute}",
                     )
-        self._put_root_cut(key, result, version)
+        with self._lock:
+            _bounded_put(self._root_cuts, key, result, _MAX_SMALL_ENTRIES)
         return result
 
     def _root_categorical_cut(
@@ -1140,7 +1061,7 @@ class SketchBackend:
 
         order = CATEGORICAL_ORDERS.get(config.categorical_strategy)
         key = ("cat", attribute, config.n_splits, order)
-        cached, version = self._root_cut_cached(key)
+        cached = self._root_cut_cached(key)
         if cached is not None:
             return cached
         trivial = DataMap([query], attributes=[attribute], label=f"cut:{attribute}")
@@ -1161,7 +1082,8 @@ class SketchBackend:
                     attributes=[attribute],
                     label=f"cut:{attribute}",
                 )
-        self._put_root_cut(key, result, version)
+        with self._lock:
+            _bounded_put(self._root_cuts, key, result, _MAX_SMALL_ENTRIES)
         return result
 
     def _use(self, name: str) -> None:

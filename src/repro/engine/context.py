@@ -44,6 +44,7 @@ from repro.engine.backends import (  # noqa: F401 - re-exported for compat
     _MAX_TABLE_STATS,
     _bounded_put,
     CacheCounters,
+    check_advance,
     ExactBackend,
     SketchBackend,
     StatsBackend,
@@ -89,7 +90,6 @@ class ExecutionContext:
             "sketch": CacheCounters(),
         }
         self._stats: dict[int, StatsBackend] = {}  # guarded-by: _lock
-        self._transient_stats: StatsBackend | None = None  # guarded-by: _lock
         self._scopes: dict[ConjunctiveQuery, Table] = {}  # guarded-by: _lock
         # Per-thread cancellation slot: a context is shared by many
         # concurrent runs, so the active CancelToken is thread-local
@@ -193,17 +193,17 @@ class ExecutionContext:
         per-query child generator; cached per query so a batch reuses
         one sample object (and therefore one statistics block).
         """
-        table = self.table
+        base = self.table
         if (
             self._config.sample_size is None
-            or self._config.sample_size >= table.n_rows
+            or self._config.sample_size >= base.n_rows
         ):
-            return table  # nothing materialized, nothing to cache
+            return base  # nothing materialized, nothing to cache
         with self._lock:
             cached = self._scopes.get(query)
         if cached is not None:
             return cached
-        table = table.sample(self._config.sample_size, rng=self.child_rng(query))
+        table = base.sample(self._config.sample_size, rng=self.child_rng(query))
         if table.n_rows > _MAX_SCOPE_ROWS:
             # A single over-budget sample would flush the whole cache
             # and still violate the budget; serve it uncached instead.
@@ -215,6 +215,10 @@ class ExecutionContext:
             existing = self._scopes.get(query)
             if existing is not None:
                 return existing
+            if self._table is not base:
+                # An advance landed while this sample was drawn: it
+                # holds pre-append rows and must not answer later runs.
+                return table
             # Materialized samples are evicted FIFO under a row budget
             # so a long-lived context cannot pin unbounded sample
             # copies; the evicted table's statistics block goes with
@@ -284,6 +288,8 @@ class ExecutionContext:
 
         Keyed by object identity — tables are immutable and the context
         holds a reference, so identity is stable for the cache lifetime.
+        A pipeline run asks once, in its scope stage, and every later
+        stage reads that one backend from the run's state.
         """
         with self._lock:
             stats = self._stats.get(id(table))
@@ -297,26 +303,12 @@ class ExecutionContext:
         # Backend construction (a sketch backend draws its reservoir
         # here) happens outside the lock; a concurrent race at worst
         # builds one identical backend twice and the first insert wins.
+        backend = self._new_backend(table)
         if over_budget:
             # An over-budget sample that scoped() refused to cache must
-            # not get pinned through its statistics block either; keep
-            # a single transient block, enough to share statistics
-            # between the stages of one pipeline run.
-            with self._lock:
-                if (
-                    self._transient_stats is not None
-                    and self._transient_stats.table is table
-                ):
-                    return self._transient_stats
-            backend = self._new_backend(table)
-            with self._lock:
-                if (
-                    self._transient_stats is None
-                    or self._transient_stats.table is not table
-                ):
-                    self._transient_stats = backend
-                return self._transient_stats
-        backend = self._new_backend(table)
+            # not get pinned through its statistics block either; the
+            # run that asked holds the backend for its own stages.
+            return backend
         with self._lock:
             existing = self._stats.get(id(table))
             if existing is not None:
@@ -376,59 +368,43 @@ class ExecutionContext:
     def advance(self, new_table: Table) -> StatsBackend | None:
         """Rebind the context to an appended version of its base table.
 
-        The base table's statistics backend is *maintained*, not
-        rebuilt: :meth:`ExactBackend.advance` drops its version-stale
-        memo families in one shot, :meth:`SketchBackend.advance` merges
-        delta sketches and tops up its reservoir, paying for the delta
-        instead of the table.  Scope samples (and their statistics
-        blocks) describe pre-append rows, so they are dropped; they
-        rebuild lazily per query.  Returns the maintained backend, or
-        ``None`` when no statistics had been built yet.
-
-        Concurrency: an explore racing an advance keeps a consistent
-        snapshot per statistic (backends stamp memo inserts with the
-        version they were computed at and recompute over a captured
-        table on length mismatch), so a stale statistic can never enter
-        a post-append memo; the racing answer itself may reflect either
-        side of the append.
+        The base backend is *maintained*, not rebuilt: its
+        :meth:`~StatsBackend.advance` returns a successor over
+        ``new_table`` (a sketch successor merges delta sketches into a
+        topped-up reservoir, paying for the delta instead of the
+        table).  The successor is computed first; then table, scopes
+        and backends swap in one critical section, so a reader never
+        finds the new base table without its backend, and a reader
+        still on the old table keeps the built backend until the swap.
+        Scope samples describe pre-append rows and are dropped.
+        Returns the successor, or ``None`` when no statistics had been
+        built yet.  Of two overlapping advances of one context, the one
+        that finishes second raises :class:`MapError`.
         """
         table = self.table  # raises on table-less contexts
-        if new_table.version <= table.version:
-            raise MapError(
-                f"cannot advance from version {table.version} to "
-                f"{new_table.version}; versions must increase"
-            )
-        if new_table.column_names != table.column_names:
-            raise MapError(
-                "cannot advance onto a table with a different schema "
-                f"({table.column_names} vs {new_table.column_names})"
-            )
-        if new_table.n_rows < table.n_rows:
-            raise MapError(
-                "streaming tables are append-only: cannot advance from "
-                f"{table.n_rows} to {new_table.n_rows} rows"
+        check_advance(table, new_table)
+        with self._lock:
+            backend = self._stats.get(id(table))
+        successor = None
+        if backend is not None:
+            successor = backend.advance(
+                new_table,
+                rng=self.child_rng(
+                    f"sketch-advance:{table_fingerprint(new_table)}"
+                ),
             )
         with self._lock:
-            backend = self._stats.pop(id(table), None)
-            # Scope samples (and any statistics built over them) are
-            # snapshots of the pre-append rows.
+            if self._table is not table:
+                raise MapError(
+                    f"the context moved past version {table.version} "
+                    "during this advance"
+                )
+            self._table = new_table
             self._scopes.clear()
             self._stats.clear()
-            self._transient_stats = None
-            self._table = new_table
-        if backend is None:
-            return None
-        backend.advance(
-            new_table,
-            rng=self.child_rng(
-                f"sketch-advance:{table_fingerprint(new_table)}"
-            ),
-        )
-        with self._lock:
-            _bounded_put(
-                self._stats, id(new_table), backend, _MAX_TABLE_STATS
-            )
-        return backend
+            if successor is not None:
+                self._stats[id(new_table)] = successor
+        return successor
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -444,8 +420,6 @@ class ExecutionContext:
         """
         with self._lock:
             backends = list(self._stats.values())
-            if self._transient_stats is not None:
-                backends.append(self._transient_stats)
         out: dict[str, dict] = {}
         for kind, counters in self._kind_counters.items():
             from repro.engine.parallel import (

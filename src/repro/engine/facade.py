@@ -167,8 +167,8 @@ class Explorer:
 
         Unlike :meth:`configure`, the shared context is *kept*: it is
         advanced incrementally (sketch backends merge delta sketches
-        and top up reservoirs; exact backends drop version-stale
-        memos), so the statistics computed for earlier answers that an
+        and top up reservoirs; exact backends start fresh memos over
+        the new rows), so the statistics computed for earlier answers that an
         append cannot invalidate keep paying off.
         """
         if self._context is not None:

@@ -69,9 +69,10 @@ class MapSet:
     #: ``"sketch:<rows>:<eps>"`` budget) — provenance for clients and
     #: the REPL, and part of the service result-cache key.
     fidelity: str = "exact"
-    #: Streaming version of the table the answer was computed against —
-    #: provenance for streaming clients, and how the differential tests
-    #: prove a pre-append answer is never served post-append.
+    #: Streaming version of the rows the answer was computed from
+    #: (exact: one run reads one backend) — provenance for streaming
+    #: clients, and how the differential tests prove a pre-append
+    #: answer is never served post-append.
     version: int = 0
 
     @property
@@ -155,12 +156,14 @@ class Pipeline:
         installed thread-locally on the context for the duration of the
         run, so cooperative code deeper in a stage may poll
         :meth:`~repro.engine.context.ExecutionContext.check_cancelled`.
+
+        The answer's ``version`` is exactly the streaming version of the
+        scope the run measured: the scope stage reads one backend and
+        every later stage uses it, so an append landing mid-run changes
+        nothing about this answer.  (A run with no scope table, such as
+        the SQL-only engine's, reports the context's version.)
         """
         state = PipelineState(query=query if query is not None else ConjunctiveQuery())
-        # Captured before the stages run: an append racing this run may
-        # surface newer rows, never older ones, so the stamped version
-        # is a lower bound on the data the answer reflects.
-        version = context.version
         seconds: dict[str, float] = {}
         if cancel is not None:
             context.install_cancel(cancel)
@@ -192,5 +195,7 @@ class Pipeline:
             timings=timings,
             n_rows_used=state.n_rows_used,
             fidelity=context.config.fidelity.spec(),
-            version=version,
+            version=(
+                context.version if state.scope is None else state.scope.version
+            ),
         )

@@ -13,10 +13,13 @@ quasi-real-time accounting) and a ``run`` method that advances a
 ``RankingStage``      §3.4 entropy ranking
 ====================  ==============================================
 
-Stages communicate only through the state object and read shared
-statistics from the :class:`~repro.engine.context.ExecutionContext`,
-so custom stages can be swapped in (the SQL-only engine substitutes
-all five with statement-issuing equivalents and reuses the same
+Stages communicate only through the state object.  The scope stage
+reads the run's one statistics backend from the
+:class:`~repro.engine.context.ExecutionContext` into the state, and
+every later stage measures through that backend, so a run answers from
+one table version even when an append lands mid-run.  Custom stages
+can be swapped in (the SQL-only engine substitutes all five with
+statement-issuing equivalents and reuses the same
 :class:`~repro.engine.pipeline.Pipeline` driver).
 """
 
@@ -37,15 +40,23 @@ from repro.query.query import ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.dataset.table import Table
+    from repro.engine.backends import StatsBackend
     from repro.engine.context import ExecutionContext
 
 
 @dataclasses.dataclass
 class PipelineState:
-    """Mutable scratchpad a query carries through the stages."""
+    """Mutable scratchpad a query carries through the stages.
+
+    ``scope`` is the table the run scans and ``stats`` the statistics
+    backend over it; the scope stage sets both, once, and later stages
+    read them from here rather than from the context, so every stage of
+    one run sees the same rows at the same version.
+    """
 
     query: ConjunctiveQuery
     scope: "Table | None" = None
+    stats: "StatsBackend | None" = None
     candidates: list[DataMap] = dataclasses.field(default_factory=list)
     clustering: MapClustering | None = None
     merged: list[DataMap] = dataclasses.field(default_factory=list)
@@ -75,21 +86,28 @@ class ScopeStage:
     name = "sampling"
 
     def run(self, state: PipelineState, context: "ExecutionContext") -> None:
-        state.scope = context.scoped(state.query)
+        while True:
+            version = context.version
+            state.scope = context.scoped(state.query)
+            state.stats = context.stats_for(state.scope)
+            # An advance between the two reads pairs a pre-append table
+            # with a fresh backend, not the maintained one: read again.
+            if context.version == version:
+                break
         # The backend decides how many rows actually back the answer
         # (a sketch backend measures over its bounded reservoir).
-        state.n_rows_used = context.stats_for(state.scope).n_rows
+        state.n_rows_used = state.stats.n_rows
 
 
-def _require_scope(state: PipelineState, stage_name: str) -> "Table":
-    """The scope table, or a clear error naming the missing stage."""
-    if state.scope is None:
+def _require_stats(state: PipelineState, stage_name: str) -> "StatsBackend":
+    """The run's backend, or a clear error naming the missing stage."""
+    if state.stats is None:
         raise MapError(
             f"stage {stage_name!r} needs a scope table but none was set; "
             "include a scope-setting stage (e.g. ScopeStage) earlier in "
             "the pipeline"
         )
-    return state.scope
+    return state.stats
 
 
 class CandidateStage:
@@ -98,8 +116,7 @@ class CandidateStage:
     name = "candidates"
 
     def run(self, state: PipelineState, context: "ExecutionContext") -> None:
-        scope = _require_scope(state, self.name)
-        stats = context.stats_for(scope)
+        stats = _require_stats(state, self.name)
         # Attribute eligibility (role inference, distinct counts) is
         # measured on the backend's effective rows, so a sketch-fidelity
         # run never pays a full-table scan to enumerate candidates.
@@ -125,8 +142,8 @@ class ClusteringStage:
     user query escapes *all* maps at once, and that shared escape
     outcome manufactures dependency between every candidate pair
     (measured in the E13 robustness experiment).  Assignment vectors are
-    computed once over the scope table (cached in the context) and
-    sliced, which commutes with row selection.
+    computed once over the scope table (cached in the run's backend)
+    and sliced, which commutes with row selection.
     """
 
     name = "clustering"
@@ -135,8 +152,7 @@ class ClusteringStage:
         if not state.candidates:
             state.clustering = None
             return
-        scope = _require_scope(state, self.name)
-        stats = context.stats_for(scope)
+        stats = _require_stats(state, self.name)
         described = stats.query_mask(state.query)
         n_described = int(described.sum())
         if n_described in (0, stats.n_rows):
@@ -161,12 +177,12 @@ class MergeStage:
             state.merged = []
             return
         merge = MERGES.get(context.config.merge_method)
-        scope = _require_scope(state, self.name)
+        stats = _require_stats(state, self.name)
         # Merge operators measure covers (product) and re-CUT regions
         # (composition) over a table; handing them the backend's
         # effective rows keeps their cost bounded by the fidelity
         # budget and their estimates consistent with every other stage.
-        measured = context.stats_for(scope).effective_table
+        measured = stats.effective_table
         merged = [
             merge(cluster, measured, context.config)
             for cluster in state.clustering.clusters
@@ -178,7 +194,7 @@ class RankingStage:
     """Rank merged maps by cover-distribution entropy (§3.4).
 
     Delegates to :func:`repro.core.ranking.rank_maps` with covers read
-    from the context cache, so the score formula and tie-breaking live
+    from the run's backend, so the score formula and tie-breaking live
     in one place while the assignment vectors clustering already paid
     for are reused here.
     """
@@ -189,12 +205,11 @@ class RankingStage:
         if not state.merged:
             state.ranked = ()
             return
-        scope = _require_scope(state, self.name)
-        stats = context.stats_for(scope)
+        stats = _require_stats(state, self.name)
         state.ranked = tuple(
             rank_maps(
                 state.merged,
-                scope,
+                state.scope,
                 max_maps=context.config.max_maps,
                 covers_fn=stats.covers,
             )

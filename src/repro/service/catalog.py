@@ -380,16 +380,14 @@ class Catalog:
 
         Skips (returning False) when the table is not persisted, the
         configuration is not summarizable (exact fidelity or a scope
-        sample), the backend has moved past ``table``'s version (an
-        append raced the run), or the summary is already stored.
+        sample), or the summary is already stored.  ``backend``
+        describes ``table`` (a backend never changes version).
         """
         if self._store is None or not self.is_persisted(name):
             return False
         if not config.fidelity.is_sketch or config.sample_size is not None:
             return False
         key = summary_key(config)
-        if backend.version != table.version:
-            return False
         if self._store.has_summary(name, table.version, key):
             return False
         summary = extract_summary(backend, table_name=name, key=key)

@@ -663,10 +663,10 @@ class ExplorationService:
         (durability before visibility), the materialized table and its
         source are replaced by the version-bumped successor, and every
         live execution context on the table is *maintained
-        incrementally* — sketch backends merge delta sketches and top
-        up reservoirs, exact backends drop their version-stale memo
-        families — before new explores see the new version.  Old cache
-        entries stay keyed to the old version and simply become
+        incrementally* — each backend is replaced by its successor
+        (sketch successors merge delta sketches into topped-up
+        reservoirs) — before new explores see the new version.  Old
+        cache entries stay keyed to the old version and simply become
         unreachable.
         """
 

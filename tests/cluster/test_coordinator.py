@@ -127,7 +127,7 @@ class TestStreaming:
             current = initial
             for batch in batches:
                 current = current.append(batch)
-                backend.advance(current)
+                backend = backend.advance(current)
             after = [t.request("GET", "/shards") for t in transports]
         finally:
             for transport in transports:

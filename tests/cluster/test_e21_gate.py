@@ -1,12 +1,12 @@
-"""E21's behavioural gate, at smoke scale: a cluster-built session
-answers exactly as the serial executor over the same shard layout.
+"""E21's behavioural gate: a cluster-built session answers exactly as
+the serial executor over the same shard layout.
 
-``benchmarks/bench_cluster.py --smoke`` replays this session and adds a
-wall-clock speed-up; only the behaviour is checked here.  The session
-is its ``run_session``: cold build, root, survey, the two first regions
-of the survey's top-3 maps, then two appends with the survey
-re-answered at each version — the appends exercise ``advance`` on a
-cluster-built backend, which maintains its merged state locally.
+The session is ``run_session``: cold build, root, survey, the two
+first regions of the survey's top-3 maps, then two appends with the
+survey re-answered at each version — the appends exercise ``advance``
+on a cluster-built backend, whose successor maintains the merged state
+locally.  E21's old wall-clock speed-up floor is retired; only the
+behaviour is checked.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.engine.pipeline import Pipeline
 from repro.evaluation.metrics import map_set_fingerprint, ranked_map_agreement
 from repro.evaluation.workloads import figure2_query
 
-#: bench_cluster.py's --smoke scale.
+#: Smoke scale: 60k rows in 8 shards, a 5,000-row budget.
 N_ROWS, BUDGET, SHARDS, SEED = 60_000, 5_000, 8, 0
 
 

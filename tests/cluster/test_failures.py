@@ -148,7 +148,7 @@ class TestStreaming:
         backend.quantile_sketch("Age")
         servers[backend.shard_servers[-1]].close()
         new_table = initial.append(batches[0])
-        backend.advance(new_table)  # local maintenance, no server call
+        backend = backend.advance(new_table)  # local maintenance, no server call
         assert backend.version == new_table.version
         assert backend.quantile_sketch("Age").count == new_table.n_rows
         assert backend.snapshot()["parallel"]["shards"] == 8

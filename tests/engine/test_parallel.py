@@ -489,7 +489,7 @@ def _append_rows(n, seed=123):
 
 
 class TestShardedStreaming:
-    def test_advance_maintains_the_sharded_backend_in_place(self, table):
+    def test_advance_serves_a_sharded_successor(self, table):
         config = AtlasConfig(
             fidelity=SKETCH, parallelism=Parallelism(workers=1, shards=4)
         )
@@ -498,13 +498,16 @@ class TestShardedStreaming:
         backend.quantile_sketch("Age")
         built = backend.snapshot()["parallel"]
         appended = table.append(_append_rows(500))
-        context.advance(appended)
-        maintained = context.stats()
-        assert maintained is backend
+        maintained = context.advance(appended)
+        assert context.stats() is maintained
+        assert maintained is not backend
         assert maintained.version == 1
         # The build's provenance describes the build, not the table now.
         assert maintained.snapshot()["parallel"] == built
         assert maintained.snapshot()["parallel"]["shards"] == 4
+        # The pre-append backend still answers at version 0.
+        assert backend.version == 0 and backend.table is table
+        assert backend.quantile_sketch("Age").count == table.n_rows
 
     def test_advance_merges_delta_at_full_rate(self, table):
         """Full-scan summaries must observe every appended row."""
@@ -516,7 +519,7 @@ class TestShardedStreaming:
         backend.quantile_sketch("Age")
         backend.frequency_sketch("Sex")
         appended = table.append(_append_rows(500))
-        context.advance(appended)
+        backend = context.advance(appended)
         assert backend.quantile_sketch("Age").count == appended.n_rows
         assert backend.frequency_sketch("Sex").count == appended.n_rows
 
@@ -565,7 +568,7 @@ def staged_backend(table, venue, stage, fidelity, parallelism):
     for seed, low in enumerate((2 * third, 2 * third + third // 2)):
         delta = table.take(np.arange(low, low + third // 2))
         current = current.append(delta)
-        backend.advance(current, rng=seed)
+        backend = backend.advance(current, rng=seed)
     if stage == "restored":
         summary = extract_summary(backend, table_name=table.name, key="k")
         document = json.loads(json.dumps(summary.to_dict()))
@@ -660,7 +663,7 @@ class TestVenueInvisibility:
         current = table
         for seed in range(3):
             current = current.append(_append_rows(300, seed=seed))
-            backend.advance(current, rng=seed)
+            backend = backend.advance(current, rng=seed)
         assert backend.version == 3
         assert venue.calls == [("scan", 4, parallelism)]
 

@@ -1,11 +1,12 @@
 """Incremental backend maintenance: advance() on both fidelities.
 
-The streaming contract: after ``advance``, an exact backend answers as
-if freshly built on the appended rows (version-stale memo families are
-dropped wholesale), and a sketch backend's maintained state is
-semantically equivalent to a from-scratch build — reservoir a uniform
-sample of the union, per-attribute sketches summarizing every observed
-row within their error bounds.
+The streaming contract: ``advance`` returns a successor and leaves the
+backend it was called on describing its own version.  An exact
+successor answers as if freshly built on the appended rows, and a
+sketch successor's maintained state is semantically equivalent to a
+from-scratch build — reservoir a uniform sample of the union,
+per-attribute sketches summarizing every observed row within their
+error bounds.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class TestExactAdvance:
         query = parse_query("x: [-10, 10]")
         backend.query_mask(query)  # populate memos at v0
         appended = table.append(delta_rows())
-        backend.advance(appended)
+        backend = backend.advance(appended)
         fresh = ExactBackend(appended)
         assert backend.version == 1 and backend.n_rows == appended.n_rows
         assert np.array_equal(
@@ -97,19 +98,23 @@ class TestExactAdvance:
         backend = ExactBackend(table)
         query = parse_query("x: [-10, 10]")
         stale = backend.query_mask(query)
-        backend.advance(table.append(delta_rows()))
+        backend = backend.advance(table.append(delta_rows()))
         refreshed = backend.query_mask(query)
         assert refreshed.shape[0] == stale.shape[0] + 60
 
-    def test_version_stamped_insert_drops_stale_writes(self):
-        backend = ExactBackend(base_table())
-        memo: dict = {}
-        with backend._lock:
-            backend._put_if_current(memo, "k", 1, cap=8, version=99)
-        assert memo == {}  # computed against a version that is gone
-        with backend._lock:
-            backend._put_if_current(memo, "k", 1, cap=8, version=0)
-        assert memo == {"k": 1}
+    def test_predecessor_keeps_answering_its_own_version(self):
+        table = base_table()
+        backend = ExactBackend(table)
+        query = parse_query("x: [-10, 10]")
+        before = backend.query_mask(query)
+        successor = backend.advance(table.append(delta_rows()))
+        assert successor is not backend
+        assert successor.query_mask(query).shape == (table.n_rows + 60,)
+        assert backend.version == 0 and backend.n_rows == table.n_rows
+        assert backend.query_mask(query) is before
+        assert successor.counters is backend.counters
+        assert successor.snapshot()["usage"]["advance"] == 1
+        assert "advance" not in backend.snapshot()["usage"]
 
     def test_advance_validation(self):
         table = base_table()
@@ -124,7 +129,7 @@ class TestExactAdvance:
         table = base_table()
         backend = ExactBackend(table)
         assert backend.snapshot()["version"] == 0
-        backend.advance(table.append(delta_rows()))
+        backend = backend.advance(table.append(delta_rows()))
         assert backend.snapshot()["version"] == 1
 
 
@@ -134,7 +139,7 @@ class TestSketchAdvance:
         backend = make_backend(table, Fidelity.sketch(budget_rows=10_000))
         backend.quantile_sketch("x")
         appended = table.append(delta_rows(40))
-        backend.advance(appended, rng=0)
+        backend = backend.advance(appended, rng=0)
         # The reservoir is the whole appended table, in row order.
         assert backend.effective_table.n_rows == 140
         assert np.array_equal(
@@ -146,7 +151,7 @@ class TestSketchAdvance:
         table = base_table(n=500)
         backend = make_backend(table, Fidelity.sketch(budget_rows=120))
         appended = table.append(delta_rows(200))
-        backend.advance(appended, rng=1)
+        backend = backend.advance(appended, rng=1)
         effective = backend.effective_table
         assert effective.n_rows == 120
         union = set(appended.numeric("x").data.tolist())
@@ -162,7 +167,7 @@ class TestSketchAdvance:
         backend = make_backend(table, Fidelity.sketch(budget_rows=10_000))
         quantile_before = backend.quantile_sketch("x").count
         frequency_before = backend.frequency_sketch("label").count
-        backend.advance(table.append(delta_rows(80)), rng=2)
+        backend = backend.advance(table.append(delta_rows(80)), rng=2)
         assert backend.quantile_sketch("x").count == quantile_before + 80
         assert (
             backend.frequency_sketch("label").count == frequency_before + 80
@@ -176,7 +181,7 @@ class TestSketchAdvance:
         backend = make_backend(table, Fidelity.sketch(budget_rows=100))
         quantile_before = backend.quantile_sketch("x").count
         frequency_before = backend.frequency_sketch("label").count
-        backend.advance(table.append(delta_rows(90)), rng=2)
+        backend = backend.advance(table.append(delta_rows(90)), rng=2)
         quantile_growth = backend.quantile_sketch("x").count - quantile_before
         frequency_growth = (
             backend.frequency_sketch("label").count - frequency_before
@@ -193,7 +198,7 @@ class TestSketchAdvance:
         appended = table
         for seed in range(4):
             appended = appended.append(delta_rows(200, seed=seed))
-            backend.advance(appended, rng=seed)
+            backend = backend.advance(appended, rng=seed)
         median_after = backend.quantile_sketch("x").median()
         # 800 delta rows centered on 3.0 against 400 base rows at 0.0
         # must pull the maintained median up decisively.
@@ -207,7 +212,7 @@ class TestSketchAdvance:
         appended = table
         for seed in range(3):
             appended = appended.append(delta_rows(400, seed=seed))
-            backend.advance(appended, rng=seed)
+            backend = backend.advance(appended, rng=seed)
         after = backend.cut_map(ConjunctiveQuery(), "x", config)
         assert before != after  # the distribution moved, so must the cut
 
@@ -224,7 +229,7 @@ class TestSketchAdvance:
             "y": [0.0] * 300,
             "label": ["d"] * 300,
         }
-        backend.advance(table.append(heavy_delta), rng=0)
+        backend = backend.advance(table.append(heavy_delta), rng=0)
         hitters = backend.frequency_sketch("label").heavy_hitters()
         assert "d" in hitters  # 300 of 500 rows clears n/(k+1)
 
@@ -236,14 +241,24 @@ class TestSketchAdvance:
 
 
 class TestContextAdvance:
-    def test_maintains_the_same_backend_object(self):
-        context = ExecutionContext(base_table(), AtlasConfig())
-        backend = context.stats()
-        appended = context.table.append(delta_rows())
-        maintained = context.advance(appended)
-        assert maintained is backend
-        assert context.stats() is backend
-        assert context.version == 1 and context.table is appended
+    def test_serves_the_returned_successor(self):
+        query = parse_query("x: [-10, 10]")
+        for fidelity in (Fidelity.exact(), Fidelity.sketch(budget_rows=80)):
+            table = base_table()
+            context = ExecutionContext(table, AtlasConfig(fidelity=fidelity))
+            backend = context.stats()
+            before = np.array(backend.query_mask(query))
+            appended = context.table.append(delta_rows())
+            successor = context.advance(appended)
+            assert successor is not backend
+            assert context.stats() is successor
+            assert context.version == 1 and context.table is appended
+            assert successor.version == 1 and successor.table is appended
+            # The pre-append backend still answers at version 0, over
+            # its old rows.
+            assert backend.version == 0 and backend.table is table
+            assert backend.table.n_rows == 400
+            assert np.array_equal(backend.query_mask(query), before)
 
     def test_returns_none_when_no_stats_were_built(self):
         context = ExecutionContext(base_table(), AtlasConfig())

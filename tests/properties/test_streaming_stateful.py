@@ -131,8 +131,12 @@ class StreamingMachine(RuleBasedStateMachine):
             )
         self.version += 1
         self.table = self.session.append(rows)
-        self.big_sketch.advance(self.table, rng=self.version)
-        self.small_sketch.advance(self.table, rng=self.version)
+        self.big_sketch = self.big_sketch.advance(
+            self.table, rng=self.version
+        )
+        self.small_sketch = self.small_sketch.advance(
+            self.table, rng=self.version
+        )
         self.service.append("stream", rows)
         self.served_queries.clear()
 

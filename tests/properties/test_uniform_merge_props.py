@@ -64,7 +64,7 @@ def test_advance_tops_up_by_the_fold_rule(cuts, budget, seed):
         grown = current.append(TABLE.take(np.arange(low, high)))
         ours = np.random.default_rng([seed, step])
         twin = np.random.default_rng([seed, step])
-        backend.advance(grown, rng=ours)
+        backend = backend.advance(grown, rng=ours)
         if budget >= grown.n_rows:
             rows = np.arange(grown.n_rows)
         else:

@@ -1,9 +1,9 @@
 """E23's behavioural gates, asserted in tier 1.
 
-``benchmarks/bench_service.py`` measures the HTTP frontend under 64–256
-concurrent asyncio clients.  What CI used to check on its smoke run was
-behaviour, not speed, and those gates live here at the same smoke size
-(5,000 census rows, fleets of 8 and 16 clients, 4 workers, queue 8):
+E23 measured the HTTP frontend under 64–256 concurrent asyncio
+clients.  What CI checked was behaviour, not speed, and those gates
+live here at smoke size (5,000 census rows, fleets of 8 and 16
+clients, 4 workers, queue 8):
 
 * **0 protocol errors**: every request of an asyncio client fleet
   completes or is shed with a typed busy rejection that the client's
