@@ -22,6 +22,7 @@ raising: candidate generation simply skips trivial maps.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -103,15 +104,34 @@ def _cut_numeric(
     splits: int,
     config: AtlasConfig,
 ) -> list[ConjunctiveQuery]:
-    values = column.data[region_mask]
-    values = values[~np.isnan(values)]
-    if values.size < 2:
-        return []
-    low, high = float(values.min()), float(values.max())
-    if low == high:
-        return []
+    strategy = NUMERIC_CUTS.get(config.numeric_strategy)
+    order = None
+    # Below about 10 % selected rows, gathering the masked values beats
+    # a pass over the whole sorted order.
+    if strategy is _median_strategy and 10 * np.count_nonzero(region_mask) >= len(column):
+        order = column.sorted_order()
+    if order is None:
+        values = column.data[region_mask]
+        values = values[~np.isnan(values)]
+        if values.size < 2:
+            return []
+        low, high = float(values.min()), float(values.max())
+        if low == high:
+            return []
+        points = strategy(values, splits, config)
+    else:
+        ranks = np.flatnonzero(region_mask[order])
+        if ranks.size < 2:
+            return []
+        data = column.data
 
-    points = NUMERIC_CUTS.get(config.numeric_strategy)(values, splits, config)
+        def value(rank: int) -> float:
+            return float(data[order[ranks[rank]]])
+
+        low, high = value(0), value(-1)
+        if low == high:
+            return []
+        points = [_linear_quantile(value, ranks.size, j / splits) for j in range(1, splits)]
 
     parent = query.predicate_on(attribute)
     points = _clean_cut_points(points, parent, low, high)
@@ -125,6 +145,18 @@ def numeric_cut_points_median(values: np.ndarray, splits: int) -> list[float]:
     """Equi-depth cut points: quantiles at ``j / splits``."""
     quantiles = [j / splits for j in range(1, splits)]
     return [float(q) for q in np.quantile(values, quantiles)]
+
+
+def _linear_quantile(value: Callable[[int], float], n: int, q: float) -> float:
+    """``np.quantile``'s default ("linear") rule over ``n`` sorted values
+    read through ``value``: the same virtual index, neighbours and lerp,
+    so the result is bit-identical.  ``q < 1`` keeps both in range."""
+    virtual = (n - 1) * q
+    below = math.floor(virtual)
+    gamma = virtual - below
+    a, b = value(below), value(below + 1)
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def numeric_cut_points_equiwidth(values: np.ndarray, splits: int) -> list[float]:

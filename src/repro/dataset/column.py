@@ -213,7 +213,7 @@ class _Stored(Column):
 class NumericColumn(Column):
     """Dense float64 column; ``NaN`` encodes missing values."""
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_order")
 
     def __init__(self, name: str, values: Sequence[float] | np.ndarray) -> None:
         super().__init__(name)
@@ -223,6 +223,7 @@ class NumericColumn(Column):
                 f"numeric column {name!r} needs a 1-D array, got shape {data.shape}"
             )
         self._data = _as_readonly(data)
+        self._order: np.ndarray | bool | None = None
 
     @staticmethod
     def stored(name: str, length: int, load: Callable[[], np.ndarray]) -> "NumericColumn":
@@ -250,7 +251,7 @@ class NumericColumn(Column):
     def rename(self, name: str) -> "NumericColumn":
         clone = NumericColumn.__new__(NumericColumn)
         Column.__init__(clone, name)
-        clone._data = self._data
+        clone._data, clone._order = self._data, self._order
         return clone
 
     def concat(self, other: "Column") -> "NumericColumn":
@@ -271,6 +272,28 @@ class NumericColumn(Column):
         if valid.size == 0:
             return 0
         return int(np.unique(valid).size)
+
+    def sorted_order(self) -> np.ndarray | None:
+        """Row positions of the non-missing values in ascending value
+        order (int32 below 2**31 rows), or None on the first call.
+
+        The first call only marks the column, so a column read once
+        never pays the sort; the second builds the order and later
+        calls return it.  Columns are immutable, so it never goes
+        stale, and two threads racing on a build compute equal arrays.
+        """
+        order = self._order
+        if order is None:
+            self._order = False
+            return None
+        if order is False:
+            data = self._data
+            valid = len(data) - int(np.count_nonzero(np.isnan(data)))
+            dtype = np.int32 if len(data) < 2**31 else np.int64
+            order = np.argsort(data)[:valid].astype(dtype)  # NaN sorts last
+            order.setflags(write=False)
+            self._order = order
+        return order
 
     def min(self) -> float:
         """Smallest non-missing value (NaN if the column is all-missing)."""
@@ -570,6 +593,10 @@ class CategoricalColumn(Column):
 class _StoredNumeric(_Stored, NumericColumn):
     __slots__ = ("_length", "_buffer")
     _BUFFER = "_data"
+
+    def __init__(self, name: str, length: int, load: Callable[[], np.ndarray]) -> None:
+        _Stored.__init__(self, name, length, load)
+        self._order = None
 
 
 class _StoredCategorical(_Stored, CategoricalColumn):

@@ -56,12 +56,13 @@ def tokenize_text(text: str) -> tuple[str, ...]:
 class Predicate(abc.ABC):
     """One per-attribute predicate ``att ∈ S``."""
 
-    __slots__ = ("_attribute",)
+    __slots__ = ("_attribute", "_hash")
 
     def __init__(self, attribute: str):
         if not attribute:
             raise PredicateError("predicate needs a non-empty attribute name")
         self._attribute = attribute
+        self._hash: int | None = None
 
     @property
     def attribute(self) -> str:
@@ -145,7 +146,12 @@ class Predicate(abc.ABC):
         return self._key() == other._key()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        # Memo keys hash the same predicates over and over; predicates
+        # are immutable, so the first hash stands.
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash((type(self).__name__, self._key()))
+        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.describe()}>"

@@ -20,7 +20,7 @@ from repro.query.predicate import AnyPredicate, Predicate
 class ConjunctiveQuery:
     """An immutable conjunction of per-attribute predicates."""
 
-    __slots__ = ("_predicates",)
+    __slots__ = ("_predicates", "_hash")
 
     def __init__(self, predicates: Iterable[Predicate] = ()):
         ordered: dict[str, Predicate] = {}
@@ -32,6 +32,7 @@ class ConjunctiveQuery:
                 )
             ordered[pred.attribute] = pred
         self._predicates = ordered
+        self._hash: int | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -74,7 +75,10 @@ class ConjunctiveQuery:
         return set(self.predicates) == set(other.predicates)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.predicates))
+        cached = self._hash  # immutable, so the first hash stands
+        if cached is None:
+            cached = self._hash = hash(frozenset(self.predicates))
+        return cached
 
     # ------------------------------------------------------------------ #
     # Evaluation

@@ -1,5 +1,8 @@
 """Unit tests for the CUT primitive — Definition 1 and all strategies."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.core.config import (
     NumericCutStrategy,
 )
 from repro.core.cut import _clean_cut_points, balanced_label_groups, cut
+from repro.dataset.column import NumericColumn
 from repro.dataset.table import Table
 from repro.query.algebra import regions_partition
 from repro.query.parser import parse_query
@@ -298,3 +302,64 @@ class TestMissingValues:
         assert result.n_regions == 2
         dist = result.distribution(table)
         assert dist[-1] == pytest.approx(2 / 6)  # escape mass
+
+
+class TestSortedOrderReuse:
+    """A column builds its sorted order on its second median cut."""
+
+    QUERY = ConjunctiveQuery([RangePredicate("x", 0, 100)])
+
+    def test_cut_once_holds_no_order_cut_twice_holds_int32(self, numbers):
+        column = numbers.numeric("x")
+        first = cut(numbers, self.QUERY, "x")
+        assert not isinstance(column._order, np.ndarray)
+        second = cut(numbers, self.QUERY, "x")
+        assert column._order.dtype == np.int32
+        assert len(column._order) == len(column)
+        assert first == second
+
+    def test_renamed_column_shares_the_order(self, numbers):
+        column = numbers.numeric("x")
+        cut(numbers, self.QUERY, "x")
+        cut(numbers, self.QUERY, "x")
+        assert column.rename("y").sorted_order() is column._order
+
+    def test_stored_column_loads_its_buffer_once(self, numbers):
+        values = numbers.numeric("x").data
+        loads = []
+
+        def load():
+            loads.append(1)
+            return values
+        table = Table([NumericColumn.stored("x", len(values), load)])
+        maps = [cut(table, self.QUERY, "x") for _ in range(3)]
+        assert len(loads) == 1
+        assert maps[0] == maps[1] == maps[2] == cut(numbers, self.QUERY, "x")
+
+    def test_racing_first_builds_give_equal_maps(self, numbers):
+        expected = cut(numbers, self.QUERY, "x", n_splits=3)
+        table = Table.from_dict({"x": numbers.numeric("x").data.tolist()})
+        results, errors = [], []
+
+        def work():
+            try:
+                for _ in range(5):
+                    results.append(cut(table, self.QUERY, "x", n_splits=3))
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        try:
+            for thread in workers:
+                thread.start()
+        finally:
+            for thread in workers:
+                thread.join(60.0)
+            sys.setswitchinterval(previous)
+        assert not errors
+        assert not any(thread.is_alive() for thread in workers)
+        assert len(results) == 40
+        assert all(list(m.regions) == list(expected.regions) for m in results)
+        assert table.numeric("x")._order.dtype == np.int32
