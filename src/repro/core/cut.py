@@ -142,9 +142,16 @@ def _cut_numeric(
 
 
 def numeric_cut_points_median(values: np.ndarray, splits: int) -> list[float]:
-    """Equi-depth cut points: quantiles at ``j / splits``."""
+    """Equi-depth cut points: quantiles at ``j / splits``.
+
+    Between a ``-inf``/``inf`` pair the interpolation is NaN (numpy
+    warns "invalid value"); :func:`_clean_cut_points` drops NaN points,
+    so the warning is silenced, not the result changed.
+    """
     quantiles = [j / splits for j in range(1, splits)]
-    return [float(q) for q in np.quantile(values, quantiles)]
+    with np.errstate(invalid="ignore"):
+        points = np.quantile(values, quantiles)
+    return [float(q) for q in points]
 
 
 def _linear_quantile(value: Callable[[int], float], n: int, q: float) -> float:

@@ -13,6 +13,10 @@ Two concrete column types cover everything the Atlas pipeline needs:
 
 Columns are immutable after construction (the arrays are flagged
 non-writeable) so tables can share them across selections without copies.
+A column that :meth:`Column.concat` builds views the front of a growable
+buffer with spare capacity after its rows (see :func:`_grown`): its
+first successor writes the appended rows into that tail, so a chain of
+appends costs the delta, not the table.
 A stored column (``NumericColumn.stored`` / ``CategoricalColumn.stored``)
 knows its length up front and loads its buffer from a :class:`Deferred`
 on first read; a column built from values pays nothing for this.
@@ -37,6 +41,10 @@ from repro.errors import DatasetError
 
 #: Sentinel code for a missing categorical value.
 MISSING_CODE = -1
+
+#: Capacity of a buffer that :func:`_grown` allocates, as a multiple
+#: of the rows it holds: a chain of appends copies once per 25 % growth.
+_GROWTH = 1.25
 
 T = TypeVar("T")
 
@@ -67,13 +75,15 @@ class Column(abc.ABC):
     (numeric) or ``.codes``/``.categories`` (categorical).
     """
 
-    __slots__ = ("_name", "_role")
+    __slots__ = ("_name", "_role", "_spare")
 
     def __init__(self, name: str) -> None:
         if not name or not isinstance(name, str):
             raise DatasetError(f"column name must be a non-empty string, got {name!r}")
         self._name = name
         self._role: ColumnRole | None = None
+        # The growable buffer this column's array views (concat only).
+        self._spare: _Spare | None = None
 
     @property
     def name(self) -> str:
@@ -167,11 +177,59 @@ class Column(abc.ABC):
 
 
 def _as_readonly(array: np.ndarray) -> np.ndarray:
+    """A read-only contiguous copy of an array passed in from outside."""
     out = np.ascontiguousarray(array)
     if out is array:
         out = array.copy()
     out.setflags(write=False)
     return out
+
+
+def _owned(array: np.ndarray) -> np.ndarray:
+    """An array this module just allocated, flagged read-only in place."""
+    array.setflags(write=False)
+    return array
+
+
+class _Spare:
+    """A buffer that a chain of concatenated columns shares: rows
+    ``[0, used)`` belong to the longest of them, the rest is free."""
+
+    __slots__ = ("array", "used", "lock")
+
+    def __init__(self, array: np.ndarray, used: int) -> None:
+        self.array = array
+        self.used = used  # guarded-by: lock
+        self.lock = threading.Lock()
+
+
+def _grown(
+    values: np.ndarray, spare: _Spare | None, delta: np.ndarray
+) -> tuple[np.ndarray, _Spare]:
+    """``values`` followed by ``delta``, as a view of a growable buffer
+    (for the new column to flag read-only), and that buffer.
+
+    ``values`` is the view ``spare`` (if any) holds at its front.  When
+    no other column has claimed rows past it and ``delta`` fits, it
+    claims them under the buffer's lock and writes ``delta`` there: the
+    views of earlier columns end before those rows, so they never see
+    them.  Otherwise (a second successor of one column, or a full
+    buffer) both are copied into a fresh buffer with spare capacity.
+    """
+    n, end = len(values), len(values) + len(delta)
+    if spare is not None:
+        with spare.lock:
+            claimed = spare.used == n and end <= len(spare.array)
+            if claimed:
+                spare.used = end
+        if claimed:
+            spare.array[n:end] = delta
+            return spare.array[:end], spare
+    array = np.empty(max(end, int(end * _GROWTH)), dtype=values.dtype)
+    array[:n] = values
+    array[n:end] = delta
+    spare = _Spare(array, end)
+    return array[:end], spare
 
 
 def check_codes(name: str, codes: np.ndarray, size: int) -> None:
@@ -226,6 +284,21 @@ class NumericColumn(Column):
         self._order: np.ndarray | bool | None = None
 
     @staticmethod
+    def _over(
+        name: str, data: np.ndarray, spare: _Spare | None = None
+    ) -> "NumericColumn":
+        """A column over ``data``, a float64 array this module just
+        allocated (flagged read-only in place, not copied)."""
+        if data.ndim != 1:
+            raise DatasetError(
+                f"numeric column {name!r} needs a 1-D array, got shape {data.shape}"
+            )
+        column = NumericColumn.__new__(NumericColumn)
+        Column.__init__(column, name)
+        column._data, column._order, column._spare = _owned(data), None, spare
+        return column
+
+    @staticmethod
     def stored(name: str, length: int, load: Callable[[], np.ndarray]) -> "NumericColumn":
         """``length`` values that ``load`` returns, read-only, on first read."""
         return _StoredNumeric(name, length, load)
@@ -243,10 +316,10 @@ class NumericColumn(Column):
         return int(self._data.shape[0])
 
     def take(self, indices: np.ndarray) -> "NumericColumn":
-        return NumericColumn(self.name, self._data[np.asarray(indices)])
+        return NumericColumn._over(self.name, self._data[np.asarray(indices)])
 
     def filter(self, mask: np.ndarray) -> "NumericColumn":
-        return NumericColumn(self.name, self._data[np.asarray(mask, dtype=bool)])
+        return NumericColumn._over(self.name, self._data[np.asarray(mask, dtype=bool)])
 
     def rename(self, name: str) -> "NumericColumn":
         clone = NumericColumn.__new__(NumericColumn)
@@ -260,8 +333,8 @@ class NumericColumn(Column):
                 f"cannot concatenate numeric column {self.name!r} with a "
                 f"{other.kind} column"
             )
-        return NumericColumn(
-            self.name, np.concatenate([self._data, other._data])
+        return NumericColumn._over(
+            self.name, *_grown(self._data, self._spare, other._data)
         )
 
     def missing_mask(self) -> np.ndarray:
@@ -383,10 +456,11 @@ class LabelDictionary:
     use, and a failed load fails again on every use; the label tuple
     is sliced from the text on the tuple's first read.  One built from
     labels keeps only those.  :meth:`scan_index`, built once, is what
-    text predicates sweep, so they never build the tuple.
+    text predicates sweep, so they never build the tuple; the
+    label-to-code index behind :meth:`merged` is built once too.
     """
 
-    __slots__ = ("size", "_labels", "_stored", "_scan", "_lock")
+    __slots__ = ("size", "_labels", "_stored", "_scan", "_index", "_lock")
 
     def __init__(
         self,
@@ -398,6 +472,7 @@ class LabelDictionary:
         self._labels = labels
         self._stored = None if load is None else Deferred(load)
         self._scan: tuple[str, np.ndarray] | None = None  # guarded-by: _lock
+        self._index: dict[str, int] | None = None  # guarded-by: _lock
         self._lock = threading.Lock()
 
     def text(self) -> tuple[str, np.ndarray]:
@@ -424,6 +499,34 @@ class LabelDictionary:
             if self._scan is None:
                 self._scan = _scan_index(*self.text())
             return self._scan
+
+    def merged(self, labels: Sequence[str]) -> tuple["LabelDictionary", np.ndarray]:
+        """This dictionary followed by the ``labels`` it lacks (in their
+        order), and each of ``labels``' codes in it plus a final
+        ``MISSING_CODE``, so indexing with code ``-1`` stays missing.
+
+        Only ``labels`` are looked up, in the index this dictionary
+        builds once; with no fresh label the dictionary is this one.
+        """
+        ordered = self.labels  # takes the lock itself
+        with self._lock:
+            if self._index is None:
+                self._index = dict(zip(ordered, range(len(ordered))))
+            index = self._index
+        fresh: dict[str, int] = {}  # ``labels`` are unique
+        codes = []
+        for label in labels:
+            code = index.get(label)
+            if code is None:
+                code = fresh[label] = self.size + len(fresh)
+            codes.append(code)
+        codes.append(MISSING_CODE)
+        remap = np.array(codes, dtype=np.int32)
+        if not fresh:
+            return self, remap
+        grown = LabelDictionary(self.size + len(fresh), self.labels + tuple(fresh))
+        grown._index = {**index, **fresh}
+        return grown, remap
 
 
 class CategoricalColumn(Column):
@@ -476,6 +579,26 @@ class CategoricalColumn(Column):
         clone._codes = clone._checked(codes)
         return clone
 
+    @staticmethod
+    def _over(
+        name: str,
+        codes: np.ndarray,
+        dictionary: LabelDictionary,
+        spare: _Spare | None = None,
+    ) -> "CategoricalColumn":
+        """A column over ``codes``, an int32 array this module just
+        allocated from codes valid in ``dictionary`` (flagged read-only
+        in place; neither copied nor re-checked)."""
+        if codes.ndim != 1:
+            raise DatasetError(
+                f"categorical column {name!r} needs 1-D codes, got shape {codes.shape}"
+            )
+        column = CategoricalColumn.__new__(CategoricalColumn)
+        Column.__init__(column, name)
+        column._dictionary, column._codes = dictionary, _owned(codes)
+        column._spare = spare
+        return column
+
     @classmethod
     def from_values(cls, name: str, values: Iterable[object]) -> "CategoricalColumn":
         """Build a column from raw labels; ``None``/``''`` become missing."""
@@ -497,7 +620,8 @@ class CategoricalColumn(Column):
                 index[label] = code
                 categories.append(label)
             codes[i] = code
-        return cls(name, codes, categories)
+        dictionary = LabelDictionary(len(categories), tuple(categories))
+        return CategoricalColumn._over(name, codes, dictionary)
 
     @property
     def kind(self) -> ColumnKind:
@@ -527,10 +651,12 @@ class CategoricalColumn(Column):
         return int(self._codes.shape[0])
 
     def take(self, indices: np.ndarray) -> "CategoricalColumn":
-        return self.with_codes(self._codes[np.asarray(indices)])
+        codes = self._codes[np.asarray(indices)]
+        return CategoricalColumn._over(self._name, codes, self._dictionary)
 
     def filter(self, mask: np.ndarray) -> "CategoricalColumn":
-        return self.with_codes(self._codes[np.asarray(mask, dtype=bool)])
+        codes = self._codes[np.asarray(mask, dtype=bool)]
+        return CategoricalColumn._over(self._name, codes, self._dictionary)
 
     def rename(self, name: str) -> "CategoricalColumn":
         clone = CategoricalColumn.__new__(CategoricalColumn)
@@ -547,23 +673,13 @@ class CategoricalColumn(Column):
             )
         # Union dictionaries order-preservingly: existing categories keep
         # their codes, fresh labels from `other` are appended, so the
-        # parent's code array transfers verbatim and only the delta rows
-        # are remapped.
-        categories = list(self.categories)
-        index = {label: code for code, label in enumerate(categories)}
-        remap = np.empty(other._dictionary.size + 1, dtype=np.int32)
-        remap[-1] = MISSING_CODE  # other code -1 indexes the last slot
-        for code, label in enumerate(other.categories):
-            mapped = index.get(label)
-            if mapped is None:
-                mapped = len(categories)
-                index[label] = mapped
-                categories.append(label)
-            remap[code] = mapped
-        codes = np.concatenate([self._codes, remap[other._codes]])
-        if len(categories) == self._dictionary.size:
-            return self.with_codes(codes)  # no new label: keep the dictionary
-        return CategoricalColumn(self.name, codes, categories)
+        # parent's (checked) codes transfer verbatim and only the delta
+        # rows are remapped and checked.
+        dictionary, remap = self._dictionary.merged(other.categories)
+        delta = remap[other._codes]  # code -1 indexes the final slot
+        check_codes(self.name, delta, dictionary.size)
+        codes, spare = _grown(self._codes, self._spare, delta)
+        return CategoricalColumn._over(self.name, codes, dictionary, spare)
 
     def missing_mask(self) -> np.ndarray:
         return self._codes == MISSING_CODE
@@ -602,6 +718,38 @@ class _StoredNumeric(_Stored, NumericColumn):
 class _StoredCategorical(_Stored, CategoricalColumn):
     __slots__ = ("_length", "_buffer")
     _BUFFER = "_codes"
+
+
+def concat_taken(
+    head: Column, keep: np.ndarray | None, tail: Column, rows: np.ndarray
+) -> Column:
+    """``head.take(keep).concat(tail.take(rows))`` in one gather per side.
+
+    ``keep`` None keeps every head row, and then the tail rows grow into
+    ``head``'s spare capacity (:meth:`Column.concat`'s rule).  ``tail``'s
+    dictionary must extend ``head``'s (a later version of one column):
+    the result is over ``tail``'s dictionary, so it is the column
+    ``take`` would give over a table holding both sides' rows.
+    """
+    if isinstance(head, NumericColumn) and isinstance(tail, NumericColumn):
+        head_values, tail_values = head._data, tail._data
+    elif isinstance(head, CategoricalColumn) and isinstance(tail, CategoricalColumn):
+        head_values, tail_values = head._codes, tail._codes
+    else:
+        raise DatasetError(
+            f"cannot concatenate {head.kind} column {head.name!r} with a "
+            f"{tail.kind} column"
+        )
+    spare: _Spare | None = None
+    if keep is None:
+        values, spare = _grown(head_values, head._spare, tail_values[rows])
+    else:
+        values = np.empty(len(keep) + len(rows), dtype=head_values.dtype)
+        np.take(head_values, keep, out=values[: len(keep)])
+        np.take(tail_values, rows, out=values[len(keep):])
+    if isinstance(tail, CategoricalColumn):
+        return CategoricalColumn._over(head.name, values, tail._dictionary, spare)
+    return NumericColumn._over(head.name, values, spare)
 
 
 def column_from_values(name: str, values: Iterable[object]) -> Column:

@@ -42,7 +42,7 @@ from repro.core.config import AtlasConfig, Fidelity
 from repro.core.contingency import joint_distribution_from_assignments
 from repro.core.datamap import DataMap, assign_regions, covers_from_assignment
 from repro.core.information import rajski_distance, variation_of_information
-from repro.dataset.column import CategoricalColumn, NumericColumn
+from repro.dataset.column import CategoricalColumn, NumericColumn, concat_taken
 from repro.dataset.table import Table
 from repro.engine.kernels import (
     KernelTimings,
@@ -51,7 +51,7 @@ from repro.engine.kernels import (
 )
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
-from repro.sketch.state import SketchState, merge_row_samples, merge_summaries
+from repro.sketch.state import SketchState, merge_summaries, uniform_merge
 
 #: Bounds on cached scope tables / per-table stat blocks; interactive
 #: sessions revisit a handful of scopes, so a small FIFO is plenty.
@@ -237,6 +237,11 @@ def table_fingerprint(table: Table) -> int:
     if table.version:
         canonical += f"|v{table.version}"
     return zlib.crc32(canonical.encode("utf-8"))
+
+
+def _reservoir_name(table: Table, fidelity: Fidelity) -> str:
+    """The name of a sketch backend's reservoir table."""
+    return f"{table.name}_sketch{fidelity.budget_rows}"
 
 
 def check_advance(table: Table, new_table: Table) -> None:
@@ -655,7 +660,10 @@ class SketchBackend:
         lock: threading.Lock | None = None,
         *,
         state: SketchState | None = None,
+        _reservoir: Table | None = None,
     ):
+        # ``_reservoir`` is private to :meth:`advance`: the rows of
+        # ``table`` at ``state.sample``, already built from the old ones.
         if not fidelity.is_sketch:
             raise MapError(
                 f"SketchBackend needs a sketch fidelity, got {fidelity.spec()!r}"
@@ -672,9 +680,9 @@ class SketchBackend:
             state = SketchState(positions, table.n_rows, version=table.version)
         # A handed-over state's caller vouches its sample is a uniform
         # ``budget_rows`` sample of ``table`` at ``table.version``.
-        self._inner = ExactBackend(
-            self._reservoir(table, state.sample), counters=counters, lock=lock
-        )
+        if _reservoir is None:
+            _reservoir = self._reservoir(table, state.sample)
+        self._inner = ExactBackend(_reservoir, counters=counters, lock=lock)
         self._lock = self._inner._lock
         self._positions = state.sample
         self.counters = self._inner.counters
@@ -692,9 +700,7 @@ class SketchBackend:
         of its rows, so identity-keyed memos line up."""
         if len(positions) == table.n_rows:
             return table
-        return table.take(
-            positions, name=f"{table.name}_sketch{self._fidelity.budget_rows}"
-        )
+        return table.take(positions, name=_reservoir_name(table, self._fidelity))
 
     @property
     def table(self) -> Table:
@@ -751,12 +757,16 @@ class SketchBackend:
         *delta*:
 
         * the sample is **topped up** by the merge rule every sample
-          merge shares (:func:`~repro.sketch.state.merge_row_samples`,
-          the shard fold's call) — the survivors from the old sample
+          merge shares (:func:`~repro.sketch.state.uniform_merge`, the
+          shard fold's rule) — the survivors from the old sample
           are weighted by old-rows vs delta-rows, the rest drawn
           uniformly from the delta, so the result stays a uniform
-          sample of the union; the successor's reservoir is then one
-          ``new_table.take`` of the merged positions;
+          sample of the union; the successor's reservoir is the old
+          reservoir's surviving rows followed by the kept delta rows
+          (equal to ``new_table.take`` of the merged positions, since
+          every delta position follows every old one), and with no
+          survivor dropped the delta rows grow into the old
+          reservoir's spare capacity;
         * every already-built per-attribute GK / Misra–Gries summary is
           **merged** (:func:`~repro.sketch.state.merge_summaries`) with
           a sketch built from a *rate-matched* uniform
@@ -782,10 +792,15 @@ class SketchBackend:
         n_old, delta_n = state.n_rows, new_table.n_rows - state.n_rows
         # The top-up draws before the delta thinning below: the draw
         # order is part of the recipe, it fixes every maintained bit.
-        positions, _ = merge_row_samples(
-            state.sample, n_old, np.arange(n_old, new_table.n_rows), delta_n,
+        keep = uniform_merge(
+            len(state.sample), n_old, delta_n, delta_n,
             self._fidelity.budget_rows, generator,
         )
+        survivors, added = None, np.arange(n_old, new_table.n_rows)
+        if keep is not None:
+            survivors, added = keep[0], n_old + keep[1]
+        old = state.sample if survivors is None else state.sample[survivors]
+        positions = np.concatenate([old, added])
         quantiles, frequencies = state.quantiles, state.frequencies
         timings = KernelTimings()
         if delta_n:
@@ -817,6 +832,16 @@ class SketchBackend:
                 )
             quantiles = merge_summaries(quantiles, delta_quantiles)
             frequencies = merge_summaries(frequencies, delta_frequencies)
+        reservoir = new_table  # when the positions cover it
+        if len(positions) < new_table.n_rows:
+            head = self._inner.table
+            reservoir = new_table._derived(
+                [
+                    concat_taken(head.column(name), survivors, new_table.column(name), added)
+                    for name in new_table.column_names
+                ],
+                _reservoir_name(new_table, self._fidelity),
+            )
         successor = SketchBackend(
             new_table,
             self._fidelity,
@@ -831,6 +856,7 @@ class SketchBackend:
                 tokens={},
                 version=new_table.version,
             ),
+            _reservoir=reservoir,
         )
         with self._lock:
             successor.usage.update(self.usage)

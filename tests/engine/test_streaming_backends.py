@@ -11,6 +11,9 @@ error bounds.
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.core.config import AtlasConfig, Fidelity
 from repro.dataset.table import Table
 from repro.engine.backends import (
     ExactBackend,
+    SketchBackend,
     make_backend,
     table_fingerprint,
 )
@@ -27,6 +31,8 @@ from repro.errors import MapError
 from repro.query.parser import parse_query
 from repro.query.query import ConjunctiveQuery
 from repro.service.protocol import map_set_to_dict
+from repro.sketch.state import SketchState, merge_row_samples
+from repro.store.warm import SketchSummary
 
 
 def base_table(n: int = 400, seed: int = 0) -> Table:
@@ -238,6 +244,99 @@ class TestSketchAdvance:
         backend = make_backend(table, Fidelity.sketch(budget_rows=50))
         with pytest.raises(MapError, match="versions must increase"):
             backend.advance(table)
+
+
+def assert_reservoir_is_take(backend) -> None:
+    """The successor's reservoir equals ``table.take(positions)``,
+    column by column, over the table's own dictionaries."""
+    table, reservoir = backend.table, backend.effective_table
+    expected = table.take(backend.export_state().sample)
+    assert reservoir.column_names == expected.column_names
+    assert reservoir.version == table.version
+    for name in table.column_names:
+        column, want = reservoir.column(name), expected.column(name)
+        if name == "label":
+            assert column.codes.tobytes() == want.codes.tobytes()
+            assert column.dictionary is table.column(name).dictionary
+        else:
+            assert column.data.tobytes() == want.data.tobytes()
+
+
+def state_digest(backend) -> int:
+    document = SketchSummary(
+        "stream", "k", backend.fidelity.spec(), backend.export_state()
+    ).to_dict()
+    return zlib.crc32(json.dumps(document, sort_keys=True).encode())
+
+
+class TestSuccessorReservoir:
+    """A successor's reservoir is the old reservoir's survivors plus the
+    kept delta rows, never a gather over the whole grown table; its
+    bytes and state equal the ``new_table.take(positions)`` recipe."""
+
+    def test_nothing_dropped_concatenates_the_delta(self):
+        table = base_table(n=400)
+        positions = np.arange(0, 400, 8)  # 50 rows, under the budget
+        backend = SketchBackend(
+            table, Fidelity.sketch(budget_rows=120),
+            state=SketchState(positions, table.n_rows, version=table.version),
+        )
+        current = table
+        for seed in range(2):  # 50 + 30 + 30 rows: every delta row kept
+            current = current.append(delta_rows(30, seed=seed))
+            backend = backend.advance(current, rng=seed)
+            assert_reservoir_is_take(backend)
+        assert backend.effective_table.n_rows == 110
+        assert np.array_equal(backend.export_state().sample[50:], np.arange(400, 460))
+
+    def test_a_drawn_merge_keeps_survivors_then_delta_rows(self):
+        table = base_table(n=500)
+        backend = SketchBackend(table, Fidelity.sketch(budget_rows=120), rng=7)
+        current = table
+        for seed in range(3):
+            current = current.append(delta_rows(200, seed=seed))
+            backend = backend.advance(current, rng=seed)
+            assert_reservoir_is_take(backend)
+            assert backend.effective_table.n_rows == 120
+
+    def test_a_budget_covering_the_table_is_the_table(self):
+        table = base_table(n=100)
+        backend = SketchBackend(table, Fidelity.sketch(budget_rows=10_000), rng=7)
+        appended = table.append(delta_rows(40))
+        backend = backend.advance(appended, rng=0)
+        assert backend.effective_table is appended
+
+    def test_positions_follow_the_shared_merge_rule(self):
+        table = base_table(n=500)
+        backend = SketchBackend(table, Fidelity.sketch(budget_rows=120), rng=7)
+        appended = table.append(delta_rows(200))
+        expected, _ = merge_row_samples(
+            backend.export_state().sample, 500, np.arange(500, 700), 200,
+            120, np.random.default_rng(3),
+        )
+        successor = backend.advance(appended, rng=3)
+        assert np.array_equal(successor.export_state().sample, expected)
+
+    @pytest.mark.parametrize(
+        "budget, digests",
+        [
+            (120, [3995856610, 3451644615, 2679721882]),
+            (10_000, [2344336479, 1713564300, 3531787458]),
+        ],
+    )
+    def test_export_state_is_pinned(self, budget, digests):
+        # Pinned from the gather-based advance (``new_table.take`` over
+        # every merged position) that this one replaced.
+        table = base_table(n=500)
+        backend = SketchBackend(table, Fidelity.sketch(budget_rows=budget), rng=7)
+        backend.quantile_sketch("x")
+        backend.frequency_sketch("label")
+        current, seen = table, []
+        for seed in range(3):
+            current = current.append(delta_rows(200, seed=seed))
+            backend = backend.advance(current, rng=seed)
+            seen.append(state_digest(backend))
+        assert seen == digests
 
 
 class TestContextAdvance:
