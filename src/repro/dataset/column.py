@@ -723,13 +723,12 @@ class _StoredCategorical(_Stored, CategoricalColumn):
 def concat_taken(
     head: Column, keep: np.ndarray | None, tail: Column, rows: np.ndarray
 ) -> Column:
-    """``head.take(keep).concat(tail.take(rows))`` in one gather per side.
+    """``head.take(keep).concat(tail.take(rows))`` in one fresh array.
 
-    ``keep`` None keeps every head row, and then the tail rows grow into
-    ``head``'s spare capacity (:meth:`Column.concat`'s rule).  ``tail``'s
-    dictionary must extend ``head``'s (a later version of one column):
-    the result is over ``tail``'s dictionary, so it is the column
-    ``take`` would give over a table holding both sides' rows.
+    ``keep`` None keeps every head row.  ``tail``'s dictionary must
+    extend ``head``'s (a later version of one column): the result is
+    over ``tail``'s dictionary, so it is the column ``take`` would give
+    over a table holding both sides' rows.
     """
     if isinstance(head, NumericColumn) and isinstance(tail, NumericColumn):
         head_values, tail_values = head._data, tail._data
@@ -740,16 +739,16 @@ def concat_taken(
             f"cannot concatenate {head.kind} column {head.name!r} with a "
             f"{tail.kind} column"
         )
-    spare: _Spare | None = None
+    n_head = len(head_values) if keep is None else len(keep)
+    values = np.empty(n_head + len(rows), dtype=head_values.dtype)
     if keep is None:
-        values, spare = _grown(head_values, head._spare, tail_values[rows])
+        values[:n_head] = head_values
     else:
-        values = np.empty(len(keep) + len(rows), dtype=head_values.dtype)
-        np.take(head_values, keep, out=values[: len(keep)])
-        np.take(tail_values, rows, out=values[len(keep):])
+        np.take(head_values, keep, out=values[:n_head])
+    np.take(tail_values, rows, out=values[n_head:])
     if isinstance(tail, CategoricalColumn):
-        return CategoricalColumn._over(head.name, values, tail._dictionary, spare)
-    return NumericColumn._over(head.name, values, spare)
+        return CategoricalColumn._over(head.name, values, tail._dictionary)
+    return NumericColumn._over(head.name, values)
 
 
 def column_from_values(name: str, values: Iterable[object]) -> Column:

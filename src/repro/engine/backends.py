@@ -51,7 +51,7 @@ from repro.engine.kernels import (
 )
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
-from repro.sketch.state import SketchState, merge_summaries, uniform_merge
+from repro.sketch.state import SketchState, merge_row_positions, merge_summaries
 
 #: Bounds on cached scope tables / per-table stat blocks; interactive
 #: sessions revisit a handful of scopes, so a small FIFO is plenty.
@@ -660,17 +660,11 @@ class SketchBackend:
         lock: threading.Lock | None = None,
         *,
         state: SketchState | None = None,
-        _reservoir: Table | None = None,
     ):
-        # ``_reservoir`` is private to :meth:`advance`: the rows of
-        # ``table`` at ``state.sample``, already built from the old ones.
         if not fidelity.is_sketch:
             raise MapError(
                 f"SketchBackend needs a sketch fidelity, got {fidelity.spec()!r}"
             )
-        self._table = table
-        self._fidelity = fidelity
-        self._kernel_timings = KernelTimings()  # guarded-by: _lock
         if state is None:
             if fidelity.budget_rows < table.n_rows:
                 rows = np.random.default_rng(rng).permutation(table.n_rows)
@@ -680,9 +674,31 @@ class SketchBackend:
             state = SketchState(positions, table.n_rows, version=table.version)
         # A handed-over state's caller vouches its sample is a uniform
         # ``budget_rows`` sample of ``table`` at ``table.version``.
-        if _reservoir is None:
-            _reservoir = self._reservoir(table, state.sample)
-        self._inner = ExactBackend(_reservoir, counters=counters, lock=lock)
+        reservoir = table  # when the positions are all of its rows
+        if len(state.sample) < table.n_rows:
+            reservoir = table.take(
+                state.sample, name=_reservoir_name(table, fidelity)
+            )
+        self._install(table, fidelity, state, reservoir, counters, lock)
+
+    def _install(  # holds-lock: _lock
+        self,
+        table: Table,
+        fidelity: Fidelity,
+        state: SketchState,
+        reservoir: Table,
+        counters: CacheCounters | None,
+        lock: threading.Lock | None,
+    ) -> None:
+        """Set every field over ``reservoir``, the rows of ``table`` at
+        ``state.sample``: ``table`` itself when they are all of its rows,
+        so identity-keyed memos line up.  :meth:`advance` calls it on a
+        bare instance, holding ``lock``, with a reservoir built from the
+        old one; ``__init__`` calls it before the backend is shared."""
+        self._table = table
+        self._fidelity = fidelity
+        self._kernel_timings = KernelTimings()  # guarded-by: _lock
+        self._inner = ExactBackend(reservoir, counters=counters, lock=lock)
         self._lock = self._inner._lock
         self._positions = state.sample
         self.counters = self._inner.counters
@@ -694,13 +710,6 @@ class SketchBackend:
         self._root_cuts: dict[tuple, DataMap] = {}  # guarded-by: _lock
         self._full_scan = state.full_scan
         self._provenance = dict(state.provenance)
-
-    def _reservoir(self, table: Table, positions: np.ndarray) -> Table:
-        """The rows at ``positions``: ``table`` itself when they are all
-        of its rows, so identity-keyed memos line up."""
-        if len(positions) == table.n_rows:
-            return table
-        return table.take(positions, name=_reservoir_name(table, self._fidelity))
 
     @property
     def table(self) -> Table:
@@ -757,16 +766,14 @@ class SketchBackend:
         *delta*:
 
         * the sample is **topped up** by the merge rule every sample
-          merge shares (:func:`~repro.sketch.state.uniform_merge`, the
-          shard fold's rule) — the survivors from the old sample
+          merge shares (:func:`~repro.sketch.state.merge_row_positions`,
+          the shard fold's rule) — the survivors from the old sample
           are weighted by old-rows vs delta-rows, the rest drawn
           uniformly from the delta, so the result stays a uniform
           sample of the union; the successor's reservoir is the old
           reservoir's surviving rows followed by the kept delta rows
           (equal to ``new_table.take`` of the merged positions, since
-          every delta position follows every old one), and with no
-          survivor dropped the delta rows grow into the old
-          reservoir's spare capacity;
+          every delta position follows every old one);
         * every already-built per-attribute GK / Misra–Gries summary is
           **merged** (:func:`~repro.sketch.state.merge_summaries`) with
           a sketch built from a *rate-matched* uniform
@@ -792,15 +799,11 @@ class SketchBackend:
         n_old, delta_n = state.n_rows, new_table.n_rows - state.n_rows
         # The top-up draws before the delta thinning below: the draw
         # order is part of the recipe, it fixes every maintained bit.
-        keep = uniform_merge(
-            len(state.sample), n_old, delta_n, delta_n,
+        positions, survivors = merge_row_positions(
+            state.sample, n_old, np.arange(n_old, new_table.n_rows), delta_n,
             self._fidelity.budget_rows, generator,
         )
-        survivors, added = None, np.arange(n_old, new_table.n_rows)
-        if keep is not None:
-            survivors, added = keep[0], n_old + keep[1]
-        old = state.sample if survivors is None else state.sample[survivors]
-        positions = np.concatenate([old, added])
+        n_survivors = len(state.sample) if survivors is None else len(survivors)
         quantiles, frequencies = state.quantiles, state.frequencies
         timings = KernelTimings()
         if delta_n:
@@ -834,7 +837,7 @@ class SketchBackend:
             frequencies = merge_summaries(frequencies, delta_frequencies)
         reservoir = new_table  # when the positions cover it
         if len(positions) < new_table.n_rows:
-            head = self._inner.table
+            head, added = self._inner.table, positions[n_survivors:]
             reservoir = new_table._derived(
                 [
                     concat_taken(head.column(name), survivors, new_table.column(name), added)
@@ -842,23 +845,20 @@ class SketchBackend:
                 ],
                 _reservoir_name(new_table, self._fidelity),
             )
-        successor = SketchBackend(
-            new_table,
-            self._fidelity,
-            counters=self.counters,
-            lock=self._lock,
-            state=dataclasses.replace(
-                state,
-                sample=positions,
-                n_rows=new_table.n_rows,
-                quantiles=quantiles,
-                frequencies=frequencies,
-                tokens={},
-                version=new_table.version,
-            ),
-            _reservoir=reservoir,
+        state = dataclasses.replace(
+            state,
+            sample=positions,
+            n_rows=new_table.n_rows,
+            quantiles=quantiles,
+            frequencies=frequencies,
+            tokens={},
+            version=new_table.version,
         )
-        with self._lock:
+        successor = SketchBackend.__new__(SketchBackend)
+        with self._lock:  # the successor's lock too
+            successor._install(
+                new_table, self._fidelity, state, reservoir, self.counters, self._lock
+            )
             successor.usage.update(self.usage)
             successor._use("advance")
             successor._kernel_timings.merge(self._kernel_timings)

@@ -46,8 +46,7 @@ determinism property tests assert this).
 Streaming: venues are consulted only at build time.  After an append
 :meth:`SketchBackend.advance` maintains the folded state locally with
 the same two rules the fold used: the sample and the delta rows
-merge by :func:`~repro.sketch.state.uniform_merge` (the rule behind
-:func:`~repro.sketch.state.merge_row_samples`), and delta summaries
+merge by :func:`~repro.sketch.state.merge_row_samples`, and delta summaries
 built over every appended row (the state is ``full_scan``) merge by
 :func:`~repro.sketch.state.merge_summaries`.  No venue is consulted; a
 fresh build over the grown table shards it anew.

@@ -10,7 +10,7 @@ two states over disjoint rows — the shard fold, an append's
 ``SketchBackend.advance``,
 :meth:`~repro.sketch.reservoir.ReservoirSampler.merge` — goes through
 the functions beside it: :func:`uniform_merge` (and
-:func:`merge_row_samples`, its form over positions) for the samples,
+:func:`merge_row_positions`, its form over positions) for the samples,
 :func:`merge_summaries` for the GK / Misra–Gries summaries.
 
 A sample has one byte form too, shared by the ``/scan`` answer and the
@@ -79,6 +79,30 @@ def uniform_merge(
     return keep_a, keep_b
 
 
+def merge_row_positions(
+    sample_a: np.ndarray,
+    seen_a: int,
+    sample_b: np.ndarray,
+    seen_b: int,
+    capacity: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Merge two uniform row-position samples into one over the union.
+
+    :func:`uniform_merge` applied to position arrays: concatenated when
+    the union fits the capacity, otherwise the survivors of each side in
+    their original order (so ``a``'s positions, all below ``b``'s, keep
+    the result sorted).  Also returns the indices into ``sample_a`` of
+    its survivors (None when all of them survive); they lead the result.
+    """
+    keep = uniform_merge(
+        len(sample_a), seen_a, len(sample_b), seen_b, capacity, rng
+    )
+    if keep is None:
+        return np.concatenate([sample_a, sample_b]), None
+    return np.concatenate([sample_a[keep[0]], sample_b[keep[1]]]), keep[0]
+
+
 def merge_row_samples(
     sample_a: np.ndarray,
     seen_a: int,
@@ -87,19 +111,12 @@ def merge_row_samples(
     capacity: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    """Merge two uniform row-position samples into one over the union.
-
-    :func:`uniform_merge` applied to position arrays: concatenated when
-    the union fits the capacity, otherwise the survivors of each side in
-    their original order (so ``a``'s positions, all below ``b``'s, keep
-    the result sorted).
-    """
-    keep = uniform_merge(
-        len(sample_a), seen_a, len(sample_b), seen_b, capacity, rng
+    """:func:`merge_row_positions`'s merged sample, with the number of
+    rows it stands for (``seen_a + seen_b``)."""
+    merged, _ = merge_row_positions(
+        sample_a, seen_a, sample_b, seen_b, capacity, rng
     )
-    if keep is not None:
-        sample_a, sample_b = sample_a[keep[0]], sample_b[keep[1]]
-    return np.concatenate([sample_a, sample_b]), seen_a + seen_b
+    return merged, seen_a + seen_b
 
 
 def merge_summaries(

@@ -31,7 +31,7 @@ from repro.errors import MapError
 from repro.query.parser import parse_query
 from repro.query.query import ConjunctiveQuery
 from repro.service.protocol import map_set_to_dict
-from repro.sketch.state import SketchState, merge_row_samples
+from repro.sketch.state import merge_row_samples
 from repro.store.warm import SketchSummary
 
 
@@ -274,20 +274,16 @@ class TestSuccessorReservoir:
     kept delta rows, never a gather over the whole grown table; its
     bytes and state equal the ``new_table.take(positions)`` recipe."""
 
-    def test_nothing_dropped_concatenates_the_delta(self):
+    def test_an_empty_delta_drops_nothing(self):
+        # A full ``budget_rows`` sample plus zero rows fits the budget:
+        # the merge draws nothing and every old row survives.
         table = base_table(n=400)
-        positions = np.arange(0, 400, 8)  # 50 rows, under the budget
-        backend = SketchBackend(
-            table, Fidelity.sketch(budget_rows=120),
-            state=SketchState(positions, table.n_rows, version=table.version),
-        )
-        current = table
-        for seed in range(2):  # 50 + 30 + 30 rows: every delta row kept
-            current = current.append(delta_rows(30, seed=seed))
-            backend = backend.advance(current, rng=seed)
-            assert_reservoir_is_take(backend)
-        assert backend.effective_table.n_rows == 110
-        assert np.array_equal(backend.export_state().sample[50:], np.arange(400, 460))
+        backend = SketchBackend(table, Fidelity.sketch(budget_rows=120), rng=7)
+        before = backend.export_state().sample
+        successor = backend.advance(table.append(delta_rows(0)), rng=0)
+        assert_reservoir_is_take(successor)
+        assert np.array_equal(successor.export_state().sample, before)
+        assert successor.effective_table.n_rows == 120
 
     def test_a_drawn_merge_keeps_survivors_then_delta_rows(self):
         table = base_table(n=500)
