@@ -11,7 +11,7 @@ before the sample covers the table, and early ticks cost milliseconds.
 import pytest
 
 from repro.core.anytime import AnytimeExplorer
-from repro.core.atlas import Atlas
+from repro.engine import Explorer
 from repro.core.distance import map_nvi
 from repro.datagen import census_table
 from repro.evaluation.harness import ResultTable
@@ -27,7 +27,7 @@ def table():
 
 def test_anytime_convergence(table, save_report, benchmark):
     query = figure2_query()
-    reference = Atlas(table).explore(query).best
+    reference = Explorer(table).explore(query).best
 
     report = ResultTable(
         ["tick", "sample", "elapsed_s", "top map", "nVI to full answer",

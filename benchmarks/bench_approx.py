@@ -39,7 +39,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.anytime import AnytimeExplorer          # noqa: E402
-from repro.core.atlas import Atlas                       # noqa: E402
 from repro.datagen import census_table                   # noqa: E402
 from repro.engine import explorer                        # noqa: E402
 from repro.evaluation.harness import ResultTable         # noqa: E402
@@ -52,7 +51,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def session_workload(table) -> list:
     """A realistic interactive session: survey + drill-downs + repeats."""
     survey = figure2_query()
-    answer = Atlas(table).explore(survey)
+    answer = explorer(table).explore(survey)
     queries = [None, survey]
     for entry in answer.ranked[:3]:
         queries.extend(entry.map.regions[:2])
@@ -100,7 +99,7 @@ def run(
             ).ticks()
         )
     )
-    t_exact_one, _ = timed(lambda: Atlas(table).explore(figure2_query()))
+    t_exact_one, _ = timed(lambda: explorer(table).explore(figure2_query()))
     first_speedup = t_exact_one / t_first if t_first > 0 else float("inf")
 
     report = ResultTable(

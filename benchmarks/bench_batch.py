@@ -2,7 +2,7 @@
 
 The engine refactor's headline performance claim: serving many queries
 on one table through a single :class:`~repro.engine.ExecutionContext`
-(``explore_many``) beats per-query :meth:`Atlas.explore` calls, because
+(``explore_many``) beats per-query explores over fresh contexts, because
 predicate masks, assignment vectors, joint contingency tables, and cut
 points are memoized once instead of recomputed per query.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 
-from repro.core.atlas import Atlas
 from repro.datagen import census_table
 from repro.engine import explorer
 from repro.evaluation.harness import ResultTable
@@ -30,7 +29,7 @@ MIN_QUERIES = 8
 def _session_workload(table) -> list:
     """A realistic interactive workload: survey + drill-downs + repeats."""
     survey = figure2_query()
-    answer = Atlas(table).explore(survey)
+    answer = explorer(table).explore(survey)
     queries = [None, survey]
     for entry in answer.ranked[:3]:
         queries.extend(entry.map.regions[:2])
@@ -55,10 +54,10 @@ def test_batch_vs_sequential(save_report):
     table = census_table(n_rows=N_ROWS, seed=0)
     queries = _session_workload(table)
 
-    # Each run is cold (fresh Atlas / fresh Explorer context); best-of-3
+    # Each run is cold (fresh Explorer contexts); best-of-3
     # per variant only evens out scheduler noise on shared CI runners.
     t_sequential, sequential = _best_of(
-        3, lambda: [Atlas(table).explore(q) for q in queries]
+        3, lambda: [explorer(table).explore(q) for q in queries]
     )
     t_batch, batch = _best_of(
         3, lambda: explorer(table).explore_many(queries)
@@ -71,9 +70,9 @@ def test_batch_vs_sequential(save_report):
     speedup = t_sequential / t_batch if t_batch > 0 else float("inf")
     report = ResultTable(
         ["variant", "queries", "seconds", "speedup"],
-        title=f"E16: explore_many vs per-query Atlas ({N_ROWS} census rows)",
+        title=f"E16: explore_many vs per-query explore ({N_ROWS} census rows)",
     )
-    report.add_row(["sequential Atlas.explore", len(queries), t_sequential, 1.0])
+    report.add_row(["sequential explore", len(queries), t_sequential, 1.0])
     report.add_row(["explore_many (shared ctx)", len(queries), t_batch, speedup])
     save_report("batch_vs_sequential", report.render())
 
@@ -96,7 +95,7 @@ def test_batch_scaling_with_repetition(save_report):
         workload = base * factor
         started = time.perf_counter()
         for query in workload:
-            Atlas(table).explore(query)
+            explorer(table).explore(query)
         t_sequential = time.perf_counter() - started
 
         started = time.perf_counter()

@@ -10,7 +10,7 @@ attributes; the report shows the observed distributions.
 import numpy as np
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig
 from repro.datagen import census_table, sky_survey_table
 from repro.evaluation.harness import ResultTable
@@ -35,7 +35,7 @@ def test_convenience_constraints(tables, save_report, benchmark):
     for table in tables:
         for seed in range(N_WORKLOADS):
             query = random_query(table, seed)
-            result = Atlas(table, config).explore(query)
+            result = explorer(table, config).explore(query)
             map_counts.append(len(result))
             for entry in result.ranked:
                 region_counts.append(entry.map.n_regions)
@@ -66,5 +66,5 @@ def test_convenience_constraints(tables, save_report, benchmark):
 
     table = tables[0]
     query = random_query(table, 0)
-    engine = Atlas(table, config)
+    engine = explorer(table, config)
     benchmark(lambda: engine.explore(query))

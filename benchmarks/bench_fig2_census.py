@@ -9,7 +9,7 @@ the full pipeline on 20k rows.
 
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.datagen import census_table
 from repro.evaluation.harness import ResultTable
 from repro.evaluation.workloads import figure2_query
@@ -25,7 +25,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def result(table):
-    return Atlas(table).explore(figure2_query())
+    return explorer(table).explore(figure2_query())
 
 
 def test_fig2_report(result, table, save_report, benchmark):
@@ -52,5 +52,5 @@ def test_fig2_report(result, table, save_report, benchmark):
         if "Eye color" in attrs:
             assert attrs == {"Eye color"}
 
-    engine = Atlas(table)
+    engine = explorer(table)
     benchmark(lambda: engine.explore(figure2_query()))

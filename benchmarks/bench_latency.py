@@ -8,7 +8,7 @@ Sub-second latency at 100k rows is the quasi-real-time bar.
 """
 
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig
 from repro.datagen import census_table, subspace_dataset
 from repro.evaluation.harness import ResultTable, Timer
@@ -28,7 +28,7 @@ def test_latency_vs_rows(save_report, benchmark):
     last = None
     for n_rows in ROW_COUNTS:
         table = census_table(n_rows=n_rows, seed=0)
-        engine = Atlas(table)
+        engine = explorer(table)
         with Timer() as timer:
             result = engine.explore(figure2_query())
         last = (engine, result)
@@ -75,7 +75,7 @@ def test_latency_vs_attributes(save_report, benchmark):
     times = {}
     for n_attributes in ATTRIBUTE_COUNTS:
         table = _wide_table(n_attributes)
-        engine = Atlas(table)
+        engine = explorer(table)
         with Timer() as timer:
             result = engine.explore()
         times[n_attributes] = timer.elapsed
@@ -87,7 +87,7 @@ def test_latency_vs_attributes(save_report, benchmark):
     assert times[12] > times[2]
 
     table = _wide_table(8)
-    engine = Atlas(table)
+    engine = explorer(table)
     benchmark.pedantic(engine.explore, rounds=3, iterations=1)
 
 
@@ -97,10 +97,10 @@ def test_latency_sampling_lever(save_report, benchmark):
         ["sample_size", "pipeline_s", "top map"],
         title="E1c: the Section-5.1 sampling lever (300k-row table)",
     )
-    reference = Atlas(table).explore(figure2_query())
+    reference = explorer(table).explore(figure2_query())
     for sample in (None, 50_000, 10_000, 2_000):
         config = AtlasConfig(sample_size=sample)
-        engine = Atlas(table, config)
+        engine = explorer(table, config)
         with Timer() as timer:
             result = engine.explore(figure2_query())
         report.add_row(
@@ -114,7 +114,7 @@ def test_latency_sampling_lever(save_report, benchmark):
         assert set(result.best.attributes) == set(reference.best.attributes)
     save_report("latency_sampling", report.render())
 
-    engine = Atlas(table, AtlasConfig(sample_size=10_000))
+    engine = explorer(table, AtlasConfig(sample_size=10_000))
     benchmark.pedantic(
         lambda: engine.explore(figure2_query()), rounds=3, iterations=1
     )

@@ -8,7 +8,7 @@ maps (a failure "could lead to very long and useless computations").
 
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig
 from repro.datagen import tpc_catalog
 from repro.dataset.stats import profile_table
@@ -39,11 +39,11 @@ def test_multitable_exploration(catalog, save_report, benchmark):
     )
 
     with Timer() as explore_timer:
-        result = Atlas(wide_full, AtlasConfig()).explore()
+        result = explorer(wide_full, AtlasConfig()).explore()
     report.add_row(["explore full star", wide_full.n_rows, explore_timer.elapsed])
 
     with Timer() as explore_sample_timer:
-        sampled_result = Atlas(wide_sample, AtlasConfig()).explore()
+        sampled_result = explorer(wide_sample, AtlasConfig()).explore()
     report.add_row(
         ["explore sampled star", wide_sample.n_rows,
          explore_sample_timer.elapsed]
@@ -57,7 +57,7 @@ def test_multitable_exploration(catalog, save_report, benchmark):
          snowflake_timer.elapsed]
     )
     with Timer() as explore_snowflake_timer:
-        snowflake_result = Atlas(snowflake, AtlasConfig()).explore()
+        snowflake_result = explorer(snowflake, AtlasConfig()).explore()
     report.add_row(
         ["explore sampled snowflake", snowflake.n_rows,
          explore_snowflake_timer.elapsed]

@@ -12,7 +12,7 @@ corruption and only degrade at extreme rates.
 """
 
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.datagen import census_table
 from repro.datagen.dirty import corrupt
 from repro.evaluation.harness import ResultTable, Timer
@@ -47,7 +47,7 @@ def test_dirty_data_robustness(save_report, benchmark):
     for rate in RATES:
         table = clean if rate == 0.0 else corrupt(clean, rate, rng=1)
         with Timer() as timer:
-            result = Atlas(table).explore(query)
+            result = explorer(table).explore(query)
         age_sex, edu_salary, eye_alone = _structure_found(result)
         survived_at[rate] = age_sex and edu_salary and eye_alone
         report.add_row(
@@ -62,7 +62,7 @@ def test_dirty_data_robustness(save_report, benchmark):
     assert survived_at[0.1]
 
     dirty = corrupt(clean, 0.1, rng=1)
-    engine = Atlas(dirty)
+    engine = explorer(dirty)
     benchmark.pedantic(
         lambda: engine.explore(query), rounds=3, iterations=1
     )

@@ -19,6 +19,7 @@ from repro.core.anticipate import AnticipativeExplorer
 from repro.core.config import AtlasConfig
 from repro.core.session import ExplorationSession
 from repro.datagen import census_table
+from repro.engine import Explorer
 from repro.evaluation.harness import ResultTable
 from repro.evaluation.workloads import figure2_query
 
@@ -43,15 +44,15 @@ def test_interaction_latency(table, save_report, benchmark):
         title=f"E15: drill-down interaction latency (n={N_ROWS})",
     )
 
-    cold = _drill_latency(ExplorationSession(table))
+    cold = _drill_latency(ExplorationSession(Explorer(table)))
     report.add_row(["cold (full pipeline per click)", cold, 0.0])
 
     sampled = _drill_latency(
-        ExplorationSession(table, AtlasConfig(sample_size=10_000))
+        ExplorationSession(Explorer(table, AtlasConfig(sample_size=10_000)))
     )
     report.add_row(["sampled (§5.1 lever, 10k rows)", sampled, 0.0])
 
-    explorer = AnticipativeExplorer(table)
+    explorer = AnticipativeExplorer(Explorer(table))
     answer = explorer.explore(figure2_query())
     idle_start = time.perf_counter()
     explorer.prefetch(answer)
@@ -70,7 +71,7 @@ def test_interaction_latency(table, save_report, benchmark):
     # a prefetched click must be orders of magnitude cheaper than cold
     assert anticipated < cold / 100
 
-    session = ExplorationSession(table, AtlasConfig(sample_size=10_000))
+    session = ExplorationSession(Explorer(table, AtlasConfig(sample_size=10_000)))
     session.start(figure2_query())
 
     def one_click():

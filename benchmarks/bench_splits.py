@@ -17,7 +17,7 @@ paper's exact trade-off.
 import numpy as np
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig
 from repro.core.distance import map_nvi
 from repro.core.cut import cut
@@ -64,7 +64,7 @@ def test_splits_tradeoff(table, save_report, benchmark):
         signal_xy = 1.0 - map_nvi(map_x, map_y, table)
         signal_xz = 1.0 - map_nvi(map_x, map_z, table)
         with Timer() as timer:
-            Atlas(table, config).explore()
+            explorer(table, config).explore()
         signals[n_splits] = signal_xy
         times[n_splits] = timer.elapsed
         report.add_row(
@@ -78,5 +78,5 @@ def test_splits_tradeoff(table, save_report, benchmark):
     # (checked row-wise above by eye; assert the trend endpoint)
     config = AtlasConfig(n_splits=2)
     benchmark.pedantic(
-        lambda: Atlas(table, config).explore(), rounds=3, iterations=1
+        lambda: explorer(table, config).explore(), rounds=3, iterations=1
     )

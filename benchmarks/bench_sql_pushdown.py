@@ -15,7 +15,7 @@ exact cost the paper warns about.
 
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.datagen import census_table
 from repro.db.connection import SqlConnection
 from repro.db.sql_atlas import SqlAtlas
@@ -34,7 +34,7 @@ def test_sql_pushdown_cost(table, save_report, benchmark):
     query = figure2_query()
 
     with Timer() as native_timer:
-        native = Atlas(table).explore(query)
+        native = explorer(table).explore(query)
 
     connection = SqlConnection({table.name: table})
     engine = SqlAtlas(connection, table.name)

@@ -20,7 +20,7 @@ import pytest
 from repro.baselines.clique import clique
 from repro.baselines.dendrogram import single_link_dendrogram
 from repro.baselines.grid import grid_map
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig, MergeMethod, NumericCutStrategy
 from repro.datagen import subspace_dataset
 from repro.evaluation.harness import ResultTable, Timer
@@ -49,7 +49,7 @@ def test_vs_baselines(data, save_report, benchmark):
     )
 
     with Timer() as atlas_timer:
-        result = Atlas(table, config).explore()
+        result = explorer(table, config).explore()
     atlas_purity = best_map_purity(result, table, labels, top_k=5)
     report.add_row(
         ["atlas (lazy, top-5)", atlas_timer.elapsed,
@@ -95,7 +95,7 @@ def test_vs_baselines(data, save_report, benchmark):
     # and be dramatically faster than the exhaustive hierarchy
     assert atlas_timer.elapsed < dendro_timer.elapsed
 
-    engine = Atlas(table, config)
+    engine = explorer(table, config)
     benchmark.pedantic(engine.explore, rounds=3, iterations=1)
 
 

@@ -9,7 +9,7 @@ trail — sample size, elapsed time, the top map, and the stability score
 Run:  python examples/anytime_exploration.py
 """
 
-from repro import AnytimeExplorer, Atlas
+from repro import AnytimeExplorer, Explorer
 from repro.datagen import census_table
 from repro.evaluation import figure2_query
 from repro.evaluation.harness import ResultTable
@@ -43,7 +43,7 @@ for tick in explorer.ticks():
 report.print()
 
 # Compare against the one-shot full-table run.
-full = Atlas(table).explore(query)
+full = Explorer(table).explore(query)
 print(f"\nFull-table top map: {full.best.label} "
       f"(pipeline {full.timings.total:.2f}s)")
 print(f"Anytime final top map: {final.map_set.best.label} "

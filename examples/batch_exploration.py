@@ -12,7 +12,7 @@ Run:  python examples/batch_exploration.py
 
 import time
 
-from repro import Atlas, explorer
+from repro import explorer
 from repro.datagen import census_table
 from repro.evaluation.workloads import figure2_query
 
@@ -20,7 +20,7 @@ table = census_table(n_rows=30_000, seed=0)
 survey = figure2_query()
 
 # Build the workload: survey + the drill-downs a user would click.
-first_answer = Atlas(table).explore(survey)
+first_answer = explorer(table).explore(survey)
 queries = [None, survey]
 for entry in first_answer.ranked[:3]:
     queries.extend(entry.map.regions[:2])
@@ -28,7 +28,7 @@ queries += [survey, None]  # interactive traffic revisits views
 print(f"Workload: {len(queries)} queries over {table.n_rows} census rows")
 
 started = time.perf_counter()
-sequential = [Atlas(table).explore(q) for q in queries]
+sequential = [explorer(table).explore(q) for q in queries]
 t_sequential = time.perf_counter() - started
 
 started = time.perf_counter()
@@ -36,7 +36,7 @@ batch = explorer(table).explore_many(queries)
 t_batch = time.perf_counter() - started
 
 assert all(a.maps == b.maps for a, b in zip(sequential, batch))
-print(f"per-query Atlas.explore : {t_sequential * 1000:7.1f} ms")
+print(f"per-query explore        : {t_sequential * 1000:7.1f} ms")
 print(f"explore_many (shared ctx): {t_batch * 1000:7.1f} ms")
 print(f"speedup                  : {t_sequential / t_batch:7.2f}x")
 

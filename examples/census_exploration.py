@@ -8,13 +8,13 @@ the Atlas GUI would experience.
 Run:  python examples/census_exploration.py
 """
 
-from repro import AtlasConfig, parse_query
+from repro import AtlasConfig, explorer, parse_query
 from repro.core.session import ExplorationSession
 from repro.datagen import census_table
 from repro.frontend import render_breadcrumb, render_map, render_map_set
 
 table = census_table(n_rows=20_000, seed=1)
-session = ExplorationSession(table, AtlasConfig())
+session = ExplorationSession(explorer(table, AtlasConfig()))
 
 query = parse_query("""
 Sex: any

@@ -10,7 +10,7 @@ in from the customers table participate in the maps.
 Run:  python examples/multitable_tpc.py
 """
 
-from repro import Atlas, AtlasConfig
+from repro import AtlasConfig, explorer
 from repro.datagen import tpc_catalog
 from repro.dataset.stats import profile_table
 from repro.evaluation.harness import Timer
@@ -41,6 +41,6 @@ for name, reason in profile.excluded.items():
     print(f"  {name}: {reason}")
 
 # Map the sampled star.
-result = Atlas(wide_sample, AtlasConfig(max_maps=5)).explore()
+result = explorer(wide_sample, AtlasConfig(max_maps=5)).explore()
 print("\n=== Maps over the materialized star ===")
 print(render_map_set(result, wide_sample))

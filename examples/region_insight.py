@@ -16,7 +16,7 @@ Run:  python examples/region_insight.py
 
 import time
 
-from repro import Atlas, parse_query
+from repro import Explorer, parse_query
 from repro.core.anticipate import AnticipativeExplorer
 from repro.core.exemplars import representative_examples
 from repro.core.explain import explain_region
@@ -26,7 +26,7 @@ from repro.frontend import render_examples, render_map
 table = sky_survey_table(n_rows=30_000, seed=0)
 query = parse_query("redshift: any\nmag_r: any\nclass: any")
 
-result = Atlas(table).explore(query)
+result = Explorer(table).explore(query)
 top = result.best
 print(render_map(top, table))
 
@@ -47,7 +47,7 @@ print(render_examples(reps, title="most typical objects"))
 
 # --- Anticipation: precompute the likely next queries ------------------
 print("\n=== Anticipative computation ===")
-explorer = AnticipativeExplorer(table, top_maps_to_prefetch=1)
+explorer = AnticipativeExplorer(Explorer(table), top_maps_to_prefetch=1)
 answer = explorer.explore(query)
 started = time.perf_counter()
 computed = explorer.prefetch(answer)

@@ -8,7 +8,7 @@ magnitude bands cluster into one map, and (c) a drill-down on redshift.
 Run:  python examples/sky_survey_exploration.py
 """
 
-from repro import Atlas, AtlasConfig, parse_query
+from repro import AtlasConfig, explorer, parse_query
 from repro.datagen import sky_survey_table
 from repro.dataset.stats import profile_table
 from repro.frontend import render_map_set
@@ -26,7 +26,7 @@ for summary in profile.summaries:
           f"distinct={summary.distinct:6d}{extra}")
 
 # Step 1: a first feel for the data — no query at all.
-engine = Atlas(table, AtlasConfig(max_maps=6))
+engine = explorer(table, AtlasConfig(max_maps=6))
 overview = engine.explore()
 print("\n=== Overview maps (whole catalog) ===")
 print(render_map_set(overview, table))

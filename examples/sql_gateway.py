@@ -9,7 +9,7 @@ exactly what would cross an ODBC/JDBC wire.
 Run:  python examples/sql_gateway.py
 """
 
-from repro import Atlas, parse_query
+from repro import explorer, parse_query
 from repro.datagen import census_table
 from repro.db import SqlConnection
 
@@ -28,7 +28,7 @@ n_described = connection.count(query, table.name)
 print(f"user query describes {n_described} of {table.n_rows} tuples")
 
 # --- fetch the region a map proposes, through SQL -----------------------
-result = Atlas(table).explore(query)
+result = explorer(table).explore(query)
 region = result.best.regions[0]
 fetched = connection.run_query(region, table.name)
 print(f"\ntop map: {result.best.label}")

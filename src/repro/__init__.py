@@ -41,14 +41,15 @@ Custom strategies plug into the registries::
 
     maps = explorer(table).cut("tertile").explore()
 
-The classic class-based API (:class:`Atlas`, :class:`AnytimeExplorer`,
-:class:`ExplorationSession`, :class:`SqlAtlas`) remains available; all
-of it now drives the same :class:`~repro.engine.Pipeline`.
+:class:`Explorer` is the one in-process engine: it owns the live table
+and its execution context.  :class:`ExplorationSession` (drill-downs,
+``explorer(table).session()``) is a policy over an explorer;
+:class:`AnytimeExplorer` and :class:`SqlAtlas` drive the same
+:class:`~repro.engine.Pipeline`.
 """
 
 from repro.core import (
     AnytimeExplorer,
-    Atlas,
     AtlasConfig,
     CategoricalCutStrategy,
     DataMap,
@@ -89,7 +90,6 @@ __version__ = "1.1.0"
 __all__ = [
     "AnyPredicate",
     "AnytimeExplorer",
-    "Atlas",
     "AtlasConfig",
     "Fidelity",
     "Parallelism",

@@ -1,13 +1,13 @@
 """Core Atlas machinery: the paper's contribution.
 
 The four-step framework of Section 3 (CUT candidates, VI clustering,
-product/composition merging, entropy ranking), the end-to-end engine, the
-anytime variant of Section 5.1, and the Figure-1 exploration session.
+product/composition merging, entropy ranking), the anytime variant of
+Section 5.1, and the Figure-1 exploration session and prefetch policy
+over the :class:`~repro.engine.facade.Explorer` front door.
 """
 
 from repro.core.anticipate import AnticipativeExplorer, CacheStats
 from repro.core.anytime import AnytimeExplorer, AnytimeResult
-from repro.core.atlas import Atlas, MapSet, StageTimings
 from repro.core.candidates import candidate_attributes, generate_candidates
 from repro.core.clustering import MapClustering, cluster_maps
 from repro.core.config import (
@@ -64,6 +64,7 @@ from repro.core.validate import (
     validate_map,
     validate_map_set,
 )
+from repro.engine.pipeline import MapSet, StageTimings
 
 __all__ = [
     "ESCAPE",
@@ -72,7 +73,6 @@ __all__ = [
     "AnticipativeExplorer",
     "AnytimeExplorer",
     "AnytimeResult",
-    "Atlas",
     "AtlasConfig",
     "Fidelity",
     "Parallelism",

@@ -10,8 +10,8 @@ the Figure-1 interaction model is: *after every answer, the user's next
 query is one of the displayed regions* — so during idle time we
 precompute the map sets of the regions of the top-ranked maps.
 
-:class:`AnticipativeExplorer` wraps an :class:`~repro.core.atlas.Atlas`
-with a query-keyed cache plus that prefetch policy.  ``prefetch()`` is
+:class:`AnticipativeExplorer` is that prefetch policy over an
+:class:`~repro.engine.facade.Explorer`, with a query-keyed cache.  ``prefetch()`` is
 explicitly callable (simulating the idle period); ``explore()`` serves
 from the cache when it can.
 """
@@ -19,11 +19,18 @@ from the cache when it can.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
-from repro.core.atlas import Atlas, MapSet
 from repro.core.config import AtlasConfig
-from repro.dataset.table import Table
+from repro.engine.pipeline import MapSet
 from repro.query.query import ConjunctiveQuery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.facade import Explorer
+
+
+#: A cached answer's key: (table version, config, query).
+_Key = tuple[int, AtlasConfig, ConjunctiveQuery]
 
 
 @dataclasses.dataclass
@@ -42,25 +49,30 @@ class CacheStats:
 
 
 class AnticipativeExplorer:
-    """Atlas with idle-time prefetching of likely next queries."""
+    """Idle-time prefetching of likely next queries over an explorer.
+
+    Cached answers are keyed by the explorer's table version and config
+    as well as the query, so an append or a reconfigure through the
+    explorer (or a session sharing it) is never answered from before
+    the change.
+    """
 
     def __init__(
         self,
-        table: Table,
-        config: AtlasConfig | None = None,
+        explorer: Explorer,
         top_maps_to_prefetch: int = 2,
         max_cache_entries: int = 256,
     ):
-        self._atlas = Atlas(table, config)
+        self._explorer = explorer
         self._top_maps = int(top_maps_to_prefetch)
         self._max_entries = int(max_cache_entries)
-        self._cache: dict[ConjunctiveQuery, MapSet] = {}
+        self._cache: dict[_Key, MapSet] = {}
         self.stats = CacheStats()
 
     @property
-    def atlas(self) -> Atlas:
-        """The wrapped engine."""
-        return self._atlas
+    def explorer(self) -> Explorer:
+        """The explorer answers come from."""
+        return self._explorer
 
     @property
     def cache_size(self) -> int:
@@ -70,13 +82,14 @@ class AnticipativeExplorer:
     def explore(self, query: ConjunctiveQuery | None = None) -> MapSet:
         """Answer a query, from cache when anticipated."""
         query = query or ConjunctiveQuery()
-        cached = self._cache.get(query)
+        key = self._key(query)
+        cached = self._cache.get(key)
         if cached is not None:
             self.stats.hits += 1
             return cached
         self.stats.misses += 1
-        result = self._atlas.explore(query)
-        self._remember(query, result)
+        result = self._explorer.explore(query)
+        self._remember(key, result)
         return result
 
     def prefetch(self, answer: MapSet) -> int:
@@ -89,9 +102,10 @@ class AnticipativeExplorer:
         computed = 0
         for entry in answer.ranked[: self._top_maps]:
             for region in entry.map.regions:
-                if region in self._cache:
+                key = self._key(region)
+                if key in self._cache:
                     continue
-                self._remember(region, self._atlas.explore(region))
+                self._remember(key, self._explorer.explore(region))
                 self.stats.prefetched += 1
                 computed += 1
         return computed
@@ -104,9 +118,13 @@ class AnticipativeExplorer:
         self.prefetch(result)
         return result
 
-    def _remember(self, query: ConjunctiveQuery, result: MapSet) -> None:
+    def _key(self, query: ConjunctiveQuery) -> _Key:
+        explorer = self._explorer
+        return (explorer.table.version, explorer.config, query)
+
+    def _remember(self, key: _Key, result: MapSet) -> None:
         if len(self._cache) >= self._max_entries:
             # Drop the oldest entry (insertion order = arrival order).
             oldest = next(iter(self._cache))
             del self._cache[oldest]
-        self._cache[query] = result
+        self._cache[key] = result

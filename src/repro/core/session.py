@@ -10,13 +10,16 @@ breadcrumb stack of queries, the current map set, and a cursor into it.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
-from repro.core.atlas import Atlas, MapSet
-from repro.core.config import AtlasConfig
 from repro.core.datamap import DataMap
 from repro.dataset.table import Table
+from repro.engine.pipeline import MapSet
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.facade import Explorer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,27 +31,23 @@ class SessionStep:
 
 
 class ExplorationSession:
-    """Stateful drill-down / next-map loop over one table.
+    """Stateful drill-down / next-map loop over one explorer.
+
+    The session is a policy over an :class:`~repro.engine.facade.
+    Explorer`: every answer comes from the explorer's one execution
+    context, so drill-downs reuse the statistics (masks, assignment
+    vectors, cut points) of earlier answers, and the session always
+    sees the explorer's live table and config.
 
     The session keeps an :class:`~repro.core.personalize.InterestProfile`
     fed by every submitted query, so :meth:`personalized_maps` can
     re-rank the current answer by learned interest (§5.2 future work).
     """
 
-    def __init__(
-        self,
-        table: Table,
-        config: AtlasConfig | None = None,
-        *,
-        engine: Atlas | None = None,
-    ):
+    def __init__(self, explorer: Explorer):
         from repro.core.personalize import InterestProfile
 
-        # The Atlas adapter keeps one ExecutionContext alive, so every
-        # drill-down in this session reuses the statistics (masks,
-        # assignment vectors, cut points) of earlier answers.  Passing
-        # ``engine`` shares an existing context (the fluent facade does).
-        self._atlas = engine if engine is not None else Atlas(table, config)
+        self._explorer = explorer
         self._history: list[SessionStep] = []
         self._cursor = 0
         self._profile = InterestProfile()
@@ -58,9 +57,9 @@ class ExplorationSession:
     # ------------------------------------------------------------------ #
 
     @property
-    def atlas(self) -> Atlas:
-        """The underlying engine."""
-        return self._atlas
+    def explorer(self) -> Explorer:
+        """The explorer every answer comes from."""
+        return self._explorer
 
     @property
     def depth(self) -> int:
@@ -125,7 +124,9 @@ class ExplorationSession:
     def reconfigure(self, **changes: object) -> MapSet:
         """Change engine configuration mid-session, keeping the trail.
 
-        Rebuilds the engine with the updated config and re-answers every
+        Reconfigures the session's explorer (:meth:`Explorer.configure
+        <repro.engine.facade.Explorer.configure>`, so the explorer and
+        everything else built over it switch too) and re-answers every
         query on the breadcrumb at the new configuration, so the
         drill-down history, the breadcrumb, and the learned interest
         profile all survive a mid-session switch (the REPL's
@@ -134,20 +135,10 @@ class ExplorationSession:
         """
         if not self._history:
             raise MapError("session not started; call start() first")
-        new_config = self._atlas.config.replace(**changes)
-        queries = [step.query for step in self._history]
-        # Keep the engine's stage composition — only the config changes.
-        self._atlas = Atlas(
-            self._atlas.table, new_config, pipeline=self._atlas.pipeline
-        )
+        self._explorer.configure(**changes)
         # Re-answer, not re-submit: the profile already observed these
         # queries once; a config change is not new user intent.
-        self._history = [
-            SessionStep(query=query, map_set=self._atlas.explore(query))
-            for query in queries
-        ]
-        self._cursor = 0
-        return self.current.map_set
+        return self.refresh()
 
     # ------------------------------------------------------------------ #
     # Streaming
@@ -160,13 +151,13 @@ class ExplorationSession:
         from — maps are snapshots until :meth:`refresh` re-explores
         them against the new version.  Returns the new table.
         """
-        return self._atlas.append(rows)
+        return self._explorer.append(rows).table
 
     def refresh(self) -> MapSet:
         """Re-explore the whole breadcrumb against the current version.
 
-        Every query on the stack is re-answered through the (already
-        advanced) shared context, so the trail, the cursor map set, and
+        Every query on the stack is re-answered through the explorer's
+        (already advanced) context, so the trail, the cursor map set, and
         the learned interest profile all survive an append.  Re-answer,
         not re-submit: the profile observed these queries once; new
         data is not new user intent.  Returns the refreshed current
@@ -175,7 +166,7 @@ class ExplorationSession:
         if not self._history:
             raise MapError("session not started; call start() first")
         self._history = [
-            SessionStep(query=step.query, map_set=self._atlas.explore(step.query))
+            SessionStep(step.query, self._explorer.explore(step.query))
             for step in self._history
         ]
         self._cursor = 0
@@ -192,13 +183,13 @@ class ExplorationSession:
 
         return personalized_rank(
             [r.map for r in self.current.map_set.ranked],
-            self._atlas.table,
+            self._explorer.table,
             self._profile,
             blend=blend,
         )
 
     def _push(self, query: ConjunctiveQuery) -> MapSet:
-        map_set = self._atlas.explore(query)
+        map_set = self._explorer.explore(query)
         self._history.append(SessionStep(query=query, map_set=map_set))
         self._cursor = 0
         self._profile.observe_query(query)

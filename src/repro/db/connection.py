@@ -5,7 +5,8 @@ notes a generic version would go through ODBC/JDBC with plain SQL.  Both
 shapes exist here:
 
 * :class:`NativeConnection` — the MAPI analogue: hands typed tables to
-  the engine directly (what :class:`~repro.core.atlas.Atlas` uses).
+  the engine directly (what :class:`~repro.engine.facade.Explorer`
+  uses).
 * :class:`SqlConnection` — the ODBC/JDBC analogue: accepts only SQL
   text, runs it on an in-memory SQLite database (the standard library's
   ``sqlite3``) holding the registered tables, and keeps a statement log

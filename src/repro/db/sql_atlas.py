@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.atlas import MapSet
 from repro.core.clustering import cluster_maps_from_matrix
 from repro.core.config import AtlasConfig
 from repro.core.cut import (
@@ -34,7 +33,7 @@ from repro.core.ranking import RankedMap
 from repro.core.information import entropy
 from repro.db.connection import SqlConnection
 from repro.engine.context import ExecutionContext
-from repro.engine.pipeline import Pipeline
+from repro.engine.pipeline import MapSet, Pipeline
 from repro.engine.registry import strategy_key
 from repro.engine.stages import PipelineState
 from repro.db.pushdown import (

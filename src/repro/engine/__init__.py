@@ -1,10 +1,10 @@
 """The composable exploration engine.
 
-One pipeline, many doors: every public entry point — the classic
-:class:`~repro.core.atlas.Atlas`, the anytime explorer, interactive
-sessions, the SQL-only gateway, and the fluent :func:`explorer` facade
-— drives the same :class:`Pipeline` of pluggable :class:`Stage` objects
-over a shared :class:`ExecutionContext`.
+One pipeline, many doors: every public entry point — the fluent
+:func:`explorer` facade (and the sessions and prefetch policies built
+over it), the anytime explorer, and the SQL-only gateway — drives the
+same :class:`Pipeline` of pluggable :class:`Stage` objects over a
+shared :class:`ExecutionContext`.
 
 Layers, bottom up:
 

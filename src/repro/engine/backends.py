@@ -19,7 +19,7 @@ ship:
 
 The backend a context hands out is chosen by
 :attr:`repro.core.config.AtlasConfig.fidelity`; one switch flips every
-entry point (facade, Atlas, anytime, service, REPL) between fidelities.
+entry point (facade, sessions, anytime, service, REPL) between fidelities.
 
 Determinism: a sketch backend's reservoir is the first ``budget_rows``
 entries of a per-``(seed, table)`` permutation — deterministic for a

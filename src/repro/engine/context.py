@@ -60,11 +60,11 @@ from repro.query.query import ConjunctiveQuery
 class ExecutionContext:
     """Everything a pipeline run needs: table, config, rng, statistics.
 
-    One context serves many queries; the facade keeps a context alive
-    across :meth:`~repro.engine.facade.Explorer.explore_many` calls and
-    :class:`~repro.core.atlas.Atlas` keeps one for its lifetime, so an
-    interactive drill-down session reuses masks and assignment vectors
-    computed for earlier answers.
+    One context serves many queries; an
+    :class:`~repro.engine.facade.Explorer` keeps one alive across
+    queries and appends (until a config change replaces it), so a batch
+    or an interactive drill-down session reuses masks and assignment
+    vectors computed for earlier answers.
 
     ``table`` may be ``None`` for pipelines whose stages measure through
     an external system (the SQL-only engine); such stages never touch

@@ -35,10 +35,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Explorer:
     """Fluent, batch-capable front door to the exploration engine.
 
+    The explorer owns one :class:`ExecutionContext`, and the table that
+    context serves is the explorer's one live table: appends advance
+    it, and sessions and prefetch policies built over the explorer read
+    it, so no copy of the table can fall behind.  An empty table is
+    rejected at construction.
+
     Configuration methods return ``self`` so calls chain; each one
-    replaces the config and drops the cached context (a config change
-    invalidates memoized statistics that depend on it).  Strategy
-    setters accept registry names (strings) or the legacy enums.
+    replaces the context with a fresh one over the live table (a config
+    change invalidates memoized statistics that depend on it).
+    Strategy setters accept registry names (strings) or the legacy
+    enums.
     """
 
     def __init__(
@@ -47,10 +54,8 @@ class Explorer:
         config: AtlasConfig | None = None,
         pipeline: Pipeline | None = None,
     ):
-        self._table = table
-        self._config = config or AtlasConfig()
+        self._context = ExecutionContext(table, config)
         self._pipeline = pipeline or Pipeline.default()
-        self._context: ExecutionContext | None = None
 
     # ------------------------------------------------------------------ #
     # Fluent configuration
@@ -58,8 +63,10 @@ class Explorer:
 
     def configure(self, **changes: object) -> "Explorer":
         """Replace any :class:`AtlasConfig` fields by keyword."""
-        self._config = self._config.replace(**changes)
-        self._context = None
+        context = self._context
+        self._context = ExecutionContext(
+            context.table, context.config.replace(**changes)
+        )
         return self
 
     def sample(self, n_rows: int | None) -> "Explorer":
@@ -171,15 +178,8 @@ class Explorer:
         the new rows), so the statistics computed for earlier answers that an
         append cannot invalidate keep paying off.
         """
-        if self._context is not None:
-            # The context is the source of truth for the live version —
-            # a session sharing it may have appended already, in which
-            # case this explorer's own reference is behind.
-            new_table = self._context.table.append(rows)
-            self._context.advance(new_table)
-        else:
-            new_table = self._table.append(rows)
-        self._table = new_table
+        context = self._context
+        context.advance(context.table.append(rows))
         return self
 
     # ------------------------------------------------------------------ #
@@ -188,13 +188,13 @@ class Explorer:
 
     @property
     def table(self) -> "Table":
-        """The dataset being explored."""
-        return self._table
+        """The live table: the version the context serves."""
+        return self._context.table
 
     @property
     def config(self) -> AtlasConfig:
         """The accumulated configuration."""
-        return self._config
+        return self._context.config
 
     @property
     def pipeline(self) -> Pipeline:
@@ -203,9 +203,8 @@ class Explorer:
 
     @property
     def context(self) -> ExecutionContext:
-        """The shared execution context (created lazily, kept across calls)."""
-        if self._context is None:
-            self._context = ExecutionContext(self._table, self._config)
+        """The shared execution context: kept across queries and
+        appends, replaced by a config change."""
         return self._context
 
     # ------------------------------------------------------------------ #
@@ -246,14 +245,10 @@ class Explorer:
         return results
 
     def session(self) -> "ExplorationSession":
-        """A drill-down session sharing this explorer's context."""
-        from repro.core.atlas import Atlas
+        """A drill-down session over this explorer."""
         from repro.core.session import ExplorationSession
 
-        engine = Atlas(
-            self._table, context=self.context, pipeline=self._pipeline
-        )
-        return ExplorationSession(self._table, self._config, engine=engine)
+        return ExplorationSession(self)
 
     def anytime(
         self,
@@ -268,9 +263,9 @@ class Explorer:
         from repro.core.anytime import AnytimeExplorer
 
         return AnytimeExplorer(
-            self._table,
+            self.table,
             query=self._parse(query) if query is not None else None,
-            config=self._config,
+            config=self.config,
             pipeline=self._pipeline,
             **kwargs,
         )
@@ -286,7 +281,7 @@ class Explorer:
         return query
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Explorer table={self._table.name!r} rows={self._table.n_rows}>"
+        return f"<Explorer table={self.table.name!r} rows={self.table.n_rows}>"
 
 
 def explorer(table: "Table", config: AtlasConfig | None = None) -> Explorer:

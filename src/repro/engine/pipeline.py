@@ -1,9 +1,10 @@
 """The pipeline driver: composes stages, times them, assembles answers.
 
-This is the single code path behind every public entry point —
-:class:`~repro.core.atlas.Atlas`, the anytime explorer, exploration
-sessions, the SQL-only engine, and the fluent facade all construct (or
-share) a :class:`Pipeline` and call :meth:`Pipeline.run`.
+This is the single code path behind every public entry point — the
+fluent :class:`~repro.engine.facade.Explorer` (and the exploration
+sessions built over it), the anytime explorer, and the SQL-only engine
+all construct (or share) a :class:`Pipeline` and call
+:meth:`Pipeline.run`.
 
 Per-stage wall-clock timings are collected generically around each
 stage (the paper's core non-functional requirement is quasi-real-time

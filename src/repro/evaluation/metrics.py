@@ -19,9 +19,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.atlas import MapSet
 from repro.core.datamap import DataMap
 from repro.dataset.table import Table
+from repro.engine.pipeline import MapSet
 from repro.errors import AtlasError
 
 

@@ -8,9 +8,9 @@ and testable.
 
 from __future__ import annotations
 
-from repro.core.atlas import MapSet
 from repro.core.datamap import DataMap
 from repro.dataset.table import Table
+from repro.engine.pipeline import MapSet
 
 #: Width of the cover bar in characters.
 BAR_WIDTH = 30

@@ -102,7 +102,7 @@ class ExplorerRepl:
         if isinstance(initial_query, str):
             initial_query = parse_query(initial_query)
         map_set = self._session.start(initial_query)
-        self._print(render_map_set(map_set, self._session.atlas.table))
+        self._print(render_map_set(map_set, self._session.explorer.table))
         self._print(HELP_TEXT)
         for raw_line in self._stdin:
             line = raw_line.strip()
@@ -121,7 +121,7 @@ class ExplorerRepl:
 
     def _dispatch(self, line: str) -> None:
         command, _, argument = line.partition(" ")
-        table = self._session.atlas.table
+        table = self._session.explorer.table
         if command == "maps":
             self._print(render_map_set(self._session.current.map_set, table))
         elif command == "next":
@@ -161,7 +161,7 @@ class ExplorerRepl:
         elif command == "refresh":
             self._print(
                 render_map_set(
-                    self._session.refresh(), self._session.atlas.table
+                    self._session.refresh(), self._session.explorer.table
                 )
             )
         elif command == "watch":
@@ -195,13 +195,13 @@ class ExplorerRepl:
         """
         argument = argument.strip()
         if not argument:
-            fidelity = self._session.atlas.config.fidelity
+            fidelity = self._session.explorer.config.fidelity
             self._print(f"fidelity: {fidelity.spec()}")
             return
         map_set = self._session.reconfigure(fidelity=argument)
-        fidelity = self._session.atlas.config.fidelity
+        fidelity = self._session.explorer.config.fidelity
         self._print(f"fidelity set to {fidelity.spec()}")
-        self._print(render_map_set(map_set, self._session.atlas.table))
+        self._print(render_map_set(map_set, self._session.explorer.table))
 
     def _parallel(self, argument: str) -> None:
         """Show or switch the session's multi-core execution.
@@ -215,16 +215,16 @@ class ExplorerRepl:
         """
         argument = argument.strip()
         if not argument:
-            parallelism = self._session.atlas.config.parallelism
+            parallelism = self._session.explorer.config.parallelism
             self._print(f"parallel: {parallelism.spec()}")
             return
         setting: object = (
             int(argument) if argument.isdigit() else argument
         )
         map_set = self._session.reconfigure(parallelism=setting)
-        parallelism = self._session.atlas.config.parallelism
+        parallelism = self._session.explorer.config.parallelism
         self._print(f"parallel set to {parallelism.spec()}")
-        self._print(render_map_set(map_set, self._session.atlas.table))
+        self._print(render_map_set(map_set, self._session.explorer.table))
 
     def _cluster(self, argument: str) -> None:
         """Attach shard servers, show the attached cluster, or detach.
@@ -267,9 +267,9 @@ class ExplorerRepl:
         map_set = self._session.reconfigure(
             parallelism=Parallelism.cluster()
         )
-        parallelism = self._session.atlas.config.parallelism
+        parallelism = self._session.explorer.config.parallelism
         self._print(f"parallel set to {parallelism.spec()}")
-        self._print(render_map_set(map_set, self._session.atlas.table))
+        self._print(render_map_set(map_set, self._session.explorer.table))
 
     # ------------------------------------------------------------------ #
     # Streaming (`append` / `refresh` / `watch`)
@@ -302,7 +302,7 @@ class ExplorerRepl:
             raise AtlasError(
                 "append needs rows, e.g. `append Age=30, Sex=F`"
             )
-        table = self._session.atlas.table
+        table = self._session.explorer.table
         parsed: list[dict[str, object]] = []
         for row_text in argument.split(";"):
             row: dict[str, object] = {}
@@ -357,7 +357,7 @@ class ExplorerRepl:
         name = argument.strip()
         if not name:
             raise AtlasError("tokens needs a column name, e.g. `tokens title`")
-        table = self._session.atlas.table
+        table = self._session.explorer.table
         try:
             column = table.column(name)
         except AtlasError:
@@ -367,7 +367,7 @@ class ExplorerRepl:
             ) from None
         if not isinstance(column, CategoricalColumn):
             raise AtlasError(f"column {name!r} is numeric; tokens need text")
-        backend = self._session.atlas.context.stats()
+        backend = self._session.explorer.context.stats()
         token_sketch = getattr(backend, "token_sketch", None)
         if token_sketch is not None:
             counts = token_sketch(name).heavy_hitters()
@@ -410,10 +410,10 @@ class ExplorerRepl:
         if word and not word.isdigit():
             raise AtlasError(f"serve takes a port number, got {argument!r}")
         port = int(word) if word else 0
-        table = self._session.atlas.table
+        table = self._session.explorer.table
         # Share the session's configuration so `remote` answers match
         # what the local loop shows for the same query.
-        service = ExplorationService(config=self._session.atlas.config)
+        service = ExplorationService(config=self._session.explorer.config)
         service.register(table)
         try:
             self._server = serve(service, port=port)
@@ -440,11 +440,11 @@ class ExplorerRepl:
         """Answer the session's current query through the service."""
         if self._client is None:
             raise AtlasError("not connected; use 'connect <url>' first")
-        table = self._session.atlas.table
+        table = self._session.explorer.table
         query = self._session.current.query
         # Ship the session's fidelity so the remote answer matches what
         # the local loop would show for the same query.
-        fidelity = self._session.atlas.config.fidelity.spec()
+        fidelity = self._session.explorer.config.fidelity.spec()
         response = self._client.explore(table.name, query, fidelity=fidelity)
         provenance = "result cache" if response.cached else (
             f"computed in {response.elapsed:.3f}s"

@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.anticipate import AnticipativeExplorer
 from repro.core.config import AtlasConfig
+from repro.engine import Explorer
 from repro.evaluation.workloads import figure2_query
 
 
 @pytest.fixture
 def explorer(census_small) -> AnticipativeExplorer:
-    return AnticipativeExplorer(census_small, AtlasConfig())
+    return AnticipativeExplorer(Explorer(census_small, AtlasConfig()))
 
 
 class TestCache:
@@ -42,11 +43,22 @@ class TestCache:
         from repro.evaluation.workloads import random_query
 
         explorer = AnticipativeExplorer(
-            census_small, AtlasConfig(), max_cache_entries=3
+            Explorer(census_small, AtlasConfig()), max_cache_entries=3
         )
         for seed in range(6):
             explorer.explore(random_query(census_small, seed))
         assert explorer.cache_size <= 3
+
+
+    def test_config_change_is_not_served_stale(self, census_small):
+        built = Explorer(census_small, AtlasConfig())
+        prefetcher = AnticipativeExplorer(built)
+        exact = prefetcher.explore(figure2_query())
+        built.fidelity("sketch:500")
+        sketch = prefetcher.explore(figure2_query())
+        assert exact.fidelity == "exact"
+        assert sketch.fidelity == "sketch:500:0.005"
+        assert prefetcher.stats.misses == 2
 
 
 class TestPrefetch:
@@ -81,7 +93,7 @@ class TestPrefetch:
 
     def test_top_maps_limit(self, census_small):
         narrow = AnticipativeExplorer(
-            census_small, AtlasConfig(), top_maps_to_prefetch=1
+            Explorer(census_small, AtlasConfig()), top_maps_to_prefetch=1
         )
         answer = narrow.explore(figure2_query())
         computed = narrow.prefetch(answer)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.personalize import InterestProfile, personalized_rank
 from repro.errors import ConfigError
 from repro.evaluation.workloads import figure2_query
@@ -67,7 +67,7 @@ class TestPersonalizedRank:
         from repro.datagen import census_table
 
         table = census_table(n_rows=6000, seed=2)
-        result = Atlas(table).explore(figure2_query())
+        result = explorer(table).explore(figure2_query())
         return list(result.maps), table
 
     def test_blend_zero_is_entropy_order(self, maps_and_table):

@@ -4,13 +4,14 @@ import pytest
 
 from repro.core.config import AtlasConfig
 from repro.core.session import ExplorationSession
+from repro.engine import explorer
 from repro.errors import MapError
 from repro.evaluation.workloads import figure2_query
 
 
 @pytest.fixture
 def session(census_small) -> ExplorationSession:
-    return ExplorationSession(census_small, AtlasConfig(seed=3))
+    return ExplorationSession(explorer(census_small, AtlasConfig(seed=3)))
 
 
 class TestLifecycle:
@@ -134,7 +135,7 @@ class TestReconfigure:
         from repro.core.session import ExplorationSession
         from repro.errors import MapError
 
-        fresh = ExplorationSession(census_small)
+        fresh = ExplorationSession(explorer(census_small))
         with pytest.raises(MapError):
             fresh.reconfigure(fidelity="sketch:1000")
 

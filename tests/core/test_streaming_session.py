@@ -1,4 +1,4 @@
-"""Streaming at the session layer: Atlas.append, session refresh,
+"""Streaming at the session layer: explorer append, session refresh,
 facade append, anytime re-targeting."""
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.anytime import AnytimeExplorer
-from repro.core.atlas import Atlas
 from repro.core.session import ExplorationSession
 from repro.dataset.table import Table
 from repro.engine.facade import explorer
@@ -38,23 +37,23 @@ def delta(n: int = 30, seed: int = 5) -> dict:
 
 class TestAtlasAppend:
     def test_append_advances_engine_and_answers_new_version(self):
-        atlas = Atlas(people_table())
+        atlas = explorer(people_table())
         before = atlas.explore()
-        appended = atlas.append(delta())
+        appended = atlas.append(delta()).table
         assert atlas.table is appended and appended.version == 1
         after = atlas.explore()
         assert before.version == 0 and after.version == 1
         assert after.n_rows_used == 150
 
     def test_advance_rejects_stale_tables(self):
-        atlas = Atlas(people_table())
+        atlas = explorer(people_table())
         with pytest.raises(MapError):
-            atlas.advance(people_table())
+            atlas.context.advance(people_table())
 
 
 class TestSessionStreaming:
     def test_refresh_reexplores_the_whole_breadcrumb(self):
-        session = ExplorationSession(people_table())
+        session = ExplorationSession(explorer(people_table()))
         session.start()
         session.drill(0)
         trail = [step.query for step in session._history]
@@ -73,12 +72,12 @@ class TestSessionStreaming:
         assert session.depth == 2
 
     def test_refresh_requires_a_started_session(self):
-        session = ExplorationSession(people_table())
+        session = ExplorationSession(explorer(people_table()))
         with pytest.raises(MapError, match="not started"):
             session.refresh()
 
     def test_append_does_not_grow_the_profile(self):
-        session = ExplorationSession(people_table())
+        session = ExplorationSession(explorer(people_table()))
         session.start(parse_query("age: [20, 60]"))
         weights = session.profile.weights
         session.append(delta())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig
 from repro.core.datamap import DataMap
 from repro.core.validate import validate_map, validate_map_set
@@ -89,7 +89,7 @@ class TestValidateMap:
 
 class TestPipelineOutputValidates:
     def test_every_atlas_map_passes(self, census_small):
-        result = Atlas(census_small).explore(figure2_query())
+        result = explorer(census_small).explore(figure2_query())
         reports = validate_map_set(
             list(result.maps),
             census_small,

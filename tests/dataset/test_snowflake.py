@@ -54,12 +54,12 @@ class TestSnowflakeAround:
         }
 
     def test_explorable_end_to_end(self, snowflake_catalog):
-        from repro.core.atlas import Atlas
+        from repro.engine import explorer
 
         wide = snowflake_catalog.snowflake_around(
             "lineitems", sample=2000, rng=0
         )
-        result = Atlas(wide).explore()
+        result = explorer(wide).explore()
         assert len(result) >= 1
 
     def test_cycle_safe_via_depth_cap(self):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.datagen import census_table
 from repro.db.connection import SqlConnection
 from repro.db.sql_atlas import SqlAtlas
@@ -35,7 +35,7 @@ class TestSqlAtlas:
 
     def test_matches_native_engine(self, setup):
         table, connection = setup
-        native = Atlas(table).explore(figure2_query())
+        native = explorer(table).explore(figure2_query())
         via_sql = SqlAtlas(connection, table.name).explore(figure2_query())
         assert [set(m.attributes) for m in via_sql.maps] == [
             set(m.attributes) for m in native.maps

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig
 from repro.core.cut import cut
 from repro.core.distance import distance_matrix
@@ -129,21 +129,21 @@ class TestCaching:
         # user_order strategy depends on the given order; a shared
         # engine must answer each ordering on its own terms.
         config = AtlasConfig(categorical_strategy="user_order", n_splits=2)
-        engine = Atlas(census_small, config)
+        engine = explorer(census_small, config)
         first = engine.explore(
             parse_query("Education: {'MSc', 'BSc', 'PhD'}")
         )
         second = engine.explore(
             parse_query("Education: {'PhD', 'BSc', 'MSc'}")
         )
-        fresh = Atlas(census_small, config).explore(
+        fresh = explorer(census_small, config).explore(
             parse_query("Education: {'PhD', 'BSc', 'MSc'}")
         )
         assert second.best.regions == fresh.best.regions
         assert first.best.regions != second.best.regions
 
     def test_shared_cache_across_atlas_queries(self, census_small):
-        engine = Atlas(census_small)
+        engine = explorer(census_small)
         engine.explore()
         first_misses = engine.context.counters.misses
         engine.explore()  # identical query: every statistic is cached
@@ -164,8 +164,8 @@ class TestDeterminism:
     def test_identical_explores_identical_results(self, census_small):
         config = AtlasConfig(sample_size=800, seed=7)
         query = parse_query("Age: [17, 90]")
-        first = Atlas(census_small, config).explore(query)
-        second = Atlas(census_small, config).explore(query)
+        first = explorer(census_small, config).explore(query)
+        second = explorer(census_small, config).explore(query)
         assert first.maps == second.maps
         assert [r.score for r in first.ranked] == [
             r.score for r in second.ranked
@@ -176,10 +176,10 @@ class TestDeterminism:
         target = parse_query("Education: {'BSc', 'MSc'}")
         # First engine answers another query before the target; the
         # seed implementation's shared RNG made this change the result.
-        engine_a = Atlas(census_small, config)
+        engine_a = explorer(census_small, config)
         engine_a.explore(parse_query("Age: [17, 90]"))
         via_detour = engine_a.explore(target)
-        direct = Atlas(census_small, config).explore(target)
+        direct = explorer(census_small, config).explore(target)
         assert via_detour.maps == direct.maps
 
     def test_seed_still_matters(self, census_small):

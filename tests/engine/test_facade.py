@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.core.anticipate import AnticipativeExplorer
 from repro.core.config import (
     AtlasConfig,
     Linkage,
     MergeMethod,
     NumericCutStrategy,
 )
+from repro.datagen import census_table
 from repro.engine import Explorer, explorer
 from repro.errors import ConfigError
 from repro.evaluation.workloads import FIGURE2_QUERY_TEXT, figure2_query
@@ -68,7 +69,7 @@ class TestFluentConfiguration:
 class TestExplore:
     def test_string_query_matches_parsed_query(self, census_small):
         fluent = explorer(census_small).explore(FIGURE2_QUERY_TEXT)
-        classic = Atlas(census_small).explore(figure2_query())
+        classic = explorer(census_small).explore(figure2_query())
         assert fluent.maps == classic.maps
         assert [r.score for r in fluent.ranked] == [
             r.score for r in classic.ranked
@@ -107,7 +108,7 @@ class TestExploreMany:
     def test_batch_equals_sequential(self, census_small):
         batch = explorer(census_small).explore_many(self.QUERIES)
         for raw, from_batch in zip(self.QUERIES, batch):
-            sequential = Atlas(census_small).explore(
+            sequential = explorer(census_small).explore(
                 Explorer._parse(raw)
             )
             assert from_batch.maps == sequential.maps
@@ -119,7 +120,7 @@ class TestExploreMany:
         config = AtlasConfig(sample_size=900, seed=11)
         batch = explorer(census_small, config).explore_many(self.QUERIES)
         for raw, from_batch in zip(self.QUERIES, batch):
-            sequential = Atlas(census_small, config).explore(
+            sequential = explorer(census_small, config).explore(
                 Explorer._parse(raw)
             )
             assert from_batch.maps == sequential.maps
@@ -153,7 +154,7 @@ class TestAdapters:
         built = explorer(census_small)
         session = built.session()
         session.start(figure2_query())
-        assert session.atlas.context is built.context
+        assert session.explorer.context is built.context
         assert session.current.map_set.maps == built.explore(
             figure2_query()
         ).maps
@@ -162,3 +163,57 @@ class TestAdapters:
         anytime = explorer(census_small).anytime(initial_size=500)
         result = anytime.run(stability_target=0.99)
         assert result.sample_size >= 500
+
+    # One live table: every wrapper reads the table the explorer's
+    # context serves, so an append through any of them reaches all.
+
+    @staticmethod
+    def _grown():
+        """A 200-row explorer, its session, and a 50-row delta."""
+        built = explorer(census_table(n_rows=200, seed=0))
+        session = built.session()
+        session.start()
+        return built, session, census_table(n_rows=50, seed=1)
+
+    def test_session_append_moves_the_explorer_table(self):
+        built, session, delta = self._grown()
+        session.append(delta)
+        assert built.table.n_rows == 250
+        assert built.table.version == 1
+
+    def test_configure_after_session_append_keeps_the_rows(self):
+        built, session, delta = self._grown()
+        session.append(delta)
+        answer = built.seed(3).explore()
+        assert answer.version == 1
+        assert answer.n_rows_used == 250
+
+    def test_anytime_after_session_append_sees_the_rows(self):
+        built, session, delta = self._grown()
+        session.append(delta)
+        result = built.anytime(initial_size=100).run()
+        assert result.map_set.version == 1
+        assert result.map_set.n_rows_used == 250
+
+    def test_explorer_append_moves_the_session_table(self):
+        built, session, delta = self._grown()
+        built.append(delta)
+        assert session.explorer.table is built.table
+        assert session.explorer.table.n_rows == 250
+
+    def test_session_reconfigure_switches_its_explorer(self):
+        built, session, _ = self._grown()
+        session.reconfigure(fidelity="sketch:100")
+        assert built.config.fidelity.spec() == "sketch:100:0.005"
+        assert session.explorer is built
+        assert session.current.map_set.fidelity == "sketch:100:0.005"
+
+    def test_prefetch_cache_serves_the_post_append_answer(self):
+        built, _, delta = self._grown()
+        prefetcher = AnticipativeExplorer(built)
+        before = prefetcher.explore()
+        built.append(delta)
+        after = prefetcher.explore()
+        assert before.version == 0 and before.n_rows_used == 200
+        assert after.version == 1 and after.n_rows_used == 250
+        assert prefetcher.stats.misses == 2

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.atlas import Atlas, MapSet, StageTimings
+from repro.core import MapSet, StageTimings
+from repro.engine import explorer
 from repro.engine import (
     CANONICAL_STAGES,
     ExecutionContext,
@@ -78,7 +79,7 @@ class TestCompatAliases:
         assert timings.total == pytest.approx(1.5)
 
     def test_atlas_runs_default_pipeline(self, census_small):
-        engine = Atlas(census_small)
+        engine = explorer(census_small)
         assert tuple(s.name for s in engine.pipeline.stages) == (
             CANONICAL_STAGES
         )

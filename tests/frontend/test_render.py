@@ -1,6 +1,6 @@
 """Unit tests for the ASCII renderer."""
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.cut import cut
 from repro.evaluation.workloads import figure2_query
 from repro.frontend.render import (
@@ -53,7 +53,7 @@ class TestRenderMap:
 
 class TestRenderMapSet:
     def test_ranked_blocks(self, census_small):
-        map_set = Atlas(census_small).explore(figure2_query())
+        map_set = explorer(census_small).explore(figure2_query())
         text = render_map_set(map_set, census_small)
         assert "--- #1" in text
         assert "entropy=" in text
@@ -63,7 +63,7 @@ class TestRenderMapSet:
         from repro.dataset.table import Table
 
         table = Table.from_dict({"flat": [1.0] * 10})
-        map_set = Atlas(table).explore()
+        map_set = explorer(table).explore()
         assert "No maps" in render_map_set(map_set, table)
 
 

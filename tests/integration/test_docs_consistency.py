@@ -55,6 +55,6 @@ class TestExperimentIndex:
         import repro.core.anticipate
         import repro.datagen
 
-        for symbol in ("Atlas", "AnytimeExplorer", "SqlAtlas", "read_csv"):
+        for symbol in ("explorer", "AnytimeExplorer", "SqlAtlas", "read_csv"):
             assert symbol in tutorial
             assert hasattr(repro, symbol)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.candidates import generate_candidates
 from repro.core.clustering import cluster_maps
 from repro.core.config import AtlasConfig, NumericCutStrategy
@@ -21,7 +21,7 @@ class TestFigure2:
     @pytest.fixture(scope="class")
     def result(self):
         table = census_table(n_rows=20_000, seed=0)
-        return Atlas(table).explore(figure2_query())
+        return explorer(table).explore(figure2_query())
 
     def test_both_paper_maps_generated(self, result):
         attribute_sets = [set(m.attributes) for m in result.maps]

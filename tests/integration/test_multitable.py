@@ -1,6 +1,6 @@
 """Integration tests for the Section-5.2 multi-table path."""
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig
 from repro.datagen import tpc_catalog
 from repro.dataset.stats import profile_table
@@ -10,7 +10,7 @@ class TestTpcExploration:
     def test_star_then_explore(self):
         catalog = tpc_catalog(scale=0.02, seed=0)
         wide = catalog.star_around("orders")
-        result = Atlas(wide).explore()
+        result = explorer(wide).explore()
         assert len(result) >= 1
 
     def test_key_columns_never_mapped(self):
@@ -18,7 +18,7 @@ class TestTpcExploration:
         wide = catalog.star_around("orders")
         profile = profile_table(wide)
         assert "orderkey" in profile.excluded
-        result = Atlas(wide).explore()
+        result = explorer(wide).explore()
         for m in result.maps:
             assert "orderkey" not in m.attributes
 
@@ -32,7 +32,7 @@ class TestTpcExploration:
     def test_dimension_attribute_appears_in_maps(self):
         catalog = tpc_catalog(scale=0.02, seed=0)
         wide = catalog.star_around("orders")
-        result = Atlas(wide, AtlasConfig(max_maps=12)).explore()
+        result = explorer(wide, AtlasConfig(max_maps=12)).explore()
         mapped = set().union(*(set(m.attributes) for m in result.maps))
         # customer attributes travelled through the join into the maps
         assert any(a.startswith("customers.") for a in mapped)

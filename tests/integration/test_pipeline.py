@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.atlas import Atlas
+from repro.engine import explorer
 from repro.core.config import AtlasConfig, MergeMethod, NumericCutStrategy
 from repro.datagen import sky_survey_table, subspace_dataset
 from repro.dataset.io_csv import read_csv, write_csv
@@ -18,7 +18,7 @@ class TestSubspaceRecovery:
             numeric_strategy=NumericCutStrategy.TWO_MEANS,
             merge_method=MergeMethod.COMPOSITION,
         )
-        result = Atlas(data.table, config).explore()
+        result = explorer(data.table, config).explore()
         # The composed map refines the 2-cluster truth (4 regions over 2
         # planted clusters), so score purity: regions must be label-pure.
         score = best_map_purity(
@@ -28,7 +28,7 @@ class TestSubspaceRecovery:
 
     def test_noise_attributes_stay_alone(self):
         data = subspace_dataset(n_rows=10_000, seed=1)
-        result = Atlas(data.table).explore()
+        result = explorer(data.table).explore()
         for m in result.maps:
             noisy = [a for a in m.attributes if a.startswith("noise")]
             if noisy:
@@ -38,7 +38,7 @@ class TestSubspaceRecovery:
 class TestSkySurvey:
     def test_explore_full_catalog(self):
         table = sky_survey_table(10_000, seed=0)
-        result = Atlas(table).explore()
+        result = explorer(table).explore()
         assert len(result) >= 3
         # correlated magnitudes should cluster together in some map
         merged = [m for m in result.maps if len(m.attributes) > 1]
@@ -47,7 +47,7 @@ class TestSkySurvey:
     def test_query_on_qso_region(self):
         table = sky_survey_table(10_000, seed=0)
         query = parse_query("redshift: [0.5, 5]\nmag_r: any\nclass: any")
-        result = Atlas(table).explore(query)
+        result = explorer(table).explore(query)
         assert len(result) >= 1
         for entry in result.ranked:
             for region in entry.map.regions:
@@ -63,7 +63,7 @@ class TestRandomWorkloads:
     def test_constraints_hold(self, census_small, seed, request):
         config = AtlasConfig()
         query = random_query(census_small, seed)
-        result = Atlas(census_small, config).explore(query)
+        result = explorer(census_small, config).explore(query)
         for entry in result.ranked:
             assert entry.map.n_regions <= config.max_regions
             assert len(entry.map.attributes) <= config.max_predicates
@@ -74,8 +74,8 @@ class TestCsvRoundTripPipeline:
         path = tmp_path / "census.csv"
         write_csv(census_small, path)
         reloaded = read_csv(path)
-        original = Atlas(census_small).explore()
-        again = Atlas(reloaded).explore()
+        original = explorer(census_small).explore()
+        again = explorer(reloaded).explore()
         assert [set(m.attributes) for m in original.maps] == [
             set(m.attributes) for m in again.maps
         ]
@@ -84,7 +84,7 @@ class TestCsvRoundTripPipeline:
 class TestDeterminism:
     def test_same_seed_same_result(self, census_small):
         config = AtlasConfig(sample_size=1000, seed=5)
-        a = Atlas(census_small, config).explore()
-        b = Atlas(census_small, config).explore()
+        a = explorer(census_small, config).explore()
+        b = explorer(census_small, config).explore()
         assert [m.label for m in a.maps] == [m.label for m in b.maps]
         assert [r.covers for r in a.ranked] == [r.covers for r in b.ranked]

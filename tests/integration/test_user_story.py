@@ -16,6 +16,7 @@ from repro.core.session import ExplorationSession
 from repro.datagen import census_table
 from repro.db.connection import SqlConnection
 from repro.db.sql_atlas import SqlAtlas
+from repro.engine import Explorer
 from repro.evaluation.workloads import figure2_query
 
 
@@ -26,7 +27,7 @@ def table():
 
 class TestUserStory:
     def test_full_session(self, table):
-        session = ExplorationSession(table, AtlasConfig(seed=1))
+        session = ExplorationSession(Explorer(table, AtlasConfig(seed=1)))
 
         # 1. ask for maps
         answer = session.start(figure2_query())
@@ -58,7 +59,7 @@ class TestUserStory:
         assert len(ranked) == len(answer)
 
     def test_anticipation_makes_drills_cache_hits(self, table):
-        explorer = AnticipativeExplorer(table, AtlasConfig(seed=1))
+        explorer = AnticipativeExplorer(Explorer(table, AtlasConfig(seed=1)))
         answer = explorer.explore_and_prefetch(figure2_query())
         misses_before = explorer.stats.misses
         for region in answer.best.regions:
@@ -69,7 +70,7 @@ class TestUserStory:
         connection = SqlConnection({table.name: table})
         engine = SqlAtlas(connection, table.name)
         via_sql = engine.explore(figure2_query())
-        native = ExplorationSession(table).start(figure2_query())
+        native = ExplorationSession(Explorer(table)).start(figure2_query())
         assert [set(m.attributes) for m in via_sql.maps] == [
             set(m.attributes) for m in native.maps
         ]

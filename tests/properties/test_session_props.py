@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core.config import AtlasConfig
 from repro.core.session import ExplorationSession
 from repro.datagen import census_table
+from repro.engine import explorer
 from repro.errors import MapError
 from repro.evaluation.workloads import figure2_query
 
@@ -22,7 +23,7 @@ class TestSessionWalk:
     @given(walk=actions)
     @settings(max_examples=25, deadline=None)
     def test_walk_keeps_invariants(self, walk):
-        session = ExplorationSession(TABLE, AtlasConfig(seed=0))
+        session = ExplorationSession(explorer(TABLE, AtlasConfig(seed=0)))
         session.start(figure2_query())
         expected_depth = 1
         for action in walk:
@@ -52,7 +53,7 @@ class TestSessionWalk:
     @given(walk=actions)
     @settings(max_examples=10, deadline=None)
     def test_drill_monotonically_narrows(self, walk):
-        session = ExplorationSession(TABLE, AtlasConfig(seed=0))
+        session = ExplorationSession(explorer(TABLE, AtlasConfig(seed=0)))
         session.start(figure2_query())
         previous_cover = session.current.query.cover(TABLE)
         for action in walk:

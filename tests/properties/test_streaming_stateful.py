@@ -37,6 +37,7 @@ from repro.core.session import ExplorationSession
 from repro.dataset.table import Table
 from repro.engine.backends import make_backend
 from repro.engine.context import ExecutionContext
+from repro.engine.facade import explorer
 from repro.engine.pipeline import Pipeline
 from repro.query.parser import parse_query
 from repro.service.protocol import map_set_to_dict
@@ -86,7 +87,7 @@ class StreamingMachine(RuleBasedStateMachine):
             "label": ["a", "b", "a", "c", "b", "a", "c", "b"],
         }
         self.table = Table.from_dict(dict(self.model_rows), name="stream")
-        self.session = ExplorationSession(self.table, self.exact_config)
+        self.session = ExplorationSession(explorer(self.table, self.exact_config))
         self.session.start()
         self.big_sketch = make_backend(
             self.table, Fidelity.sketch(budget_rows=BIG_BUDGET), rng=0
