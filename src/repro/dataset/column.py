@@ -19,7 +19,9 @@ first successor writes the appended rows into that tail, so a chain of
 appends costs the delta, not the table.
 A stored column (``NumericColumn.stored`` / ``CategoricalColumn.stored``)
 knows its length up front and loads its buffer from a :class:`Deferred`
-on first read; a column built from values pays nothing for this.
+on first read; so does its ``take``, which gathers its rows from that
+buffer on its own first read.  A column built from values pays nothing
+for this, and its ``take`` gathers at once.
 """
 
 from __future__ import annotations
@@ -245,7 +247,8 @@ def check_codes(name: str, codes: np.ndarray, size: int) -> None:
 
 class _Stored(Column):
     """A stored column: its length is known up front, and its buffer
-    (the slot named ``_BUFFER``) is ``_buffer``'s, loaded on first read."""
+    (the slot named ``_BUFFER``) is ``_buffer``'s, loaded on first read.
+    A take of it is stored too (see :meth:`_gather`)."""
 
     __slots__ = ()
     _BUFFER: str
@@ -266,6 +269,20 @@ class _Stored(Column):
         buffer = self._buffer.get()
         setattr(self, attr, buffer)
         return buffer
+
+    def _gather(self, indices: np.ndarray) -> tuple[int, Callable[[], np.ndarray]] | None:
+        """The length of a take at ``indices`` and its loader, which
+        reads this column's buffer (loading it, with its checks) and
+        gathers the rows; None unless ``indices`` are 1-D integers in
+        range, so an eager take raises as it always did."""
+        rows, n = np.array(indices), self._length  # a copy: the caller keeps its own
+        if (
+            rows.ndim != 1
+            or rows.dtype.kind not in "iu"
+            or (rows.size and (rows.min() < -n or rows.max() >= n))
+        ):
+            return None
+        return len(rows), lambda: _owned(getattr(self, self._BUFFER)[rows])
 
 
 class NumericColumn(Column):
@@ -714,10 +731,22 @@ class _StoredNumeric(_Stored, NumericColumn):
         _Stored.__init__(self, name, length, load)
         self._order = None
 
+    def take(self, indices: np.ndarray) -> NumericColumn:
+        taken = self._gather(indices)
+        if taken is None:
+            return NumericColumn.take(self, indices)
+        return NumericColumn.stored(self._name, *taken)
+
 
 class _StoredCategorical(_Stored, CategoricalColumn):
     __slots__ = ("_length", "_buffer")
     _BUFFER = "_codes"
+
+    def take(self, indices: np.ndarray) -> CategoricalColumn:
+        taken = self._gather(indices)
+        if taken is None:
+            return CategoricalColumn.take(self, indices)
+        return CategoricalColumn.stored(self._name, *taken, self._dictionary)
 
 
 def concat_taken(

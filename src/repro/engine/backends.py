@@ -635,7 +635,9 @@ class SketchBackend:
     over a :class:`~repro.sketch.state.SketchState` whose sample holds
     the reservoir's row positions and whose summaries seed the memos.
     The reservoir is ``table.take(positions)``, or the table itself
-    when the positions cover it.  Its
+    when the positions cover it; over a stored table each of its
+    columns gathers its rows on first read, so a restored backend
+    fetches only the columns its queries read.  The state's
     ``full_scan`` says whether those summaries observed every table row
     (a sharded build) or only the reservoir; it is fixed here and
     decides the rate at which :meth:`advance` thins appended rows.  Its

@@ -184,7 +184,7 @@ def decode_sample(data: dict, low: int, high: int) -> np.ndarray:
         raise ValueError(
             f"sample bitmap has {len(packed)} bytes for {n_rows} rows"
         )
-    bits = np.unpackbits(packed)
+    bits = np.unpackbits(packed).view(bool)  # flatnonzero is 4x faster on bool
     if bits[n_rows:].any():
         raise ValueError("sample bitmap sets padding bits")
     rows = np.flatnonzero(bits[:n_rows])

@@ -147,8 +147,10 @@ def restore_backend(
 ) -> SketchBackend:
     """Turn a summary back into a ready backend over ``table``.
 
-    Construction costs one ``take`` of the sampled rows instead of a
-    table scan, and the sketch dictionaries arrive built.  ``table``
+    Construction scans nothing: the reservoir is a ``take`` of the
+    sampled rows whose columns each gather on first read, so a query
+    fetches only the stored buffers it reads, and the sketch
+    dictionaries arrive built.  ``table``
     must be at exactly the version, and hold exactly the rows, the
     summary was captured at (the caller looks summaries up by version,
     so a mismatch means a corrupted store or a mixed-up key).  The

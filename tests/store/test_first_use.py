@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import re
+import shutil
 import sqlite3
 import sys
 import threading
@@ -24,6 +25,7 @@ from repro.dataset.column import CategoricalColumn, NumericColumn
 from repro.dataset.table import Table
 from repro.datagen import census_table, support_tickets_table
 from repro.errors import StoreError
+from repro.evaluation.metrics import map_set_fingerprint
 from repro.service import ExplorationService
 from repro.store import TableStore
 from repro.store import store as store_module
@@ -163,6 +165,15 @@ class TestConcurrentFirstUse:
         np.testing.assert_array_equal(seen[1], table.categorical("component").codes)
 
 
+def rewrite_data(path: str, version: int, column: str, blob: bytes) -> None:
+    """Overwrite one stored buffer behind the store's back."""
+    with contextlib.closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute(
+            "UPDATE columns SET data=? WHERE version=? AND name=?",
+            (blob, version, column),
+        )
+
+
 class TestMalformedBuffersFailAtLoad:
     """A buffer whose byte length does not fit its row count is a typed
     error at ``load_table``, naming column, table and version."""
@@ -190,12 +201,7 @@ class TestMalformedBuffersFailAtLoad:
     )
     def test_wrong_byte_length(self, tmp_path, version, column, blob, expected):
         path = self.stored(tmp_path)
-        with sqlite3.connect(path) as conn:
-            conn.execute(
-                "UPDATE columns SET data=? WHERE version=? AND name=?",
-                (blob, version, column),
-            )
-        conn.close()
+        rewrite_data(path, version, column, blob)
         with TableStore(path) as store:
             with pytest.raises(StoreError, match=expected) as raised:
                 store.load_table("t")
@@ -227,10 +233,12 @@ def buffers_selected(path: str, statements: list[str]) -> list[tuple[str, str | 
 
 
 class TestRestartReadsOnlyWhatTheQueryReads:
-    """A restarted service reads each value and code buffer of its table
-    once (the restored reservoir is a ``take`` of the table's rows), and
-    only the label text its predicates name: the small dictionaries a
-    set predicate maps to codes, ``title`` for a text predicate."""
+    """A restarted service reads the value or code buffer of exactly the
+    columns its query names, once each: the restored reservoir is a
+    ``take`` that gathers a column's rows on its first read, so the
+    other columns' buffers stay in the store.  It reads only the label
+    text its predicates name: the small dictionaries a set predicate
+    maps to codes, ``title`` for a text predicate."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -259,26 +267,95 @@ class TestRestartReadsOnlyWhatTheQueryReads:
             service.explore("support_tickets", query, fidelity=SKETCH, use_cache=False)
             assert service.metrics()["requests"]["warm_starts"] == 1
 
+    @staticmethod
+    def attributes(query: str) -> list[str]:
+        """The columns a query's predicates name, one per line."""
+        return [line.split(":")[0] for line in query.split("\n")]
+
     @pytest.mark.parametrize("query", NON_TEXT_QUERIES)
     def test_non_text_query_reads_each_buffer_once_and_no_title_text(
         self, path, statements, query
     ):
         self.restart(path, query)
         assert any("FROM columns" in s for s in statements)  # the trace works
-        named = sorted(line.split(":")[0] for line in query.split("\n") if "{" in line)
+        named = [line.split(":")[0] for line in query.split("\n") if "{" in line]
         assert buffers_selected(path, statements) == sorted(
-            [("data", c) for c in COLUMNS] + [("labels", c) for c in named]
+            [("data", c) for c in self.attributes(query)] + [("labels", c) for c in named]
         )
 
     def test_text_query_reads_each_buffer_once_and_the_title_text_once(
         self, path, statements
     ):
         self.restart(path, TEXT_QUERY)
+        assert "title" in self.attributes(TEXT_QUERY)
         assert buffers_selected(path, statements) == sorted(
-            [("data", c) for c in COLUMNS] + [("labels", "title")]
+            [("data", c) for c in self.attributes(TEXT_QUERY)] + [("labels", "title")]
         )
 
     def test_search_reads_no_codes(self, path, statements):
         with TableStore(path) as store:
             assert store.search("support_tickets", "title", "disk")
         assert buffers_selected(path, statements) == [("labels", None)]
+
+
+class TestRestartWithACorruptBuffer:
+    """A corrupt stored buffer fails only the queries that read it, as a
+    typed error on every read; the others answer as before the damage."""
+
+    COMPONENT = NON_TEXT_QUERIES[1]  # reads "component" alone
+    HOURS = NON_TEXT_QUERIES[0]  # reads "hours_open" alone
+
+    @pytest.fixture(scope="class")
+    def persisted(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("corrupt") / "atlas.db")
+        with ExplorationService(max_workers=1, store=path) as service:
+            service.register(support_tickets_table(n_rows=4_000, seed=0), persist=True)
+            service.explore("support_tickets", fidelity=SKETCH, use_cache=False)
+        with ExplorationService(max_workers=1, store=path) as service:
+            answers = {
+                query: map_set_fingerprint(service.explore(
+                    "support_tickets", query, fidelity=SKETCH, use_cache=False
+                ).map_set)
+                for query in (self.COMPONENT, self.HOURS)
+            }
+        return path, answers
+
+    @pytest.fixture
+    def path(self, persisted, tmp_path):
+        path = str(tmp_path / "atlas.db")
+        shutil.copy(persisted[0], path)
+        return path
+
+    def check(self, service, persisted, column, reads, skips, match):
+        for _ in range(2):  # and again on the next read
+            with pytest.raises(StoreError, match=match) as raised:
+                service.explore("support_tickets", reads, fidelity=SKETCH, use_cache=False)
+            assert f"column {column!r}" in str(raised.value)
+            assert "version 0" in str(raised.value)
+            assert service.metrics()["service"]["pending"] == 0
+        answer = service.explore("support_tickets", skips, fidelity=SKETCH, use_cache=False)
+        assert map_set_fingerprint(answer.map_set) == persisted[1][skips]
+        assert service.metrics()["requests"]["warm_starts"] == 1
+
+    @pytest.mark.parametrize(
+        "column, reads, skips",
+        [("component", COMPONENT, HOURS), ("hours_open", HOURS, COMPONENT)],
+    )
+    def test_a_buffer_replaced_after_the_restore(
+        self, persisted, path, column, reads, skips
+    ):
+        with ExplorationService(max_workers=1, store=path) as service:
+            # Loads the table and restores the backend, reading "severity".
+            service.explore(
+                "support_tickets", "severity: {'low', 'high'}", fidelity=SKETCH,
+                use_cache=False,
+            )
+            rewrite_data(path, 0, column, b"\x00" * 7)
+            self.check(service, persisted, column, reads, skips, "was replaced")
+
+    def test_codes_past_the_dictionary_before_the_restart(self, persisted, path):
+        rewrite_data(path, 0, "component", np.full(4_000, 99, dtype="<i4").tobytes())
+        with ExplorationService(max_workers=1, store=path) as service:
+            self.check(
+                service, persisted, "component", self.COMPONENT, self.HOURS, "out-of-range"
+            )

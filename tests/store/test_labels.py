@@ -255,10 +255,12 @@ class TestCorruptDictionaries:
         corrupt(path, lambda t, l, n: (t, l, 1))
         with TableStore(path) as store:
             title = store.load_table("events").categorical("title")
+            taken = title.take(np.array([0]))  # a take reads nothing yet
             for use in (  # and again on every later read
                 lambda: title.codes,
-                lambda: title.take(np.array([0])),
+                lambda: taken.codes,
                 lambda: title.codes,
+                lambda: taken.codes,
             ):
                 with pytest.raises(StoreError, match="out-of-range") as raised:
                     use()
