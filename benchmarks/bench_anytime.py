@@ -10,7 +10,6 @@ before the sample covers the table, and early ticks cost milliseconds.
 
 import pytest
 
-from repro.core.anytime import AnytimeExplorer
 from repro.engine import Explorer
 from repro.core.distance import map_nvi
 from repro.datagen import census_table
@@ -35,7 +34,7 @@ def test_anytime_convergence(table, save_report, benchmark):
         title=f"E4: anytime convergence (n={N_ROWS})",
     )
     distances = []
-    explorer = AnytimeExplorer(table, query, initial_size=1_000)
+    explorer = Explorer(table).anytime(query, initial_size=1_000)
     for tick in explorer.ticks():
         distance = map_nvi(tick.map_set.best, reference, table)
         distances.append(distance)
@@ -60,7 +59,7 @@ def test_anytime_convergence(table, save_report, benchmark):
     # a single early tick is interactive
     def first_tick():
         return next(
-            AnytimeExplorer(table, query, initial_size=1_000).ticks()
+            Explorer(table).anytime(query, initial_size=1_000).ticks()
         )
 
     benchmark.pedantic(first_tick, rounds=3, iterations=1)

@@ -38,7 +38,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.anytime import AnytimeExplorer          # noqa: E402
 from repro.datagen import census_table                   # noqa: E402
 from repro.engine import explorer                        # noqa: E402
 from repro.evaluation.harness import ResultTable         # noqa: E402
@@ -94,8 +93,8 @@ def run(
     # Anytime: progressive escalation's first answer vs exact-only.
     t_first, first = timed(
         lambda: next(
-            AnytimeExplorer(
-                table, figure2_query(), initial_size=anytime_initial
+            explorer(table).anytime(
+                figure2_query(), initial_size=anytime_initial
             ).ticks()
         )
     )

@@ -9,7 +9,7 @@ trail — sample size, elapsed time, the top map, and the stability score
 Run:  python examples/anytime_exploration.py
 """
 
-from repro import AnytimeExplorer, Explorer
+from repro import Explorer
 from repro.datagen import census_table
 from repro.evaluation import figure2_query
 from repro.evaluation.harness import ResultTable
@@ -21,8 +21,8 @@ query = figure2_query()
 print(f"Exploring {N_ROWS} rows anytime-style "
       "(tick = pipeline re-run on a doubled sample)\n")
 
-explorer = AnytimeExplorer(
-    table, query, initial_size=1_000, growth_factor=2.0
+explorer = Explorer(table).anytime(
+    query, initial_size=1_000, growth_factor=2.0
 )
 report = ResultTable(
     ["tick", "sample", "elapsed_s", "top map", "stability"],

@@ -42,9 +42,10 @@ Custom strategies plug into the registries::
     maps = explorer(table).cut("tertile").explore()
 
 :class:`Explorer` is the one in-process engine: it owns the live table
-and its execution context.  :class:`ExplorationSession` (drill-downs,
-``explorer(table).session()``) is a policy over an explorer;
-:class:`AnytimeExplorer` and :class:`SqlAtlas` drive the same
+and a registry of execution contexts.  :class:`ExplorationSession`
+(drill-downs, ``explorer(table).session()``) and
+:class:`AnytimeExplorer` (``explorer(table).anytime()``) are policies
+over an explorer; :class:`SqlAtlas` drives the same
 :class:`~repro.engine.Pipeline`.
 """
 

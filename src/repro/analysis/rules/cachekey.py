@@ -8,7 +8,7 @@ version.  The field existed; the key builder just never looked at it.
 Convention — a function that builds a cache key (or fingerprint) for
 a dataclass declares it on its ``def`` line::
 
-    def _config_key(config):  # cache-key-of: AtlasConfig
+    def config_key(config):  # cache-key-of: AtlasConfig
         ...
 
     # exemptions carry their rationale in the marker itself:
@@ -18,14 +18,15 @@ The rule then requires every field of the named dataclass to be
 *visible* in the builder: mentioned as an identifier (attribute access
 or parameter name), as a string literal (dict keys, spec strings), or
 covered wholesale by a ``.to_dict()`` / ``dataclasses.fields`` call.
-Identifier visibility extends one hop into same-module helpers the
-builder calls, so a builder that delegates part of the key (the
-service's parallelism canonicalization) is not forced to re-name every
-field locally.
+Identifier visibility extends one hop into the helpers the builder
+calls — same-module functions, and functions it imports by name from
+another analyzed module — so a builder that delegates part of the key
+(the result-cache key's ``config_key`` call) is not forced to re-name
+every field locally.
 
 Cross-module by design: the dataclass and its key builder usually live
 in different files (``AtlasConfig`` in ``repro.core.config``, its key
-in ``repro.service.service``), so this rule runs in the project-wide
+in ``repro.engine.contexts``), so this rule runs in the project-wide
 pass.  A marker naming a class the analyzed file set never defines is
 itself a finding — a typo would otherwise disable the check silently.
 """
@@ -92,6 +93,20 @@ def _functions(
     }
 
 
+def _imported_functions(tree: ast.Module, functions_by_module: dict) -> dict:
+    """Functions bound by ``from <module> import <name>`` from another
+    analyzed file (``src/repro/x.py`` is module ``repro.x``)."""
+    return {
+        alias.asname or alias.name: functions[alias.name]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for path, functions in functions_by_module.items()
+        if ("." + path).endswith("." + node.module)
+        for alias in node.names
+        if alias.name in functions
+    }
+
+
 @register_rule
 class CacheKeyRule(Rule):
     """R4: every dataclass field reaches its declared key builder."""
@@ -111,17 +126,27 @@ class CacheKeyRule(Rule):
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                     fields_by_class[node.name] = _dataclass_fields(node)
+        functions_by_module = {
+            module.rel_path.removesuffix(".py").replace("/", "."):
+                _functions(module.tree)
+            for module in modules
+        }
         for module in modules:
             yield from self._check_module_builders(
-                module, fields_by_class
+                module, fields_by_class, functions_by_module
             )
 
     def _check_module_builders(
         self,
         module: ModuleInfo,
         fields_by_class: dict[str, list[str]],
+        functions_by_module: dict,
     ) -> Iterator[Finding]:
         local_functions = _functions(module.tree)
+        helpers = {
+            **_imported_functions(module.tree, functions_by_module),
+            **local_functions,
+        }
         for name, fn in local_functions.items():
             marker = _MARKER_RE.search(module.def_comment(fn))
             if not marker:
@@ -146,10 +171,10 @@ class CacheKeyRule(Rule):
                 continue
             visible, dynamic, calls = _identifier_surface(fn)
             if not dynamic:
-                # One hop into same-module helpers the builder calls:
-                # a delegated key component still counts as covered.
+                # One hop into the helpers the builder calls: a
+                # delegated key component still counts as covered.
                 for callee_name in calls:
-                    callee = local_functions.get(callee_name)
+                    callee = helpers.get(callee_name)
                     if callee is None or callee is fn:
                         continue
                     callee_names, callee_dynamic, _ = (

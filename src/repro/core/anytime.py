@@ -22,7 +22,8 @@ the system could interrupt the exploration after a timeout."
 * a *stability* score — 1 − normalized VI between the current and the
   previous top map, measured on the rows the current tick scanned —
   quantifies result convergence, so callers can stop on stability, on
-  timeout, or on escalation completing (whichever comes first).
+  timeout, or on escalation completing (whichever comes first);
+* ticks share builds: each asks its explorer's context registry.
 """
 
 from __future__ import annotations
@@ -30,15 +31,17 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.config import AtlasConfig, Fidelity
 from repro.core.distance import map_nvi
-from repro.dataset.table import Table
-from repro.engine.backends import check_advance
 from repro.engine.context import ExecutionContext
-from repro.engine.pipeline import MapSet, Pipeline
+from repro.engine.pipeline import MapSet
 from repro.errors import MapError
 from repro.query.query import ConjunctiveQuery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.facade import Explorer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,109 +65,85 @@ class AnytimeResult:
 
 
 class AnytimeExplorer:
-    """Anytime wrapper around the Atlas pipeline.
+    """Anytime policy over an explorer.
 
     Parameters
     ----------
-    table:
-        Full dataset (the engine never scans more of it than the
-        current budget).
+    explorer:
+        The :class:`~repro.engine.facade.Explorer` whose live table,
+        pipeline and contexts every run uses.  Its config's
+        ``sample_size`` is ignored (the growing budget replaces it) and
+        its ``fidelity`` is the escalation *target*: the final tick runs
+        at it (exact by default; on the explorer's own context unless
+        its config sets a ``sample_size``), earlier ticks at growing
+        sketch budgets.
     query:
         The query being explored (None = whole table).
-    config:
-        Engine configuration used on every tick (``sample_size`` inside
-        it is ignored — the growing budget replaces it).  Its
-        ``fidelity`` is the escalation *target*: the final tick runs at
-        it (exact by default), earlier ticks at growing sketch budgets.
     initial_size, growth_factor:
         Budget schedule.
     """
 
     def __init__(
         self,
-        table: Table,
+        explorer: "Explorer",
         query: ConjunctiveQuery | None = None,
-        config: AtlasConfig | None = None,
         initial_size: int = 1000,
         growth_factor: float = 2.0,
-        pipeline: Pipeline | None = None,
     ):
-        if table.n_rows == 0:
-            raise MapError("cannot explore an empty table")
         if initial_size < 1:
             raise MapError(f"initial_size must be >= 1, got {initial_size}")
         if growth_factor <= 1.0:
             raise MapError(f"growth_factor must be > 1, got {growth_factor}")
-        self._table = table
+        self._explorer = explorer
         self._query = query or ConjunctiveQuery()
-        base = config or AtlasConfig()
-        self._config = base.replace(sample_size=None)
         self._initial_size = int(initial_size)
         self._growth_factor = float(growth_factor)
-        # One shared pipeline; each tick binds a fresh context because
-        # the measured rows change (contexts key their statistics cache
-        # by table and configuration).
-        self._pipeline = pipeline or Pipeline.default()
 
-    def _schedule(self) -> Iterator[tuple[Table, AtlasConfig, bool]]:
-        """Yield ``(table, config, is_final)`` per tick.
+    def _schedule(self, n_rows: int) -> Iterator[AtlasConfig]:
+        """Yield each tick's config over ``n_rows`` rows.
 
         Grows a sketch budget geometrically on the full table and
         finishes at the configured target fidelity; nested reservoirs
         make consecutive answers comparable.
         """
-        # Snapshot the table up front: an advance() landing mid-run
-        # must not switch versions between ticks — anytime snapshots
-        # are only comparable against the same rows.
-        table = self._table
-        target = self._config.fidelity
+        config = self._explorer.config.replace(sample_size=None)
+        target = config.fidelity
         if target.is_sketch:
-            final_budget = min(target.budget_rows, table.n_rows)
+            final_budget = min(target.budget_rows, n_rows)
             epsilon = target.epsilon
         else:
-            final_budget = table.n_rows
+            final_budget = n_rows
             epsilon = Fidelity().epsilon
         budget = min(self._initial_size, final_budget)
         while budget < final_budget:
-            yield (
-                table,
-                self._config.replace(
-                    fidelity=Fidelity.sketch(
-                        budget_rows=budget, epsilon=epsilon
-                    )
-                ),
-                False,
-            )
+            sketch = Fidelity.sketch(budget_rows=budget, epsilon=epsilon)
+            yield config.replace(fidelity=sketch)
             budget = min(
                 max(budget + 1, int(budget * self._growth_factor)),
                 final_budget,
             )
-        yield table, self._config, True
-
-    def advance(self, new_table: Table) -> None:
-        """Re-target the explorer at an appended version of its table.
-
-        Takes effect at the next :meth:`ticks` / :meth:`run` call (a
-        schedule already being consumed keeps its version — anytime
-        snapshots must stay comparable across ticks).  Streaming
-        drivers call this between batches so a re-run answers against
-        fresh rows.
-        """
-        check_advance(self._table, new_table)
-        self._table = new_table
+        yield config
 
     def ticks(self) -> Iterator[AnytimeResult]:
         """Yield snapshots of increasing fidelity until escalation ends.
 
         The caller is free to stop consuming at any point — that is the
         anytime contract.  The final tick runs at the configured target
-        fidelity (exact on the full table by default).
+        fidelity (exact on the full table by default).  A run keeps
+        the version it started at (snapshots are only comparable on the
+        same rows), so one an append overtakes finishes on unregistered
+        contexts over its own table.
         """
+        explorer = self._explorer
+        table = explorer.table
         started = time.perf_counter()
         previous_top = None
-        for tick, (table, config, final) in enumerate(self._schedule()):
-            context = ExecutionContext(table, config)
-            map_set = self._pipeline.run(self._query, context)
+        for tick, config in enumerate(self._schedule(table.n_rows)):
+            if explorer.table.version == table.version:
+                context = explorer.contexts.context_for(table.name, table, config)
+            else:
+                context = ExecutionContext(table, config)
+            map_set = explorer.pipeline.run(self._query, context)
             # Stability is measured on the rows this tick actually
             # scanned — the backend's effective table.
             measured = context.stats().effective_table
@@ -184,8 +163,6 @@ class AnytimeExplorer:
                 stability=stability,
                 fidelity=map_set.fidelity,
             )
-            if final:
-                return
 
     def run(
         self,

@@ -274,8 +274,13 @@ class _Stored(Column):
         """The length of a take at ``indices`` and its loader, which
         reads this column's buffer (loading it, with its checks) and
         gathers the rows; None unless ``indices`` are 1-D integers in
-        range, so an eager take raises as it always did."""
-        rows, n = np.array(indices), self._length  # a copy: the caller keeps its own
+        range, so an eager take raises as it always did.  Read-only
+        ``indices`` (one :meth:`Table.take` array shared by every
+        column) are kept as they are; others are copied, since the
+        caller keeps its own."""
+        rows, n = np.asarray(indices), self._length
+        if rows.flags.writeable:
+            rows = rows.copy()
         if (
             rows.ndim != 1
             or rows.dtype.kind not in "iu"

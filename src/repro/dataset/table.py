@@ -174,7 +174,10 @@ class Table:
 
     def take(self, indices: np.ndarray, name: str | None = None) -> "Table":
         """Keep the rows at the given indices (with repetition allowed)."""
-        indices = np.asarray(indices)
+        # One read-only copy for every column: a stored column's take
+        # holds its positions until its first read.
+        indices = np.array(indices)
+        indices.setflags(write=False)
         return self._derived(
             [self._columns[n].take(indices) for n in self._order], name
         )

@@ -20,6 +20,8 @@ Layers, bottom up:
   ranking).
 * :mod:`repro.engine.pipeline` — the :class:`Pipeline` driver with
   generic per-stage timing, plus the :class:`MapSet` answer type.
+* :mod:`repro.engine.contexts` — :class:`ContextRegistry`, the one
+  LRU of shared contexts behind the service and every explorer.
 * :mod:`repro.engine.facade` — the fluent, batch-capable front door.
 """
 
@@ -34,6 +36,7 @@ from repro.engine.backends import (
 )
 from repro.engine.cancel import CancelToken, PipelineCancelled
 from repro.engine.context import ExecutionContext
+from repro.engine.contexts import ContextRegistry
 from repro.engine.parallel import ShardedTable, build_sharded_backend
 from repro.engine.pipeline import CANONICAL_STAGES, MapSet, Pipeline, StageTimings
 from repro.engine.registry import (
@@ -67,6 +70,7 @@ __all__ = [
     "CancelToken",
     "CandidateStage",
     "ClusteringStage",
+    "ContextRegistry",
     "ExactBackend",
     "ExecutionContext",
     "Explorer",

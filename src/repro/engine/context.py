@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 import zlib
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -414,64 +415,52 @@ class ExecutionContext:
         """Per-backend-family cache/usage counters (JSON-ready).
 
         Aggregates every live backend of this context by ``kind`` —
-        the service surfaces this through ``/metrics`` so operators can
-        see how much traffic each fidelity serves and how well its
-        caches behave.
+        :func:`merged_backend_snapshot` over this one context.
         """
-        with self._lock:
-            backends = list(self._stats.values())
-        out: dict[str, dict] = {}
-        for kind, counters in self._kind_counters.items():
-            from repro.engine.parallel import (
-                merge_shard_info,
-                new_shard_aggregate,
-            )
+        return merged_backend_snapshot((self,))
 
-            usage: dict[str, int] = {}
-            instances = 0
-            parallel = new_shard_aggregate()
-            kernel_nanos: dict[str, int] = {}
-            metered = False
-            for backend in backends:
-                if backend.kind != kind:
-                    continue
-                instances += 1
-                snapshot = backend.snapshot()
-                for name, count in snapshot["usage"].items():
-                    usage[name] = usage.get(name, 0) + count
-                # Sharded backends report their scan/merge provenance;
-                # aggregate it so `/metrics` can show per-shard build
-                # timing next to the cache counters.
-                shard_info = snapshot.get("parallel")
-                if shard_info:
-                    merge_shard_info(parallel, shard_info)
-                # Sketch backends meter their columnar kernels
-                # (:mod:`repro.engine.kernels`); fold the backend-local
-                # nanoseconds so `/metrics` shows where scan time goes.
-                # Sharded backends keep their build-scan nanoseconds in
-                # the shard provenance (disjoint from the post-build
-                # delta meters at top level), so fold both.
-                if "kernel_nanos" in snapshot:
-                    metered = True
-                    for name, nanos in snapshot["kernel_nanos"].items():
-                        kernel_nanos[name] = kernel_nanos.get(name, 0) + nanos
-                if shard_info:
-                    for name, nanos in shard_info.get(
-                        "kernel_nanos", {}
-                    ).items():
-                        kernel_nanos[name] = kernel_nanos.get(name, 0) + nanos
-            with self._lock:
-                hits, misses = counters.hits, counters.misses
-                hit_rate = counters.hit_rate
-            out[kind] = {
-                "instances": instances,
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hit_rate,
-                "usage": usage,
-            }
-            if metered:
-                out[kind]["kernel_nanos"] = kernel_nanos
-            if parallel["builds"]:
-                out[kind]["parallel"] = parallel
-        return out
+
+def merged_backend_snapshot(contexts: Iterable[ExecutionContext]) -> dict:
+    """Per-backend-family counters of every live backend of
+    ``contexts``, merged by ``kind`` (JSON-ready).
+
+    ``/metrics`` reports it over the service's contexts, so operators
+    can see how much traffic each fidelity serves and how well its
+    caches behave.
+    """
+    from repro.engine.parallel import merge_shard_info, new_shard_aggregate
+
+    def add(into: dict, counts: dict) -> None:
+        for name, count in counts.items():
+            into[name] = into.get(name, 0) + count
+
+    out: dict[str, dict] = {}
+    for context in contexts:
+        with context._lock:
+            backends = list(context._stats.values())
+            for kind, counters in context._kind_counters.items():
+                block = out.setdefault(kind, {
+                    "instances": 0, "hits": 0, "misses": 0, "hit_rate": 0.0,
+                    "usage": {},
+                })
+                block["hits"] += counters.hits
+                block["misses"] += counters.misses
+        for backend in backends:
+            block = out[backend.kind]
+            snapshot = backend.snapshot()
+            block["instances"] += 1
+            add(block["usage"], snapshot["usage"])
+            # Sketch backends meter their columnar kernels
+            # (:mod:`repro.engine.kernels`).  A sharded one also reports
+            # its scan/merge provenance, which keeps the build-scan
+            # nanoseconds (disjoint from the post-build delta meters at
+            # top level), so fold both.
+            if "kernel_nanos" in snapshot:
+                add(block.setdefault("kernel_nanos", {}), snapshot["kernel_nanos"])
+            shard_info = snapshot.get("parallel")
+            if shard_info:
+                add(block.setdefault("kernel_nanos", {}), shard_info.get("kernel_nanos", {}))
+                merge_shard_info(block.setdefault("parallel", new_shard_aggregate()), shard_info)
+    for block in out.values():
+        block["hit_rate"] = CacheCounters(block["hits"], block["misses"]).hit_rate
+    return out

@@ -10,10 +10,12 @@
 
 Every knob is a chainable method, queries may be strings in the paper's
 syntax or :class:`~repro.query.query.ConjunctiveQuery` objects, and the
-explorer keeps one :class:`~repro.engine.context.ExecutionContext`
-alive across calls — so a batch (:meth:`Explorer.explore_many`) or a
-drill-down sequence reuses every mask, assignment vector, and cut point
-computed for earlier answers instead of recomputing them per query.
+explorer keeps one :class:`~repro.engine.context.ExecutionContext` per
+config alive across calls, in a
+:class:`~repro.engine.contexts.ContextRegistry` — so a batch
+(:meth:`Explorer.explore_many`), a drill-down sequence or a config
+switched back to reuses every mask, assignment vector, and cut point
+computed for earlier answers instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import AtlasConfig
 from repro.engine.context import ExecutionContext
+from repro.engine.contexts import ContextRegistry
 from repro.engine.pipeline import MapSet, Pipeline
 from repro.query.query import ConjunctiveQuery
 
@@ -35,15 +38,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Explorer:
     """Fluent, batch-capable front door to the exploration engine.
 
-    The explorer owns one :class:`ExecutionContext`, and the table that
-    context serves is the explorer's one live table: appends advance
-    it, and sessions and prefetch policies built over the explorer read
-    it, so no copy of the table can fall behind.  An empty table is
-    rejected at construction.
+    The explorer owns a :class:`ContextRegistry` and runs queries on
+    the context of its current config; the table that context serves is
+    the explorer's one live table: appends advance it, and sessions,
+    prefetch and anytime policies built over the explorer read it, so
+    no copy of the table can fall behind.  An empty table is rejected
+    at construction.
 
     Configuration methods return ``self`` so calls chain; each one
-    replaces the context with a fresh one over the live table (a config
-    change invalidates memoized statistics that depend on it).
+    selects the registry's context for the new config, so switching
+    back to a config used before reuses its built statistics.
     Strategy setters accept registry names (strings) or the legacy
     enums.
     """
@@ -54,8 +58,10 @@ class Explorer:
         config: AtlasConfig | None = None,
         pipeline: Pipeline | None = None,
     ):
-        self._context = ExecutionContext(table, config)
+        self._contexts = ContextRegistry()
+        self._config = config or AtlasConfig()
         self._pipeline = pipeline or Pipeline.default()
+        self._select(table)
 
     # ------------------------------------------------------------------ #
     # Fluent configuration
@@ -63,10 +69,12 @@ class Explorer:
 
     def configure(self, **changes: object) -> "Explorer":
         """Replace any :class:`AtlasConfig` fields by keyword."""
-        context = self._context
-        self._context = ExecutionContext(
-            context.table, context.config.replace(**changes)
-        )
+        self._config = self._config.replace(**changes)
+        return self._select(self.table)
+
+    def _select(self, table: "Table") -> "Explorer":
+        """Run on the registry's context of the current config."""
+        self._context = self._contexts.context_for(table.name, table, self._config)
         return self
 
     def sample(self, n_rows: int | None) -> "Explorer":
@@ -172,15 +180,15 @@ class Explorer:
     def append(self, rows: object) -> "Explorer":
         """Append rows to the table (streaming) and keep exploring.
 
-        Unlike :meth:`configure`, the shared context is *kept*: it is
-        advanced incrementally (sketch backends merge delta sketches
-        and top up reservoirs; exact backends start fresh memos over
-        the new rows), so the statistics computed for earlier answers that an
-        append cannot invalidate keep paying off.
+        Every registered context is *kept*: it is advanced
+        incrementally (sketch backends merge delta sketches and top up
+        reservoirs; exact backends start fresh memos over the new rows),
+        so the statistics computed for earlier answers that an append
+        cannot invalidate keep paying off.
         """
-        context = self._context
-        context.advance(context.table.append(rows))
-        return self
+        new_table = self.table.append(rows)
+        self._contexts.advance(new_table.name, new_table)
+        return self._select(new_table)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -194,7 +202,7 @@ class Explorer:
     @property
     def config(self) -> AtlasConfig:
         """The accumulated configuration."""
-        return self._context.config
+        return self._config
 
     @property
     def pipeline(self) -> Pipeline:
@@ -203,9 +211,14 @@ class Explorer:
 
     @property
     def context(self) -> ExecutionContext:
-        """The shared execution context: kept across queries and
-        appends, replaced by a config change."""
+        """The execution context of the current config: kept across
+        queries and appends, selected by a config change."""
         return self._context
+
+    @property
+    def contexts(self) -> ContextRegistry:
+        """Every context this explorer keeps, one per config used."""
+        return self._contexts
 
     # ------------------------------------------------------------------ #
     # Exploration
@@ -255,20 +268,13 @@ class Explorer:
         query: "str | ConjunctiveQuery | None" = None,
         **kwargs: object,
     ) -> "AnytimeExplorer":
-        """An anytime explorer over the same table and configuration.
-
-        Like :meth:`explore`, ``query`` may be text in the paper's
-        syntax.
+        """An anytime policy over this explorer (its live table and
+        configuration).  Like :meth:`explore`, ``query`` may be text in
+        the paper's syntax.
         """
         from repro.core.anytime import AnytimeExplorer
 
-        return AnytimeExplorer(
-            self.table,
-            query=self._parse(query) if query is not None else None,
-            config=self.config,
-            pipeline=self._pipeline,
-            **kwargs,
-        )
+        return AnytimeExplorer(self, self._parse(query), **kwargs)
 
     @staticmethod
     def _parse(query: "str | ConjunctiveQuery | None") -> ConjunctiveQuery:

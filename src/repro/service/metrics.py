@@ -66,7 +66,6 @@ class ServiceMetrics:
             "deadline_exceeded": 0,  # cancelled between stages (504)
             "failed": 0,         # raised any other error
             "appends": 0,        # streaming append batches applied
-            "warm_starts": 0,    # contexts seeded from persisted sketches
             "summaries_persisted": 0,  # sketch states written to the store
         }
         self._stage_latency = {  # guarded-by: _lock

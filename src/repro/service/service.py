@@ -35,9 +35,7 @@ into a multi-client system:
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from threading import Lock
 
 from repro.core.config import AtlasConfig, Fidelity, Parallelism
 from repro.dataset.table import Table
@@ -47,7 +45,7 @@ from repro.engine.context import (
     order_sensitive_key,
     query_fingerprint,
 )
-from repro.engine.parallel import merge_shard_info, new_shard_aggregate
+from repro.engine.contexts import ContextRegistry, config_key
 from repro.engine.pipeline import Pipeline
 from repro.errors import MapError, StoreError
 from repro.query.query import ConjunctiveQuery
@@ -96,7 +94,7 @@ def result_cache_key(  # cache-key-of: ExploreRequest (exempt: use_cache, deadli
       the same query fingerprint must never collide, even if a future
       config-key change drops or reorders fields.
     * The config key canonicalizes worker counts out
-      (:meth:`ExplorationService._config_key`) — they change
+      (:func:`~repro.engine.contexts.config_key`) — they change
       wall-clock, never answers.
     * The query appears both as its order-insensitive fingerprint and
       its order-*sensitive* key: ``user_order`` cutting makes two
@@ -114,7 +112,7 @@ def result_cache_key(  # cache-key-of: ExploreRequest (exempt: use_cache, deadli
         generation,
         version,
         config.fidelity.spec(),
-        ExplorationService._config_key(config),
+        config_key(config),
         query_fingerprint(query),
         order_sensitive_key(query),
     )
@@ -226,17 +224,12 @@ class ExplorationService:
                 store = TableStore(store)
                 self._owns_store = True
             self._catalog = Catalog(store=store)
-        # The registry lock guards only the context LRU; the table
-        # registry itself (sources, materializations, generations)
-        # lives in the catalog behind its own lock.  Lock order is
-        # catalog -> registry (appends advance contexts inside the
-        # catalog's critical section), never the reverse — anything
-        # needing catalog state must read it before taking _registry.
-        self._registry = Lock()
-        self._contexts: OrderedDict[tuple, ExecutionContext] = (
-            OrderedDict()
-        )  # guarded-by: _registry
-        self._max_contexts = max_contexts
+        # Lock order is catalog -> registry: appends advance contexts
+        # inside the catalog's critical section, and the registry asks
+        # the catalog for warm-start factories outside its own lock.
+        self._registry = ContextRegistry(
+            max_contexts, warm=self._catalog.warm_factory
+        )
         self._started = time.monotonic()
 
     # ------------------------------------------------------------------ #
@@ -252,6 +245,11 @@ class ExplorationService:
     def store(self) -> "TableStore | None":
         """The persistent store behind the catalog, if any."""
         return self._catalog.store
+
+    @property
+    def contexts(self) -> ContextRegistry:
+        """The shared execution contexts, one per (table, config)."""
+        return self._registry
 
     def register(
         self,
@@ -275,12 +273,9 @@ class ExplorationService:
         result = self._catalog.register(
             name, source, overwrite=overwrite, persist=persist
         )
-        names = result if isinstance(result, tuple) else (result,)
-        with self._registry:
-            # Re-registration invalidates any contexts (and through
-            # them, memoized statistics) built over the old tenant.
-            for key in [k for k in self._contexts if k[0] in names]:
-                del self._contexts[key]
+        # Re-registration invalidates any contexts (and through them,
+        # memoized statistics) built over the old tenant.
+        self._registry.drop(result if isinstance(result, tuple) else (result,))
         return result
 
     def table_names(self) -> tuple[str, ...]:
@@ -327,74 +322,6 @@ class ExplorationService:
     ) -> list[dict]:
         """Recent history rows (what ``GET /history`` returns)."""
         return self._history.recent(limit, tenant=tenant, status=status)
-
-    # ------------------------------------------------------------------ #
-    # Shared execution contexts
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _config_key(config: AtlasConfig) -> tuple:  # cache-key-of: AtlasConfig
-        """Identity of a configuration *for caching purposes*.
-
-        The worker count is canonicalized out of the parallelism spec:
-        answers are bit-identical at any worker count (only the shard
-        layout is statistical), so requests differing in it alone must
-        share one execution context — one O(table) statistics build —
-        and one result-cache entry.
-        """
-        key = config.to_dict()
-        parallelism = config.parallelism
-        key["parallelism"] = Parallelism(
-            workers=1, shards=parallelism.shards
-        ).spec()
-        return tuple(sorted(key.items()))
-
-    def _context_for(
-        self, table_name: str, table: Table, config: AtlasConfig
-    ) -> ExecutionContext:
-        key = (table_name, self._config_key(config))
-        with self._registry:
-            context = self._contexts.get(key)
-            if context is not None:
-                self._contexts.move_to_end(key)
-                if context.version < table.version:
-                    # The context was registered while an append was in
-                    # flight and missed the maintenance pass; catch it
-                    # up so an answer at an old version can never be
-                    # computed for (and cached under) a newer one.
-                    context.advance(table)
-                return context
-        # Cold context.  Ask the catalog for a persisted-summary factory
-        # *before* taking the registry lock — the catalog lock may only
-        # be taken first (appends advance contexts inside it).
-        factory = self._catalog.warm_factory(table_name, table, config)
-        fresh = ExecutionContext(table, config)
-        with self._registry:
-            context = self._contexts.get(key)
-            if context is not None:
-                # Another request installed one while we built; theirs
-                # wins (its statistics may already be loaded).
-                self._contexts.move_to_end(key)
-                if context.version < table.version:
-                    context.advance(table)
-            else:
-                context = fresh
-                while len(self._contexts) >= self._max_contexts:
-                    self._contexts.popitem(last=False)
-                self._contexts[key] = context
-        if factory is not None:
-            try:
-                # Racers on one cold context: only the restore that
-                # installed its backend is a warm start.
-                if context.adopt_stats(factory):
-                    self._metrics.count("warm_starts")
-            except (StoreError, MapError):
-                # An append raced the restore (summary version no longer
-                # matches the context's table), or the stored document
-                # is malformed — a fresh build is always correct, so
-                # warm-start failures never fail an explore.
-                pass
-        return context
 
     # ------------------------------------------------------------------ #
     # Exploration
@@ -610,7 +537,8 @@ class ExplorationService:
         than shards).
 
         Contexts are shared across worker counts (workers never change
-        answers, so :meth:`_config_key` canonicalizes them out), which
+        answers, so :func:`~repro.engine.contexts.config_key`
+        canonicalizes them out), which
         means the build runs with the worker count of whichever request
         *created* the context — so the charge is read from the live
         context when one exists, not from the request: a ``parallel:4``
@@ -624,23 +552,13 @@ class ExplorationService:
         # Never waits: this runs on the HTTP mount's event loop, and an
         # append holds the registry while it advances contexts.  A busy
         # registry charges the request as if no context were live.
-        context = None
-        if self._registry.acquire(blocking=False):
-            try:
-                context = self._live_context(table_name, config)
-            finally:
-                self._registry.release()
+        context = self._registry.peek(table_name, config)
         if context is not None:
             if context.has_base_stats:
                 return 1
             parallelism = context.config.parallelism
         workers = min(parallelism.resolved_workers, parallelism.shards)
         return max(1, min(workers, self._max_inflight))
-
-    def _live_context(  # holds-lock: _registry
-        self, table_name: str, config: AtlasConfig
-    ) -> ExecutionContext | None:
-        return self._contexts.get((table_name, self._config_key(config)))
 
     def handle(
         self, request: ExploreRequest, *, api_key: str | None = None
@@ -670,17 +588,11 @@ class ExplorationService:
         unreachable.
         """
 
-        def advance_contexts(new_table: Table) -> None:
-            # Runs inside the catalog's critical section (lock order
-            # catalog -> registry), so contexts advance through
-            # versions in append order.
-            with self._registry:
-                for key, context in self._contexts.items():
-                    if key[0] == table:
-                        context.advance(new_table)
-
+        # The swap callback runs inside the catalog's critical section
+        # (lock order catalog -> registry), so contexts advance through
+        # versions in append order.
         current, new_table = self._catalog.append(
-            table, rows, advance_contexts
+            table, rows, lambda new: self._registry.advance(table, new)
         )
         self._metrics.count("appends")
         return AppendResponse(
@@ -712,7 +624,7 @@ class ExplorationService:
         cache_key: tuple | None,
         cancel: CancelToken | None = None,
     ) -> ExploreResponse:
-        context = self._context_for(table_name, table, config)
+        context = self._registry.context_for(table_name, table, config)
         started = time.perf_counter()
         map_set = self._pipeline.run(query, context, cancel)
         elapsed = time.perf_counter() - started
@@ -786,60 +698,17 @@ class ExplorationService:
         """The ``/metrics`` snapshot (JSON-ready)."""
         snapshot = self._metrics.snapshot()
         snapshot["result_cache"] = self._results.snapshot()
-        with self._registry:
-            contexts = list(self._contexts.values())
-            n_contexts = len(self._contexts)
-        hits = sum(c.counters.hits for c in contexts)
-        misses = sum(c.counters.misses for c in contexts)
-        total = hits + misses
-        # Per-backend-family breakdown: how much traffic each fidelity
-        # serves and how its caches behave, aggregated over contexts.
-        backends: dict[str, dict] = {}
-        for context in contexts:
-            for kind, stats in context.backend_snapshot().items():
-                merged = backends.setdefault(
-                    kind,
-                    {"instances": 0, "hits": 0, "misses": 0, "usage": {}},
-                )
-                merged["instances"] += stats["instances"]
-                merged["hits"] += stats["hits"]
-                merged["misses"] += stats["misses"]
-                for name, count in stats["usage"].items():
-                    merged["usage"][name] = (
-                        merged["usage"].get(name, 0) + count
-                    )
-                if "kernel_nanos" in stats:
-                    nanos = merged.setdefault("kernel_nanos", {})
-                    for name, value in stats["kernel_nanos"].items():
-                        nanos[name] = nanos.get(name, 0) + value
-                # Sharded builds report per-shard scan seconds; surface
-                # them so operators can see the scan/merge split work.
-                shard_info = stats.get("parallel")
-                if shard_info:
-                    merge_shard_info(
-                        merged.setdefault(
-                            "parallel", new_shard_aggregate()
-                        ),
-                        shard_info,
-                    )
-        for merged in backends.values():
-            looked_up = merged["hits"] + merged["misses"]
-            merged["hit_rate"] = (
-                merged["hits"] / looked_up if looked_up else 0.0
-            )
-        snapshot["statistics_cache"] = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / total if total else 0.0,
-            "backends": backends,
-        }
+        registry = self._registry.snapshot()
+        # Contexts seeded from persisted sketches.
+        snapshot["requests"]["warm_starts"] = registry["warm_starts"]
+        snapshot["statistics_cache"] = registry["statistics_cache"]
         snapshot["service"] = {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": time.monotonic() - self._started,
             "pending": self._admission.pending_total(),
             "pending_by_tenant": self._admission.pending_by_tenant(),
             "max_inflight": self._max_inflight,
-            "contexts": n_contexts,
+            "contexts": registry["contexts"],
             "tables": self.describe_tables(),
             "tenants": self._tenants.snapshot(),
         }

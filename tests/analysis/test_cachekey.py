@@ -175,3 +175,41 @@ def test_private_fields_are_not_required(findings_of):
         """,
     )
     assert found == []
+
+
+def test_one_hop_follows_a_helper_imported_from_another_file(analyze):
+    # The result-cache key delegates its config component to
+    # ``repro.engine.contexts.config_key``: the helper's names count.
+    request = ModuleInfo.from_source(
+        textwrap.dedent(
+            """
+            import dataclasses
+
+            @dataclasses.dataclass
+            class Request:
+                table: str
+                workers: int
+
+            def workers_key(req):
+                return req.workers
+            """
+        ),
+        rel_path="src/pkg/keys.py",
+    )
+    source = """
+        from pkg.keys import workers_key
+
+        def cache_key(req):  # cache-key-of: Request
+            return (req.table, {call})
+        """
+    covered, missing = (
+        ModuleInfo.from_source(
+            textwrap.dedent(source.format(call=call)),
+            rel_path="src/pkg/service.py",
+        )
+        for call in ("workers_key(req)", "other_key(req)")
+    )
+    analyzer = Analyzer(rules=[CacheKeyRule()])
+    assert analyzer.run_modules([request, covered]).findings == []
+    found = analyzer.run_modules([request, missing]).findings
+    assert len(found) == 1 and "Request.workers" in found[0].message

@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.anytime import AnytimeExplorer
 from repro.core.session import ExplorationSession
 from repro.dataset.table import Table
 from repro.engine.facade import explorer
@@ -133,22 +132,26 @@ class TestMixedAppendPaths:
 
 
 class TestAnytimeAdvance:
+    """An anytime policy reads its explorer's live table: an append
+    through the explorer reaches the next run, never a run in flight."""
+
     def test_next_run_targets_the_new_version(self):
-        table = people_table()
-        anytime = AnytimeExplorer(table, initial_size=40)
+        fluent = explorer(people_table())
+        anytime = fluent.anytime(initial_size=40)
         first = anytime.run()
         assert first.map_set.version == 0
-        anytime.advance(table.append(delta()))
+        fluent.append(delta())
         second = anytime.run()
         assert second.map_set.version == 1
         assert second.map_set.n_rows_used == 150
 
     def test_advance_does_not_switch_a_schedule_mid_run(self):
         table = people_table()
-        anytime = AnytimeExplorer(table, initial_size=30)
+        fluent = explorer(table)
+        anytime = fluent.anytime(initial_size=30)
         ticks = anytime.ticks()
         first = next(ticks)
-        anytime.advance(table.append(delta()))
+        fluent.append(delta())
         # The in-flight schedule keeps its version; only the next run
         # sees the appended rows (ticks must stay comparable).
         rest = list(ticks)
@@ -156,14 +159,3 @@ class TestAnytimeAdvance:
         assert all(t.map_set.version == 0 for t in rest)
         assert rest[-1].map_set.n_rows_used == table.n_rows
         assert anytime.run().map_set.version == 1
-
-    def test_validation(self):
-        table = people_table()
-        anytime = AnytimeExplorer(table)
-        with pytest.raises(MapError, match="versions must increase"):
-            anytime.advance(table)
-        other = Table.from_dict({"z": [1.0, 2.0]}, name="z").append(
-            {"z": [3.0]}
-        )
-        with pytest.raises(MapError, match="schema"):
-            anytime.advance(other)

@@ -248,3 +248,28 @@ class TestLifetime:
         taken = self.taken(store, table, selects)
         store.close()
         self.assert_rows(taken, table)
+
+
+def pending_positions(column) -> np.ndarray:
+    """The row positions an unread stored take will gather."""
+    cells = column._buffer._load.__closure__
+    return next(c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray))
+
+
+class TestOnePositionsCopy:
+    def test_the_columns_of_one_stored_take_share_its_positions(self):
+        table = support_tickets_table(n_rows=500, seed=3)
+        store = TableStore()
+        store.register_table(table)
+        rows = np.array([7, 3, 3, 0, 499])
+        taken = store.load_table(table.name).take(rows)
+        store.close()
+        positions = [pending_positions(column) for column in taken.columns]
+        assert len(positions) == len(table.columns) > 1
+        assert all(np.shares_memory(positions[0], other) for other in positions[1:])
+        assert not positions[0].flags.writeable
+        assert not np.shares_memory(positions[0], rows)  # the caller keeps its own
+        rows[:] = 0
+        assert taken.numeric("hours_open").data.tolist() == (
+            table.numeric("hours_open").data[[7, 3, 3, 0, 499]].tolist()
+        )

@@ -16,6 +16,22 @@ from repro.evaluation.workloads import FIGURE2_QUERY_TEXT, figure2_query
 from repro.query.query import ConjunctiveQuery
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The fidelity spec of every serial backend build from now on."""
+    import repro.engine.context as context_module
+
+    specs: list[str] = []
+    real = context_module.make_backend
+
+    def counting(table, fidelity, **kwargs):
+        specs.append(fidelity.spec())
+        return real(table, fidelity, **kwargs)
+
+    monkeypatch.setattr(context_module, "make_backend", counting)
+    return specs
+
+
 class TestFluentConfiguration:
     def test_chaining_accumulates_config(self, census_small):
         built = (
@@ -64,6 +80,16 @@ class TestFluentConfiguration:
         before = built.context
         built.seed(99)
         assert built.context is not before
+
+    def test_configure_back_reuses_the_built_context(self, census_small, builds):
+        built = explorer(census_small)
+        answer = built.explore(figure2_query())
+        first, default = built.context, built.config.max_maps
+        built.max_maps(3).explore(figure2_query())
+        assert builds == ["exact", "exact"]
+        assert built.max_maps(default).context is first
+        assert built.explore(figure2_query()).maps == answer.maps
+        assert builds == ["exact", "exact"]
 
 
 class TestExplore:
@@ -187,6 +213,28 @@ class TestAdapters:
         answer = built.seed(3).explore()
         assert answer.version == 1
         assert answer.n_rows_used == 250
+
+    def test_anytime_made_before_an_append_answers_the_appended_rows(self):
+        built, _, delta = self._grown()
+        anytime = built.anytime(initial_size=100)
+        built.append(delta)
+        result = anytime.run()
+        assert result.map_set.version == 1
+        assert result.map_set.n_rows_used == 250
+
+    def test_anytime_runs_share_the_explorers_builds(self, census_small, builds):
+        built = explorer(census_small)
+        built.explore(figure2_query())
+        assert builds == ["exact"]
+        anytime = built.anytime(figure2_query(), initial_size=500)
+        first = anytime.run()
+        # The final tick runs on the explorer's own warm context.
+        assert first.fidelity == "exact"
+        assert builds[0] == "exact" and "exact" not in builds[1:]
+        del builds[:]
+        second = anytime.run()
+        assert builds == []
+        assert second.map_set.maps == first.map_set.maps
 
     def test_anytime_after_session_append_sees_the_rows(self):
         built, session, delta = self._grown()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import AtlasConfig
 from repro.dataset.table import Table
 from repro.service.protocol import (
     AppendRequest,
@@ -115,11 +116,10 @@ class TestResultCacheStaleness:
 
     def test_contexts_are_maintained_not_rebuilt(self, service):
         service.explore("stream")
-        with service._registry:
-            context = next(iter(service._contexts.values()))
+        context = service.contexts.peek("stream", AtlasConfig())
+        assert context is not None
         service.append("stream", delta())
-        with service._registry:
-            assert next(iter(service._contexts.values())) is context
+        assert service.contexts.peek("stream", AtlasConfig()) is context
         assert context.version == 1
 
     def test_lazy_sources_materialize_before_append(self):
